@@ -147,14 +147,10 @@ class QuantizedLayer:
     bits: int
 
 
-def quantize_kmeans(
-    weights: np.ndarray, removed: np.ndarray, k: int, seed: int = 0
-) -> QuantizedLayer:
+def quantize_kmeans(weights: np.ndarray, removed: np.ndarray, k: int) -> QuantizedLayer:
     """Cluster one layer's surviving weights into ``k`` shared values.
 
-    Surviving weights are visited in row-major order.  ``seed`` is part of
-    the signature for future randomized initializations; the linear
-    initialization used here ignores it.
+    Surviving weights are visited in row-major order.
     """
     removed = np.asarray(removed, dtype=bool)
     surviving = np.asarray(weights, dtype=float)[~removed]
@@ -190,65 +186,89 @@ class SparseLayer:
     deltas: np.ndarray
 
 
+def _encode_stream(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delta stream of ascending row-major positions, starting from -1.
+
+    A gap wider than ``DELTA_LIMIT`` is bridged by filler entries of delta
+    ``DELTA_LIMIT`` placed before the entry.  Returns ``(deltas, filler)``:
+    the uint16 deltas and a mask that is True at filler entries.
+    """
+    gaps = np.diff(positions, prepend=-1)
+    fills = (gaps - 1) // DELTA_LIMIT
+    slots = fills + 1  # each entry's fillers, then the entry itself
+    deltas = np.repeat(gaps - DELTA_LIMIT * fills, slots)
+    filler = np.ones(deltas.size, dtype=bool)
+    filler[np.cumsum(slots) - 1] = False
+    deltas[filler] = DELTA_LIMIT
+    return deltas.astype(np.uint16), filler
+
+
+def _decode_stream(
+    deltas: np.ndarray,
+    entries: np.ndarray,
+    shape: tuple[int, ...],
+    table: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major positions and values of a sparse delta stream.
+
+    ``entries`` runs parallel to ``deltas``: the stored values, or indices
+    into ``table`` when one is given.  Every range of the stream is checked
+    here: equal lengths, deltas in 1..``DELTA_LIMIT``, positions inside a
+    matrix of ``shape`` and indices inside the table.
+    """
+    steps = np.asarray(deltas).astype(np.int64)  # a uint16 cumsum would wrap
+    values = np.asarray(entries)
+    if values.shape != steps.shape or steps.ndim != 1:
+        raise CorruptStream(
+            f"{values.size} stored entries against {steps.size} position deltas"
+        )
+    bad = (steps < 1) | (steps > DELTA_LIMIT)
+    if bad.any():
+        raise DeltaOverflow(f"delta {steps[bad][0]} outside 1..{DELTA_LIMIT}")
+    positions = np.cumsum(steps) - 1
+    if positions.size and positions[-1] >= math.prod(shape):
+        raise CorruptStream("sparse entry positioned past the matrix end")
+    if table is not None:
+        if values.size and (values.min() < 0 or values.max() >= len(table)):
+            raise CorruptStream("index stream references a missing centroid")
+        values = np.asarray(table)[values]
+    return positions, values
+
+
 def encode_sparse(matrix: np.ndarray) -> SparseLayer:
     """Encode the non-zero entries of a matrix in row-major order."""
     flat = np.asarray(matrix, dtype=float).ravel()
     positions = np.flatnonzero(flat)
-    values: list[float] = []
-    deltas: list[int] = []
-    prev = -1
-    for pos in positions:
-        gap = int(pos) - prev
-        while gap > DELTA_LIMIT:
-            values.append(0.0)
-            deltas.append(DELTA_LIMIT)
-            prev += DELTA_LIMIT
-            gap -= DELTA_LIMIT
-        values.append(float(flat[pos]))
-        deltas.append(gap)
-        prev = int(pos)
-    return SparseLayer(np.array(values), np.array(deltas, dtype=np.uint16))
+    deltas, filler = _encode_stream(positions)
+    values = np.zeros(deltas.size)
+    values[~filler] = flat[positions]
+    return SparseLayer(values, deltas)
 
 
 def decode_sparse(sl: SparseLayer, shape: tuple[int, ...]) -> np.ndarray:
     """Rebuild the dense matrix; the exact inverse of :func:`encode_sparse`."""
     out = np.zeros(shape)
-    flat = out.ravel()
-    pos = -1
-    for value, delta in zip(sl.values, sl.deltas):
-        delta = int(delta)
-        if not 1 <= delta <= DELTA_LIMIT:
-            raise DeltaOverflow(f"delta {delta} outside 1..{DELTA_LIMIT}")
-        pos += delta
-        if pos >= flat.size:
-            raise CorruptStream("sparse entry positioned past the matrix end")
-        flat[pos] = value
-    return flat.reshape(shape)
+    positions, values = _decode_stream(sl.deltas, sl.values, shape)
+    out.ravel()[positions] = values
+    return out
 
 
 def sparse_matvec(sl: SparseLayer, shape: tuple[int, int], x: np.ndarray) -> np.ndarray:
     """Multiply a sparse-encoded matrix by a vector without densifying it.
 
-    Walks the address map exactly as the target firmware would: one
-    multiply-accumulate per stored entry (fillers included, their value is
-    zero).  Matches the dense product of the decoded matrix.
+    Counts MACs exactly as the target firmware walking the address map
+    would: one multiply-accumulate per stored entry (fillers included, their
+    value is zero).  Each row sums its products in stream order, as that
+    walk does.  Matches the dense product of the decoded matrix.
     """
     rows, cols = shape
     x = np.asarray(x, dtype=float)
     if x.shape != (cols,):
         raise InvalidParams(f"vector must have {cols} entries, got {x.shape}")
-    y = np.zeros(rows)
-    pos = -1
-    for value, delta in zip(sl.values, sl.deltas):
-        delta = int(delta)
-        if not 1 <= delta <= DELTA_LIMIT:
-            raise DeltaOverflow(f"delta {delta} outside 1..{DELTA_LIMIT}")
-        pos += delta
-        if pos >= rows * cols:
-            raise CorruptStream("sparse entry positioned past the matrix end")
-        y[pos // cols] += value * x[pos % cols]
-    record_macs(len(sl.values))
-    return y
+    positions, values = _decode_stream(sl.deltas, sl.values, shape)
+    y = np.bincount(positions // cols, weights=values * x[positions % cols], minlength=rows)
+    record_macs(len(values))
+    return y.astype(float, copy=False)  # bincount gives ints when no entry is stored
 
 
 # --- bit packing -------------------------------------------------------------
@@ -456,45 +476,32 @@ def _assemble_layer(
     biases: np.ndarray,
 ) -> CompressedLayer:
     removed = np.asarray(removed, dtype=bool)
-    positions = np.flatnonzero(~removed.ravel())
-    centroids = list(np.float32(q.centroids).astype(float))
-    indices: list[int] = []
-    deltas: list[int] = []
-    zero_index: int | None = None
-    prev = -1
-    for j, pos in enumerate(positions):
-        gap = int(pos) - prev
-        while gap > DELTA_LIMIT:
-            if zero_index is None:
-                if 0.0 in centroids:
-                    zero_index = centroids.index(0.0)
-                else:
-                    centroids.append(0.0)
-                    zero_index = len(centroids) - 1
-            indices.append(zero_index)
-            deltas.append(DELTA_LIMIT)
-            prev += DELTA_LIMIT
-            gap -= DELTA_LIMIT
-        indices.append(int(q.indices[j]))
-        deltas.append(gap)
-        prev = int(pos)
-    centroid_arr = np.array(centroids)
+    deltas, filler = _encode_stream(np.flatnonzero(~removed.ravel()))
+    centroids = np.float32(q.centroids).astype(float)
+    indices = np.zeros(deltas.size, dtype=int)
+    indices[~filler] = q.indices
+    if filler.any():
+        # fillers reuse the first centroid equal to 0.0, or append one
+        zeros = np.flatnonzero(centroids == 0.0)
+        if not zeros.size:
+            centroids = np.append(centroids, 0.0)
+        indices[filler] = zeros[0] if zeros.size else len(centroids) - 1
     return CompressedLayer(
         shape=tuple(weights.shape),
-        centroids=centroid_arr,
-        indices=np.array(indices, dtype=int),
-        deltas=np.array(deltas, dtype=np.uint16),
+        centroids=centroids,
+        indices=indices,
+        deltas=deltas,
         biases=np.float32(biases).astype(float),
-        bits=bits_per_index(len(centroid_arr)),
+        bits=bits_per_index(len(centroids)),
     )
 
 
 def layer_core_block(layer: CompressedLayer) -> bytes:
     """Serialized centroid table, packed index stream, and delta stream."""
+    _decode_stream(layer.deltas, layer.indices, layer.shape, layer.centroids)
     centroids = np.asarray(layer.centroids, dtype="<f4").tobytes()
     packed = pack_bits(layer.indices, layer.bits)
-    deltas = bytes(int(d) for d in layer.deltas)
-    return centroids + packed + deltas
+    return centroids + packed + np.asarray(layer.deltas).astype(np.uint8).tobytes()
 
 
 def bias_block(cm: CompressedModel) -> bytes:
@@ -624,17 +631,10 @@ def decompress_model(cm: CompressedModel) -> Parameters:
     """
     layers = []
     for layer in cm.layers:
-        flat = np.zeros(layer.shape[0] * layer.shape[1])
-        pos = -1
-        for idx, delta in zip(layer.indices, layer.deltas):
-            delta = int(delta)
-            if not 1 <= delta <= DELTA_LIMIT:
-                raise DeltaOverflow(f"delta {delta} outside 1..{DELTA_LIMIT}")
-            pos += delta
-            if pos >= flat.size:
-                raise CorruptStream("compressed entry past the matrix end")
-            flat[pos] = layer.centroids[int(idx)]
-        layers.append(
-            LayerParams(flat.reshape(layer.shape), np.asarray(layer.biases, dtype=float).copy())
+        weights = np.zeros(layer.shape)
+        positions, values = _decode_stream(
+            layer.deltas, layer.indices, layer.shape, layer.centroids
         )
+        weights.ravel()[positions] = values
+        layers.append(LayerParams(weights, np.asarray(layer.biases, dtype=float).copy()))
     return Parameters(layers)

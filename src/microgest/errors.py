@@ -72,12 +72,12 @@ class KTooLarge(MicrogestError):
     """More clusters were requested than surviving weights exist."""
 
 
-class DeltaOverflow(MicrogestError):
-    """A stored index delta is outside the 8-bit field (corrupt stream)."""
-
-
 class CorruptStream(MicrogestError):
     """An encoded bit- or byte-stream cannot be decoded."""
+
+
+class DeltaOverflow(CorruptStream):
+    """A stored index delta is outside the 8-bit field (corrupt stream)."""
 
 
 # --- storage -----------------------------------------------------------------

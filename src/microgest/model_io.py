@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import os
 import struct
+import tempfile
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +28,22 @@ from .compression import (
     CompressedLayer,
     CompressedModel,
     HuffmanTable,
+    _decode_stream,
+    bias_block,
+    bits_per_index,
     huffman_decode,
     huffman_encode,
+    huffman_table_bytes,
     layer_core_block,
-    pack_bits,
     unpack_bits,
 )
 from .errors import (
     ChecksumMismatch,
     CorruptStream,
+    IllegalActivationPlacement,
     InvalidParams,
     PixelOutOfRange,
+    ShapeMismatch,
     Truncated,
     VersionUnsupported,
 )
@@ -45,7 +52,6 @@ from .model import (
     Activation,
     LayerKind,
     LayerParams,
-    LayerSpec,
     ModelSpec,
     Parameters,
     chain,
@@ -63,9 +69,18 @@ _PREFIX = struct.Struct("<4sHI")
 
 def _atomic_write(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _frame(magic: bytes, header: dict, payload: bytes) -> bytes:
@@ -92,7 +107,25 @@ def _unframe(data: bytes, magic: bytes) -> tuple[dict, bytes]:
         header = json.loads(header_bytes.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptStream(f"unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CorruptStream("header is not a JSON object")
     return header, data[_PREFIX.size + header_len : -4]
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a header field of the wrong type or value as a corrupt stream."""
+    try:
+        yield
+    except (
+        AttributeError,
+        KeyError,
+        TypeError,
+        ValueError,
+        OverflowError,
+        IllegalActivationPlacement,
+    ) as exc:
+        raise CorruptStream(f"malformed {what}: {exc}") from None
 
 
 def _spec_to_header(spec: ModelSpec) -> dict:
@@ -110,7 +143,7 @@ def _spec_to_header(spec: ModelSpec) -> dict:
 
 
 def _spec_from_header(header: dict) -> ModelSpec:
-    try:
+    with _malformed("model description"):
         return chain(
             int(header["features"]),
             [
@@ -122,8 +155,6 @@ def _spec_from_header(header: dict) -> ModelSpec:
                 for entry in header["layers"]
             ],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptStream(f"malformed model description: {exc}") from None
 
 
 # --- model files -------------------------------------------------------------
@@ -182,25 +213,16 @@ def load_model_meta(path: str | Path) -> dict:
 
 def save_compressed(path: str | Path, cm: CompressedModel) -> None:
     """Write a compressed model; core blocks optionally Huffman coded."""
-    layer_entries = []
-    for spec_layer, layer in zip(cm.spec.layers, cm.layers):
-        layer_entries.append(
-            {
-                "kind": spec_layer.kind.value,
-                "neurons": spec_layer.neurons,
-                "activation": spec_layer.activation.value,
-                "shape": list(layer.shape),
-                "bits": layer.bits,
-                "n_centroids": len(layer.centroids),
-                "n_entries": len(layer.indices),
-            }
+    header = _spec_to_header(cm.spec)
+    for entry, layer in zip(header["layers"], cm.layers):
+        entry.update(
+            shape=list(layer.shape),
+            bits=layer.bits,
+            n_centroids=len(layer.centroids),
+            n_entries=len(layer.indices),
         )
-    header = {
-        "format": "compressed",
-        "features": cm.spec.features,
-        "layers": layer_entries,
-        "huffman": bool(cm.huffman),
-    }
+    header["format"] = "compressed"
+    header["huffman"] = bool(cm.huffman)
     if cm.stage_sizes:
         header["stage_sizes"] = {k: int(v) for k, v in cm.stage_sizes.items()}
     core = b"".join(layer_core_block(layer) for layer in cm.layers)
@@ -211,62 +233,60 @@ def save_compressed(path: str | Path, cm: CompressedModel) -> None:
             "n_symbols": table.n_symbols,
         }
         core = encoded
-    biases = b"".join(
-        np.asarray(layer.biases, dtype="<f4").tobytes() for layer in cm.layers
-    )
-    _atomic_write(path, _frame(MAGIC_COMPRESSED, header, core + biases))
+    _atomic_write(path, _frame(MAGIC_COMPRESSED, header, core + bias_block(cm)))
+
+
+def _code_table(header: dict) -> HuffmanTable | None:
+    """The header's Huffman code table, or None when the core is stored plain."""
+    if not isinstance(header.get("huffman"), bool):
+        raise CorruptStream("huffman flag missing or not a boolean")
+    if not header["huffman"]:
+        return None
+    with _malformed("code table"):
+        code = header["code"]
+        lengths = {int(sym): int(length) for sym, length in code["lengths"].items()}
+        table = HuffmanTable(lengths, int(code["n_symbols"]))
+    # byte symbols; a code over at most 256 symbols is at most 255 bits deep
+    if not lengths or not all(0 <= s <= 255 and 1 <= n <= 255 for s, n in lengths.items()):
+        raise CorruptStream("code table out of range")
+    return table
 
 
 def load_compressed(path: str | Path) -> CompressedModel:
+    """Read a compressed model back; inverse of :func:`save_compressed`.
+
+    Every malformed input raises ``CorruptStream``, ``Truncated`` or
+    ``ShapeMismatch``, so a model that loads also decompresses to finite
+    parameters that fit its spec.
+    """
     header, payload = _unframe(Path(path).read_bytes(), MAGIC_COMPRESSED)
-    try:
-        spec = chain(
-            int(header["features"]),
-            [
-                (
-                    LayerKind(e["kind"]),
-                    int(e["neurons"]),
-                    Activation(e["activation"]),
-                )
-                for e in header["layers"]
-            ],
-        )
-        entries = header["layers"]
-        huffman = bool(header["huffman"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptStream(f"malformed compressed header: {exc}") from None
-
-    bias_bytes = 4 * sum(int(e["neurons"]) for e in entries)
-    if len(payload) < bias_bytes:
+    spec = _spec_from_header(header)
+    table = _code_table(header)
+    with _malformed("layer entry"):
+        entries = [
+            (tuple(int(v) for v in e["shape"]), int(e["bits"]), int(e["n_centroids"]),
+             int(e["n_entries"]))
+            for e in header["layers"]
+        ]
+        stage_sizes = {k: int(v) for k, v in header.get("stage_sizes", {}).items()}
+    n_biases = [layer.neurons for layer in spec.layers]
+    core_len = len(payload) - 4 * sum(n_biases)
+    if core_len < 0:
         raise Truncated("payload shorter than the bias block")
-    core, bias_block_bytes = payload[: len(payload) - bias_bytes], payload[len(payload) - bias_bytes :]
-
-    if huffman:
-        code = header.get("code")
-        if not isinstance(code, dict):
-            raise CorruptStream("huffman flag set but no code table present")
-        try:
-            table = HuffmanTable(
-                {int(sym): int(length) for sym, length in code["lengths"].items()},
-                int(code["n_symbols"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptStream(f"malformed code table: {exc}") from None
-        core = huffman_decode(core, table)
+    biases = np.frombuffer(payload, dtype="<f4", offset=core_len).astype(float)
+    core = payload[:core_len] if table is None else huffman_decode(payload[:core_len], table)
 
     layers = []
     offset = 0
-    for entry in entries:
-        try:
-            shape = tuple(int(v) for v in entry["shape"])
-            bits = int(entry["bits"])
-            n_centroids = int(entry["n_centroids"])
-            n_entries = int(entry["n_entries"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptStream(f"malformed layer entry: {exc}") from None
+    for layer_spec, (shape, bits, n_centroids, n_entries), layer_biases in zip(
+        spec.layers, entries, np.split(biases, np.cumsum(n_biases)[:-1])
+    ):
+        if shape != (layer_spec.neurons, layer_spec.fan_in):
+            raise ShapeMismatch(f"layer shape {shape} does not fit the model description")
+        if n_entries < 0 or n_centroids < 1 or bits != bits_per_index(n_centroids):
+            raise CorruptStream(f"{n_entries} entries, {n_centroids} centroids, {bits} bits")
         packed_len = (n_entries * bits + 7) // 8
-        need = 4 * n_centroids + packed_len + n_entries
-        if offset + need > len(core):
+        if offset + 4 * n_centroids + packed_len + n_entries > len(core):
             raise Truncated("core stream ends inside a layer block")
         centroids = np.frombuffer(core, dtype="<f4", count=n_centroids, offset=offset).astype(float)
         offset += 4 * n_centroids
@@ -274,33 +294,14 @@ def load_compressed(path: str | Path) -> CompressedModel:
         offset += packed_len
         deltas = np.frombuffer(core, dtype=np.uint8, count=n_entries, offset=offset).astype(np.uint16)
         offset += n_entries
-        if bits and n_centroids and indices.size and indices.max() >= n_centroids:
-            raise CorruptStream("index stream references a missing centroid")
-        layers.append(
-            CompressedLayer(
-                shape=shape,
-                centroids=centroids,
-                indices=indices,
-                deltas=deltas,
-                biases=np.zeros(0),
-                bits=bits,
-            )
-        )
+        if not (np.isfinite(centroids).all() and np.isfinite(layer_biases).all()):
+            raise CorruptStream("non-finite centroid or bias")
+        _decode_stream(deltas, indices, shape, centroids)  # range-checks both streams
+        layers.append(CompressedLayer(shape, centroids, indices, deltas, layer_biases, bits))
     if offset != len(core):
         raise CorruptStream("core stream longer than the layer blocks imply")
 
-    bias_offset = 0
-    for entry, layer in zip(entries, layers):
-        n = int(entry["neurons"])
-        layer.biases = np.frombuffer(
-            bias_block_bytes, dtype="<f4", count=n, offset=bias_offset
-        ).astype(float)
-        bias_offset += 4 * n
-
-    cm = CompressedModel(spec=spec, layers=layers, huffman=huffman)
-    if "stage_sizes" in header:
-        cm.stage_sizes = {k: int(v) for k, v in header["stage_sizes"].items()}
-    return cm
+    return CompressedModel(spec, layers, huffman=table is not None, stage_sizes=stage_sizes)
 
 
 def compressed_payload_size(path: str | Path) -> int:
@@ -310,13 +311,9 @@ def compressed_payload_size(path: str | Path) -> int:
     stream plus bias block, plus the serialized code table when Huffman is
     enabled.
     """
-    data = Path(path).read_bytes()
-    header, payload = _unframe(data, MAGIC_COMPRESSED)
-    size = len(payload)
-    code = header.get("code")
-    if code:
-        size += 2 + 2 * len(code["lengths"])
-    return size
+    header, payload = _unframe(Path(path).read_bytes(), MAGIC_COMPRESSED)
+    table = _code_table(header)
+    return len(payload) + (0 if table is None else huffman_table_bytes(table))
 
 
 # --- dataset files -----------------------------------------------------------
@@ -345,7 +342,7 @@ def save_dataset(path: str | Path, dataset: AnnotatedSequence) -> None:
 
 def load_dataset(path: str | Path) -> AnnotatedSequence:
     header, payload = _unframe(Path(path).read_bytes(), MAGIC_DATASET)
-    try:
+    with _malformed("dataset header"):
         width = int(header["width"])
         height = int(header["height"])
         n = int(header["n_frames"])
@@ -354,8 +351,6 @@ def load_dataset(path: str | Path) -> AnnotatedSequence:
         annotations = [
             Annotation(int(frame), int(label)) for frame, label in header["annotations"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptStream(f"malformed dataset header: {exc}") from None
     expected = 2 * n * width * height
     if len(payload) != expected:
         raise Truncated(f"payload holds {len(payload)} bytes, header implies {expected}")

@@ -20,6 +20,7 @@ from microgest.compression import (
     huffman_decode,
     huffman_encode,
     kmeans_1d,
+    layer_core_block,
     no_pruning,
     pack_bits,
     prune,
@@ -207,6 +208,8 @@ def test_empty_matrix_encodes_to_nothing():
     sl = encode_sparse(np.zeros((3, 5)))
     assert len(sl.values) == 0
     assert np.array_equal(decode_sparse(sl, (3, 5)), np.zeros((3, 5)))
+    y = sparse_matvec(sl, (3, 5), np.ones(5))
+    assert y.dtype == np.float64 and np.array_equal(y, np.zeros(3))
 
 
 @given(st.integers(1, 8), st.integers(1, 60), st.integers(0, 2**31 - 1))
@@ -243,6 +246,31 @@ def test_sparse_matvec_counts_one_mac_per_stored_entry():
         sparse_matvec(sl, m.shape, np.ones(400))
     assert macs.count == len(sl.values)
     assert macs.count > 2  # fillers included
+
+
+@given(st.integers(1, 6), st.integers(1, 300), st.integers(0, 2**31 - 1))
+@settings(max_examples=60)
+def test_sparse_matvec_sums_in_stream_order(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+    x = rng.normal(size=cols)
+    sl = encode_sparse(m)
+    # the firmware's walk over the address map, one entry at a time
+    expected = np.zeros(rows)
+    pos = -1
+    for value, delta in zip(sl.values, sl.deltas):
+        pos += int(delta)
+        expected[pos // cols] += value * x[pos % cols]
+    y = sparse_matvec(sl, m.shape, x)
+    assert y.dtype == np.float64 and np.array_equal(y, expected)
+
+
+def test_value_and_delta_streams_must_have_equal_length():
+    sl = SparseLayer(np.array([1.0, 2.0, 3.0]), np.array([1, 1], dtype=np.uint16))
+    with pytest.raises(CorruptStream):
+        sparse_matvec(sl, (2, 2), np.ones(2))
+    with pytest.raises(CorruptStream):
+        decode_sparse(sl, (2, 2))
 
 
 def test_sparse_matvec_validates_vector_length():
@@ -408,6 +436,24 @@ def test_lossless_options_round_trip_to_float32_of_the_input():
     for lp, lr in zip(params.layers, rebuilt.layers):
         assert np.array_equal(lr.weights, np.float32(lp.weights).astype(float))
         assert np.array_equal(lr.biases, np.float32(lp.biases).astype(float))
+
+
+@pytest.mark.parametrize("bad_index", [-1, 2])
+def test_decompression_rejects_indices_outside_the_centroid_table(bad_index):
+    spec = parse_arch("4-3tanh-2softmax")
+    opts = CompressionOptions(clusters=2, huffman=False)
+    cm = compress_model(spec, init_params(spec, 3), opts)
+    cm.layers[0].indices[0] = bad_index
+    with pytest.raises(CorruptStream):
+        decompress_model(cm)
+
+
+def test_core_block_refuses_a_delta_wider_than_a_byte():
+    spec = parse_arch("4-3tanh-2softmax")
+    cm = compress_model(spec, init_params(spec, 3), CompressionOptions(huffman=False))
+    cm.layers[0].deltas[0] = DELTA_LIMIT + 1  # would wrap to 0 as a byte
+    with pytest.raises(DeltaOverflow):
+        layer_core_block(cm.layers[0])
 
 
 def test_cluster_list_must_match_layer_count():

@@ -1,9 +1,12 @@
 """Binary file formats: framing, checksums, and bit-exact round-trips."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microgest.compression import (
     CompressionOptions,
@@ -15,12 +18,14 @@ from microgest.errors import (
     ChecksumMismatch,
     CorruptStream,
     InvalidParams,
+    MicrogestError,
     PixelOutOfRange,
+    ShapeMismatch,
     Truncated,
     VersionUnsupported,
 )
 from microgest.features import AnnotatedSequence, Annotation
-from microgest.model import parse_arch, format_arch
+from microgest.model import parse_arch, format_arch, validate
 from microgest.model_io import (
     compressed_payload_size,
     load_compressed,
@@ -151,6 +156,23 @@ def test_overwrite_replaces_the_file_atomically(tmp_path, model):
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
 
 
+def test_save_does_not_collide_with_a_fixed_temp_name(tmp_path, model):
+    squatter = tmp_path / "net.mgnn.tmp"
+    squatter.mkdir()
+    path = tmp_path / "net.mgnn"
+    save_model(path, *model)
+    assert load_model_meta(path) == {}
+    assert sorted(tmp_path.iterdir()) == [path, squatter]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, model):
+    target = tmp_path / "net.mgnn"
+    target.mkdir()  # the rename onto a directory fails
+    with pytest.raises(OSError):
+        save_model(target, *model)
+    assert list(tmp_path.iterdir()) == [target]
+
+
 # --- compressed model files ---------------------------------------------------
 
 def _demo_compressed(huffman):
@@ -205,6 +227,195 @@ def test_compressed_file_checksum_guard(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ChecksumMismatch):
         load_compressed(path)
+
+
+def _split(data):
+    """``(magic, header, payload)`` of a framed file."""
+    _, _, header_len = struct.unpack_from("<4sHI", data)
+    header = json.loads(data[10 : 10 + header_len])
+    return data[:4], header, data[10 + header_len : -4]
+
+
+def _reframe(magic, header, payload):
+    """A framed file with a checksum that matches its contents."""
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = struct.pack("<4sHI", magic, 1, len(header_bytes)) + header_bytes + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _set_field(header, keys, value):
+    """The header with the field at ``keys`` (the whole header for none) replaced."""
+    if not keys:
+        return value
+    node = header
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return header
+
+
+def _with_header_field(path, keys, value):
+    magic, header, payload = _split(path.read_bytes())
+    path.write_bytes(_reframe(magic, _set_field(header, keys, value), payload))
+
+
+@pytest.mark.parametrize(
+    "keys, value, error",
+    [
+        (("code", "lengths"), [[1, 2]], CorruptStream),
+        (("code", "lengths"), {"300": 2}, CorruptStream),
+        (("code", "lengths"), {"7": 10**9}, CorruptStream),
+        (("stage_sizes",), [1, 2], CorruptStream),
+        (("huffman",), "yes", CorruptStream),
+        (("features",), float("inf"), CorruptStream),
+        (("layers", 0, "n_entries"), -1, CorruptStream),
+        (("layers", 0, "n_centroids"), -3, CorruptStream),
+        (("layers", 0, "bits"), -1, CorruptStream),
+        (("layers", 0, "bits"), 5, CorruptStream),
+        (("layers", 0, "shape"), [2, 2], ShapeMismatch),
+        (("layers", 1, "shape"), [14, 8], ShapeMismatch),
+    ],
+)
+def test_malformed_compressed_header_fields_are_rejected(tmp_path, keys, value, error):
+    _, _, cm = _demo_compressed(True)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    _with_header_field(path, keys, value)
+    with pytest.raises(error):
+        load_compressed(path)
+
+
+def test_zero_delta_in_a_compressed_file_is_a_corrupt_stream(tmp_path):
+    _, _, cm = _demo_compressed(False)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    magic, header, payload = _split(path.read_bytes())
+    layer = cm.layers[0]
+    first_delta = 4 * len(layer.centroids) + (len(layer.indices) * layer.bits + 7) // 8
+    payload = payload[:first_delta] + b"\x00" + payload[first_delta + 1 :]
+    path.write_bytes(_reframe(magic, header, payload))
+    with pytest.raises(CorruptStream):
+        load_compressed(path)
+
+
+def test_header_that_is_not_an_object_is_corrupt(tmp_path, model):
+    path = tmp_path / "net.mgnn"
+    save_model(path, *model)
+    magic, _, payload = _split(path.read_bytes())
+    path.write_bytes(_reframe(magic, [], payload))
+    with pytest.raises(CorruptStream):
+        load_model_meta(path)
+
+
+def test_infinite_dataset_width_is_corrupt(tmp_path):
+    path = tmp_path / "corpus.mgds"
+    save_dataset(path, build_corpus(1, seed=1))
+    _with_header_field(path, ("width",), float("inf"))
+    with pytest.raises(CorruptStream):
+        load_dataset(path)
+
+
+# --- CRC-valid mutation fuzzing -----------------------------------------------
+
+@pytest.fixture(scope="module")
+def pristine_files(tmp_path_factory):
+    """One small, valid file of each format, by name."""
+    d = tmp_path_factory.mktemp("pristine")
+    spec = parse_arch("180-4relu-r3tanh-2softmax")
+    params = init_params(spec, 5)
+    params.layers[0].weights[1:3] = 0.0  # a gap wide enough to need fillers
+    cm = compress_model(
+        spec, params, CompressionOptions(target_density=0.3, clusters=[4, 4, 2], huffman=True)
+    )
+    save_model(d / "net.mgnn", spec, params)
+    save_compressed(d / "net.mgcm", cm)
+    save_dataset(d / "corpus.mgds", build_corpus(1, seed=3))
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+_JUNK = st.one_of(
+    st.integers(-3, 300),
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-3, 300), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+def _fields(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _fields(child, path + (key,))
+
+
+def _field_kind(path):
+    # list positions and code-table symbols collapse, so every field name is
+    # drawn about as often as any other
+    return tuple("*" if isinstance(k, int) or k.isdigit() else k for k in path)
+
+
+def _mutate_header(data, header):
+    fields = list(_fields(header))
+    kind = data.draw(st.sampled_from(sorted({_field_kind(p) for p in fields})))
+    path = data.draw(st.sampled_from([p for p in fields if _field_kind(p) == kind]))
+    return _set_field(header, path, data.draw(_JUNK))
+
+
+def _mutate_payload(data, payload):
+    at = data.draw(st.integers(0, len(payload) - 1))
+    how = data.draw(st.sampled_from(["flip", "cut", "extend"]))
+    if how == "flip":
+        flipped = payload[at] ^ data.draw(st.integers(1, 255))
+        return payload[:at] + bytes([flipped]) + payload[at + 1 :]
+    if how == "cut":
+        return payload[:at]
+    return payload + data.draw(st.binary(min_size=1, max_size=8))
+
+
+# the loader first, then readers that parse the same header on their own
+_READERS = {
+    "net.mgnn": (load_model, load_model_meta),
+    "net.mgcm": (load_compressed, compressed_payload_size),
+    "corpus.mgds": (load_dataset,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_crc_valid_mutations_raise_only_microgest_errors(
+    pristine_files, tmp_path_factory, name, data
+):
+    magic, header, payload = _split(pristine_files[name])
+    if data.draw(st.booleans(), label="mutate the header"):
+        header = _mutate_header(data, header)
+    else:
+        payload = _mutate_payload(data, payload)
+    path = tmp_path_factory.getbasetemp() / f"mutated.{name}"
+    path.write_bytes(_reframe(magic, header, payload))
+    load, *others = _READERS[name]
+    for read in others:
+        try:
+            read(path)
+        except MicrogestError:
+            pass
+    try:
+        loaded = load(path)
+    except MicrogestError as exc:
+        if name == "net.mgcm":
+            assert isinstance(exc, (CorruptStream, Truncated, ShapeMismatch)), exc
+        return
+    if name == "net.mgcm":
+        validate(loaded.spec, decompress_model(loaded))
 
 
 # --- dataset files -----------------------------------------------------------
