@@ -7,14 +7,21 @@ packing of cluster indices, and an optional canonical Huffman pass over the
 encoded bytes.  Biases are never pruned or quantized; they ride along
 uncompressed.
 
+The bit layer works on whole arrays: packing and Huffman encoding expand
+values into a bit matrix and hand it to ``np.packbits``; unpacking is the
+reverse.  Huffman decoding reads one code word per step, by searching the
+canonical code ranges, and accepts any code with lengths up to 255 bits.
+:func:`compress_model` reports the Huffman stage's size from the byte
+histogram and the code lengths, without encoding; only saving encodes.
+
 Masks returned by :func:`prune` mark *removed* weights with True.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -273,49 +280,50 @@ def sparse_matvec(sl: SparseLayer, shape: tuple[int, int], x: np.ndarray) -> np.
 
 # --- bit packing -------------------------------------------------------------
 
+#: Widest packed value: unpacked values are int64.
+MAX_BIT_WIDTH = 63
+
+
+def _check_width(width: int) -> None:
+    if not 0 <= width <= MAX_BIT_WIDTH:
+        raise InvalidParams(f"bit width must be in 0..{MAX_BIT_WIDTH}")
+
+
+def _word_bytes(width: int) -> int:
+    """Bytes of the narrowest unsigned integer type holding ``width`` bits."""
+    return next(n for n in (1, 2, 4, 8) if 8 * n >= width)
+
+
 def pack_bits(values: Sequence[int], width: int) -> bytes:
     """Pack unsigned integers into a big-endian-within-byte bit stream."""
-    if width < 0:
-        raise InvalidParams("bit width must be >= 0")
+    _check_width(width)
     if width == 0:
         return b""
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    limit = 1 << width
-    for v in values:
-        v = int(v)
-        if not 0 <= v < limit:
-            raise InvalidParams(f"value {v} does not fit in {width} bits")
-        acc = (acc << width) | v
-        nbits += width
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        array = np.array(values, dtype=object)  # integers past 64 bits stay exact
+    bad = (array < 0) | (array >= 1 << width)
+    if bad.any():
+        raise InvalidParams(f"value {array[bad][0]} does not fit in {width} bits")
+    n = _word_bytes(width)
+    octets = array.astype(f">u{n}").view(np.uint8).reshape(-1, n)
+    return np.packbits(np.unpackbits(octets, axis=1)[:, 8 * n - width :]).tobytes()
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits` for a known value count."""
+    _check_width(width)
     if width == 0:
         return np.zeros(count, dtype=int)
     needed = (count * width + 7) // 8
     if len(data) < needed:
         raise CorruptStream("bit stream shorter than declared")
-    out = np.empty(count, dtype=int)
-    acc = 0
-    nbits = 0
-    pos = 0
-    for i in range(count):
-        while nbits < width:
-            acc = (acc << 8) | data[pos]
-            pos += 1
-            nbits += 8
-        nbits -= width
-        out[i] = (acc >> nbits) & ((1 << width) - 1)
-    return out
+    n = _word_bytes(width)
+    bits = np.zeros((count, 8 * n), dtype=np.uint8)  # values, right-aligned
+    bits[:, 8 * n - width :] = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8, count=needed), count=count * width
+    ).reshape(count, width)
+    return np.packbits(bits, axis=1).view(f">u{n}").ravel().astype(np.int64)
 
 
 # --- canonical Huffman coding ------------------------------------------------
@@ -328,22 +336,37 @@ class HuffmanTable:
     n_symbols: int
 
 
-def _code_lengths(freq: Counter) -> dict[int, int]:
-    if len(freq) == 1:
+def _code_lengths(counts: np.ndarray) -> dict[int, int]:
+    """Huffman code length of every byte value with a nonzero count.
+
+    Merges the two lightest subtrees first; ties go to the subtree made
+    earliest, leaves in symbol order before every merged subtree.
+    """
+    symbols = np.flatnonzero(counts).tolist()
+    if len(symbols) == 1:
         # degenerate alphabet: spend one bit per symbol anyway
-        return {next(iter(freq)): 1}
-    heap = []
-    for order, (sym, f) in enumerate(sorted(freq.items())):
-        heapq.heappush(heap, (f, order, {sym: 0}))
-    order += 1
+        return {symbols[0]: 1}
+    heap = [(int(counts[sym]), node, node) for node, sym in enumerate(symbols)]
+    heapq.heapify(heap)
+    parent = [0] * (2 * len(symbols) - 1)
+    node = len(symbols)
     while len(heap) > 1:
         fa, _, a = heapq.heappop(heap)
         fb, _, b = heapq.heappop(heap)
-        merged = {s: d + 1 for s, d in a.items()}
-        merged.update({s: d + 1 for s, d in b.items()})
-        heapq.heappush(heap, (fa + fb, order, merged))
-        order += 1
-    return heap[0][2]
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (fa + fb, node, node))
+        node += 1
+    depth = [0] * len(parent)
+    for child in range(len(parent) - 2, -1, -1):  # parents are made after children
+        depth[child] = depth[parent[child]] + 1
+    return dict(zip(symbols, depth))
+
+
+def _histogram(data: bytes) -> np.ndarray:
+    """Count of each of the 256 byte values; empty input has no code."""
+    if not data:
+        raise InvalidParams("cannot build a code for empty input")
+    return np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
 
 
 def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
@@ -363,53 +386,58 @@ def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
 
 def huffman_encode(data: bytes) -> tuple[bytes, HuffmanTable]:
     """Encode bytes with a canonical Huffman code built from their histogram."""
-    if not data:
-        raise InvalidParams("cannot build a code for empty input")
-    lengths = _code_lengths(Counter(data))
-    codes = canonical_codes(lengths)
-    acc = 0
-    nbits = 0
-    out = bytearray()
-    for byte in data:
-        value, length = codes[byte]
-        acc = (acc << length) | value
-        nbits += length
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out), HuffmanTable(dict(lengths), len(data))
+    lengths = _code_lengths(_histogram(data))
+    max_len = max(lengths.values())
+    words = np.zeros((256, max_len), dtype=np.uint8)  # code bits, left-aligned
+    widths = np.zeros(256, dtype=np.int64)
+    for sym, (value, length) in canonical_codes(lengths).items():
+        octets = np.frombuffer(value.to_bytes((length + 7) // 8, "big"), dtype=np.uint8)
+        words[sym, :length] = np.unpackbits(octets)[-length:]
+        widths[sym] = length
+    symbols = np.frombuffer(data, dtype=np.uint8)
+    used = np.arange(max_len) < widths[symbols][:, None]
+    return np.packbits(words[symbols][used]).tobytes(), HuffmanTable(lengths, len(data))
 
 
 def huffman_decode(encoded: bytes, table: HuffmanTable) -> bytes:
-    """Decode a canonical Huffman stream back to bytes."""
+    """Decode a canonical Huffman stream back to bytes.
+
+    Decodes one code word per step: peek ``max_len`` bits and find the
+    code word whose canonical range ``[value, value + 1) << (max_len -
+    length)`` holds them.  Lengths may reach 255 bits, so the peek is a
+    Python integer.
+    """
     if table.n_symbols == 0:
         return b""
-    by_code = {
-        (length, value): sym
-        for sym, (value, length) in canonical_codes(table.lengths).items()
-    }
+    if min(table.lengths.values()) < 1:
+        raise CorruptStream("code word shorter than one bit")
     max_len = max(table.lengths.values())
+    codes = canonical_codes(table.lengths)  # ascending code ranges
+    limits = [(value + 1) << (max_len - length) for value, length in codes.values()]
+    symbols = list(codes)
+    # a peek above every range matches no code word: it never fits
+    lengths = [length for _, length in codes.values()] + [math.inf]
+    chunk = max_len // 8 + 8  # bytes per refill: always at least a full peek
+    n_bytes = len(encoded)
     out = bytearray()
-    value = 0
-    length = 0
-    bit_index = 0
-    total_bits = len(encoded) * 8
-    while len(out) < table.n_symbols:
-        if bit_index >= total_bits:
+    acc = nbits = pos = 0
+    for _ in range(table.n_symbols):
+        if nbits < max_len and pos < n_bytes:
+            octets = encoded[pos : pos + chunk]
+            pos += len(octets)
+            acc = (acc << 8 * len(octets)) | int.from_bytes(octets, "big")
+            nbits += 8 * len(octets)
+        shift = nbits - max_len
+        i = bisect.bisect_right(limits, acc >> shift if shift >= 0 else acc << -shift)
+        length = lengths[i]
+        if length > nbits:
+            # read bit by bit, a stream shows no match only after max_len + 1 bits
+            if nbits + 8 * (n_bytes - pos) > max_len:
+                raise CorruptStream("no code word matches the stream")
             raise CorruptStream("bit stream ended inside a code word")
-        bit = (encoded[bit_index >> 3] >> (7 - (bit_index & 7))) & 1
-        bit_index += 1
-        value = (value << 1) | bit
-        length += 1
-        sym = by_code.get((length, value))
-        if sym is not None:
-            out.append(sym)
-            value = 0
-            length = 0
-        elif length > max_len:
-            raise CorruptStream("no code word matches the stream")
+        nbits -= length
+        acc &= (1 << nbits) - 1
+        out.append(symbols[i])
     return bytes(out)
 
 
@@ -515,6 +543,18 @@ def huffman_table_bytes(table: HuffmanTable) -> int:
     return 2 + 2 * len(table.lengths)
 
 
+def _huffman_coded_size(data: bytes) -> int:
+    """Bytes :func:`huffman_encode` gives for ``data``, table included.
+
+    Counted from the histogram and the code lengths, without encoding:
+    ``ceil(sum(count * length) / 8)`` plus :func:`huffman_table_bytes`.
+    """
+    counts = _histogram(data)
+    lengths = _code_lengths(counts)
+    bits = sum(int(counts[sym]) * length for sym, length in lengths.items())
+    return (bits + 7) // 8 + huffman_table_bytes(HuffmanTable(lengths, len(data)))
+
+
 def encoded_payload_size(cm: CompressedModel) -> int:
     """Bytes of encoded parameters as they would land on flash.
 
@@ -523,11 +563,8 @@ def encoded_payload_size(cm: CompressedModel) -> int:
     as one stream and the table size is charged too.
     """
     core = b"".join(layer_core_block(layer) for layer in cm.layers)
-    biases = bias_block(cm)
-    if not cm.huffman:
-        return len(core) + len(biases)
-    encoded, table = huffman_encode(core)
-    return len(encoded) + huffman_table_bytes(table) + len(biases)
+    core_size = _huffman_coded_size(core) if cm.huffman else len(core)
+    return core_size + len(bias_block(cm))
 
 
 def _resolve_clusters(options: CompressionOptions, n_layers: int) -> list[int | None]:
@@ -613,12 +650,13 @@ def compress_model(
         for lp, mask, q in zip(pruned.layers, removed, quantized)
     ]
     cm = CompressedModel(spec=spec, layers=layers, huffman=options.huffman)
+    core = b"".join(layer_core_block(layer) for layer in layers)
+    bias_bytes = len(bias_block(cm))
     cm.stage_sizes["naive"] = 4 * n_params
     cm.stage_sizes["pruned_sparse"] = sparse_bytes
-    no_huff = CompressedModel(spec=spec, layers=layers, huffman=False)
-    cm.stage_sizes["encoded"] = encoded_payload_size(no_huff)
+    cm.stage_sizes["encoded"] = len(core) + bias_bytes
     if options.huffman:
-        cm.stage_sizes["huffman"] = encoded_payload_size(cm)
+        cm.stage_sizes["huffman"] = _huffman_coded_size(core) + bias_bytes
     return cm
 
 

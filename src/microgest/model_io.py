@@ -66,6 +66,11 @@ MAGIC_DATASET = b"MGDS"
 
 _PREFIX = struct.Struct("<4sHI")
 
+#: Most dense weights a loaded compressed model may expand to (the paper's
+#: largest network, 180-20-10-5, has 3,850); a sparse payload does not
+#: bound them, so a forged header could ask decompression for terabytes.
+MAX_DENSE_WEIGHTS = 1 << 24
+
 
 def _atomic_write(path: str | Path, data: bytes) -> None:
     path = Path(path)
@@ -249,6 +254,9 @@ def _code_table(header: dict) -> HuffmanTable | None:
     # byte symbols; a code over at most 256 symbols is at most 255 bits deep
     if not lengths or not all(0 <= s <= 255 and 1 <= n <= 255 for s, n in lengths.items()):
         raise CorruptStream("code table out of range")
+    # Kraft: sum(2^-length) <= 1, or canonical code words overflow their lengths
+    if sum(1 << (255 - n) for n in lengths.values()) > 1 << 255:
+        raise CorruptStream("code table over-subscribed")
     return table
 
 
@@ -257,10 +265,13 @@ def load_compressed(path: str | Path) -> CompressedModel:
 
     Every malformed input raises ``CorruptStream``, ``Truncated`` or
     ``ShapeMismatch``, so a model that loads also decompresses to finite
-    parameters that fit its spec.
+    parameters that fit its spec, at most ``MAX_DENSE_WEIGHTS`` of them.
     """
     header, payload = _unframe(Path(path).read_bytes(), MAGIC_COMPRESSED)
     spec = _spec_from_header(header)
+    dense = sum(layer.neurons * layer.fan_in for layer in spec.layers)
+    if dense > MAX_DENSE_WEIGHTS:
+        raise CorruptStream(f"{dense} dense weights, above the {MAX_DENSE_WEIGHTS} cap")
     table = _code_table(header)
     with _malformed("layer entry"):
         entries = [

@@ -1,16 +1,21 @@
 """Shared test fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own execution paths:
-forward passes are re-derived with explicit Python loops and gradients
-with central finite differences, so a test comparing the two exercises
-two independent routes to the same number.
+forward passes are re-derived with explicit Python loops, gradients with
+central finite differences, and the compressed-model bit codec one bit at
+a time, so a test comparing the two exercises two independent routes to
+the same number.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from microgest.errors import CorruptStream, InvalidParams
 from microgest.model import (
     Activation,
     LayerKind,
@@ -102,6 +107,139 @@ def max_rel_error(analytic, numeric, floor=1e-8):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+# --- bit-serial codec ----------------------------------------------------------
+
+def oracle_pack_bits(values, width):
+    """Pack unsigned integers most-significant-bit first, one value at a time."""
+    if width < 0:
+        raise InvalidParams("bit width must be >= 0")
+    if width == 0:
+        return b""
+    out = bytearray()
+    acc = 0
+    nbits = 0
+    limit = 1 << width
+    for v in values:
+        v = int(v)
+        if not 0 <= v < limit:
+            raise InvalidParams(f"value {v} does not fit in {width} bits")
+        acc = (acc << width) | v
+        nbits += width
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
+
+
+def oracle_unpack_bits(data, width, count):
+    """Inverse of :func:`oracle_pack_bits`, one value at a time."""
+    if width == 0:
+        return np.zeros(count, dtype=int)
+    if len(data) < (count * width + 7) // 8:
+        raise CorruptStream("bit stream shorter than declared")
+    out = np.empty(count, dtype=int)
+    acc = 0
+    nbits = 0
+    pos = 0
+    for i in range(count):
+        while nbits < width:
+            acc = (acc << 8) | data[pos]
+            pos += 1
+            nbits += 8
+        nbits -= width
+        out[i] = (acc >> nbits) & ((1 << width) - 1)
+    return out
+
+
+def oracle_code_lengths(data):
+    """Huffman code lengths, merging whole symbol-to-depth maps."""
+    freq = Counter(data)
+    if len(freq) == 1:
+        return {next(iter(freq)): 1}
+    heap = []
+    for order, (sym, f) in enumerate(sorted(freq.items())):
+        heapq.heappush(heap, (f, order, {sym: 0}))
+    order += 1
+    while len(heap) > 1:
+        fa, _, a = heapq.heappop(heap)
+        fb, _, b = heapq.heappop(heap)
+        merged = {s: d + 1 for s, d in a.items()}
+        merged.update({s: d + 1 for s, d in b.items()})
+        heapq.heappush(heap, (fa + fb, order, merged))
+        order += 1
+    return heap[0][2]
+
+
+def oracle_canonical_codes(lengths):
+    """``{symbol: (value, length)}``, counting up in (length, symbol) order."""
+    codes = {}
+    code = prev_len = None
+    for sym, length in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])):
+        code = 0 if prev_len is None else (code + 1) << (length - prev_len)
+        codes[sym] = (code, length)
+        prev_len = length
+    return codes
+
+
+def oracle_huffman_encode(data):
+    """``(encoded bytes, code lengths)`` under the data's own Huffman code."""
+    if not data:
+        raise InvalidParams("cannot build a code for empty input")
+    lengths = oracle_code_lengths(data)
+    return oracle_encode_with_code(data, lengths), lengths
+
+
+def oracle_encode_with_code(data, lengths):
+    """Bytes coded under the canonical code of ``lengths``, one word at a time."""
+    codes = oracle_canonical_codes(lengths)
+    acc = 0
+    nbits = 0
+    out = bytearray()
+    for byte in data:
+        value, length = codes[byte]
+        acc = (acc << length) | value
+        nbits += length
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
+
+
+def oracle_huffman_decode(encoded, lengths, n_symbols):
+    """Decode a canonical Huffman stream one bit at a time."""
+    if n_symbols == 0:
+        return b""
+    by_code = {
+        (length, value): sym
+        for sym, (value, length) in oracle_canonical_codes(lengths).items()
+    }
+    max_len = max(lengths.values())
+    out = bytearray()
+    value = 0
+    length = 0
+    bit_index = 0
+    total_bits = len(encoded) * 8
+    while len(out) < n_symbols:
+        if bit_index >= total_bits:
+            raise CorruptStream("bit stream ended inside a code word")
+        bit = (encoded[bit_index >> 3] >> (7 - (bit_index & 7))) & 1
+        bit_index += 1
+        value = (value << 1) | bit
+        length += 1
+        sym = by_code.get((length, value))
+        if sym is not None:
+            out.append(sym)
+            value = 0
+            length = 0
+        elif length > max_len:
+            raise CorruptStream("no code word matches the stream")
+    return bytes(out)
 
 
 # --- random model construction -----------------------------------------------

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from microgest.compression import (
     DELTA_LIMIT,
+    MAX_BIT_WIDTH,
     CompressionOptions,
     HuffmanTable,
     SparseLayer,
     apply_pruning,
+    bias_block,
     bits_per_index,
     canonical_codes,
     compress_model,
@@ -19,6 +21,7 @@ from microgest.compression import (
     encode_sparse,
     huffman_decode,
     huffman_encode,
+    huffman_table_bytes,
     kmeans_1d,
     layer_core_block,
     no_pruning,
@@ -33,10 +36,20 @@ from microgest.errors import (
     DeltaOverflow,
     InvalidParams,
     KTooLarge,
+    MicrogestError,
 )
 from microgest.inference import count_macs
 from microgest.model import LayerParams, Parameters, parse_arch
 from microgest.training import init_params
+
+from conftest import (
+    oracle_encode_with_code,
+    oracle_huffman_decode,
+    oracle_huffman_encode,
+    oracle_pack_bits,
+    oracle_unpack_bits,
+    random_model,
+)
 
 
 def _params_from(*weight_lists):
@@ -304,10 +317,43 @@ def test_pack_round_trip_property(width, values):
 def test_pack_validates_range_and_width():
     with pytest.raises(InvalidParams):
         pack_bits([4], 2)
-    with pytest.raises(InvalidParams):
-        pack_bits([0], -1)
     with pytest.raises(CorruptStream):
         unpack_bits(b"\xff", 4, 5)
+    for width in (-1, MAX_BIT_WIDTH + 1):
+        with pytest.raises(InvalidParams):
+            pack_bits([0], width)
+        with pytest.raises(InvalidParams):
+            unpack_bits(b"\0" * 16, width, 1)
+
+
+def _outcome(fn, *args):
+    """What a call gives: its result, or the type and text of its error."""
+    try:
+        out = fn(*args)
+    except MicrogestError as exc:
+        return type(exc), str(exc)
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_pack_bits_matches_the_bit_serial_oracle(data):
+    width = data.draw(st.integers(0, MAX_BIT_WIDTH), label="width")
+    value = st.integers(0, (1 << width) - 1)
+    stray = st.integers(-(2**70), 2**70)  # mostly outside the width
+    values = data.draw(st.lists(st.one_of(value, value, value, stray), max_size=40))
+    assert _outcome(pack_bits, values, width) == _outcome(oracle_pack_bits, values, width)
+    if all(0 <= v < 1 << width for v in values):
+        as_array = np.array(values, dtype=np.int64)
+        assert pack_bits(as_array, width) == oracle_pack_bits(values, width)
+
+
+@given(st.binary(max_size=64), st.integers(0, MAX_BIT_WIDTH), st.integers(0, 80))
+@settings(max_examples=150)
+def test_unpack_bits_matches_the_bit_serial_oracle(data, width, count):
+    assert _outcome(unpack_bits, data, width, count) == _outcome(
+        oracle_unpack_bits, data, width, count
+    )
 
 
 # --- canonical Huffman -------------------------------------------------------
@@ -381,6 +427,73 @@ def test_decode_rejects_unmatchable_stream():
     table = HuffmanTable({1: 2, 2: 2, 3: 2}, 4)  # code space 11 unused
     with pytest.raises(CorruptStream):
         huffman_decode(b"\xff\xff", table)
+    with pytest.raises(CorruptStream):
+        huffman_decode(b"\xff\xff", HuffmanTable({1: 0, 2: 1}, 4))  # a zero-bit word
+
+
+# skewed alphabets give deep codes; uniform ones give flat codes
+_CODEC_INPUT = st.one_of(
+    st.binary(max_size=600),
+    st.lists(st.sampled_from([0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 200]),
+             max_size=600).map(bytes),
+)
+
+
+@given(_CODEC_INPUT)
+@settings(max_examples=150)
+def test_huffman_encode_matches_the_bit_serial_oracle(data):
+    try:
+        expected = oracle_huffman_encode(data)
+    except InvalidParams:
+        with pytest.raises(InvalidParams):
+            huffman_encode(data)
+        return
+    encoded, table = huffman_encode(data)
+    assert (encoded, table.lengths) == expected
+    assert table.n_symbols == len(data)
+
+
+@given(
+    lengths=st.dictionaries(
+        st.integers(0, 255), st.one_of(st.integers(1, 12), st.integers(1, 255)),
+        min_size=1, max_size=24,
+    ),
+    n_symbols=st.integers(0, 40),
+    encoded=st.binary(max_size=48),
+)
+@settings(max_examples=200)
+def test_huffman_decode_matches_the_bit_serial_oracle(lengths, n_symbols, encoded):
+    # any table, complete, incomplete or over-subscribed, and any stream
+    assert _outcome(huffman_decode, encoded, HuffmanTable(lengths, n_symbols)) == _outcome(
+        oracle_huffman_decode, encoded, lengths, n_symbols
+    )
+
+
+@given(_CODEC_INPUT.filter(bool), st.integers(0, 7), st.data())
+@settings(max_examples=100)
+def test_huffman_decode_of_damaged_streams_matches_the_oracle(data, cut, draw):
+    encoded, lengths = oracle_huffman_encode(data)
+    damaged = bytearray(encoded[: len(encoded) - cut])
+    if damaged and draw.draw(st.booleans(), label="flip a byte"):
+        at = draw.draw(st.integers(0, len(damaged) - 1), label="at")
+        damaged[at] ^= draw.draw(st.integers(1, 255), label="mask")
+    table = HuffmanTable(lengths, len(data))
+    assert _outcome(huffman_decode, bytes(damaged), table) == _outcome(
+        oracle_huffman_decode, bytes(damaged), lengths, len(data)
+    )
+
+
+def test_decode_handles_a_code_two_hundred_bits_deep():
+    # a complete code over every byte value: symbol s takes s + 1 bits, the
+    # last two share 255
+    lengths = {sym: min(sym + 1, 255) for sym in range(256)}
+    data = bytes([0, 199, 3, 255, 254, 199, 1, 0, 0, 200, 128])  # 200- to 255-bit words
+    encoded = oracle_encode_with_code(data, lengths)
+    assert len(encoded) > 100
+    table = HuffmanTable(lengths, len(data))
+    assert huffman_decode(encoded, table) == data
+    with pytest.raises(CorruptStream):
+        huffman_decode(encoded[:-2], table)
 
 
 # --- whole-pipeline container -------------------------------------------------
@@ -411,6 +524,25 @@ def test_demo_survivor_counts_per_layer():
     kept = [int((~m).sum()) for m in removed]
     assert kept == [403, 31, 58]
     assert sum(kept) == 492
+
+
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.2, 0.5, 1.0]),
+       clusters=st.sampled_from([None, 1, 2, 4]))
+@settings(max_examples=40, deadline=None)
+def test_huffman_stage_size_equals_the_encoded_size(seed, density, clusters):
+    rng = np.random.default_rng(seed)
+    spec, params = random_model(rng, features=int(rng.integers(4, 30)))
+    opts = CompressionOptions(target_density=density, clusters=clusters, huffman=True)
+    try:
+        cm = compress_model(spec, params, opts)
+    except (KTooLarge, InvalidParams):
+        return  # a layer kept fewer weights than clusters, or none
+    core = b"".join(layer_core_block(layer) for layer in cm.layers)
+    encoded, table = huffman_encode(core)
+    assert cm.stage_sizes["huffman"] == (
+        len(encoded) + huffman_table_bytes(table) + len(bias_block(cm))
+    )
+    assert cm.stage_sizes["encoded"] == len(core) + len(bias_block(cm))
 
 
 def test_decompression_reconstructs_the_quantized_weights():

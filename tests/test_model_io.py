@@ -1,5 +1,6 @@
 """Binary file formats: framing, checksums, and bit-exact round-trips."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -10,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from microgest.compression import (
     CompressionOptions,
+    bias_block,
     compress_model,
     decompress_model,
     encoded_payload_size,
+    layer_core_block,
 )
 from microgest.errors import (
     ChecksumMismatch,
@@ -38,6 +41,8 @@ from microgest.model_io import (
 )
 from microgest.synth import build_corpus
 from microgest.training import init_params
+
+from conftest import oracle_encode_with_code
 
 
 @pytest.fixture
@@ -218,6 +223,26 @@ def test_huffman_toggle_changes_bytes_not_reconstruction(tmp_path):
     )
 
 
+# SHA-256 of the saved file, recorded with the bit-serial codec
+_PINNED_MGCM = {
+    (None, True): "1320aafe006b94e793b9d32d95be7ac1ad02098861f7626649e727d7668fbbdc",
+    (None, False): "1e5d2531f6deec3a2f8355d158022435d3dc4ceb0ef31eb68d4882d4fa69f7fe",
+    (16, True): "bf1c3ea515b5fa73296211872f788cf0b565f8b2abcfc39b2619cc7037504e4f",
+    (16, False): "32982ee7dced2b3b23de8de75bb11e4eb1ff61e5feaef36eaec98decfd31bba2",
+    (4, True): "338d6aaa66b170b78bf5c9fae29fd183026c905c1bd1cb431e1bca407d6f7578",
+    (4, False): "6ad27a13ea702c198f0871c5e9c4bc673e8bcb956eb94ee3f3819c7a75aecf18",
+}
+
+
+@pytest.mark.parametrize("clusters, huffman", sorted(_PINNED_MGCM, key=str))
+def test_saved_compressed_bytes_are_pinned(tmp_path, clusters, huffman):
+    spec = parse_arch("180-20relu-10relu-5softmax")
+    opts = CompressionOptions(target_density=0.5, clusters=clusters, huffman=huffman)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, compress_model(spec, init_params(spec, 0), opts))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_MGCM[clusters, huffman]
+
+
 def test_compressed_file_checksum_guard(tmp_path):
     _, _, cm = _demo_compressed(True)
     path = tmp_path / "net.mgcm"
@@ -282,6 +307,50 @@ def test_malformed_compressed_header_fields_are_rejected(tmp_path, keys, value, 
     save_compressed(path, cm)
     _with_header_field(path, keys, value)
     with pytest.raises(error):
+        load_compressed(path)
+
+
+def test_a_code_table_255_bits_deep_loads(tmp_path):
+    _, _, cm = _demo_compressed(False)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    magic, header, _ = _split(path.read_bytes())
+    # a complete code over every byte value: symbol s takes s + 1 bits, the
+    # last two share 255
+    lengths = {sym: min(sym + 1, 255) for sym in range(256)}
+    core = b"".join(layer_core_block(layer) for layer in cm.layers)
+    encoded = oracle_encode_with_code(core, lengths)
+    header["huffman"] = True
+    header["code"] = {"lengths": {str(s): n for s, n in lengths.items()}, "n_symbols": len(core)}
+    path.write_bytes(_reframe(magic, header, encoded + bias_block(cm)))
+    loaded = load_compressed(path)
+    assert _params_equal(decompress_model(loaded), decompress_model(cm))
+
+
+def test_over_subscribed_code_table_is_a_corrupt_stream(tmp_path):
+    _, _, cm = _demo_compressed(True)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    magic, header, payload = _split(path.read_bytes())
+    lengths = header["code"]["lengths"]
+    # one more code word past a complete code: it sorts last, so every
+    # stored code word keeps its value and the stream still decodes
+    unused = min(set(range(256)) - {int(sym) for sym in lengths})
+    lengths[str(unused)] = 255
+    path.write_bytes(_reframe(magic, header, payload))
+    with pytest.raises(CorruptStream, match="over-subscribed"):
+        load_compressed(path)
+
+
+def test_a_huge_dense_size_is_rejected_before_allocation(tmp_path):
+    _, _, cm = _demo_compressed(False)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    magic, header, payload = _split(path.read_bytes())
+    header["features"] = 10**11  # the stored stream still fits the first layer
+    header["layers"][0]["shape"] = [7, 10**11]
+    path.write_bytes(_reframe(magic, header, payload))
+    with pytest.raises(CorruptStream, match="cap"):
         load_compressed(path)
 
 
