@@ -43,10 +43,12 @@ from .pipeline import (
     FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,
+    SWIPE_CLASSES,
     candidate_features,
     extract_candidates,
     fsm_postprocess,
     label_candidates,
+    last_phase_state,
     match_events,
     scale_candidate,
 )
@@ -110,59 +112,36 @@ def _candidate_dataset(
     return X, y
 
 
-def _phase_sequence(ds: AnnotatedSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Rolling-statistics feature stream plus per-frame phase targets."""
-    stats = RollingStats()
+def _stream_features(ds: AnnotatedSequence, with_stats: bool) -> np.ndarray:
+    """Per-frame feature rows: normalized pixels, then (``with_stats``) the
+    three rolling statistics."""
+    stats = RollingStats() if with_stats else None
     rows = []
     for t in range(len(ds)):
         image = ds.image(t)
-        stats = update_rolling(stats, image)
+        if stats is not None:
+            update_rolling(stats, image)
         rows.append(build_features(image, stats))
-    X = np.stack(rows) if rows else np.zeros((0, ds.width * ds.height + 3))
-    targets = -np.ones(len(ds), dtype=int)
-    for ann in ds.annotations:
-        targets[ann.frame] = ann.label
-    return X, targets
+    width = ds.width * ds.height + (3 if with_stats else 0)
+    return np.stack(rows) if rows else np.zeros((0, width))
+
+
+def _rnn_outputs(spec, params, X: np.ndarray) -> list[np.ndarray]:
+    """Per-frame network outputs over a feature stream, from zero state."""
+    state = RnnState(spec)
+    return [step_rnn(spec, params, x, state) for x in X]
 
 
 def _run_rnn_stream(spec, params, ds: AnnotatedSequence) -> list[np.ndarray]:
     """Per-frame network outputs over a recorded stream."""
     pixels = ds.width * ds.height
-    if spec.features == pixels + 3:
-        with_stats = True
-    elif spec.features == pixels:
-        with_stats = False
-    else:
+    if spec.features not in (pixels, pixels + 3):
         raise ShapeMismatch(
             f"model wants {spec.features} features but frames provide "
             f"{pixels} pixels (+3 rolling statistics)"
         )
-    state = RnnState(spec)
-    stats = RollingStats()
-    outputs = []
-    for t in range(len(ds)):
-        image = ds.image(t)
-        stats = update_rolling(stats, image)
-        feats = build_features(image, stats if with_stats else None)
-        outputs.append(step_rnn(spec, params, feats, state))
-    return outputs
-
-
-def _phase_events(ds: AnnotatedSequence) -> list[tuple[int, GestureClass]]:
-    """Ground-truth gesture events implied by per-frame phase labels."""
-    by_frame = {ann.frame: ann.label for ann in ds.annotations}
-    events = []
-    for t in range(len(ds) - 1):
-        here = by_frame.get(t)
-        after = by_frame.get(t + 1)
-        if here is None or after != 0:
-            continue
-        for g in GestureClass:
-            if g is GestureClass.NO_GESTURE:
-                continue
-            if here == 4 * int(g) + 4:
-                events.append((t + 1, g))
-    return events
+    X = _stream_features(ds, with_stats=spec.features == pixels + 3)
+    return _rnn_outputs(spec, params, X)
 
 
 # --- commands ----------------------------------------------------------------
@@ -225,7 +204,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     human: list[str] = []
 
     if ds.label_kind == LABEL_KIND_PHASE:
-        X, targets = _phase_sequence(ds)
+        X = _stream_features(ds, with_stats=True)
+        targets = -np.ones(len(ds), dtype=int)
+        for ann in ds.annotations:
+            targets[ann.frame] = ann.label
         if X.shape[0] and X.shape[1] != spec.features:
             raise ShapeMismatch(
                 f"model wants {spec.features} features, stream provides {X.shape[1]}"
@@ -242,10 +224,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         stats = {"final_loss": history[-1] if history else None}
         if n_val:
-            outs = []
-            state = RnnState(spec)
-            for t in range(cut, len(ds)):
-                outs.append(step_rnn(spec, params, X[t], state))
+            outs = _rnn_outputs(spec, params, X[cut:])
             labelled = targets[cut:] >= 0
             if labelled.any():
                 preds = np.array([int(np.argmax(o)) for o in outs])
@@ -311,7 +290,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"got {spec.output_size}"
             )
         events = fsm_postprocess(_run_rnn_stream(spec, params, ds))
-        annotations = [Annotation(f, int(c)) for f, c in _phase_events(ds)]
+        # a swipe ends where its last phase state hands over to idle (state 0)
+        labels = {ann.frame: ann.label for ann in ds.annotations}
+        last = {last_phase_state(g): g for g in SWIPE_CLASSES}
+        annotations = [
+            Annotation(t + 1, int(last[labels[t]]))
+            for t in range(len(ds) - 1)
+            if labels.get(t) in last and labels.get(t + 1) == 0
+        ]
     else:
         events = FfnnRecognizer(spec, params, target_frames=args.target_frames)(ds)
         annotations = ds.annotations

@@ -624,6 +624,8 @@ def compress_model(
         pruned.layers, removed, _resolve_clusters(options, len(spec.layers))
     ):
         surviving = lp.weights[~mask]
+        if surviving.size == 0:
+            raise KTooLarge("layer has no surviving weights to quantize")
         if k is None:
             # lossless mode: one centroid per distinct surviving value
             centroids, inverse = np.unique(surviving, return_inverse=True)

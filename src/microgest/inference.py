@@ -4,6 +4,11 @@ Everything here mirrors what fits on an 8-bit AVR target: float32-friendly
 arithmetic, no temporaries larger than a layer, and a multiply-accumulate
 (MAC) counter that can be switched on to audit execution cost without
 changing any result.
+
+:func:`layer_forward` is the one layer kernel of the package and
+``_ACTIVATIONS`` its one activation table: the single-vector steppers here
+and the batched and windowed forward passes of :mod:`microgest.training`
+all compute their layers through it.
 """
 
 from __future__ import annotations
@@ -56,9 +61,10 @@ def count_macs():
     """Activate MAC counting for the enclosed block.
 
     Yields a :class:`MacCounter` whose ``count`` holds the number of
-    multiply-accumulates performed by forward passes inside the block.
-    Counting never changes numeric results.  Counters nest; the innermost
-    one wins.
+    multiply-accumulates performed by forward passes inside the block,
+    inference and training alike: a layer applied to a batch counts
+    ``rows * neurons * fan_in``.  Counting never changes numeric results.
+    Counters nest; the innermost one wins.
     """
     global _active_counter
     previous = _active_counter
@@ -109,15 +115,16 @@ def approx_exp(x):
     return approx_pow2(arr / _LN2) if np.ndim(x) else approx_pow2(float(x) / _LN2)
 
 
-# --- element-wise activations ------------------------------------------------
+# --- activations -------------------------------------------------------------
+#
+# Every entry of the activation table works on the last axis, so one function
+# serves a single pre-activation vector, a ``(rows, neurons)`` batch and a
+# window of time steps alike.  A row of a batch gets bit for bit the value the
+# same vector gets on its own.
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # clip keeps exp() out of overflow; the result is exact 0/1 there anyway
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
-
-
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
 
 
 def _hard_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -132,33 +139,11 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-_ELEMENTWISE = {
-    Activation.SIGMOID: _sigmoid,
-    Activation.TANH: _tanh,
-    Activation.HARD_SIGMOID: _hard_sigmoid,
-    Activation.SOFTSIGN: _softsign,
-    Activation.RELU: _relu,
-}
-
-
-def eval_activation(kind: Activation, x):
-    """Evaluate an element-wise activation on a scalar or array."""
-    if kind.is_layerwise:
-        raise LayerwiseKind(f"{kind.value} is layer-wise, use eval_layer_activation")
-    fn = _ELEMENTWISE[kind]
-    out = fn(np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-# --- layer-wise activations --------------------------------------------------
-
 def softmax(v: np.ndarray) -> np.ndarray:
     """Exact softmax, shifted by the maximum for numeric range control."""
     v = np.asarray(v, dtype=float)
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def approx_softmax(v: np.ndarray) -> np.ndarray:
@@ -170,24 +155,39 @@ def approx_softmax(v: np.ndarray) -> np.ndarray:
     exact softmax and still sum to one.
     """
     v = np.asarray(v, dtype=float)
-    shifted = np.maximum(v - np.max(v), _SOFTMAX_SHIFT_FLOOR)
+    shifted = np.maximum(v - np.max(v, axis=-1, keepdims=True), _SOFTMAX_SHIFT_FLOOR)
     e = approx_exp(shifted)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def max_onehot(v: np.ndarray) -> np.ndarray:
     """One-hot vector marking the argmax; ties go to the lowest index."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[0])
-    out[int(np.argmax(v))] = 1.0
+    out = np.zeros(v.shape)
+    np.put_along_axis(out, np.argmax(v, axis=-1)[..., None], 1.0, axis=-1)
     return out
 
 
-_LAYERWISE_FNS = {
+_ACTIVATIONS = {
+    Activation.SIGMOID: _sigmoid,
+    Activation.TANH: np.tanh,
+    Activation.HARD_SIGMOID: _hard_sigmoid,
+    Activation.SOFTSIGN: _softsign,
+    Activation.RELU: _relu,
     Activation.SOFTMAX: softmax,
     Activation.APPROX_SOFTMAX: approx_softmax,
     Activation.MAX: max_onehot,
 }
+
+
+def eval_activation(kind: Activation, x):
+    """Evaluate an element-wise activation on a scalar or array."""
+    if kind.is_layerwise:
+        raise LayerwiseKind(f"{kind.value} is layer-wise, use eval_layer_activation")
+    out = _ACTIVATIONS[kind](np.asarray(x, dtype=float))
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
 def eval_layer_activation(kind: Activation, v: np.ndarray) -> np.ndarray:
@@ -197,16 +197,24 @@ def eval_layer_activation(kind: Activation, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] == 0:
         raise EmptyLayer("layer-wise activation on an empty vector")
-    return _LAYERWISE_FNS[kind](v)
-
-
-def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
-    if kind.is_layerwise:
-        return eval_layer_activation(kind, z)
-    return _ELEMENTWISE[kind](z)
+    return _ACTIVATIONS[kind](v)
 
 
 # --- layer stepping ----------------------------------------------------------
+
+def layer_forward(
+    kind: Activation, W: np.ndarray, b: np.ndarray, U: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one layer kernel: ``Z = U @ W.T + b`` and ``A = kind(Z)``.
+
+    ``U`` is one input vector or a ``(rows, fan_in)`` batch; returns
+    ``(Z, A)`` of the matching shape.  Records ``rows * neurons * fan_in``
+    multiply-accumulates.  Inference and training both step through here.
+    """
+    Z = U @ W.T + b
+    record_macs(Z.size * W.shape[1])
+    return Z, _ACTIVATIONS[kind](Z)
+
 
 def forward_dense(layer: LayerSpec, lp: LayerParams, inputs: np.ndarray) -> np.ndarray:
     """One dense layer: ``activation(W @ inputs + b)``.
@@ -218,9 +226,7 @@ def forward_dense(layer: LayerSpec, lp: LayerParams, inputs: np.ndarray) -> np.n
         raise ShapeMismatch(
             f"dense layer expects {layer.input_size} inputs, got {inputs.shape}"
         )
-    z = lp.weights @ inputs + lp.biases
-    record_macs(layer.neurons * layer.fan_in)
-    return _apply_activation(layer.activation, z)
+    return layer_forward(layer.activation, lp.weights, lp.biases, inputs)[1]
 
 
 def step_recurrent(
@@ -244,9 +250,7 @@ def step_recurrent(
             f"feedback state must have {layer.neurons} entries, got {prev.shape}"
         )
     u = np.concatenate([inputs, prev])
-    z = lp.weights @ u + lp.biases
-    record_macs(layer.neurons * layer.fan_in)
-    out = _apply_activation(layer.activation, z)
+    _, out = layer_forward(layer.activation, lp.weights, lp.biases, u)
     prev[:] = out
     return out
 

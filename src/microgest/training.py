@@ -9,6 +9,13 @@ gradient.
 
 Element-wise activations with kinks (relu, hard sigmoid) use subgradient
 zero at the kink.
+
+The forward passes own no arithmetic: every layer of a batch or of a BPTT
+time step goes through :func:`microgest.inference.layer_forward`, the same
+kernel and activation table that inference uses, so its multiply-accumulates
+are counted by :func:`microgest.inference.count_macs` too.  The kernel is
+called directly, not through ``forward_dense``, so per-layer timings taken
+around the inference steppers measure inference only.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceDetected, InvalidParams, ShapeMismatch
+from .inference import layer_forward
 from .model import (
     Activation,
     LayerKind,
@@ -84,28 +92,6 @@ def _train_kind(kind: Activation) -> Activation:
     if kind in (Activation.MAX, Activation.APPROX_SOFTMAX):
         return Activation.SOFTMAX
     return kind
-
-
-def _row_softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def _train_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
-    kind = _train_kind(kind)
-    if kind is Activation.SOFTMAX:
-        return _row_softmax(z)
-    if kind is Activation.SIGMOID:
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-    if kind is Activation.TANH:
-        return np.tanh(z)
-    if kind is Activation.HARD_SIGMOID:
-        return np.clip(0.2 * z + 0.5, 0.0, 1.0)
-    if kind is Activation.SOFTSIGN:
-        return z / (1.0 + np.abs(z))
-    if kind is Activation.RELU:
-        return np.maximum(z, 0.0)
-    raise InvalidParams(f"activation {kind} is not trainable")
 
 
 def _act_grad(kind: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -192,10 +178,10 @@ def _check_ffnn_data(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> None:
 def _forward_batch(spec: ModelSpec, Ws, bs, X):
     acts = [X]
     zs = []
-    for i, layer in enumerate(spec.layers):
-        z = acts[-1] @ Ws[i].T + bs[i]
+    for layer, W, b in zip(spec.layers, Ws, bs):
+        z, a = layer_forward(_train_kind(layer.activation), W, b, acts[-1])
         zs.append(z)
-        acts.append(_train_activation(layer.activation, z))
+        acts.append(a)
     return zs, acts
 
 
@@ -424,19 +410,16 @@ def _forward_window(spec: ModelSpec, Ws, bs, X_win, state):
     U = [np.empty((T, spec.layers[i].fan_in)) for i in range(L)]
     Z = [np.empty((T, spec.layers[i].neurons)) for i in range(L)]
     A = [np.empty((T, spec.layers[i].neurons)) for i in range(L)]
+    kinds = [_train_kind(layer.activation) for layer in spec.layers]
     for t in range(T):
         x = X_win[t]
         for i, layer in enumerate(spec.layers):
-            if layer.kind is LayerKind.RECURRENT:
-                u = np.concatenate([x, state[i]])
-            else:
-                u = x
-            z = Ws[i] @ u + bs[i]
-            a = _train_activation(layer.activation, z)
-            U[i][t], Z[i][t], A[i][t] = u, z, a
-            if layer.kind is LayerKind.RECURRENT:
-                state[i] = a.copy()
-            x = a
+            recurrent = layer.kind is LayerKind.RECURRENT
+            u = np.concatenate([x, state[i]]) if recurrent else x
+            z, x = layer_forward(kinds[i], Ws[i], bs[i], u)
+            U[i][t], Z[i][t], A[i][t] = u, z, x
+            if recurrent:
+                state[i] = x
     return U, Z, A
 
 

@@ -195,6 +195,15 @@ def test_quantize_needs_survivors():
         quantize_kmeans(weights, np.ones((2, 2), dtype=bool), 1)
 
 
+@pytest.mark.parametrize("clusters", [None, 1])
+def test_a_layer_pruned_to_nothing_is_k_too_large_in_both_modes(clusters):
+    # the 2x1 output layer keeps round(0.2 * 2) = 0 weights
+    spec = parse_arch("4-1relu-2softmax")
+    opts = CompressionOptions(target_density=0.2, clusters=clusters)
+    with pytest.raises(KTooLarge, match="no surviving weights"):
+        compress_model(spec, init_params(spec, 0), opts)
+
+
 # --- sparse address map ------------------------------------------------------
 
 def test_sparse_encoding_of_a_hand_matrix():
@@ -535,7 +544,7 @@ def test_huffman_stage_size_equals_the_encoded_size(seed, density, clusters):
     opts = CompressionOptions(target_density=density, clusters=clusters, huffman=True)
     try:
         cm = compress_model(spec, params, opts)
-    except (KTooLarge, InvalidParams):
+    except KTooLarge:
         return  # a layer kept fewer weights than clusters, or none
     core = b"".join(layer_core_block(layer) for layer in cm.layers)
     encoded, table = huffman_encode(core)

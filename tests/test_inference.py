@@ -224,6 +224,22 @@ def test_max_onehot_is_one_hot(values):
     assert set(np.unique(out)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("fn", [softmax, approx_softmax, max_onehot])
+@given(rows=st.integers(1, 6), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       ties=st.booleans())
+def test_layerwise_activation_of_a_batch_equals_row_by_row(fn, rows, n, seed, ties):
+    rng = np.random.default_rng(seed)
+    # small integers make tied maxima common, so MAX's lowest-index rule is hit
+    if ties:
+        Z = rng.integers(-3, 4, size=(rows, n)).astype(float)
+    else:
+        Z = rng.normal(0.0, 20.0, size=(rows, n))
+    batch = fn(Z)
+    assert batch.shape == Z.shape
+    for z, row in zip(Z, batch):
+        assert np.array_equal(row, fn(z))
+
+
 # --- dense and recurrent stepping --------------------------------------------
 
 def test_forward_dense_matches_loop_oracle(rng):

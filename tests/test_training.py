@@ -1,15 +1,19 @@
 """Initialization, explicit backprop, optimizers, BPTT, retraining hooks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from microgest.errors import DivergenceDetected, InvalidParams, ShapeMismatch
-from microgest.inference import step_rnn
+from microgest.estimator import count_weights
+from microgest.inference import count_macs, step_rnn
 from microgest.model import (
     Activation,
     LayerKind,
     RnnState,
     chain,
+    parse_arch,
     zero_params,
 )
 from microgest.training import (
@@ -164,6 +168,17 @@ def test_max_and_approx_softmax_outputs_train_as_softmax():
     for gW, gb in grads_by_kind[1:]:
         assert np.array_equal(gW, grads_by_kind[0][0])
         assert np.array_equal(gb, grads_by_kind[0][1])
+
+
+@pytest.mark.parametrize("arch", ["180-8relu-5softmax", "6-5tanh-4sigmoid-3max"])
+def test_training_forward_passes_count_macs_per_row(arch):
+    spec = parse_arch(arch)
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(7, spec.features))
+    y = rng.integers(0, spec.output_size, size=7)
+    with count_macs() as counter:
+        evaluate_loss(spec, init_params(spec, 0), X, y)
+    assert counter.count == len(X) * count_weights(spec)
 
 
 def test_non_softmax_output_rejected_for_training():
@@ -496,3 +511,65 @@ def test_rnn_input_validation():
         train_rnn_bptt(
             spec, params, [(np.ones((4, 2)), np.zeros(4, int))], _cfg(), horizon=0
         )
+
+
+# --- pinned trained weights ---------------------------------------------------
+
+def _params_sha(params) -> str:
+    h = hashlib.sha256()
+    for lp in params.layers:
+        h.update(np.ascontiguousarray(lp.weights, dtype=float).tobytes())
+        h.update(np.ascontiguousarray(lp.biases, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_ffnn_run(kind):
+    spec = parse_arch("180-8relu-5softmax")
+    params = init_params(spec, 11)
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(96, 180))
+    y = rng.integers(0, 5, size=96)
+    cfg = TrainingConfig(optimizer="adam", learning_rate=0.01, epochs=4,
+                         batch_size=16, seed=13)
+    if kind == "train_ffnn":
+        return train_ffnn(spec, params, X, y, cfg)[0]
+    if kind == "retrain_pruned":
+        removed = [np.abs(lp.weights) < 0.05 for lp in params.layers]
+        return retrain_pruned(spec, params, removed, X, y, cfg)[0]
+    assignments, centroids = [], []
+    for lp in params.layers:
+        c = np.linspace(lp.weights.min(), lp.weights.max(), 8)
+        a = np.argmin(np.abs(lp.weights[..., None] - c), axis=-1)
+        a[np.abs(lp.weights) < 0.05] = -1
+        assignments.append(a)
+        centroids.append(c)
+    return retrain_quantized(spec, params, assignments, centroids, X, y, cfg)[1]
+
+
+def _pinned_bptt_run(kind):
+    spec = parse_arch("12-9-9-r17softmax")
+    rng = np.random.default_rng(21)
+    seqs = []
+    for length in (70, 45):
+        targets = rng.integers(0, 17, size=length)
+        targets[rng.random(length) < 0.3] = -1
+        seqs.append((rng.normal(size=(length, 12)), targets))
+    cfg = TrainingConfig(optimizer="adam", learning_rate=0.01, epochs=3,
+                         batch_size=1, seed=22)
+    return train_rnn_bptt(spec, init_params(spec, 23), seqs, cfg, horizon=16)[0]
+
+
+# SHA-256 over every layer's float64 weights then biases, recorded with the
+# per-module forward passes that preceded the shared layer kernel
+_PINNED_WEIGHTS = {
+    "train_ffnn": "d1c0aabdf71bb153f62e84420cde2da2a20ee392cab34016b918332c7be313ef",
+    "retrain_pruned": "29027595be7d6abdaf883b2d8354a6f2d72cdee08c8d0d8eb92c0a9fea6034cc",
+    "retrain_quantized": "8b8f0abfc431abd7be22d5b9b09ddb4e4e4e20327ce3daa19d9e7b5dc56f7269",
+    "train_rnn_bptt": "172c06c131a213ee0e7b73274a6e0f27307270044a3bc87426262c5109fcaa21",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_WEIGHTS))
+def test_trained_weights_are_pinned(kind):
+    run = _pinned_bptt_run if kind == "train_rnn_bptt" else _pinned_ffnn_run
+    assert _params_sha(run(kind)) == _PINNED_WEIGHTS[kind]
