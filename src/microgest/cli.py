@@ -3,8 +3,8 @@
 Every command prints its effective configuration (including the seed)
 before doing anything, so a run can be reproduced from its own output.
 ``--json`` switches stdout to a single machine-readable object carrying
-the same information.  Exit code 0 means success; any domain error prints
-one line to stderr and exits 1.
+the same information.  Exit code 0 means success; any domain error, or a
+file that cannot be read or written, prints one line to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,14 @@ def _rnn_outputs(spec, params, X: np.ndarray) -> list[np.ndarray]:
     """Per-frame network outputs over a feature stream, from zero state."""
     state = RnnState(spec)
     return [step_rnn(spec, params, x, state) for x in X]
+
+
+def _require_phase_model(spec, what: str) -> None:
+    """Phase-state streams need one output per phase state."""
+    if spec.output_size != N_PHASE_STATES:
+        raise InvalidParams(
+            f"{what} needs a {N_PHASE_STATES}-output model, got {spec.output_size}"
+        )
 
 
 def _run_rnn_stream(spec, params, ds: AnnotatedSequence) -> list[np.ndarray]:
@@ -284,11 +292,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spec, params = load_model(args.model)
     ds = load_dataset(args.data)
     if ds.label_kind == LABEL_KIND_PHASE:
-        if spec.output_size != N_PHASE_STATES:
-            raise InvalidParams(
-                f"phase evaluation needs a {N_PHASE_STATES}-output model, "
-                f"got {spec.output_size}"
-            )
+        _require_phase_model(spec, "phase evaluation")
         events = fsm_postprocess(_run_rnn_stream(spec, params, ds))
         # a swipe ends where its last phase state hands over to idle (state 0)
         labels = {ann.frame: ann.label for ann in ds.annotations}
@@ -415,7 +419,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         budget = replace(budget, bytes_per_parameter=args.bytes_per_param)
     report = check_fit(spec, budget, cost)
     limiting = spec.layers[report.ram_limiting_layer]
-    act_us = report.exec_time_us - report.weights * cost.mac_us
     human = [
         f"architecture: {format_arch(spec)}",
         f"weights (multiplications): {report.weights}",
@@ -426,33 +429,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         f"{limiting.kind.value} {limiting.neurons} {limiting.activation.value})",
         f"flash: {report.flash_bytes} / {budget.flash_bytes} bytes "
         f"({'fits' if report.fits_flash else 'DOES NOT FIT'})",
-        f"ram: {report.ram_bytes_needed} / "
-        f"{budget.ram_fraction_for_layers * budget.ram_bytes:.0f} bytes "
+        f"ram: {report.ram_bytes_needed} / {report.ram_bytes_allowed:.0f} bytes "
         f"({'fits' if report.fits_ram else 'DOES NOT FIT'})",
-        f"activation time: {act_us / 1000.0:.2f} ms",
+        f"activation time: {report.activation_time_us / 1000.0:.2f} ms",
         f"execution time: {report.exec_time_us / 1000.0:.2f} ms",
     ]
-    _emit(
-        args,
-        human,
-        {
-            "arch": format_arch(spec),
-            "weights": report.weights,
-            "parameters": report.parameters,
-            "activation_calls": report.activation_calls,
-            "ram_variables": report.ram_variables,
-            "ram_limiting_layer": report.ram_limiting_layer,
-            "flash_bytes": report.flash_bytes,
-            "flash_budget": budget.flash_bytes,
-            "ram_bytes_needed": report.ram_bytes_needed,
-            "ram_bytes_allowed": budget.ram_fraction_for_layers * budget.ram_bytes,
-            "activation_time_us": act_us,
-            "exec_time_us": report.exec_time_us,
-            "fits_flash": report.fits_flash,
-            "fits_ram": report.fits_ram,
-            "fits": report.fits,
-        },
-    )
+    payload = {
+        **asdict(report),
+        "arch": format_arch(spec),
+        "flash_budget": budget.flash_bytes,
+        "fits": report.fits,
+    }
+    _emit(args, human, payload)
     return 0
 
 
@@ -460,11 +448,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     spec, params = load_model(args.model)
     ds = load_dataset(args.data)
     if args.mode == "rnn-phases":
-        if spec.output_size != N_PHASE_STATES:
-            raise InvalidParams(
-                f"rnn-phases mode needs a {N_PHASE_STATES}-output model, "
-                f"got {spec.output_size}"
-            )
+        _require_phase_model(spec, "rnn-phases mode")
         events = fsm_postprocess(_run_rnn_stream(spec, params, ds))
     else:
         events = FfnnRecognizer(spec, params, target_frames=args.target_frames)(ds)
@@ -583,7 +567,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MicrogestError as exc:
+    except (MicrogestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

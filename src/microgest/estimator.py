@@ -9,7 +9,8 @@ other targets can be modeled by swapping the configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -31,6 +32,10 @@ def _default_activation_costs() -> dict[Activation, float]:
     }
 
 
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-operation execution times in microseconds.
@@ -49,11 +54,11 @@ class CostModel:
     )
 
     def __post_init__(self) -> None:
-        if self.mac_us <= 0 or self.approx_exp_us <= 0:
-            raise InvalidParams("cost constants must be positive")
+        if not (_finite_positive(self.mac_us) and _finite_positive(self.approx_exp_us)):
+            raise InvalidParams("cost constants must be finite and positive")
         for act, us in self.activation_us.items():
-            if us <= 0:
-                raise InvalidParams(f"cost for {act.value} must be positive")
+            if not _finite_positive(us):
+                raise InvalidParams(f"cost for {act.value} must be finite and positive")
 
     def activation_cost(self, activation: Activation) -> float:
         try:
@@ -91,6 +96,38 @@ class Budget:
 
 
 @dataclass(frozen=True)
+class LayerCost:
+    """Static cost of one layer in one execution.
+
+    ``weights`` is neurons × fan-in, its multiplications.  ``ram_variables``
+    is its working set: inputs, any previous outputs, and outputs, i.e.
+    ``neurons + fan_in``; a layer-wise activation (softmax family, max)
+    needs a second copy of the outputs, which can dominate when the input
+    vector is short.
+    """
+
+    weights: int
+    neurons: int
+    ram_variables: int
+    activation_us: float
+
+
+def layer_costs(spec: ModelSpec, cost: CostModel | None = None) -> tuple[LayerCost, ...]:
+    """One :class:`LayerCost` row per layer, in layer order."""
+    check_spec(spec)
+    cost = cost or CostModel()
+    rows = []
+    for layer in spec.layers:
+        ram = layer.neurons + layer.fan_in
+        if layer.activation.is_layerwise:
+            copies = 3 if layer.kind is LayerKind.RECURRENT else 2
+            ram = max(ram, copies * layer.neurons)
+        act_us = layer.neurons * cost.activation_cost(layer.activation)
+        rows.append(LayerCost(layer.neurons * layer.fan_in, layer.neurons, ram, act_us))
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
 class ResourceReport:
     """Counts, sizes, and fit verdicts for one model against one budget."""
 
@@ -101,6 +138,8 @@ class ResourceReport:
     ram_limiting_layer: int
     flash_bytes: int
     ram_bytes_needed: int
+    ram_bytes_allowed: float
+    activation_time_us: float
     exec_time_us: float
     fits_flash: bool
     fits_ram: bool
@@ -110,75 +149,6 @@ class ResourceReport:
         return self.fits_flash and self.fits_ram
 
 
-def count_weights(spec: ModelSpec) -> int:
-    """Multiplications per execution: Σ neurons × fan-in.
-
-    A recurrent layer's fan-in includes its own neurons, so its feedback
-    edges are counted.
-    """
-    check_spec(spec)
-    return sum(layer.neurons * layer.fan_in for layer in spec.layers)
-
-
-def count_parameters(spec: ModelSpec) -> int:
-    """Weights plus one bias per neuron."""
-    return count_weights(spec) + sum(layer.neurons for layer in spec.layers)
-
-
-def count_activation_calls(spec: ModelSpec) -> int:
-    """Per-neuron activation evaluations in one execution."""
-    check_spec(spec)
-    return sum(layer.neurons for layer in spec.layers)
-
-
-def _layer_ram_variables(layer) -> int:
-    """Working variables one layer needs while it executes.
-
-    A dense layer holds its inputs and its outputs.  A recurrent layer
-    additionally holds its previous outputs.  Layer-wise activations
-    (softmax family, max) need a second copy of the outputs, which can
-    dominate when the input vector is short.
-    """
-    layerwise = layer.activation.is_layerwise
-    if layer.kind is LayerKind.RECURRENT:
-        need = 2 * layer.neurons + layer.input_size
-        if layerwise:
-            need = max(need, 3 * layer.neurons)
-    else:
-        need = layer.neurons + layer.input_size
-        if layerwise:
-            need = max(need, 2 * layer.neurons)
-    return need
-
-
-def count_ram_variables(spec: ModelSpec) -> tuple[int, int]:
-    """Peak per-layer variable count and the index of the limiting layer."""
-    check_spec(spec)
-    needs = [_layer_ram_variables(layer) for layer in spec.layers]
-    peak = max(needs)
-    return peak, needs.index(peak)
-
-
-def estimate_exec_time(spec: ModelSpec, cost: CostModel | None = None) -> float:
-    """Execution time in microseconds: MAC portion plus activation portion."""
-    cost = cost or CostModel()
-    total = count_weights(spec) * cost.mac_us
-    for layer in spec.layers:
-        total += layer.neurons * cost.activation_cost(layer.activation)
-    return total
-
-
-def activation_time(spec: ModelSpec, cost: CostModel | None = None) -> float:
-    """Just the activation portion of the execution time, in microseconds."""
-    cost = cost or CostModel()
-    return float(
-        sum(
-            layer.neurons * cost.activation_cost(layer.activation)
-            for layer in spec.layers
-        )
-    )
-
-
 def check_fit(
     spec: ModelSpec,
     budget: Budget | None = None,
@@ -186,24 +156,68 @@ def check_fit(
 ) -> ResourceReport:
     """Assemble the full resource report for one model."""
     budget = budget or Budget()
-    weights = count_weights(spec)
-    parameters = count_parameters(spec)
-    ram_vars, limiting = count_ram_variables(spec)
-    flash = parameters * budget.bytes_per_parameter
+    cost = cost or CostModel()
+    rows = layer_costs(spec, cost)
+    weights = sum(row.weights for row in rows)
+    neurons = sum(row.neurons for row in rows)
+    needs = [row.ram_variables for row in rows]
+    ram_vars = max(needs)
+    # MAC portion first, then each layer in order: regrouping moves the last bits
+    exec_time_us = weights * cost.mac_us
+    for row in rows:
+        exec_time_us += row.activation_us
+    flash = (weights + neurons) * budget.bytes_per_parameter
     ram_needed = ram_vars * budget.bytes_per_variable
     ram_allowed = budget.ram_fraction_for_layers * budget.ram_bytes
     return ResourceReport(
         weights=weights,
-        parameters=parameters,
-        activation_calls=count_activation_calls(spec),
+        parameters=weights + neurons,
+        activation_calls=neurons,
         ram_variables=ram_vars,
-        ram_limiting_layer=limiting,
+        ram_limiting_layer=needs.index(ram_vars),
         flash_bytes=flash,
         ram_bytes_needed=ram_needed,
-        exec_time_us=estimate_exec_time(spec, cost),
+        ram_bytes_allowed=ram_allowed,
+        activation_time_us=sum((row.activation_us for row in rows), 0.0),
+        exec_time_us=exec_time_us,
         fits_flash=flash <= budget.flash_bytes,
         fits_ram=ram_needed <= ram_allowed,
     )
+
+
+def count_weights(spec: ModelSpec) -> int:
+    """Multiplications per execution: Σ neurons × fan-in.
+
+    A recurrent layer's fan-in includes its own neurons, so its feedback
+    edges are counted.
+    """
+    return sum(row.weights for row in layer_costs(spec))
+
+
+def count_parameters(spec: ModelSpec) -> int:
+    """Weights plus one bias per neuron."""
+    return sum(row.weights + row.neurons for row in layer_costs(spec))
+
+
+def count_activation_calls(spec: ModelSpec) -> int:
+    """Per-neuron activation evaluations in one execution."""
+    return sum(row.neurons for row in layer_costs(spec))
+
+
+def count_ram_variables(spec: ModelSpec) -> tuple[int, int]:
+    """Peak per-layer variable count and the index of the limiting layer."""
+    needs = [row.ram_variables for row in layer_costs(spec)]
+    return max(needs), needs.index(max(needs))
+
+
+def estimate_exec_time(spec: ModelSpec, cost: CostModel | None = None) -> float:
+    """Execution time in microseconds: MAC portion plus activation portion."""
+    return check_fit(spec, cost=cost).exec_time_us
+
+
+def activation_time(spec: ModelSpec, cost: CostModel | None = None) -> float:
+    """Just the activation portion of the execution time, in microseconds."""
+    return check_fit(spec, cost=cost).activation_time_us
 
 
 # --- key=value configuration files -------------------------------------------
@@ -236,9 +250,9 @@ def parse_config_text(text: str) -> tuple[CostModel, Budget]:
     Blank lines and ``#`` comments are ignored.  Any key may be omitted
     (its default applies); unknown keys are rejected.
     """
-    mac_us = 18.0
-    approx_exp_us = 75.0
-    activation_us = _default_activation_costs()
+    cost, budget = CostModel(), Budget()
+    cost_kwargs: dict[str, float] = {}
+    activation_us = dict(cost.activation_us)
     budget_kwargs: dict[str, float | int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,12 +266,10 @@ def parse_config_text(text: str) -> tuple[CostModel, Budget]:
         try:
             if key in _COST_KEYS:
                 target = _COST_KEYS[key]
-                if target == "mac_us":
-                    mac_us = float(value)
-                elif target == "approx_exp_us":
-                    approx_exp_us = float(value)
-                else:
+                if isinstance(target, Activation):
                     activation_us[target] = float(value)
+                else:
+                    cost_kwargs[target] = float(value)
             elif key in _BUDGET_KEYS:
                 budget_kwargs[key] = _BUDGET_KEYS[key](value)
             else:
@@ -266,12 +278,16 @@ def parse_config_text(text: str) -> tuple[CostModel, Budget]:
             raise InvalidParams(
                 f"line {lineno}: bad value {value!r} for {key}"
             ) from None
-    cost = CostModel(
-        mac_us=mac_us, approx_exp_us=approx_exp_us, activation_us=activation_us
+    return (
+        replace(cost, activation_us=activation_us, **cost_kwargs),
+        replace(budget, **budget_kwargs),
     )
-    return cost, Budget(**budget_kwargs)
 
 
 def load_config(path: str | Path) -> tuple[CostModel, Budget]:
-    """Read a cost-and-budget configuration file."""
-    return parse_config_text(Path(path).read_text())
+    """Read a cost-and-budget configuration file (UTF-8 text)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_config_text(text)

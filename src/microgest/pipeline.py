@@ -300,10 +300,7 @@ def scale_candidate(candidate, target: int = 20) -> ScaledCandidate:
     exactly ``target`` frames passes through unchanged, which makes the
     operation idempotent.
     """
-    if isinstance(candidate, Candidate):
-        frames = candidate.frames
-        start, end = candidate.start_index, candidate.end_index
-    elif isinstance(candidate, ScaledCandidate):
+    if isinstance(candidate, (Candidate, ScaledCandidate)):
         frames = candidate.frames
         start, end = candidate.start_index, candidate.end_index
     else:

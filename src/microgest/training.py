@@ -403,6 +403,15 @@ def _check_sequences(spec: ModelSpec, sequences) -> None:
             raise InvalidParams("targets must lie in 0..output_size-1 or be -1")
 
 
+def _zero_state(spec: ModelSpec) -> dict[int, np.ndarray]:
+    """Zero previous-step activations, keyed by recurrent layer index."""
+    return {
+        i: np.zeros(l.neurons)
+        for i, l in enumerate(spec.layers)
+        if l.kind is LayerKind.RECURRENT
+    }
+
+
 def _forward_window(spec: ModelSpec, Ws, bs, X_win, state):
     """Forward one window, updating ``state`` in place; returns caches."""
     L = len(spec.layers)
@@ -480,11 +489,7 @@ def sequence_loss(spec: ModelSpec, params: Parameters, X_seq, targets) -> float:
     _check_sequences(spec, [(X_seq, targets)])
     Ws = [lp.weights for lp in params.layers]
     bs = [lp.biases for lp in params.layers]
-    state = {
-        i: np.zeros(l.neurons)
-        for i, l in enumerate(spec.layers)
-        if l.kind is LayerKind.RECURRENT
-    }
+    state = _zero_state(spec)
     _, _, A = _forward_window(spec, Ws, bs, X_seq, state)
     total, count = _window_loss(spec, A, targets)
     return total / count if count else 0.0
@@ -515,11 +520,7 @@ def sequence_gradients(
     if n_labeled == 0:
         raise InvalidParams("sequence has no labeled frames")
     scale = 1.0 / n_labeled
-    state = {
-        i: np.zeros(l.neurons)
-        for i, l in enumerate(spec.layers)
-        if l.kind is LayerKind.RECURRENT
-    }
+    state = _zero_state(spec)
     gW_total = [np.zeros_like(lp.weights) for lp in params.layers]
     gb_total = [np.zeros_like(lp.biases) for lp in params.layers]
     for start in range(0, T, horizon):
@@ -568,11 +569,7 @@ def train_rnn_bptt(
         epoch_labeled = 0
         for si in order:
             X_seq, targets = sequences[si]
-            state = {
-                i: np.zeros(l.neurons)
-                for i, l in enumerate(spec.layers)
-                if l.kind is LayerKind.RECURRENT
-            }
+            state = _zero_state(spec)
             for start in range(0, X_seq.shape[0], horizon):
                 stop = min(start + horizon, X_seq.shape[0])
                 U, Z, A = _forward_window(spec, Ws, bs, X_seq[start:stop], state)

@@ -13,6 +13,7 @@ import pytest
 
 from microgest.cli import main
 from microgest.compression import encoded_payload_size
+from microgest.estimator import activation_time, load_config
 from microgest.model import parse_arch
 from microgest.model_io import (
     compressed_payload_size,
@@ -337,6 +338,51 @@ def test_estimate_config_file_overrides_timings(tmp_path, capsys):
                                 "12-9relu-9relu-r17softmax",
                                 "--config", cfg])
     assert payload["exec_time_us"] == pytest.approx(631 * 1 + 2980)
+
+
+def test_estimate_json_activation_time_is_the_exact_sum(tmp_path, capsys):
+    cfg = tmp_path / "fractional.cfg"
+    cfg.write_text("mac_us = 0.1\nrelu_us = 0.3\nsoftmax_us = 1.7\n")
+    payload = run_json(capsys, ["estimate", "--arch", "180-8-5",
+                                "--config", cfg])
+    cost, _ = load_config(cfg)
+    assert payload["activation_time_us"] == activation_time(
+        parse_arch("180-8-5"), cost
+    ) == 10.9
+    assert payload["exec_time_us"] == 1480 * 0.1 + 8 * 0.3 + 5 * 1.7
+
+
+@pytest.mark.parametrize("line", ["mac_us = nan", "relu_us = inf",
+                                  "approx_exp_us = -inf"])
+def test_estimate_rejects_non_finite_costs(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc, out, err = run(capsys, ["estimate", "--arch", "180-8-5",
+                                "--config", cfg, "--json"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def _one_error_line(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+def test_unreadable_inputs_are_one_error_line(tmp_path, gesture_setup, capsys):
+    _, data, _ = gesture_setup
+    missing = tmp_path / "missing.cfg"
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("# d\u00e9mo\nmac_us = 9\n".encode("latin-1"))
+    for cfg in (missing, tmp_path, latin1):
+        _one_error_line(capsys, ["estimate", "--arch", "180-8-5",
+                                 "--config", cfg])
+    err = _one_error_line(capsys, ["eval", "--model", tmp_path / "none.mgnn",
+                                   "--data", data])
+    assert "none.mgnn" in err
 
 
 # --- infer -------------------------------------------------------------------

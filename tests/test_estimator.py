@@ -1,8 +1,11 @@
 """Counting identities, RAM/flash rules, execution-time model, config files."""
 
+import math
+
 import numpy as np
 import pytest
 
+from microgest import estimator
 from microgest.errors import InvalidParams, UnknownActivationCost
 from microgest.estimator import (
     Budget,
@@ -14,6 +17,7 @@ from microgest.estimator import (
     count_ram_variables,
     count_weights,
     estimate_exec_time,
+    layer_costs,
     load_config,
     parse_config_text,
 )
@@ -77,6 +81,53 @@ def test_parameters_minus_weights_is_the_neuron_count():
         spec = random_spec(rng)
         neurons = sum(layer.neurons for layer in spec.layers)
         assert count_parameters(spec) - count_weights(spec) == neurons
+
+
+# --- per-layer cost rows -----------------------------------------------------
+
+def test_layer_cost_rows_of_the_mixed_net():
+    rows = layer_costs(_rnn17(), CostModel())
+    assert [r.weights for r in rows] == [108, 81, 442]
+    assert [r.neurons for r in rows] == [9, 9, 17]
+    assert [r.ram_variables for r in rows] == [21, 18, 51]
+    assert [r.activation_us for r in rows] == [1530.0, 1530.0, 2890.0]
+
+
+def test_every_count_is_a_sum_over_the_layer_rows():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        spec = random_spec(rng)
+        rows = layer_costs(spec)
+        report = check_fit(spec)
+        assert report.weights == count_weights(spec) == sum(r.weights for r in rows)
+        assert report.activation_calls == sum(r.neurons for r in rows)
+        assert report.parameters == report.weights + report.activation_calls
+        assert report.ram_variables == max(r.ram_variables for r in rows)
+        assert report.activation_time_us == activation_time(spec)
+        assert report.exec_time_us == estimate_exec_time(spec)
+
+
+def test_ram_variables_are_neurons_plus_fan_in_without_a_layerwise_copy():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        spec = random_spec(rng)
+        for layer, row in zip(spec.layers, layer_costs(spec)):
+            k = 3 if layer.kind is R else 2
+            floor = layer.neurons + layer.fan_in
+            if layer.activation.is_layerwise:
+                assert row.ram_variables == max(floor, k * layer.neurons)
+            else:
+                assert row.ram_variables == floor
+
+
+def test_check_fit_validates_the_spec_once(monkeypatch):
+    calls = []
+    real = estimator.check_spec
+    monkeypatch.setattr(
+        estimator, "check_spec", lambda spec: calls.append(spec) or real(spec)
+    )
+    check_fit(_rnn17())
+    assert len(calls) == 1
 
 
 # --- RAM variables -----------------------------------------------------------
@@ -157,6 +208,20 @@ def test_custom_cost_model_scales_the_estimate():
     assert estimate_exec_time(spec, cost) == 10 * 1.0 + 2 * 2.0 + 2 * 3.0
 
 
+FRACTIONAL = CostModel(
+    mac_us=0.1, activation_us={A.RELU: 0.3, A.SOFTMAX: 1.7}
+)
+
+
+def test_report_times_under_fractional_costs():
+    spec = parse_arch("180-8-5")
+    report = check_fit(spec, cost=FRACTIONAL)
+    # the MAC portion first, then each layer; regrouping moves the last bits
+    assert report.exec_time_us == 1480 * 0.1 + 8 * 0.3 + 5 * 1.7
+    # the exact sum, not exec time minus the MAC portion (10.900000000000006)
+    assert report.activation_time_us == activation_time(spec, FRACTIONAL) == 10.9
+
+
 def test_missing_activation_cost_raises():
     cost = CostModel(activation_us={A.SIGMOID: 170.0})
     assert cost.activation_cost(A.SIGMOID) == 170.0
@@ -172,6 +237,16 @@ def test_cost_model_rejects_nonpositive_times():
         CostModel(mac_us=0.0)
     with pytest.raises(InvalidParams):
         CostModel(activation_us={A.RELU: -1.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cost_model_rejects_non_finite_times(value):
+    with pytest.raises(InvalidParams):
+        CostModel(mac_us=value)
+    with pytest.raises(InvalidParams):
+        CostModel(approx_exp_us=value)
+    with pytest.raises(InvalidParams):
+        CostModel(activation_us={A.RELU: value})
 
 
 # --- flash and fit -----------------------------------------------------------
@@ -308,6 +383,20 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config_text("mac_us = fast")
     with pytest.raises(InvalidParams):
         parse_config_text("just some words")
+
+
+@pytest.mark.parametrize("key", ["mac_us", "approx_exp_us", "relu_us", "softmax_us"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_costs(key, value):
+    with pytest.raises(InvalidParams):
+        parse_config_text(f"{key} = {value}")
+
+
+def test_config_file_must_be_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# carte d\u00e9mo\nmac_us = 9\n".encode("latin-1"))
+    with pytest.raises(InvalidParams):
+        load_config(path)
 
 
 def test_config_loads_from_a_file(tmp_path):
