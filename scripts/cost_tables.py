@@ -8,15 +8,16 @@ and as the source for the numbers quoted in the README.
 """
 
 import argparse
+from dataclasses import replace
 
 from microgest.estimator import (
     Budget,
     CostModel,
-    activation_time,
     check_fit,
     count_parameters,
     count_weights,
-    estimate_exec_time,
+    layer_costs,
+    rows_exec_time,
 )
 from microgest.model import Activation, LayerKind, chain, parse_arch
 
@@ -61,20 +62,16 @@ def sweep_table(cost: CostModel) -> None:
           f"(631 multiplications at {cost.mac_us:g} us each)")
     print(f"{'hidden':>14} {'output':>16} {'act ms':>7} {'total ms':>9}")
     for hidden, out in ACTIVATION_SWEEP:
-        if out is Activation.MAX:
-            # a one-hot output cannot sit on a recurrent layer; price the
-            # row by swapping the output activation's unit cost instead
-            spec = chain(12, [(D, 9, hidden), (D, 9, hidden),
-                              (R, 17, Activation.SOFTMAX)])
-            act = activation_time(spec, cost) - 17 * (
-                cost.activation_cost(Activation.SOFTMAX)
-                - cost.activation_cost(Activation.MAX)
-            )
-            total = count_weights(spec) * cost.mac_us + act
-        else:
-            spec = chain(12, [(D, 9, hidden), (D, 9, hidden), (R, 17, out)])
-            act = activation_time(spec, cost)
-            total = estimate_exec_time(spec, cost)
+        # a one-hot output cannot sit on a recurrent layer: build that net with
+        # a softmax output, then charge the output layer at the swept cost
+        built = Activation.SOFTMAX if out is Activation.MAX else out
+        spec = chain(12, [(D, 9, hidden), (D, 9, hidden), (R, 17, built)])
+        rows = list(layer_costs(spec, cost))
+        rows[-1] = replace(
+            rows[-1], activation_us=rows[-1].neurons * cost.activation_cost(out)
+        )
+        act = sum(row.activation_us for row in rows)
+        total = rows_exec_time(rows, cost)
         print(f"{hidden.value:>14} {out.value:>16} "
               f"{act / 1000.0:>7.2f} {total / 1000.0:>9.2f}")
     print()

@@ -30,7 +30,7 @@ from .features import (
     update_rolling,
 )
 from .inference import step_rnn
-from .model import RnnState, format_arch, parse_arch
+from .model import ModelSpec, RnnState, format_arch, parse_arch
 from .model_io import (
     compressed_payload_size,
     load_dataset,
@@ -97,18 +97,26 @@ def _emit(args: argparse.Namespace, human: list[str], payload: dict) -> None:
 # --- shared dataset plumbing -------------------------------------------------
 
 def _candidate_dataset(
-    ds: AnnotatedSequence, target_frames: int
+    ds: AnnotatedSequence, spec: ModelSpec, target_frames: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detected candidates as a feature matrix with auto-assigned labels."""
+    """Detected candidates as a feature matrix with auto-assigned labels,
+    checked to be non-empty and to fit ``spec``'s inputs and outputs."""
     cands = extract_candidates(np.asarray(ds.frames))
     labelled = label_candidates(cands, ds.annotations)
-    n_features = target_frames * ds.width * ds.height
     if not labelled:
-        return np.zeros((0, n_features)), np.zeros(0, dtype=int)
+        raise InvalidParams("dataset yielded no training candidates")
     X = np.stack(
         [candidate_features(scale_candidate(c, target_frames)) for c, _ in labelled]
     )
     y = np.array([label for _, label in labelled], dtype=int)
+    if X.shape[1] != spec.features:
+        raise ShapeMismatch(
+            f"model wants {spec.features} features, candidates provide {X.shape[1]}"
+        )
+    if y.max() >= spec.output_size:
+        raise ShapeMismatch(
+            f"label {y.max()} needs more than {spec.output_size} outputs"
+        )
     return X, y
 
 
@@ -244,18 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for key, value in stats.items():
             human.append(f"  {key} = {value}")
     else:
-        X, y = _candidate_dataset(ds, args.target_frames)
-        if X.shape[0] == 0:
-            raise InvalidParams("dataset yielded no training candidates")
-        if X.shape[1] != spec.features:
-            raise ShapeMismatch(
-                f"model wants {spec.features} features, candidates provide "
-                f"{X.shape[1]}"
-            )
-        if y.max(initial=0) >= spec.output_size:
-            raise ShapeMismatch(
-                f"label {y.max()} needs more than {spec.output_size} outputs"
-            )
+        X, y = _candidate_dataset(ds, spec, args.target_frames)
         train_idx, val_idx = _split(X.shape[0], args.val_fraction, args.seed)
         params, history = train_ffnn(spec, params, X[train_idx], y[train_idx], cfg)
         stats = {
@@ -349,14 +346,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     after_quantize = None
     if args.retrain_data is not None:
         ds = load_dataset(args.retrain_data)
-        X, y = _candidate_dataset(ds, args.target_frames)
-        if X.shape[0] == 0:
-            raise InvalidParams("retraining dataset yielded no candidates")
-        if X.shape[1] != spec.features:
-            raise ShapeMismatch(
-                f"model wants {spec.features} features, candidates provide "
-                f"{X.shape[1]}"
-            )
+        X, y = _candidate_dataset(ds, spec, args.target_frames)
         cfg = TrainingConfig(
             learning_rate=args.lr,
             epochs=args.retrain_epochs,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import InvalidParams, UnknownActivationCost
 from .model import Activation, LayerKind, ModelSpec, check_spec
@@ -149,6 +149,19 @@ class ResourceReport:
         return self.fits_flash and self.fits_ram
 
 
+def rows_exec_time(rows: Sequence[LayerCost], cost: CostModel) -> float:
+    """Execution time in microseconds of a model priced by ``rows``.
+
+    ``rows`` are :func:`layer_costs` rows, possibly edited.  The MAC portion
+    comes first, then each row's activation time in layer order:
+    regrouping the sum moves the last bits.
+    """
+    exec_time_us = sum(row.weights for row in rows) * cost.mac_us
+    for row in rows:
+        exec_time_us += row.activation_us
+    return exec_time_us
+
+
 def check_fit(
     spec: ModelSpec,
     budget: Budget | None = None,
@@ -162,10 +175,6 @@ def check_fit(
     neurons = sum(row.neurons for row in rows)
     needs = [row.ram_variables for row in rows]
     ram_vars = max(needs)
-    # MAC portion first, then each layer in order: regrouping moves the last bits
-    exec_time_us = weights * cost.mac_us
-    for row in rows:
-        exec_time_us += row.activation_us
     flash = (weights + neurons) * budget.bytes_per_parameter
     ram_needed = ram_vars * budget.bytes_per_variable
     ram_allowed = budget.ram_fraction_for_layers * budget.ram_bytes
@@ -179,7 +188,7 @@ def check_fit(
         ram_bytes_needed=ram_needed,
         ram_bytes_allowed=ram_allowed,
         activation_time_us=sum((row.activation_us for row in rows), 0.0),
-        exec_time_us=exec_time_us,
+        exec_time_us=rows_exec_time(rows, cost),
         fits_flash=flash <= budget.flash_bytes,
         fits_ram=ram_needed <= ram_allowed,
     )

@@ -7,15 +7,24 @@ whose output layer is declared MAX or APPROX_SOFTMAX train against exact
 softmax: those two kinds are execution-time substitutes and share its
 gradient.
 
-Element-wise activations with kinks (relu, hard sigmoid) use subgradient
-zero at the kink.
-
 The forward passes own no arithmetic: every layer of a batch or of a BPTT
 time step goes through :func:`microgest.inference.layer_forward`, the same
 kernel and activation table that inference uses, so its multiply-accumulates
 are counted by :func:`microgest.inference.count_macs` too.  The kernel is
 called directly, not through ``forward_dense``, so per-layer timings taken
 around the inference steppers measure inference only.
+
+The backward passes have one activation derivative, ``_pull_back``.  It
+works on the last axis, so a minibatch and one BPTT time step use the same
+lines: the softmax family goes through its Jacobian product, element-wise
+kinds multiply by their derivative, with subgradient zero at the kinks of
+relu and hard sigmoid.  Recurrent training has one loop over BPTT windows,
+the lazy generator ``_windows``, shared by :func:`sequence_loss`,
+:func:`sequence_gradients` and :func:`train_rnn_bptt`; inside a window
+only ``_forward_window`` and ``_backward_window`` do arithmetic.  Every
+public function that reads parameters and data starts with one entry
+check (``_ffnn_inputs`` or ``_sequence_inputs``) that validates the
+parameters against the spec before anything is computed.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .model import (
     LayerParams,
     ModelSpec,
     Parameters,
+    RnnState,
     validate,
 )
 
@@ -94,27 +104,29 @@ def _train_kind(kind: Activation) -> Activation:
     return kind
 
 
-def _act_grad(kind: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Element-wise derivative, using subgradient zero at kinks."""
+def _pull_back(
+    kind: Activation, Z: np.ndarray, A: np.ndarray, dA: np.ndarray
+) -> np.ndarray:
+    """Pull a gradient through activation ``kind``: ``dA`` on ``A`` to ``dZ``.
+
+    Works on the last axis, so a batch of rows and one time step go through
+    the same lines.  Softmax-family kinds apply the Jacobian product
+    ``A * (dA - sum(dA * A))``; element-wise kinds multiply by their
+    derivative, with subgradient zero at kinks.
+    """
     kind = _train_kind(kind)
+    if kind is Activation.SOFTMAX:
+        return A * (dA - np.sum(dA * A, axis=-1, keepdims=True))
     if kind is Activation.SIGMOID:
-        return a * (1.0 - a)
+        return dA * (A * (1.0 - A))
     if kind is Activation.TANH:
-        return 1.0 - a * a
+        return dA * (1.0 - A * A)
     if kind is Activation.HARD_SIGMOID:
-        return 0.2 * ((z > -2.5) & (z < 2.5))
+        return dA * (0.2 * ((Z > -2.5) & (Z < 2.5)))
     if kind is Activation.SOFTSIGN:
-        d = 1.0 + np.abs(z)
-        return 1.0 / (d * d)
-    if kind is Activation.RELU:
-        return (z > 0.0).astype(float)
-    raise InvalidParams(f"activation {kind} has no element-wise derivative")
-
-
-def _softmax_backprop(a: np.ndarray, da: np.ndarray) -> np.ndarray:
-    """Pull a gradient through softmax: ``J_softmax^T @ da`` row-wise."""
-    inner = np.sum(da * a, axis=-1, keepdims=True)
-    return a * (da - inner)
+        d = 1.0 + np.abs(Z)
+        return dA * (1.0 / (d * d))
+    return dA * (Z > 0.0).astype(float)  # relu, the last element-wise kind
 
 
 def _check_output_trainable(spec: ModelSpec) -> None:
@@ -162,7 +174,15 @@ def _make_optimizer(arrays: list[np.ndarray], cfg: TrainingConfig):
 
 # --- feed-forward training ---------------------------------------------------
 
-def _check_ffnn_data(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> None:
+def _ffnn_inputs(spec: ModelSpec, params: Parameters, X, y):
+    """The entry check of every feed-forward function.
+
+    Checks that ``params`` fit ``spec`` and are finite and that the data
+    fit the model; returns ``X`` as floats and ``y`` as integers.
+    """
+    validate(spec, params)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[1] != spec.features:
         raise ShapeMismatch(
             f"features must be (N, {spec.features}), got {X.shape}"
@@ -173,6 +193,12 @@ def _check_ffnn_data(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> None:
         raise InvalidParams("empty training set")
     if np.min(y) < 0 or np.max(y) >= spec.output_size:
         raise InvalidParams("labels must lie in 0..output_size-1")
+    return X, y
+
+
+def _layer_arrays(params: Parameters):
+    """Per-layer weight and bias lists, the arrays themselves, not copies."""
+    return [lp.weights for lp in params.layers], [lp.biases for lp in params.layers]
 
 
 def _forward_batch(spec: ModelSpec, Ws, bs, X):
@@ -185,6 +211,12 @@ def _forward_batch(spec: ModelSpec, Ws, bs, X):
     return zs, acts
 
 
+def _batch_outputs(spec: ModelSpec, params: Parameters, X, y):
+    """Checked labels and the training-time outputs for ``X``."""
+    X, y = _ffnn_inputs(spec, params, X, y)
+    return _forward_batch(spec, *_layer_arrays(params), X)[1][-1], y
+
+
 def _batch_loss(P: np.ndarray, y: np.ndarray) -> float:
     picked = np.clip(P[np.arange(P.shape[0]), y], _LOG_CLIP, None)
     return float(-np.mean(np.log(picked)))
@@ -192,8 +224,7 @@ def _batch_loss(P: np.ndarray, y: np.ndarray) -> float:
 
 def _backward_batch(spec: ModelSpec, Ws, zs, acts, y):
     B = y.shape[0]
-    P = acts[-1]
-    delta = P.copy()
+    delta = acts[-1].copy()
     delta[np.arange(B), y] -= 1.0
     delta /= B
     gW = [None] * len(Ws)
@@ -202,48 +233,37 @@ def _backward_batch(spec: ModelSpec, Ws, zs, acts, y):
         gW[i] = delta.T @ acts[i]
         gb[i] = delta.sum(axis=0)
         if i > 0:
-            dA = delta @ Ws[i]
-            kind = _train_kind(spec.layers[i - 1].activation)
-            if kind is Activation.SOFTMAX:
-                delta = _softmax_backprop(acts[i], dA)
-            else:
-                delta = dA * _act_grad(kind, zs[i - 1], acts[i])
+            kind = spec.layers[i - 1].activation
+            delta = _pull_back(kind, zs[i - 1], acts[i], delta @ Ws[i])
     return gW, gb
 
 
 def gradients(spec: ModelSpec, params: Parameters, X, y):
     """Mean-batch cross-entropy gradients ``(per-layer dW, per-layer db)``."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    validate(spec, params)
+    X, y = _ffnn_inputs(spec, params, X, y)
     _check_output_trainable(spec)
-    _check_ffnn_data(spec, X, y)
-    Ws = [lp.weights for lp in params.layers]
-    bs = [lp.biases for lp in params.layers]
+    Ws, bs = _layer_arrays(params)
     zs, acts = _forward_batch(spec, Ws, bs, X)
     return _backward_batch(spec, Ws, zs, acts, y)
 
 
 def evaluate_loss(spec: ModelSpec, params: Parameters, X, y) -> float:
     """Mean cross-entropy of the training-time forward pass."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    _check_ffnn_data(spec, X, y)
-    Ws = [lp.weights for lp in params.layers]
-    bs = [lp.biases for lp in params.layers]
-    _, acts = _forward_batch(spec, Ws, bs, X)
-    return _batch_loss(acts[-1], y)
+    return _batch_loss(*_batch_outputs(spec, params, X, y))
 
 
 def classification_accuracy(spec: ModelSpec, params: Parameters, X, y) -> float:
     """Fraction of examples whose argmax output matches the label."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    _check_ffnn_data(spec, X, y)
-    Ws = [lp.weights for lp in params.layers]
-    bs = [lp.biases for lp in params.layers]
-    _, acts = _forward_batch(spec, Ws, bs, X)
-    return float(np.mean(np.argmax(acts[-1], axis=1) == y))
+    P, y = _batch_outputs(spec, params, X, y)
+    return float(np.mean(np.argmax(P, axis=1) == y))
+
+
+def _lookup(assignments, centroids) -> list[np.ndarray]:
+    """Weights read through cluster assignments; -1 marks a pruned 0.0."""
+    return [
+        np.where(a >= 0, c[np.maximum(a, 0)], 0.0)
+        for a, c in zip(assignments, centroids)
+    ]
 
 
 def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
@@ -254,11 +274,8 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
     ``quant`` is ``(assignments, centroids)``: weights become centroid
     lookups and each centroid's gradient is the sum of its members'.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    validate(spec, params)
+    X, y = _ffnn_inputs(spec, params, X, y)
     _check_output_trainable(spec)
-    _check_ffnn_data(spec, X, y)
     n = X.shape[0]
     rng = np.random.default_rng(cfg.seed)
     bs = [lp.biases.astype(float).copy() for lp in params.layers]
@@ -272,7 +289,6 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
     else:
         assignments, centroids = quant
         centroids = [np.asarray(c, dtype=float).copy() for c in centroids]
-        Ws = [None] * len(params.layers)
         arrays = centroids + bs
 
     opt = _make_optimizer(arrays, cfg)
@@ -283,10 +299,7 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             if quant is not None:
-                Ws = [
-                    np.where(a >= 0, c[np.maximum(a, 0)], 0.0)
-                    for a, c in zip(assignments, centroids)
-                ]
+                Ws = _lookup(assignments, centroids)
             zs, acts = _forward_batch(spec, Ws, bs, X[idx])
             loss = _batch_loss(acts[-1], y[idx])
             epoch_loss += loss * idx.shape[0]
@@ -312,14 +325,9 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
         history.append(epoch_loss)
 
     if quant is not None:
-        Ws = [
-            np.where(a >= 0, c[np.maximum(a, 0)], 0.0)
-            for a, c in zip(assignments, centroids)
-        ]
-        out = Parameters([LayerParams(W.copy(), b) for W, b in zip(Ws, bs)])
-        return out, history, centroids
+        Ws = _lookup(assignments, centroids)
     out = Parameters([LayerParams(W, b) for W, b in zip(Ws, bs)])
-    return out, history, None
+    return out, history, None if quant is None else centroids
 
 
 def train_ffnn(spec: ModelSpec, params: Parameters, X, y, cfg: TrainingConfig):
@@ -387,12 +395,20 @@ def retrain_quantized(
 
 # --- recurrent training (truncated backpropagation through time) -------------
 
-def _check_sequences(spec: ModelSpec, sequences) -> None:
+def _sequence_inputs(spec: ModelSpec, params: Parameters, sequences):
+    """The entry check of every sequence function.
+
+    Checks that ``params`` fit ``spec`` and are finite and that every
+    ``(features, targets)`` pair fits the model; returns the pairs as float
+    features and integer targets.
+    """
+    validate(spec, params)
+    sequences = [
+        (np.asarray(X, dtype=float), np.asarray(t, dtype=int)) for X, t in sequences
+    ]
     if not sequences:
         raise InvalidParams("no training sequences")
     for X, t in sequences:
-        X = np.asarray(X)
-        t = np.asarray(t)
         if X.ndim != 2 or X.shape[1] != spec.features:
             raise ShapeMismatch(
                 f"sequence features must be (T, {spec.features}), got {X.shape}"
@@ -401,79 +417,75 @@ def _check_sequences(spec: ModelSpec, sequences) -> None:
             raise ShapeMismatch("need one target (or -1) per frame")
         if t.size and np.max(t) >= spec.output_size:
             raise InvalidParams("targets must lie in 0..output_size-1 or be -1")
+    return sequences
 
 
-def _zero_state(spec: ModelSpec) -> dict[int, np.ndarray]:
-    """Zero previous-step activations, keyed by recurrent layer index."""
-    return {
-        i: np.zeros(l.neurons)
-        for i, l in enumerate(spec.layers)
-        if l.kind is LayerKind.RECURRENT
-    }
-
-
-def _forward_window(spec: ModelSpec, Ws, bs, X_win, state):
+def _forward_window(spec: ModelSpec, Ws, bs, X_win, state: RnnState):
     """Forward one window, updating ``state`` in place; returns caches."""
-    L = len(spec.layers)
     T = X_win.shape[0]
-    U = [np.empty((T, spec.layers[i].fan_in)) for i in range(L)]
-    Z = [np.empty((T, spec.layers[i].neurons)) for i in range(L)]
-    A = [np.empty((T, spec.layers[i].neurons)) for i in range(L)]
+    U = [np.empty((T, layer.fan_in)) for layer in spec.layers]
+    Z = [np.empty((T, layer.neurons)) for layer in spec.layers]
+    A = [np.empty((T, layer.neurons)) for layer in spec.layers]
     kinds = [_train_kind(layer.activation) for layer in spec.layers]
     for t in range(T):
         x = X_win[t]
         for i, layer in enumerate(spec.layers):
             recurrent = layer.kind is LayerKind.RECURRENT
-            u = np.concatenate([x, state[i]]) if recurrent else x
+            u = np.concatenate([x, state.layer(i)]) if recurrent else x
             z, x = layer_forward(kinds[i], Ws[i], bs[i], u)
             U[i][t], Z[i][t], A[i][t] = u, z, x
             if recurrent:
-                state[i] = x
+                state.layer(i)[:] = x
     return U, Z, A
 
 
 def _backward_window(spec: ModelSpec, Ws, U, Z, A, targets, scale):
-    """Full backprop inside one window; no gradient crosses its start."""
-    L = len(spec.layers)
-    T = U[0].shape[0]
+    """Full backprop inside one window; no gradient crosses its start.
+
+    At each step one gradient ``da`` walks down the layers; a recurrent
+    layer adds the gradient its output sent to the next step's input.
+    """
+    top = len(spec.layers) - 1
     gW = [np.zeros_like(W) for W in Ws]
     gb = [np.zeros(W.shape[0]) for W in Ws]
-    g_fb = {
-        i: np.zeros(spec.layers[i].neurons)
-        for i in range(L)
-        if spec.layers[i].kind is LayerKind.RECURRENT
-    }
-    for t in range(T - 1, -1, -1):
-        d_below = None
-        g_fb_next = {i: np.zeros_like(v) for i, v in g_fb.items()}
-        for i in range(L - 1, -1, -1):
+    feedback = RnnState(spec)
+    for t in range(U[0].shape[0] - 1, -1, -1):
+        da = np.zeros(spec.output_size)
+        for i in range(top, -1, -1):
             layer = spec.layers[i]
-            kind = _train_kind(layer.activation)
-            a = A[i][t]
-            da = np.zeros(layer.neurons)
-            if i < L - 1 and d_below is not None:
-                da += d_below
-            if i in g_fb:
-                da += g_fb[i]
-            if kind is Activation.SOFTMAX:
-                dz = _softmax_backprop(a, da)
-                if i == L - 1 and targets[t] >= 0:
-                    ce = a.copy()
-                    ce[targets[t]] -= 1.0
-                    dz = dz + ce * scale
-            else:
-                dz = da * _act_grad(kind, Z[i][t], a)
+            recurrent = layer.kind is LayerKind.RECURRENT
+            if recurrent:
+                da = da + feedback.layer(i)
+            dz = _pull_back(layer.activation, Z[i][t], A[i][t], da)
+            if i == top and targets[t] >= 0:
+                ce = A[i][t].copy()
+                ce[targets[t]] -= 1.0
+                dz = dz + ce * scale
             gW[i] += np.outer(dz, U[i][t])
             gb[i] += dz
             du = Ws[i].T @ dz
-            d_below = du[: layer.input_size]
-            if i in g_fb_next:
-                g_fb_next[i] = du[layer.input_size :]
-        g_fb = g_fb_next
+            da = du[: layer.input_size]
+            if recurrent:
+                feedback.layer(i)[:] = du[layer.input_size :]
     return gW, gb
 
 
-def _window_loss(spec: ModelSpec, A, targets) -> tuple[float, int]:
+def _windows(spec: ModelSpec, Ws, bs, X_seq, targets, horizon: int):
+    """Yield ``(U, Z, A, targets)`` for each window of ``horizon`` frames.
+
+    State starts at zero and carries across windows.  The loop is lazy:
+    each window's forward pass reads ``Ws`` and ``bs`` only when it is
+    reached, so an optimizer step taken in place after one window is seen
+    by the next.
+    """
+    state = RnnState(spec)
+    for start in range(0, X_seq.shape[0], horizon):
+        stop = start + horizon
+        U, Z, A = _forward_window(spec, Ws, bs, X_seq[start:stop], state)
+        yield U, Z, A, targets[start:stop]
+
+
+def _window_loss(A, targets) -> tuple[float, int]:
     P = A[-1]
     labeled = np.nonzero(targets >= 0)[0]
     if labeled.size == 0:
@@ -484,14 +496,11 @@ def _window_loss(spec: ModelSpec, A, targets) -> tuple[float, int]:
 
 def sequence_loss(spec: ModelSpec, params: Parameters, X_seq, targets) -> float:
     """Cross-entropy over a sequence's labeled frames, from zero state."""
-    X_seq = np.asarray(X_seq, dtype=float)
-    targets = np.asarray(targets, dtype=int)
-    _check_sequences(spec, [(X_seq, targets)])
-    Ws = [lp.weights for lp in params.layers]
-    bs = [lp.biases for lp in params.layers]
-    state = _zero_state(spec)
-    _, _, A = _forward_window(spec, Ws, bs, X_seq, state)
-    total, count = _window_loss(spec, A, targets)
+    [(X_seq, targets)] = _sequence_inputs(spec, params, [(X_seq, targets)])
+    whole = max(len(targets), 1)  # the whole sequence is one window
+    total, count = 0.0, 0
+    for _, _, A, t_win in _windows(spec, *_layer_arrays(params), X_seq, targets, whole):
+        total, count = _window_loss(A, t_win)
     return total / count if count else 0.0
 
 
@@ -505,31 +514,21 @@ def sequence_gradients(
     cuts the sequence into windows; state flows forward across cuts but
     gradients do not.
     """
-    X_seq = np.asarray(X_seq, dtype=float)
-    targets = np.asarray(targets, dtype=int)
-    validate(spec, params)
+    [(X_seq, targets)] = _sequence_inputs(spec, params, [(X_seq, targets)])
     _check_output_trainable(spec)
-    _check_sequences(spec, [(X_seq, targets)])
-    Ws = [lp.weights for lp in params.layers]
-    bs = [lp.biases for lp in params.layers]
-    T = X_seq.shape[0]
-    horizon = T if horizon is None else horizon
+    horizon = len(targets) if horizon is None else horizon
     if horizon < 1:
         raise InvalidParams("horizon must be >= 1")
     n_labeled = int(np.sum(targets >= 0))
     if n_labeled == 0:
         raise InvalidParams("sequence has no labeled frames")
-    scale = 1.0 / n_labeled
-    state = _zero_state(spec)
-    gW_total = [np.zeros_like(lp.weights) for lp in params.layers]
-    gb_total = [np.zeros_like(lp.biases) for lp in params.layers]
-    for start in range(0, T, horizon):
-        stop = min(start + horizon, T)
-        U, Z, A = _forward_window(spec, Ws, bs, X_seq[start:stop], state)
-        gW, gb = _backward_window(spec, Ws, U, Z, A, targets[start:stop], scale)
-        for i in range(len(Ws)):
-            gW_total[i] += gW[i]
-            gb_total[i] += gb[i]
+    Ws, bs = _layer_arrays(params)
+    gW_total = [np.zeros_like(W) for W in Ws]
+    gb_total = [np.zeros_like(b) for b in bs]
+    for U, Z, A, t_win in _windows(spec, Ws, bs, X_seq, targets, horizon):
+        gW, gb = _backward_window(spec, Ws, U, Z, A, t_win, 1.0 / n_labeled)
+        for total, g in zip(gW_total + gb_total, gW + gb):
+            total += g
     return gW_total, gb_total
 
 
@@ -549,12 +548,8 @@ def train_rnn_bptt(
     is taken per window that contains at least one labeled frame.  Returns
     ``(trained Parameters, per-epoch mean loss history)``.
     """
-    validate(spec, params)
+    sequences = _sequence_inputs(spec, params, sequences)
     _check_output_trainable(spec)
-    sequences = [
-        (np.asarray(X, dtype=float), np.asarray(t, dtype=int)) for X, t in sequences
-    ]
-    _check_sequences(spec, sequences)
     if horizon < 1:
         raise InvalidParams("horizon must be >= 1")
     rng = np.random.default_rng(cfg.seed)
@@ -568,19 +563,13 @@ def train_rnn_bptt(
         epoch_loss = 0.0
         epoch_labeled = 0
         for si in order:
-            X_seq, targets = sequences[si]
-            state = _zero_state(spec)
-            for start in range(0, X_seq.shape[0], horizon):
-                stop = min(start + horizon, X_seq.shape[0])
-                U, Z, A = _forward_window(spec, Ws, bs, X_seq[start:stop], state)
-                total, count = _window_loss(spec, A, targets[start:stop])
+            for U, Z, A, t_win in _windows(spec, Ws, bs, *sequences[si], horizon):
+                total, count = _window_loss(A, t_win)
                 if count == 0:
                     continue
                 epoch_loss += total
                 epoch_labeled += count
-                gW, gb = _backward_window(
-                    spec, Ws, U, Z, A, targets[start:stop], 1.0 / count
-                )
+                gW, gb = _backward_window(spec, Ws, U, Z, A, t_win, 1.0 / count)
                 opt.step(arrays, gW + gb)
         mean_loss = epoch_loss / epoch_labeled if epoch_labeled else 0.0
         if not np.isfinite(mean_loss):

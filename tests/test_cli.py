@@ -21,6 +21,7 @@ from microgest.model_io import (
     load_dataset,
     load_model,
     load_model_meta,
+    save_model,
 )
 from microgest.pipeline import GestureClass
 from microgest.training import init_params
@@ -292,6 +293,23 @@ def test_compress_with_retraining_runs_end_to_end(
                             "--retrain-data", data, "--retrain-epochs", "2"])
     assert rc == 0
     assert load_compressed(out).surviving_weights() > 0
+
+
+def test_retraining_labels_beyond_the_model_outputs_are_one_error_line(
+    tmp_path, gesture_setup, capsys
+):
+    # the corpus carries five gesture labels; this model has two outputs
+    _, data, _ = gesture_setup
+    spec = parse_arch("180-4relu-2softmax")
+    model = tmp_path / "two.mgnn"
+    save_model(model, spec, init_params(spec, 0))
+    out = tmp_path / "retrained.mgcm"
+    rc, _, err = run(capsys, ["compress", "--model", model, "--out", out,
+                              "--retrain-data", data, "--retrain-epochs", "1"])
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "more than 2 outputs" in err  # the CLI's own check, as for train
+    assert not out.exists()
 
 
 # --- estimate ----------------------------------------------------------------

@@ -5,7 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from microgest.errors import DivergenceDetected, InvalidParams, ShapeMismatch
+from microgest.errors import (
+    DivergenceDetected,
+    InvalidParams,
+    NonFiniteParameter,
+    ShapeMismatch,
+)
 from microgest.estimator import count_weights
 from microgest.inference import count_macs, step_rnn
 from microgest.model import (
@@ -201,6 +206,25 @@ def test_ffnn_data_validation(X, y, err):
     spec = chain(3, [(D, 2, A.SOFTMAX)])
     with pytest.raises(err):
         gradients(spec, init_params(spec, 0), X, y)
+
+
+@pytest.mark.parametrize("fn", [evaluate_loss, classification_accuracy])
+def test_loss_and_accuracy_reject_parameters_of_another_network(fn):
+    # the 5-unit hidden layer still chains, so an unchecked pass computes
+    spec = parse_arch("4-3relu-2softmax")
+    params = init_params(parse_arch("4-5relu-2softmax"), 0)
+    X = np.random.default_rng(8).normal(size=(3, 4))
+    with pytest.raises(ShapeMismatch):
+        fn(spec, params, X, np.array([0, 1, 0]))
+
+
+@pytest.mark.parametrize("fn", [evaluate_loss, classification_accuracy])
+def test_loss_and_accuracy_reject_a_non_finite_weight(fn):
+    spec = parse_arch("4-3relu-2softmax")
+    params = init_params(spec, 0)
+    params.layers[1].weights[0, 2] = np.nan
+    with pytest.raises(NonFiniteParameter):
+        fn(spec, params, np.ones((3, 4)), np.array([0, 1, 0]))
 
 
 # --- feed-forward training ----------------------------------------------------
@@ -513,6 +537,21 @@ def test_rnn_input_validation():
         )
 
 
+def test_sequence_loss_rejects_parameters_of_another_network():
+    spec = chain(2, [(R, 3, A.TANH), (D, 2, A.SOFTMAX)])
+    params = init_params(chain(2, [(R, 4, A.TANH), (D, 2, A.SOFTMAX)]), 1)
+    with pytest.raises(ShapeMismatch):
+        sequence_loss(spec, params, np.ones((4, 2)), np.zeros(4, int))
+
+
+def test_sequence_loss_rejects_a_non_finite_weight():
+    spec = chain(2, [(R, 3, A.TANH), (D, 2, A.SOFTMAX)])
+    params = init_params(spec, 1)
+    params.layers[0].biases[1] = np.inf
+    with pytest.raises(NonFiniteParameter):
+        sequence_loss(spec, params, np.ones((4, 2)), np.zeros(4, int))
+
+
 # --- pinned trained weights ---------------------------------------------------
 
 def _params_sha(params) -> str:
@@ -573,3 +612,52 @@ _PINNED_WEIGHTS = {
 def test_trained_weights_are_pinned(kind):
     run = _pinned_bptt_run if kind == "train_rnn_bptt" else _pinned_ffnn_run
     assert _params_sha(run(kind)) == _PINNED_WEIGHTS[kind]
+
+
+# --- pinned gradients ---------------------------------------------------------
+
+def _grads_sha(gW, gb) -> str:
+    h = hashlib.sha256()
+    for g in list(gW) + list(gb):
+        h.update(np.ascontiguousarray(g, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_gradients(net, kind):
+    rng = np.random.default_rng(31)
+    # scaled inputs drive many pre-activations past the hard-sigmoid corners;
+    # the all-zero first row puts every relu of that row exactly on its kink
+    X = 4.0 * rng.normal(size=(12, 5))
+    X[0] = 0.0
+    y = rng.integers(0, 3, size=12)
+    if net == "dense":
+        spec = chain(5, [(D, 6, kind), (D, 4, kind), (D, 3, A.SOFTMAX)])
+        return gradients(spec, init_params(spec, 32), X, y)
+    spec = chain(5, [(D, 6, kind), (R, 4, kind), (R, 3, A.SOFTMAX)])
+    y[rng.random(12) < 0.3] = -1
+    return sequence_gradients(spec, init_params(spec, 33), X, y, horizon=5)
+
+
+# SHA-256 over every layer's float64 weight gradients then bias gradients,
+# recorded with separate element-wise and softmax derivative routines
+_PINNED_GRADIENTS = {
+    ("dense", "sigmoid"): "4d0c4d5cecd2ecf607831fbebb76c702a168266b605a35cc83708498615d64c1",
+    ("dense", "tanh"): "03867bef16dcb7a38430eddf0f0afe003e8e3e1a25eabec2c8178a232be72a1d",
+    ("dense", "hardsigmoid"): "80eec092aba3facf3bf43231247d50430bcb06d4b51b97f5da65334cab090bc9",
+    ("dense", "softsign"): "c55c3435a03143cc4574cc88b47d3df1bae7bb6b5ed6e3d5efbd52c757187465",
+    ("dense", "relu"): "7a693b0fc205a5f1b2d7c799e0dc4e84eefbfce840e22feda3079b87f2d6523d",
+    ("dense", "softmax"): "9d98cebe740143fe833ab5e56c40b6276fb4e4c865ba1a470278f7707d43ed12",
+    ("recurrent", "sigmoid"): "86cef87af9b5d2c67189cbeb389bb66c3312ce9f1950e202668d31f6c780f093",
+    ("recurrent", "tanh"): "db52763a6c940c2054a238f0ce00fd569264dec3e28127297472e53bb70e0993",
+    ("recurrent", "hardsigmoid"): "50fccc593056d8a5f9d7147e34f9134be3c4ff4befc622fb8c8cf62f1508626f",
+    ("recurrent", "softsign"): "68cef9ccccbc1096170a5b8973f157b2258cacf4e2bca353148ad3f5df495d11",
+    ("recurrent", "relu"): "5f26e2eb3a1bd2c06adf1e47ee7b19bf4341fc9191aa41025ab0e8cc99878197",
+    ("recurrent", "softmax"): "fe9d129011e31756f1bc435368851427688ac486a088c4b00f1b99e944f3b64b",
+}
+
+
+@pytest.mark.parametrize("net, kind", sorted(_PINNED_GRADIENTS))
+def test_gradients_are_pinned(net, kind):
+    assert _grads_sha(*_pinned_gradients(net, Activation(kind))) == (
+        _PINNED_GRADIENTS[net, kind]
+    )
