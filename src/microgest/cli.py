@@ -43,13 +43,12 @@ from .pipeline import (
     FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,
-    SWIPE_CLASSES,
     candidate_features,
     extract_candidates,
     fsm_postprocess,
     label_candidates,
-    last_phase_state,
     match_events,
+    phase_events,
     scale_candidate,
 )
 from .synth import build_corpus
@@ -140,16 +139,30 @@ def _rnn_outputs(spec, params, X: np.ndarray) -> list[np.ndarray]:
     return [step_rnn(spec, params, x, state) for x in X]
 
 
-def _require_phase_model(spec, what: str) -> None:
-    """Phase-state streams need one output per phase state."""
+def _phase_targets(ds: AnnotatedSequence) -> np.ndarray:
+    """Per-frame phase-state labels of a stream, -1 where a frame has none."""
+    targets = -np.ones(len(ds), dtype=int)
+    for ann in ds.annotations:
+        if not 0 <= ann.label < N_PHASE_STATES:
+            raise InvalidParams(
+                f"phase label {ann.label} outside 0..{N_PHASE_STATES - 1}"
+            )
+        targets[ann.frame] = ann.label
+    return targets
+
+
+def _stream_events(spec, params, ds: AnnotatedSequence, target_frames: int,
+                   phases: bool):
+    """Gesture events of a model over a stream.  With ``phases``, a 17-output
+    recurrent model steps every frame and the FSM reads its states;
+    otherwise the candidate recognizer runs."""
+    if not phases:
+        return FfnnRecognizer(spec, params, target_frames=target_frames)(ds)
     if spec.output_size != N_PHASE_STATES:
         raise InvalidParams(
-            f"{what} needs a {N_PHASE_STATES}-output model, got {spec.output_size}"
+            f"phase-state events need a {N_PHASE_STATES}-output model, "
+            f"got {spec.output_size}"
         )
-
-
-def _run_rnn_stream(spec, params, ds: AnnotatedSequence) -> list[np.ndarray]:
-    """Per-frame network outputs over a recorded stream."""
     pixels = ds.width * ds.height
     if spec.features not in (pixels, pixels + 3):
         raise ShapeMismatch(
@@ -157,7 +170,7 @@ def _run_rnn_stream(spec, params, ds: AnnotatedSequence) -> list[np.ndarray]:
             f"{pixels} pixels (+3 rolling statistics)"
         )
     X = _stream_features(ds, with_stats=spec.features == pixels + 3)
-    return _rnn_outputs(spec, params, X)
+    return fsm_postprocess(_rnn_outputs(spec, params, X))
 
 
 # --- commands ----------------------------------------------------------------
@@ -221,9 +234,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     if ds.label_kind == LABEL_KIND_PHASE:
         X = _stream_features(ds, with_stats=True)
-        targets = -np.ones(len(ds), dtype=int)
-        for ann in ds.annotations:
-            targets[ann.frame] = ann.label
+        targets = _phase_targets(ds)
         if X.shape[0] and X.shape[1] != spec.features:
             raise ShapeMismatch(
                 f"model wants {spec.features} features, stream provides {X.shape[1]}"
@@ -288,19 +299,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     spec, params = load_model(args.model)
     ds = load_dataset(args.data)
-    if ds.label_kind == LABEL_KIND_PHASE:
-        _require_phase_model(spec, "phase evaluation")
-        events = fsm_postprocess(_run_rnn_stream(spec, params, ds))
-        # a swipe ends where its last phase state hands over to idle (state 0)
-        labels = {ann.frame: ann.label for ann in ds.annotations}
-        last = {last_phase_state(g): g for g in SWIPE_CLASSES}
-        annotations = [
-            Annotation(t + 1, int(last[labels[t]]))
-            for t in range(len(ds) - 1)
-            if labels.get(t) in last and labels.get(t + 1) == 0
-        ]
+    phases = ds.label_kind == LABEL_KIND_PHASE
+    events = _stream_events(spec, params, ds, args.target_frames, phases)
+    if phases:
+        targets = _phase_targets(ds)
+        annotations = [Annotation(t, int(g)) for t, g in phase_events(targets)]
     else:
-        events = FfnnRecognizer(spec, params, target_frames=args.target_frames)(ds)
         annotations = ds.annotations
     report = match_events(events, annotations, tolerance=args.tolerance)
     human = [
@@ -328,13 +332,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compress(args: argparse.Namespace) -> int:
     spec, params = load_model(args.model)
-    clusters: int | list[int] | None
-    if args.clusters is None:
-        clusters = None
-    elif "," in args.clusters:
-        clusters = [int(v) for v in args.clusters.split(",")]
-    else:
-        clusters = int(args.clusters)
+    clusters: int | list[int] | None = None
+    if args.clusters is not None:
+        try:
+            values = [int(v) for v in args.clusters.split(",")]
+        except ValueError:
+            raise InvalidParams(
+                f"--clusters takes an integer or a comma-separated list of "
+                f"integers, got {args.clusters!r}"
+            ) from None
+        clusters = values if "," in args.clusters else values[0]
     options = CompressionOptions(
         target_density=args.density,
         threshold=args.threshold,
@@ -437,11 +444,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_infer(args: argparse.Namespace) -> int:
     spec, params = load_model(args.model)
     ds = load_dataset(args.data)
-    if args.mode == "rnn-phases":
-        _require_phase_model(spec, "rnn-phases mode")
-        events = fsm_postprocess(_run_rnn_stream(spec, params, ds))
-    else:
-        events = FfnnRecognizer(spec, params, target_frames=args.target_frames)(ds)
+    events = _stream_events(
+        spec, params, ds, args.target_frames, args.mode == "rnn-phases"
+    )
     human = [f"{len(events)} event(s)"]
     for frame, cls in events:
         human.append(f"  frame {frame}: {GestureClass(int(cls)).name.lower()}")

@@ -133,6 +133,17 @@ def _malformed(what: str):
         raise CorruptStream(f"malformed {what}: {exc}") from None
 
 
+def _finite_floats(buffer: bytes, count: int = -1, offset: int = 0,
+                   what: str = "value") -> np.ndarray:
+    """Little-endian float32 values widened to float, refused as a
+    ``CorruptStream`` when any is NaN or infinite.  The check runs on the
+    float32 values: widening a signalling NaN would warn first."""
+    values = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset)
+    if not np.isfinite(values).all():
+        raise CorruptStream(f"non-finite {what}")
+    return values.astype(float)
+
+
 def _spec_to_header(spec: ModelSpec) -> dict:
     return {
         "features": spec.features,
@@ -196,16 +207,11 @@ def load_model(path: str | Path) -> tuple[ModelSpec, Parameters]:
     offset = 0
     for layer in spec.layers:
         n_w = layer.neurons * layer.fan_in
-        w = np.frombuffer(payload, dtype="<f4", count=n_w, offset=offset)
+        w = _finite_floats(payload, n_w, offset, "weight")
         offset += 4 * n_w
-        b = np.frombuffer(payload, dtype="<f4", count=layer.neurons, offset=offset)
+        b = _finite_floats(payload, layer.neurons, offset, "bias")
         offset += 4 * layer.neurons
-        layers.append(
-            LayerParams(
-                w.astype(float).reshape(layer.neurons, layer.fan_in),
-                b.astype(float),
-            )
-        )
+        layers.append(LayerParams(w.reshape(layer.neurons, layer.fan_in), b))
     return spec, Parameters(layers)
 
 
@@ -284,7 +290,7 @@ def load_compressed(path: str | Path) -> CompressedModel:
     core_len = len(payload) - 4 * sum(n_biases)
     if core_len < 0:
         raise Truncated("payload shorter than the bias block")
-    biases = np.frombuffer(payload, dtype="<f4", offset=core_len).astype(float)
+    biases = _finite_floats(payload, offset=core_len, what="bias")
     core = payload[:core_len] if table is None else huffman_decode(payload[:core_len], table)
 
     layers = []
@@ -299,14 +305,12 @@ def load_compressed(path: str | Path) -> CompressedModel:
         packed_len = (n_entries * bits + 7) // 8
         if offset + 4 * n_centroids + packed_len + n_entries > len(core):
             raise Truncated("core stream ends inside a layer block")
-        centroids = np.frombuffer(core, dtype="<f4", count=n_centroids, offset=offset).astype(float)
+        centroids = _finite_floats(core, n_centroids, offset, "centroid")
         offset += 4 * n_centroids
         indices = unpack_bits(core[offset : offset + packed_len], bits, n_entries)
         offset += packed_len
         deltas = np.frombuffer(core, dtype=np.uint8, count=n_entries, offset=offset).astype(np.uint16)
         offset += n_entries
-        if not (np.isfinite(centroids).all() and np.isfinite(layer_biases).all()):
-            raise CorruptStream("non-finite centroid or bias")
         _decode_stream(deltas, indices, shape, centroids)  # range-checks both streams
         layers.append(CompressedLayer(shape, centroids, indices, deltas, layer_biases, bits))
     if offset != len(core):

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooShort
+from .errors import InvalidParams, ShapeMismatch, TooShort
 from .features import NORM_DIVISOR, AnnotatedSequence, Annotation
 from .inference import run_ffnn
 from .model import ModelSpec, Parameters
@@ -300,6 +300,8 @@ def scale_candidate(candidate, target: int = 20) -> ScaledCandidate:
     exactly ``target`` frames passes through unchanged, which makes the
     operation idempotent.
     """
+    if target < 2:
+        raise InvalidParams(f"target must be at least 2 frames, got {target}")
     if isinstance(candidate, (Candidate, ScaledCandidate)):
         frames = candidate.frames
         start, end = candidate.start_index, candidate.end_index
@@ -378,34 +380,38 @@ class FfnnRecognizer:
         return events
 
 
+def phase_events(states: Sequence[int]) -> list[Event]:
+    """Gesture events of a per-frame phase-state walk.
+
+    A gesture ``g`` is emitted at frame ``t + 1`` exactly when frame ``t``
+    rested in the last phase state of ``g`` and frame ``t + 1`` is the idle
+    state: leaving a walk early emits nothing.  Any other value (say -1 for
+    an unlabelled frame) is neither a last phase state nor idle.
+    """
+    ends = {last_phase_state(g): g for g in SWIPE_CLASSES}
+    return [
+        (t + 1, ends[state])
+        for t, (state, after) in enumerate(zip(states, states[1:]))
+        if state in ends and after == 0
+    ]
+
+
 def fsm_postprocess(outputs: Iterable[np.ndarray]) -> list[Event]:
     """Turn per-frame phase-state outputs into gesture events.
 
     ``outputs`` is a sequence of activation vectors over the 17 phase
-    states.  Each frame is reduced to its argmax state.  A gesture ``g`` is
-    emitted at frame ``t + 1`` exactly when frame ``t`` rested in the last
-    phase state of ``g`` and frame ``t + 1`` returned to the idle state:
-    leaving a walk early emits nothing.
+    states.  Each frame is reduced to its argmax state, and the walk of
+    states goes through :func:`phase_events`.
     """
-    events: list[Event] = []
-    prev_state: int | None = None
-    for t, vec in enumerate(outputs):
+    states = []
+    for vec in outputs:
         vec = np.asarray(vec, dtype=float)
         if vec.shape[0] != N_PHASE_STATES:
             raise ShapeMismatch(
                 f"phase output needs {N_PHASE_STATES} entries, got {vec.shape[0]}"
             )
-        state = int(np.argmax(vec))
-        if (
-            prev_state is not None
-            and state == 0
-            and prev_state > 0
-            and prev_state % PHASES_PER_GESTURE == 0
-        ):
-            gesture = GestureClass(prev_state // PHASES_PER_GESTURE - 1)
-            events.append((t, gesture))
-        prev_state = state
-    return events
+        states.append(int(np.argmax(vec)))
+    return phase_events(states)
 
 
 # --- accuracy metric ---------------------------------------------------------

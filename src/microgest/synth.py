@@ -1,21 +1,25 @@
 """Synthetic gesture data: rendering, augmentation, corpus assembly.
 
 A gesture is rendered as a rectangular occluder (a hand silhouette reduced
-to a band) sweeping across the sensor field.  Per frame, each cell's
-coverage is the fraction of its extent along the motion axis that the band
-overlaps, which yields naturally soft edges; a covered pixel darkens as
-``background * (1 - contrast * coverage)`` before sensor noise is added.
+to a band) sweeping across the sensor field.  One motion table gives each
+class its direction ``(dx, dy)`` on the sensor (y pointing down): the axis
+a band travels along, which way it moves, the cell count its phase labels
+are measured in, and how mirrors and rotations rename the class.  Per
+frame, each cell's coverage is the fraction of its extent along the motion
+axis that the band overlaps, which yields naturally soft edges; a covered
+pixel darkens as ``background * (1 - contrast * coverage)`` before sensor
+noise is added.
 
 Augmentation transforms re-use one rendered sequence as several training
 instances.  Geometric transforms (mirrors, quarter-turn rotations) remap
-gesture labels automatically; photometric transforms (brightness, gamma,
-noise) keep them.
+gesture labels by moving the class's motion; photometric transforms
+(brightness, gamma, noise) keep them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +31,7 @@ from .features import (
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
 )
-from .pipeline import (
-    GestureClass,
-    PHASES_PER_GESTURE,
-    SWIPE_CLASSES,
-)
+from .pipeline import GestureClass, PHASES_PER_GESTURE
 
 
 @dataclass(frozen=True)
@@ -75,38 +75,53 @@ class GestureSynthParams:
             raise InvalidParams("lead frames must be >= 0")
 
 
-def _cell_coverage(center: float, half_width: float, cells: int) -> np.ndarray:
-    """Coverage of each of ``cells`` equal cells on [0, 1] by the band."""
+# Motion of each class across the sensor as (dx, dy), y pointing down;
+# NO_GESTURE does not move.  Rendering, phase labels and the label maps of
+# geometric transforms all derive from this one table.
+_MOTION = {
+    GestureClass.LEFT_TO_RIGHT: (1, 0),
+    GestureClass.RIGHT_TO_LEFT: (-1, 0),
+    GestureClass.TOP_TO_BOTTOM: (0, 1),
+    GestureClass.BOTTOM_TO_TOP: (0, -1),
+    GestureClass.NO_GESTURE: (0, 0),
+}
+_CLASS_OF = {motion: cls for cls, motion in _MOTION.items()}
+
+
+def _to_adc(values: np.ndarray) -> np.ndarray:
+    """Round and clamp pixel values to the ADC range."""
+    return np.clip(np.rint(values), 0, ADC_MAX).astype(np.uint16)
+
+
+def _band_coverage(path: np.ndarray, half_width: float, cells: int) -> np.ndarray:
+    """Coverage (T, cells) of equal cells on [0, 1] by a band at each path center."""
     edges = np.arange(cells + 1) / cells
-    lo = np.maximum(edges[:-1], center - half_width)
-    hi = np.minimum(edges[1:], center + half_width)
+    lo = np.maximum(edges[:-1], path[:, None] - half_width)
+    hi = np.minimum(edges[1:], path[:, None] + half_width)
     return np.clip((hi - lo) * cells, 0.0, 1.0)
 
 
-def _crossing_coverage(p: GestureSynthParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame coverage maps of a swipe, plus band positions on the path.
+def _sweep(
+    path: np.ndarray, half_width: float, motion: tuple[int, int], p: GestureSynthParams
+) -> np.ndarray:
+    """Coverage maps (T, H, W) of a band moving along ``motion`` on ``path``.
 
-    Returns ``(coverage, centers)`` where coverage has shape (T, H, W) and
-    ``centers`` holds the band center in path coordinates (0 at the start
-    edge of the field, increasing along the motion).
+    ``path`` holds band centers in path coordinates (0 at the edge the band
+    enters from); the cells are flipped when the motion runs against the axis.
     """
+    dx, dy = motion
+    cov = _band_coverage(path, half_width, p.width if dx else p.height)
+    if dx + dy < 0:
+        cov = cov[:, ::-1]
+    per_frame = cov[:, None, :] if dx else cov[:, :, None]
+    return np.broadcast_to(per_frame, (len(path), p.height, p.width))
+
+
+def _crossing_path(p: GestureSynthParams) -> np.ndarray:
+    """Band centers of a full crossing, from just outside to just outside."""
     t_cross = max(2, int(round(p.speed)))
     w = p.occluder_width
-    centers = -w / 2 + (1.0 + w) * np.arange(t_cross) / (t_cross - 1)
-    along_x = p.direction in (GestureClass.LEFT_TO_RIGHT, GestureClass.RIGHT_TO_LEFT)
-    cells = p.width if along_x else p.height
-    cov_1d = np.stack([_cell_coverage(c, w / 2, cells) for c in centers])
-    if p.direction is GestureClass.RIGHT_TO_LEFT:
-        per_col = cov_1d[:, ::-1]
-        coverage = np.repeat(per_col[:, None, :], p.height, axis=1)
-    elif p.direction is GestureClass.LEFT_TO_RIGHT:
-        coverage = np.repeat(cov_1d[:, None, :], p.height, axis=1)
-    elif p.direction is GestureClass.TOP_TO_BOTTOM:
-        coverage = np.repeat(cov_1d[:, :, None], p.width, axis=2)
-    else:  # BOTTOM_TO_TOP
-        per_row = cov_1d[:, ::-1]
-        coverage = np.repeat(per_row[:, :, None], p.width, axis=2)
-    return coverage, centers
+    return -w / 2 + (1.0 + w) * np.arange(t_cross) / (t_cross - 1)
 
 
 def _disturbance_coverage(p: GestureSynthParams, rng) -> np.ndarray:
@@ -125,42 +140,23 @@ def _disturbance_coverage(p: GestureSynthParams, rng) -> np.ndarray:
     steps = max(4, int(round(p.speed / 2)))
     path_in = -w / 2 + (reach + w / 2) * np.arange(1, steps + 1) / steps
     path = np.concatenate([path_in, np.full(hold, reach), path_in[::-1]])
-    axis_cells = p.width if rng.random() < 0.5 else None
-    if axis_cells is not None:
-        forward = rng.random() < 0.5
-        cov = np.stack([_cell_coverage(c, w / 2, p.width) for c in path])
-        cov = cov if forward else cov[:, ::-1]
-        return np.repeat(cov[:, None, :], p.height, axis=1)
-    forward = rng.random() < 0.5
-    cov = np.stack([_cell_coverage(c, w / 2, p.height) for c in path])
-    cov = cov if forward else cov[:, ::-1]
-    return np.repeat(cov[:, :, None], p.width, axis=2)
+    along_x = rng.random() < 0.5
+    sign = 1 if rng.random() < 0.5 else -1
+    return _sweep(path, w / 2, (sign, 0) if along_x else (0, sign), p)
 
 
 def _phase_states(p: GestureSynthParams, centers: np.ndarray) -> np.ndarray:
     """Motion-phase state of every crossing frame, in path coordinates."""
-    g = int(p.direction)
-    base = PHASES_PER_GESTURE * g
-    along_x = p.direction in (GestureClass.LEFT_TO_RIGHT, GestureClass.RIGHT_TO_LEFT)
-    n = p.width if along_x else p.height
-    first_end = 1.0 / n
-    mid_start = (n // 2) / n
-    last_start = (n - 1) / n
-    half = p.occluder_width / 2
-    states = np.zeros(len(centers), dtype=int)
-    for i, c in enumerate(centers):
-        lead, trail = c + half, c - half
-        if lead <= 0.0 or trail >= 1.0:
-            states[i] = 0
-        elif lead <= mid_start:
-            states[i] = base + 1
-        elif lead <= last_start:
-            states[i] = base + 2
-        elif trail <= first_end:
-            states[i] = base + 3
-        else:
-            states[i] = base + 4
-    return states
+    n = p.width if _MOTION[p.direction][0] else p.height
+    base = PHASES_PER_GESTURE * int(p.direction)
+    lead = centers + p.occluder_width / 2
+    trail = centers - p.occluder_width / 2
+    return np.select(
+        [(lead <= 0.0) | (trail >= 1.0), lead <= (n // 2) / n, lead <= (n - 1) / n,
+         trail <= 1.0 / n],
+        [0, base + 1, base + 2, base + 3],
+        base + 4,
+    )
 
 
 def synthesize_gesture(
@@ -177,33 +173,28 @@ def synthesize_gesture(
     bytes.
     """
     rng = np.random.default_rng(seed)
-    effective = p.direction
-    if p.contrast == 0.0 or effective is GestureClass.NO_GESTURE:
-        if effective is GestureClass.NO_GESTURE and p.contrast > 0.0:
+    if p.contrast > 0.0 and p.direction is not GestureClass.NO_GESTURE:
+        effective = p.direction
+        centers = _crossing_path(p)
+        coverage = _sweep(centers, p.occluder_width / 2, _MOTION[effective], p)
+        states = _phase_states(p, centers)
+    else:
+        effective = GestureClass.NO_GESTURE
+        if p.contrast > 0.0:
             coverage = _disturbance_coverage(p, rng)
         else:
-            t_cross = max(2, int(round(p.speed)))
-            coverage = np.zeros((t_cross, p.height, p.width))
-        effective = GestureClass.NO_GESTURE
+            coverage = np.zeros((max(2, int(round(p.speed))), p.height, p.width))
         states = np.zeros(coverage.shape[0], dtype=int)
-    else:
-        coverage, centers = _crossing_coverage(p)
-        states = _phase_states(p, centers)
 
     body = p.background_brightness * (1.0 - p.contrast * coverage)
-    lead_shape = (p.height, p.width)
-    pre = np.broadcast_to(
-        np.full(lead_shape, p.background_brightness), (p.lead_in,) + lead_shape
-    )
-    post = np.broadcast_to(
-        np.full(lead_shape, p.background_brightness), (p.lead_out,) + lead_shape
-    )
+    pre = np.full((p.lead_in, p.height, p.width), p.background_brightness)
+    post = np.full((p.lead_out, p.height, p.width), p.background_brightness)
     values = np.concatenate([pre, body, post])
     if p.gamma != 1.0:
         values = ADC_MAX * np.power(values / ADC_MAX, p.gamma)
     if p.noise_sigma > 0.0:
         values = values + rng.normal(0.0, p.noise_sigma, values.shape)
-    frames = np.clip(np.rint(values), 0, ADC_MAX).astype(np.uint16)
+    frames = _to_adc(values)
 
     final = p.lead_in + coverage.shape[0] - 1
     if labels == LABEL_KIND_GESTURE:
@@ -270,42 +261,24 @@ class Noise:
 
 Transform = MirrorX | MirrorY | Rotate | Brightness | Gamma | Noise
 
-_MIRROR_X_MAP = {
-    GestureClass.LEFT_TO_RIGHT: GestureClass.RIGHT_TO_LEFT,
-    GestureClass.RIGHT_TO_LEFT: GestureClass.LEFT_TO_RIGHT,
-    GestureClass.TOP_TO_BOTTOM: GestureClass.TOP_TO_BOTTOM,
-    GestureClass.BOTTOM_TO_TOP: GestureClass.BOTTOM_TO_TOP,
-    GestureClass.NO_GESTURE: GestureClass.NO_GESTURE,
-}
-_MIRROR_Y_MAP = {
-    GestureClass.LEFT_TO_RIGHT: GestureClass.LEFT_TO_RIGHT,
-    GestureClass.RIGHT_TO_LEFT: GestureClass.RIGHT_TO_LEFT,
-    GestureClass.TOP_TO_BOTTOM: GestureClass.BOTTOM_TO_TOP,
-    GestureClass.BOTTOM_TO_TOP: GestureClass.TOP_TO_BOTTOM,
-    GestureClass.NO_GESTURE: GestureClass.NO_GESTURE,
-}
-# one clockwise quarter turn: rightward motion becomes downward, and so on
-_ROT90_MAP = {
-    GestureClass.LEFT_TO_RIGHT: GestureClass.TOP_TO_BOTTOM,
-    GestureClass.TOP_TO_BOTTOM: GestureClass.RIGHT_TO_LEFT,
-    GestureClass.RIGHT_TO_LEFT: GestureClass.BOTTOM_TO_TOP,
-    GestureClass.BOTTOM_TO_TOP: GestureClass.LEFT_TO_RIGHT,
-    GestureClass.NO_GESTURE: GestureClass.NO_GESTURE,
-}
 
-
-def gesture_label_map(transform: Transform) -> dict[GestureClass, GestureClass]:
-    """How a transform renames gesture classes (identity for photometric)."""
+def _moved(motion: tuple[int, int], transform) -> tuple[int, int]:
+    """Where a transform sends a motion: a mirror flips one sign, and a
+    clockwise quarter turn maps ``(dx, dy)`` to ``(-dy, dx)``."""
+    dx, dy = motion
     if isinstance(transform, MirrorX):
-        return dict(_MIRROR_X_MAP)
+        return -dx, dy
     if isinstance(transform, MirrorY):
-        return dict(_MIRROR_Y_MAP)
+        return dx, -dy
     if isinstance(transform, Rotate):
-        mapping = {c: c for c in GestureClass}
         for _ in range(transform.quarters % 4):
-            mapping = {src: _ROT90_MAP[dst] for src, dst in mapping.items()}
-        return mapping
-    return {c: c for c in GestureClass}
+            dx, dy = -dy, dx
+    return dx, dy
+
+
+def gesture_label_map(transform: Transform | None) -> dict[GestureClass, GestureClass]:
+    """How a transform renames gesture classes (identity for photometric or None)."""
+    return {cls: _CLASS_OF[_moved(m, transform)] for cls, m in _MOTION.items()}
 
 
 def _remap_label(label: int, kind: str, mapping) -> int:
@@ -331,17 +304,18 @@ def augment(seq: AnnotatedSequence, transform: Transform) -> AnnotatedSequence:
             raise NonSquareImage("quarter-turn rotation needs a square sensor")
         frames = np.rot90(frames, k=-transform.quarters, axes=(1, 2)).copy()
     elif isinstance(transform, Brightness):
-        values = frames.astype(float) + transform.delta
-        frames = np.clip(np.rint(values), 0, ADC_MAX).astype(np.uint16)
+        frames = _to_adc(frames.astype(float) + transform.delta)
     elif isinstance(transform, Gamma):
         if transform.gamma <= 0.0:
             raise InvalidParams("gamma must be > 0")
-        values = ADC_MAX * np.power(frames.astype(float) / ADC_MAX, transform.gamma)
-        frames = np.clip(np.rint(values), 0, ADC_MAX).astype(np.uint16)
+        frames = _to_adc(
+            ADC_MAX * np.power(frames.astype(float) / ADC_MAX, transform.gamma)
+        )
     elif isinstance(transform, Noise):
         rng = np.random.default_rng(transform.seed)
-        values = frames.astype(float) + rng.normal(0.0, transform.sigma, frames.shape)
-        frames = np.clip(np.rint(values), 0, ADC_MAX).astype(np.uint16)
+        frames = _to_adc(
+            frames.astype(float) + rng.normal(0.0, transform.sigma, frames.shape)
+        )
     else:
         raise InvalidParams(f"unknown transform {transform!r}")
     mapping = gesture_label_map(transform)
@@ -404,8 +378,7 @@ def _bridge_frames(
         steps = max(1, int(math.ceil(abs(math.log(to_level / from_level)) / _BRIDGE_RATE)))
     levels = from_level * np.power(to_level / from_level, np.arange(1, steps + 1) / steps)
     values = levels[:, None, None] * np.ones(shape)
-    values = values + rng.normal(0.0, 1.0, values.shape)
-    return np.clip(np.rint(values), 0, ADC_MAX).astype(np.uint16)
+    return _to_adc(values + rng.normal(0.0, 1.0, values.shape))
 
 
 def build_corpus(
@@ -460,12 +433,7 @@ def build_corpus(
         bg = float(np.clip(bg * math.exp(irng.uniform(-0.12, 0.12)), lo, hi))
 
         geom = geoms[int(irng.integers(0, len(geoms)))]
-        mapping = gesture_label_map(geom) if geom is not None else None
-        if mapping is not None:
-            inverse = {dst: src for src, dst in mapping.items()}
-            source = inverse[cls]
-        else:
-            source = cls
+        source = {dst: src for src, dst in gesture_label_map(geom).items()}[cls]
 
         params = GestureSynthParams(
             direction=source,

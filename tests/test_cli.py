@@ -15,12 +15,14 @@ from microgest.cli import main
 from microgest.compression import encoded_payload_size
 from microgest.estimator import activation_time, load_config
 from microgest.model import parse_arch
+from microgest.features import Annotation
 from microgest.model_io import (
     compressed_payload_size,
     load_compressed,
     load_dataset,
     load_model,
     load_model_meta,
+    save_dataset,
     save_model,
 )
 from microgest.pipeline import GestureClass
@@ -401,6 +403,45 @@ def test_unreadable_inputs_are_one_error_line(tmp_path, gesture_setup, capsys):
     err = _one_error_line(capsys, ["eval", "--model", tmp_path / "none.mgnn",
                                    "--data", data])
     assert "none.mgnn" in err
+
+
+@pytest.mark.parametrize("frames", ["1", "0", "-2"])
+def test_train_needs_at_least_two_target_frames(tmp_path, gesture_setup, capsys,
+                                                 frames):
+    _, data, _ = gesture_setup
+    err = _one_error_line(capsys, ["train", "--data", data,
+                                   "--arch", "180-8relu-5softmax",
+                                   "--out", tmp_path / "m.mgnn",
+                                   "--target-frames", frames])
+    assert "at least 2 frames" in err
+    assert not (tmp_path / "m.mgnn").exists()
+
+
+@pytest.mark.parametrize("clusters", ["a", "4,,2", "4.5"])
+def test_compress_rejects_a_malformed_cluster_option(
+    tmp_path, gesture_setup, capsys, clusters
+):
+    _, _, model = gesture_setup
+    err = _one_error_line(capsys, ["compress", "--model", model,
+                                   "--out", tmp_path / "bad.mgcm",
+                                   "--clusters", clusters])
+    assert "--clusters" in err
+
+
+@pytest.mark.parametrize("label", [17, -2, 2**70], ids=["17", "negative", "huge"])
+def test_a_phase_label_outside_the_state_space_is_one_error_line(
+    tmp_path, phase_setup, capsys, label
+):
+    _, data, model = phase_setup
+    ds = load_dataset(data)
+    ds.annotations[40] = Annotation(40, label)
+    bad = tmp_path / "bad.mgds"
+    save_dataset(bad, ds)
+    for argv in (["train", "--data", bad, "--arch", "12-r10tanh-17softmax",
+                  "--out", tmp_path / "m.mgnn", "--epochs", "1"],
+                 ["eval", "--model", model, "--data", bad]):
+        err = _one_error_line(capsys, argv)
+        assert f"phase label {label}" in err
 
 
 # --- infer -------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -384,6 +385,47 @@ def test_infinite_dataset_width_is_corrupt(tmp_path):
         load_dataset(path)
 
 
+# float32 bit patterns; widening the signalling NaN to float64 warns
+_NON_FINITE_F4 = [
+    pytest.param(0x7FC00000, id="quiet-nan"),
+    pytest.param(0x7FA00000, id="signalling-nan"),
+    pytest.param(0x7F800000, id="inf"),
+]
+
+
+def _with_float_at(path, offset_of, bits):
+    """Rewrite one float32 of the payload, at ``offset_of(payload)``."""
+    magic, header, payload = _split(path.read_bytes())
+    at = offset_of(payload)
+    payload = payload[:at] + struct.pack("<I", bits) + payload[at + 4 :]
+    path.write_bytes(_reframe(magic, header, payload))
+
+
+@pytest.mark.parametrize("bits", _NON_FINITE_F4)
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_non_finite_model_parameter_is_a_corrupt_stream(tmp_path, model, where, bits):
+    path = tmp_path / "net.mgnn"
+    save_model(path, *model)
+    _with_float_at(path, lambda p: 0 if where == "weight" else len(p) - 4, bits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptStream):
+            load_model(path)
+
+
+@pytest.mark.parametrize("bits", _NON_FINITE_F4)
+@pytest.mark.parametrize("where", ["centroid", "bias"])
+def test_non_finite_compressed_value_is_a_corrupt_stream(tmp_path, where, bits):
+    _, _, cm = _demo_compressed(False)  # no Huffman: the first centroid opens the core
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    _with_float_at(path, lambda p: 0 if where == "centroid" else len(p) - 4, bits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptStream):
+            load_compressed(path)
+
+
 # --- CRC-valid mutation fuzzing -----------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -485,6 +527,8 @@ def test_crc_valid_mutations_raise_only_microgest_errors(
         return
     if name == "net.mgcm":
         validate(loaded.spec, decompress_model(loaded))
+    elif name == "net.mgnn":
+        validate(*loaded)
 
 
 # --- dataset files -----------------------------------------------------------

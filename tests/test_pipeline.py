@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microgest.errors import ShapeMismatch, TooShort
+from microgest.errors import InvalidParams, ShapeMismatch, TooShort
 from microgest.features import Annotation
 from microgest.model import Activation, LayerKind, chain, zero_params
 from microgest.pipeline import (
@@ -20,6 +20,7 @@ from microgest.pipeline import (
     label_candidates,
     last_phase_state,
     match_events,
+    phase_events,
     phase_state,
     scale_candidate,
 )
@@ -180,6 +181,13 @@ def test_scale_rejects_single_frame():
         scale_candidate(Candidate(frames=np.zeros((1, 3, 3)), start_index=0, end_index=0), 20)
 
 
+@pytest.mark.parametrize("target", [1, 0, -3])
+def test_scale_rejects_a_target_below_two_frames(target):
+    cand = Candidate(frames=np.zeros((5, 3, 3)), start_index=0, end_index=4)
+    with pytest.raises(InvalidParams):
+        scale_candidate(cand, target)
+
+
 @given(st.integers(2, 60), st.integers(0, 2**31 - 1))
 @settings(max_examples=60)
 def test_scaled_values_stay_inside_input_envelope(length, seed):
@@ -275,6 +283,23 @@ def test_fsm_emits_multiple_gestures_in_order():
         (5, GestureClass.LEFT_TO_RIGHT),
         (11, GestureClass.BOTTOM_TO_TOP),
     ]
+
+
+def test_phase_events_of_a_walk_equal_the_fsm_on_its_one_hot_outputs():
+    walk = [0, 1, 2, 3, 4, 0, 0, 13, 14, 15, 16, 0, 8, 0, 5, 6, 0, 12]
+    assert phase_events(walk) == fsm_postprocess(_onehot_walk(walk)) == [
+        (5, GestureClass.LEFT_TO_RIGHT),
+        (11, GestureClass.BOTTOM_TO_TOP),
+        (13, GestureClass.RIGHT_TO_LEFT),
+    ]
+    assert phase_events(np.array([0, 12, 0])) == [(2, GestureClass.TOP_TO_BOTTOM)]
+    assert phase_events([]) == []
+
+
+def test_phase_events_need_a_last_phase_state_then_idle():
+    # -1 (an unlabelled frame) and 20 are neither a last phase state nor idle
+    assert phase_events([0, 4, -1, 0, 8, 0]) == [(5, GestureClass.RIGHT_TO_LEFT)]
+    assert phase_events([0, 20, 0, 16, -1]) == []
 
 
 def test_fsm_rejects_wrong_vector_length():

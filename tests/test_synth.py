@@ -1,10 +1,13 @@
 """Synthetic gesture rendering, augmentation transforms, corpus assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from microgest.errors import InvalidParams, NonSquareImage
-from microgest.features import ADC_MAX, LABEL_KIND_PHASE
+from microgest.features import ADC_MAX, LABEL_KIND_GESTURE, LABEL_KIND_PHASE
+from microgest.model_io import save_dataset
 from microgest.pipeline import GestureClass, PHASES_PER_GESTURE
 from microgest.synth import (
     Brightness,
@@ -170,6 +173,24 @@ def test_four_quarter_turns_compose_to_identity_on_labels():
     assert all(src is dst for src, dst in mapping.items())
 
 
+_PINNED_LABEL_MAPS = {
+    MirrorX(): (R2L, L2R, T2B, B2T, NOG),
+    MirrorY(): (L2R, R2L, B2T, T2B, NOG),
+    Rotate(1): (T2B, B2T, R2L, L2R, NOG),
+    Rotate(2): (R2L, L2R, B2T, T2B, NOG),
+    Rotate(3): (B2T, T2B, L2R, R2L, NOG),
+    Gamma(1.1): (L2R, R2L, T2B, B2T, NOG),
+}
+
+
+@pytest.mark.parametrize("transform", list(_PINNED_LABEL_MAPS))
+def test_label_map_tables_are_pinned(transform):
+    mapping = gesture_label_map(transform)
+    assert list(mapping) == list(GestureClass)
+    assert tuple(mapping.values()) == _PINNED_LABEL_MAPS[transform]
+    assert all(type(v) is GestureClass for v in mapping.values())
+
+
 def test_mirror_then_mirror_restores_labels():
     step = gesture_label_map(MirrorX())
     assert all(step[step[c]] is c for c in GestureClass)
@@ -271,6 +292,27 @@ def test_empty_corpus():
     corpus = build_corpus(0, seed=0)
     assert corpus.frames.shape == (0, 3, 3)
     assert corpus.annotations == []
+
+
+# SHA-256 of the saved ``build_corpus(12, seed=7)`` for each label kind and
+# sensor shape (width, height); rendering changes must keep these bytes.
+_PINNED_CORPUS = {
+    (LABEL_KIND_GESTURE, 3, 3): "c97a87e43aec8f2fa60c292bad586aa1283c8b63600887fc3404bf967368af49",
+    (LABEL_KIND_GESTURE, 4, 3): "696e8b21325ff3a9441a2627d7e2f2f4d7f12ab02ce42fb4ad980b0b9bf78f17",
+    (LABEL_KIND_GESTURE, 2, 5): "48bc624332cb591f23d42c1c245c57ab97f0e2c905970c47361e4788888becfc",
+    (LABEL_KIND_PHASE, 3, 3): "f9e0b5df37fa0691f44969c528d0359bc090ca375bbde887fbbdb7f171e04fe5",
+    (LABEL_KIND_PHASE, 4, 3): "222e290a4c70e8bb0ec7e20d9f220dda2f6f41c8145229c404b16d6125980dba",
+    (LABEL_KIND_PHASE, 2, 5): "31ca5fb6981777ef32ca4e767b4db34d876fdbdd7a4a99b51a0062b521738eb9",
+}
+
+
+@pytest.mark.parametrize("kind, width, height", list(_PINNED_CORPUS))
+def test_saved_corpus_bytes_are_pinned(tmp_path, kind, width, height):
+    corpus = build_corpus(12, seed=7, width=width, height=height, label_kind=kind)
+    path = tmp_path / "corpus.mgds"
+    save_dataset(path, corpus)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _PINNED_CORPUS[kind, width, height]
 
 
 def test_negative_per_class_rejected():
