@@ -14,9 +14,12 @@ compares against stream annotations.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -94,6 +97,28 @@ class ScaledCandidate:
     end_index: int
 
 
+def _frame_pixels(stack: np.ndarray) -> int:
+    """Pixels per frame of a ``(T, ...)`` stack, which must have some."""
+    if stack.ndim < 1:
+        raise ShapeMismatch("frames must be a stack with one frame per row")
+    pixels = math.prod(stack.shape[1:])
+    if pixels == 0:
+        raise ShapeMismatch(f"frames of shape {stack.shape[1:]} have no pixels")
+    return pixels
+
+
+def _frame_means(frames) -> np.ndarray:
+    """Mean brightness of every frame of a ``(T, ...)`` stack, as float64.
+
+    Pixels are widened to float64 before the reduction and each frame is
+    reduced as one contiguous row, which gives the same bits as
+    ``np.asarray(frame, dtype=float).mean()`` taken frame by frame.
+    """
+    stack = np.asarray(frames)
+    pixels = _frame_pixels(stack)
+    return np.asarray(stack, dtype=float).reshape(len(stack), pixels).mean(axis=1)
+
+
 class CandidateDetector:
     """Streaming brightness-dip detector.
 
@@ -117,6 +142,13 @@ class CandidateDetector:
     exceed ``capacity`` buffered frames is truncated and emitted
     immediately, mirroring the fixed frame buffer of the target hardware.
 
+    The rules are one state machine over frame means that tracks frame
+    indices only; every candidate is a contiguous index span.  Streaming
+    and whole-stream detection share it: :meth:`push` takes one frame's
+    mean and keeps just the frames a live index still refers to, while
+    :func:`extract_candidates` takes the means of whole blocks of frames
+    and slices each candidate out of the stack.
+
     One detector instance serves one stream (single writer).  Feed frames
     with :meth:`push`; each call returns the candidates completed by that
     frame.  Call :meth:`finish` at stream end to flush a trailing run.
@@ -133,6 +165,17 @@ class CandidateDetector:
         capacity: int = 80,
         baseline_alpha: float = 0.9,
     ) -> None:
+        for name, value in (("deviation", deviation), ("stability", stability)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidParams(f"{name} must be finite and >= 0, got {value}")
+        if not min_run >= 0:
+            raise InvalidParams(f"min_run must be >= 0, got {min_run}")
+        if not pad >= 0:
+            raise InvalidParams(f"pad must be >= 0, got {pad}")
+        if not capacity >= 1:
+            raise InvalidParams(f"capacity must be at least 1 frame, got {capacity}")
+        if not 0.0 <= baseline_alpha <= 1.0:
+            raise InvalidParams(f"baseline_alpha must be in [0, 1], got {baseline_alpha}")
         self.deviation = deviation
         self.stability = stability
         self.min_run = min_run
@@ -142,12 +185,20 @@ class CandidateDetector:
         self._index = -1
         self._rollavg: float | None = None
         self._prev_mean: float | None = None
-        self._history: deque = deque(maxlen=pad)
-        self._pending: list = []
-        self._run: list = []
-        self._run_count = 0
-        self._post: list = []
         self._phase = self._IDLE
+        # Window layout: ``_hist`` context frames end just before index
+        # ``_mark``; from ``_mark`` on lie the parked frames (idle), or the
+        # ``_run`` frames of the run followed by parked (run) or trailing
+        # (post) frames up to the current index.
+        self._mark = 0
+        self._hist = 0
+        self._run = 0
+        self._run_count = 0
+        # push() only: the stream's frame shape, and the frames from index
+        # ``_first`` on while the window still refers to them
+        self._shape: tuple | None = None
+        self._frames: deque = deque()
+        self._first = 0
 
     @property
     def baseline(self) -> float | None:
@@ -156,137 +207,138 @@ class CandidateDetector:
 
     def push(self, frame: np.ndarray) -> list[Candidate]:
         """Feed one frame; returns candidates completed by this frame."""
-        self._index += 1
-        index = self._index
-        mean = float(np.asarray(frame, dtype=float).mean())
-
-        if self._rollavg is None:
-            self._rollavg = mean
-            self._prev_mean = mean
-            self._history.append((index, frame))
-            return []
-
-        prev = self._prev_mean
-        considered = mean == prev or abs(mean - prev) < self.stability * prev
-        diff = abs(mean - self._rollavg)
-        deviating = diff > 0.0 and diff >= self.deviation * self._rollavg
-        self._prev_mean = mean
-
-        emitted: list[Candidate] = []
-
-        if self._phase == self._POST:
-            self._post.append((index, frame))
-            if considered and not deviating:
-                self._update_baseline(mean)
-            if (
-                len(self._post) >= self.pad
-                or self._buffered() + len(self._post) >= self.capacity
-            ):
-                emitted.append(self._emit())
-            return emitted
-
-        if not considered:
-            self._pending.append((index, frame))
-            if self._phase == self._RUN and self._buffered() >= self.capacity:
-                self._run.extend(self._pending)
-                self._pending = []
-                emitted.append(self._emit(truncated=True))
-            elif self._phase == self._IDLE and len(self._pending) > self.capacity:
-                # pathological flicker; oldest parked frames decay to context
-                self._history.append(self._pending.pop(0))
-            return emitted
-
-        if self._phase == self._IDLE:
-            if deviating:
-                self._run = self._pending + [(index, frame)]
-                self._pending = []
-                self._run_count = 1
-                self._phase = self._RUN
-                if self._buffered() >= self.capacity:
-                    emitted.append(self._emit(truncated=True))
-            else:
-                self._update_baseline(mean)
-                for item in self._pending:
-                    self._history.append(item)
-                self._pending = []
-                self._history.append((index, frame))
-            return emitted
-
-        # self._phase == self._RUN
-        if deviating:
-            self._run.extend(self._pending)
-            self._pending = []
-            self._run.append((index, frame))
-            self._run_count += 1
-            if self._buffered() >= self.capacity:
-                emitted.append(self._emit(truncated=True))
-        else:
-            self._update_baseline(mean)
-            if self._run_count >= self.min_run:
-                self._post = self._pending + [(index, frame)]
-                self._pending = []
-                self._phase = self._POST
-                if len(self._post) >= self.pad:
-                    emitted.append(self._emit())
-            else:
-                for item in self._run + self._pending + [(index, frame)]:
-                    self._history.append(item)
-                self._run = []
-                self._pending = []
-                self._run_count = 0
-                self._phase = self._IDLE
-        return emitted
+        frame = np.asarray(frame)
+        if self._shape is None:
+            self._shape = frame.shape
+        elif frame.shape != self._shape:
+            raise ShapeMismatch(f"frame of shape {frame.shape} in a stream of {self._shape}")
+        self._frames.append(frame)
+        return self._collect(self._advance([float(_frame_means(frame[np.newaxis])[0])]))
 
     def finish(self) -> list[Candidate]:
         """Flush a run still open at stream end."""
-        emitted = []
+        return self._collect(self._close())
+
+    def _collect(self, spans) -> list[Candidate]:
+        """Candidates of the spans from the kept frames, which are then
+        trimmed to those the window still refers to."""
+        found = [
+            Candidate(
+                frames=np.stack(
+                    list(islice(self._frames, first - self._first, last + 1 - self._first))
+                ),
+                start_index=first,
+                end_index=last,
+                truncated=truncated,
+            )
+            for first, last, truncated in spans
+        ]
+        for _ in range(self._mark - self._hist - self._first):
+            self._frames.popleft()
+        self._first = self._mark - self._hist
+        return found
+
+    def _advance(self, means) -> list[tuple[int, int, bool]]:
+        """Step the state machine over the means of the next frames.
+
+        Returns the index spans ``(first, last, truncated)`` of the
+        candidates completed on the way.
+        """
+        deviation, stability = self.deviation, self.stability
+        min_run, pad, capacity = self.min_run, self.pad, self.capacity
+        alpha = self.baseline_alpha
+        IDLE, RUN, POST = self._IDLE, self._RUN, self._POST
+        index, rollavg, prev = self._index, self._rollavg, self._prev_mean
+        phase, mark, hist = self._phase, self._mark, self._hist
+        run, count = self._run, self._run_count
+        spans = []
+        for mean in means:
+            index += 1
+            if rollavg is None:
+                rollavg = prev = mean
+                hist, mark = min(hist + 1, pad), index + 1
+                continue
+            considered = mean == prev or abs(mean - prev) < stability * prev
+            diff = abs(mean - rollavg)
+            deviating = diff > 0.0 and diff >= deviation * rollavg
+            prev = mean
+            if considered and not deviating:
+                rollavg = alpha * rollavg + (1.0 - alpha) * mean
+            emit = truncated = False
+            if phase == POST:
+                post = index + 1 - mark - run
+                emit = post >= pad or hist + run + post >= capacity
+            elif not considered:
+                # parked at the window's end until a considered frame
+                if phase == IDLE and index + 1 - mark > capacity:
+                    # pathological flicker; oldest parked frames decay to context
+                    hist, mark = min(hist + 1, pad), mark + 1
+            elif deviating:
+                # parked frames between deviating ones join the run
+                run = index + 1 - mark
+                count = count + 1 if phase == RUN else 1
+                phase = RUN
+                emit = truncated = hist + run >= capacity
+            elif phase == RUN and count >= min_run:
+                phase = POST
+                emit = index + 1 - mark - run >= pad
+            else:
+                # idle, or a run too short: everything so far is context
+                hist, mark = min(hist + index + 1 - mark, pad), index + 1
+                phase, run, count = IDLE, 0, 0
+            if emit:
+                spans.append(_window_span(mark, hist, run, index + 1, pad, capacity, truncated))
+                phase, mark, hist, run, count = IDLE, index + 1, 0, 0, 0
+        self._index, self._rollavg, self._prev_mean = index, rollavg, prev
+        self._phase, self._mark, self._hist = phase, mark, hist
+        self._run, self._run_count = run, count
+        return spans
+
+    def _close(self) -> list[tuple[int, int, bool]]:
+        """Span of a run still open at stream end; resets the window."""
+        spans = []
         if self._phase == self._POST or (
             self._phase == self._RUN and self._run_count >= self.min_run
         ):
-            if self._phase == self._RUN:
-                self._post = self._pending
-                self._pending = []
-            emitted.append(self._emit())
-        self._reset_window()
-        return emitted
+            spans.append(
+                _window_span(self._mark, self._hist, self._run, self._index + 1,
+                             self.pad, self.capacity, False)
+            )
+        self._phase, self._mark, self._hist = self._IDLE, self._index + 1, 0
+        self._run = self._run_count = 0
+        return spans
 
-    def _buffered(self) -> int:
-        return min(len(self._history), self.pad) + len(self._run)
 
-    def _update_baseline(self, mean: float) -> None:
-        a = self.baseline_alpha
-        self._rollavg = a * self._rollavg + (1.0 - a) * mean
+def _window_span(mark, hist, run, end, pad, capacity, truncated):
+    """Candidate span of a window closed before index ``end``: the context,
+    the run and at most ``pad`` trailing frames, capped at ``capacity``."""
+    trailing = min(end - mark - run, pad)
+    first = mark - hist
+    return first, first + min(hist + run + trailing, capacity) - 1, truncated
 
-    def _emit(self, truncated: bool = False) -> Candidate:
-        pre = list(self._history)[-self.pad:]
-        items = (pre + self._run + self._post[: self.pad])[: self.capacity]
-        frames = np.stack([frame for _, frame in items])
-        cand = Candidate(
-            frames=frames,
-            start_index=items[0][0],
-            end_index=items[-1][0],
-            truncated=truncated,
-        )
-        self._reset_window()
-        return cand
 
-    def _reset_window(self) -> None:
-        self._history.clear()
-        self._pending = []
-        self._run = []
-        self._run_count = 0
-        self._post = []
-        self._phase = self._IDLE
+# Whole-stream detection widens and steps this many pixels at a time, which
+# bounds the float64 copy of the stack.
+_BLOCK_PIXELS = 1 << 14
 
 
 def extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]:
-    """Run the streaming detector over a ``(T, H, W)`` frame stack."""
+    """Run the detector over a ``(T, H, W)`` frame stack.
+
+    Frame means are computed a block of frames at a time; each candidate's
+    frames are one slice of the stack.
+    """
     detector = CandidateDetector(**detector_kwargs)
-    found: list[Candidate] = []
-    for frame in np.asarray(frames):
-        found.extend(detector.push(frame))
-    found.extend(detector.finish())
-    return found
+    stack = np.asarray(frames)
+    step = max(1, _BLOCK_PIXELS // _frame_pixels(stack))
+    spans = []
+    for start in range(0, len(stack), step):
+        spans += detector._advance(_frame_means(stack[start : start + step]).tolist())
+    spans += detector._close()
+    return [
+        Candidate(stack[first : last + 1].copy(), first, last, truncated)
+        for first, last, truncated in spans
+    ]
 
 
 # --- temporal scaling --------------------------------------------------------
@@ -497,19 +549,18 @@ def label_candidates(
     """Pair extracted candidates with gesture labels for training.
 
     A candidate takes the label of the closest annotation within
-    ``tolerance`` frames of its end; candidates matching nothing are
-    labelled NO_GESTURE, which turns spurious detections into negative
-    training examples.
+    ``tolerance`` frames of its end; when annotations are equally close,
+    or share a frame, the one listed first wins.  Candidates matching
+    nothing are labelled NO_GESTURE, which turns spurious detections into
+    negative training examples.
     """
+    order = sorted(range(len(annotations)), key=lambda k: annotations[k].frame)
+    at = [annotations[k].frame for k in order]
     labelled = []
     for cand in candidates:
-        best: Annotation | None = None
-        for ann in annotations:
-            dist = abs(ann.frame - cand.end_index)
-            if dist <= tolerance and (
-                best is None or dist < abs(best.frame - cand.end_index)
-            ):
-                best = ann
-        label = best.label if best is not None else int(GestureClass.NO_GESTURE)
+        end = cand.end_index
+        near = order[bisect_left(at, end - tolerance) : bisect_right(at, end + tolerance)]
+        best = min(near, key=lambda k: (abs(annotations[k].frame - end), k), default=None)
+        label = int(GestureClass.NO_GESTURE) if best is None else annotations[best].label
         labelled.append((cand, label))
     return labelled

@@ -57,18 +57,18 @@ class GestureSynthParams:
     lead_out: int = 15
 
     def __post_init__(self) -> None:
-        if self.speed < 2:
-            raise InvalidParams("speed must be at least 2 frames")
+        if not (math.isfinite(self.speed) and self.speed >= 2):
+            raise InvalidParams("speed must be a finite number of at least 2 frames")
         if not 0.0 < self.occluder_width <= 1.0:
             raise InvalidParams("occluder_width must be in (0, 1]")
         if not 0.0 <= self.background_brightness <= ADC_MAX:
             raise InvalidParams("background_brightness must be in 0..1023")
         if not 0.0 <= self.contrast <= 1.0:
             raise InvalidParams("contrast must be in [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise InvalidParams("noise_sigma must be >= 0")
-        if self.gamma <= 0.0:
-            raise InvalidParams("gamma must be > 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidParams("noise_sigma must be finite and >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise InvalidParams("gamma must be finite and > 0")
         if self.width < 1 or self.height < 1:
             raise InvalidParams("sensor must be at least 1x1")
         if self.lead_in < 0 or self.lead_out < 0:
@@ -243,12 +243,20 @@ class Brightness:
 
     delta: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.delta):
+            raise InvalidParams("brightness delta must be finite")
+
 
 @dataclass(frozen=True)
 class Gamma:
     """Apply ``1023 * (v / 1023) ** gamma`` to every pixel."""
 
     gamma: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise InvalidParams("gamma must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -257,6 +265,10 @@ class Noise:
 
     sigma: float
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise InvalidParams("noise sigma must be finite and >= 0")
 
 
 Transform = MirrorX | MirrorY | Rotate | Brightness | Gamma | Noise
@@ -306,8 +318,6 @@ def augment(seq: AnnotatedSequence, transform: Transform) -> AnnotatedSequence:
     elif isinstance(transform, Brightness):
         frames = _to_adc(frames.astype(float) + transform.delta)
     elif isinstance(transform, Gamma):
-        if transform.gamma <= 0.0:
-            raise InvalidParams("gamma must be > 0")
         frames = _to_adc(
             ADC_MAX * np.power(frames.astype(float) / ADC_MAX, transform.gamma)
         )

@@ -2,20 +2,22 @@
 
 The oracles here deliberately avoid the library's own execution paths:
 forward passes are re-derived with explicit Python loops, gradients with
-central finite differences, and the compressed-model bit codec one bit at
-a time, so a test comparing the two exercises two independent routes to
-the same number.
+central finite differences, the compressed-model bit codec one bit at a
+time, and candidate detection frame by frame, so a test comparing the two
+exercises two independent routes to the same number.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, deque
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from microgest.errors import CorruptStream, InvalidParams
+from microgest.features import Annotation
 from microgest.model import (
     Activation,
     LayerKind,
@@ -23,6 +25,7 @@ from microgest.model import (
     Parameters,
     chain,
 )
+from microgest.pipeline import Candidate, GestureClass
 from microgest.training import init_params
 
 
@@ -240,6 +243,235 @@ def oracle_huffman_decode(encoded, lengths, n_symbols):
         elif length > max_len:
             raise CorruptStream("no code word matches the stream")
     return bytes(out)
+
+
+# --- candidate detection -----------------------------------------------------
+# The frame-based streaming detector and the annotation-scanning labeller as
+# they stood before the library moved to an index-based state machine over
+# precomputed frame means and a sorted annotation search.  They push whole
+# frames through Python lists and compare every candidate with every
+# annotation, which makes them a second route to the same candidates and
+# labels.
+
+class OracleCandidateDetector:
+    """Streaming brightness-dip detector.
+
+    The detector tracks a rolling average of image mean brightness and looks
+    for runs of frames deviating from it by a tenth or more.  A run of at
+    least ``min_run`` counted frames becomes a candidate, padded with
+    ``pad`` frames of context on each side.
+
+    Two stability rules shape what is counted:
+
+    * only frames whose mean differs by less than one percent from the
+      previous frame's mean are "considered"; a not-considered frame
+      freezes the detector (it neither updates the rolling average nor
+      counts toward or against a run) and is parked until the next
+      considered frame decides where it belongs;
+    * the rolling average is updated only by considered frames that do not
+      deviate, so candidates never drag the baseline toward themselves.
+
+    Parked frames sandwiched between deviating frames join the run; parked
+    frames at a run's end become its trailing context.  A run that would
+    exceed ``capacity`` buffered frames is truncated and emitted
+    immediately, mirroring the fixed frame buffer of the target hardware.
+
+    One detector instance serves one stream (single writer).  Feed frames
+    with :meth:`push`; each call returns the candidates completed by that
+    frame.  Call :meth:`finish` at stream end to flush a trailing run.
+    """
+
+    _IDLE, _RUN, _POST = range(3)
+
+    def __init__(
+        self,
+        deviation: float = 0.10,
+        stability: float = 0.01,
+        min_run: int = 9,
+        pad: int = 5,
+        capacity: int = 80,
+        baseline_alpha: float = 0.9,
+    ) -> None:
+        self.deviation = deviation
+        self.stability = stability
+        self.min_run = min_run
+        self.pad = pad
+        self.capacity = capacity
+        self.baseline_alpha = baseline_alpha
+        self._index = -1
+        self._rollavg: float | None = None
+        self._prev_mean: float | None = None
+        self._history: deque = deque(maxlen=pad)
+        self._pending: list = []
+        self._run: list = []
+        self._run_count = 0
+        self._post: list = []
+        self._phase = self._IDLE
+
+    @property
+    def baseline(self) -> float | None:
+        """Current rolling average of image mean brightness."""
+        return self._rollavg
+
+    def push(self, frame: np.ndarray) -> list[Candidate]:
+        """Feed one frame; returns candidates completed by this frame."""
+        self._index += 1
+        index = self._index
+        mean = float(np.asarray(frame, dtype=float).mean())
+
+        if self._rollavg is None:
+            self._rollavg = mean
+            self._prev_mean = mean
+            self._history.append((index, frame))
+            return []
+
+        prev = self._prev_mean
+        considered = mean == prev or abs(mean - prev) < self.stability * prev
+        diff = abs(mean - self._rollavg)
+        deviating = diff > 0.0 and diff >= self.deviation * self._rollavg
+        self._prev_mean = mean
+
+        emitted: list[Candidate] = []
+
+        if self._phase == self._POST:
+            self._post.append((index, frame))
+            if considered and not deviating:
+                self._update_baseline(mean)
+            if (
+                len(self._post) >= self.pad
+                or self._buffered() + len(self._post) >= self.capacity
+            ):
+                emitted.append(self._emit())
+            return emitted
+
+        if not considered:
+            self._pending.append((index, frame))
+            if self._phase == self._RUN and self._buffered() >= self.capacity:
+                self._run.extend(self._pending)
+                self._pending = []
+                emitted.append(self._emit(truncated=True))
+            elif self._phase == self._IDLE and len(self._pending) > self.capacity:
+                # pathological flicker; oldest parked frames decay to context
+                self._history.append(self._pending.pop(0))
+            return emitted
+
+        if self._phase == self._IDLE:
+            if deviating:
+                self._run = self._pending + [(index, frame)]
+                self._pending = []
+                self._run_count = 1
+                self._phase = self._RUN
+                if self._buffered() >= self.capacity:
+                    emitted.append(self._emit(truncated=True))
+            else:
+                self._update_baseline(mean)
+                for item in self._pending:
+                    self._history.append(item)
+                self._pending = []
+                self._history.append((index, frame))
+            return emitted
+
+        # self._phase == self._RUN
+        if deviating:
+            self._run.extend(self._pending)
+            self._pending = []
+            self._run.append((index, frame))
+            self._run_count += 1
+            if self._buffered() >= self.capacity:
+                emitted.append(self._emit(truncated=True))
+        else:
+            self._update_baseline(mean)
+            if self._run_count >= self.min_run:
+                self._post = self._pending + [(index, frame)]
+                self._pending = []
+                self._phase = self._POST
+                if len(self._post) >= self.pad:
+                    emitted.append(self._emit())
+            else:
+                for item in self._run + self._pending + [(index, frame)]:
+                    self._history.append(item)
+                self._run = []
+                self._pending = []
+                self._run_count = 0
+                self._phase = self._IDLE
+        return emitted
+
+    def finish(self) -> list[Candidate]:
+        """Flush a run still open at stream end."""
+        emitted = []
+        if self._phase == self._POST or (
+            self._phase == self._RUN and self._run_count >= self.min_run
+        ):
+            if self._phase == self._RUN:
+                self._post = self._pending
+                self._pending = []
+            emitted.append(self._emit())
+        self._reset_window()
+        return emitted
+
+    def _buffered(self) -> int:
+        return min(len(self._history), self.pad) + len(self._run)
+
+    def _update_baseline(self, mean: float) -> None:
+        a = self.baseline_alpha
+        self._rollavg = a * self._rollavg + (1.0 - a) * mean
+
+    def _emit(self, truncated: bool = False) -> Candidate:
+        pre = list(self._history)[-self.pad:]
+        items = (pre + self._run + self._post[: self.pad])[: self.capacity]
+        frames = np.stack([frame for _, frame in items])
+        cand = Candidate(
+            frames=frames,
+            start_index=items[0][0],
+            end_index=items[-1][0],
+            truncated=truncated,
+        )
+        self._reset_window()
+        return cand
+
+    def _reset_window(self) -> None:
+        self._history.clear()
+        self._pending = []
+        self._run = []
+        self._run_count = 0
+        self._post = []
+        self._phase = self._IDLE
+
+
+def oracle_extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]:
+    """Run the streaming detector over a ``(T, H, W)`` frame stack."""
+    detector = OracleCandidateDetector(**detector_kwargs)
+    found: list[Candidate] = []
+    for frame in np.asarray(frames):
+        found.extend(detector.push(frame))
+    found.extend(detector.finish())
+    return found
+
+
+def oracle_label_candidates(
+    candidates: Sequence[Candidate],
+    annotations: Sequence[Annotation],
+    tolerance: int = 10,
+) -> list[tuple[Candidate, int]]:
+    """Pair extracted candidates with gesture labels for training.
+
+    A candidate takes the label of the closest annotation within
+    ``tolerance`` frames of its end; candidates matching nothing are
+    labelled NO_GESTURE, which turns spurious detections into negative
+    training examples.
+    """
+    labelled = []
+    for cand in candidates:
+        best: Annotation | None = None
+        for ann in annotations:
+            dist = abs(ann.frame - cand.end_index)
+            if dist <= tolerance and (
+                best is None or dist < abs(best.frame - cand.end_index)
+            ):
+                best = ann
+        label = best.label if best is not None else int(GestureClass.NO_GESTURE)
+        labelled.append((cand, label))
+    return labelled
 
 
 # --- random model construction -----------------------------------------------

@@ -2,6 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import (
+    OracleCandidateDetector,
+    oracle_extract_candidates,
+    oracle_label_candidates,
+)
 from hypothesis import given, settings, strategies as st
 
 from microgest.errors import InvalidParams, ShapeMismatch, TooShort
@@ -23,7 +28,9 @@ from microgest.pipeline import (
     phase_events,
     phase_state,
     scale_candidate,
+    _frame_means,
 )
+from microgest.synth import build_corpus
 
 
 def _stream(*segments):
@@ -125,6 +132,184 @@ def test_run_open_at_stream_end_is_flushed_by_finish():
     assert collected == []
     collected.extend(det.finish())
     assert len(collected) == 1
+
+
+def _same_candidates(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.start_index, a.end_index, a.truncated) == (
+            b.start_index, b.end_index, b.truncated
+        )
+        assert a.frames.dtype == b.frames.dtype
+        assert a.frames.shape == b.frames.shape
+        assert a.frames.tobytes() == b.frames.tobytes()
+
+
+# Stream segments, each a level relative to the starting brightness: a steady
+# stretch, a dip or rise held for the segment and entered and left through
+# ``edge`` intermediate frames (each one parked), flicker whose consecutive
+# means differ by a few percent (every frame is parked), and a slow drift.
+_SEGMENT = st.tuples(
+    st.sampled_from(["steady", "dip", "flicker", "drift"]),
+    st.integers(1, 120),
+    st.floats(0.5, 1.5),
+    st.integers(0, 3),
+)
+
+
+def _dip_stream(segments, shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    levels = []
+    for kind, length, factor, edge in segments:
+        if kind == "steady":
+            levels += [1.0] * length
+        elif kind == "dip":
+            ramp = list(np.linspace(1.0, factor, edge + 2)[1:-1])
+            levels += ramp + [factor] * length + ramp[::-1]
+        elif kind == "flicker":
+            levels += [1.0 + 0.04 * (i % 2) for i in range(length)]
+        else:
+            levels += list(np.linspace(1.0, factor, length))
+    frames = 700.0 * np.asarray(levels)[:, None, None] + rng.normal(
+        0.0, 1.5, (len(levels),) + shape
+    )
+    if dtype == "uint16":
+        return np.clip(np.rint(frames), 0, 1023).astype(np.uint16)
+    return frames.astype(dtype)
+
+
+@given(
+    segments=st.lists(_SEGMENT, max_size=10),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    dtype=st.sampled_from(["uint16", "float64", "float32"]),
+    seed=st.integers(0, 2**32 - 1),
+    kwargs=st.fixed_dictionaries(
+        {
+            "min_run": st.integers(0, 14),
+            "pad": st.integers(0, 8),
+            "capacity": st.integers(1, 90),
+        },
+        optional={
+            "deviation": st.sampled_from([0.0, 0.05, 0.10, 0.2]),
+            "stability": st.sampled_from([0.0, 0.005, 0.01, 0.05]),
+            "baseline_alpha": st.floats(0.0, 1.0),
+        },
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_detector_equals_the_frame_based_oracle(segments, shape, dtype, seed, kwargs):
+    _assert_detector_equals_oracle(_dip_stream(segments, shape, dtype, seed), kwargs)
+
+
+def _assert_detector_equals_oracle(frames, kwargs):
+    want = oracle_extract_candidates(frames, **kwargs)
+    _same_candidates(extract_candidates(frames, **kwargs), want)
+    # each push completes the same candidates as the oracle's, at that push
+    det, oracle = CandidateDetector(**kwargs), OracleCandidateDetector(**kwargs)
+    for frame in frames:
+        _same_candidates(det.push(frame), oracle.push(frame))
+        assert det.baseline == oracle.baseline
+    _same_candidates(det.finish(), oracle.finish())
+    return want
+
+
+_TWO_DIPS = _stream((15, 800), (12, 640), (13, 800), (12, 640), (13, 800))
+_FLICKER = np.concatenate(
+    [_stream((10, 800))]
+    + [_stream((1, 800), (1, 840))] * 60
+    + [_stream((12, 600), (20, 800))]
+)
+
+
+@pytest.mark.parametrize(
+    "frames, kwargs",
+    [
+        (_stream((15, 800), (12, 640)), {}),
+        (_stream((15, 800), (12, 640), (3, 800)), {}),
+        (_TWO_DIPS, dict(capacity=20)),
+        (_TWO_DIPS, dict(pad=2)),
+        (_TWO_DIPS, dict(capacity=16)),
+        (_FLICKER, dict(capacity=5)),
+        (_FLICKER, dict(capacity=30)),
+        (_FLICKER, {}),
+    ],
+    ids=[
+        "ends-in-run",
+        "ends-in-trailing-context",
+        "trailing-context-fills-buffer",
+        "parked-frame-completes-context",
+        "run-fills-buffer",
+        "flicker-beyond-small-capacity",
+        "flicker-beyond-capacity",
+        "flicker-beyond-default-capacity",
+    ],
+)
+def test_detector_equals_the_oracle_on_window_edges(frames, kwargs):
+    assert _assert_detector_equals_oracle(frames, kwargs)
+
+
+def _per_frame_means(frames):
+    return np.array([float(np.asarray(f, dtype=float).mean()) for f in frames])
+
+
+def test_whole_stack_means_equal_per_frame_means_bit_for_bit():
+    # The detector compares means with thresholds, so a last-bit difference
+    # can move a candidate; a numpy whose row reduction sums differently
+    # from its whole-array reduction must fail here.
+    rng = np.random.default_rng(201)
+    stacks = [
+        build_corpus(40, seed=201).frames,
+        rng.integers(0, 1024, size=(50_000, 3, 3)).astype(np.uint16),
+        rng.uniform(0.0, 1023.0, size=(50_000, 3, 3)),
+        rng.uniform(0.0, 1023.0, size=(20_000, 3, 3)).astype(np.float32),
+        rng.uniform(0.0, 1023.0, size=(50, 100, 100)).astype(np.float32),
+        rng.uniform(0.0, 1023.0, size=(50, 1, 5000)),
+        rng.uniform(0.0, 1023.0, size=(200, 7, 13)),
+    ]
+    for stack in stacks:
+        assert _frame_means(stack).tobytes() == _per_frame_means(stack).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(capacity=0),
+        dict(capacity=-3),
+        dict(pad=-1),
+        dict(min_run=-1),
+        dict(deviation=float("nan")),
+        dict(deviation=float("inf")),
+        dict(deviation=-0.1),
+        dict(stability=float("nan")),
+        dict(stability=-0.01),
+        dict(baseline_alpha=1.5),
+        dict(baseline_alpha=-0.1),
+        dict(baseline_alpha=float("nan")),
+    ],
+)
+def test_invalid_detector_parameters_rejected(kwargs):
+    with pytest.raises(InvalidParams):
+        CandidateDetector(**kwargs)
+    with pytest.raises(InvalidParams):
+        extract_candidates(_stream((20, 800)), **kwargs)
+
+
+def test_frames_without_pixels_are_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch):
+        extract_candidates(np.zeros((5, 0, 3)))
+    with pytest.raises(ShapeMismatch):
+        CandidateDetector().push(np.zeros((3, 0)))
+
+
+def test_a_frame_of_another_shape_is_a_shape_mismatch():
+    det = CandidateDetector()
+    det.push(np.zeros((3, 3)))
+    with pytest.raises(ShapeMismatch):
+        det.push(np.zeros((3, 4)))
+
+
+def test_empty_stream_yields_no_candidates():
+    assert extract_candidates(np.zeros((0, 3, 3))) == []
 
 
 # --- temporal scaling --------------------------------------------------------
@@ -393,3 +578,28 @@ def test_label_candidates_tolerance_boundary():
     anns = [Annotation(100, 1)]
     assert label_candidates([_cand(110)], anns)[0][1] == 1
     assert label_candidates([_cand(111)], anns)[0][1] == int(GestureClass.NO_GESTURE)
+
+
+def test_label_candidates_prefers_the_first_listed_on_a_tie():
+    # equally far on either side, and two annotations on one frame
+    assert label_candidates([_cand(105)], [Annotation(110, 3), Annotation(100, 1)])[0][1] == 3
+    assert label_candidates([_cand(105)], [Annotation(100, 1), Annotation(110, 3)])[0][1] == 1
+    anns = [Annotation(104, 2), Annotation(90, 0), Annotation(104, 1)]
+    assert label_candidates([_cand(105)], anns)[0][1] == 2
+
+
+@given(
+    ends=st.lists(st.integers(0, 80), max_size=12),
+    annotations=st.lists(st.tuples(st.integers(0, 80), st.integers(0, 4)), max_size=12),
+    tolerance=st.integers(-2, 30),
+)
+@settings(max_examples=300, deadline=None)
+def test_label_candidates_equals_the_scanning_oracle(ends, annotations, tolerance):
+    # annotations arrive unsorted and may share frames
+    cands = [_cand(end) for end in ends]
+    anns = [Annotation(frame, label) for frame, label in annotations]
+    got = label_candidates(cands, anns, tolerance)
+    want = oracle_label_candidates(cands, anns, tolerance)
+    assert [(c.end_index, label) for c, label in got] == [
+        (c.end_index, label) for c, label in want
+    ]

@@ -121,6 +121,12 @@ def test_gamma_darkens_midtones():
         dict(gamma=0.0),
         dict(width=0),
         dict(lead_in=-1),
+        dict(speed=np.inf),
+        dict(speed=np.nan),
+        dict(noise_sigma=np.inf),
+        dict(noise_sigma=np.nan),
+        dict(gamma=np.inf),
+        dict(gamma=np.nan),
     ],
 )
 def test_invalid_render_parameters_rejected(kw):
@@ -205,6 +211,27 @@ def test_rotation_requires_square_sensor():
 def test_whole_turn_rotation_rejected():
     with pytest.raises(InvalidParams):
         Rotate(4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Brightness(np.nan),
+        lambda: Brightness(np.inf),
+        lambda: Gamma(np.nan),
+        lambda: Gamma(np.inf),
+        lambda: Gamma(0.0),
+        lambda: Noise(np.nan),
+        lambda: Noise(np.inf),
+        lambda: Noise(-1.0),
+    ],
+    ids=["delta-nan", "delta-inf", "gamma-nan", "gamma-inf", "gamma-zero",
+         "sigma-nan", "sigma-inf", "sigma-negative"],
+)
+def test_invalid_photometric_transform_rejected(make):
+    seq = synthesize_gesture(_params(), seed=0)
+    with pytest.raises(InvalidParams):
+        augment(seq, make())
 
 
 def test_brightness_shift_clamps_to_adc_range():
