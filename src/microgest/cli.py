@@ -25,9 +25,7 @@ from .features import (
     LABEL_KIND_PHASE,
     AnnotatedSequence,
     Annotation,
-    RollingStats,
-    build_features,
-    update_rolling,
+    stream_features,
 )
 from .inference import step_rnn
 from .model import ModelSpec, RnnState, format_arch, parse_arch
@@ -119,20 +117,6 @@ def _candidate_dataset(
     return X, y
 
 
-def _stream_features(ds: AnnotatedSequence, with_stats: bool) -> np.ndarray:
-    """Per-frame feature rows: normalized pixels, then (``with_stats``) the
-    three rolling statistics."""
-    stats = RollingStats() if with_stats else None
-    rows = []
-    for t in range(len(ds)):
-        image = ds.image(t)
-        if stats is not None:
-            update_rolling(stats, image)
-        rows.append(build_features(image, stats))
-    width = ds.width * ds.height + (3 if with_stats else 0)
-    return np.stack(rows) if rows else np.zeros((0, width))
-
-
 def _rnn_outputs(spec, params, X: np.ndarray) -> list[np.ndarray]:
     """Per-frame network outputs over a feature stream, from zero state."""
     state = RnnState(spec)
@@ -169,7 +153,7 @@ def _stream_events(spec, params, ds: AnnotatedSequence, target_frames: int,
             f"model wants {spec.features} features but frames provide "
             f"{pixels} pixels (+3 rolling statistics)"
         )
-    X = _stream_features(ds, with_stats=spec.features == pixels + 3)
+    X = stream_features(ds.frames, with_stats=spec.features == pixels + 3)
     return fsm_postprocess(_rnn_outputs(spec, params, X))
 
 
@@ -219,6 +203,11 @@ def _split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # one check for both data kinds; NaN fails the comparison too
+    if not 0.0 <= args.val_fraction < 1.0:
+        raise InvalidParams(
+            f"--val-fraction must lie in [0, 1), got {args.val_fraction}"
+        )
     spec = parse_arch(args.arch)
     ds = load_dataset(args.data)
     cfg = TrainingConfig(
@@ -233,7 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     human: list[str] = []
 
     if ds.label_kind == LABEL_KIND_PHASE:
-        X = _stream_features(ds, with_stats=True)
+        X = stream_features(ds.frames, with_stats=True)
         targets = _phase_targets(ds)
         if X.shape[0] and X.shape[1] != spec.features:
             raise ShapeMismatch(
@@ -246,6 +235,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         n_val = int(round(args.val_fraction * len(ds)))
         cut = len(ds) - n_val
+        if not cut:
+            raise InvalidParams(
+                f"no frames to train on: {len(ds)} frames, "
+                f"--val-fraction {args.val_fraction}"
+            )
         params, history = train_rnn_bptt(
             spec, params, [(X[:cut], targets[:cut])], cfg, horizon=args.horizon
         )

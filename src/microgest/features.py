@@ -4,6 +4,12 @@ The sensor is a small photodiode array (3x3 in the reference hardware) read
 by a 10-bit ADC, so raw pixels are integers in 0..1023.  Normalization
 divides by 1024: a power of two that the target reaches by exponent
 arithmetic alone, at the price of never producing exactly 1.0.
+
+Features come two ways with one rolling-statistics rule: a streaming caller
+feeds one :class:`Image` at a time to :func:`update_rolling` and
+:func:`build_features`, and :func:`stream_features` computes the same rows
+for a whole frame stack.  Both step the recursion through the same helper,
+so the two routes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ def normalize(image: Image) -> np.ndarray:
 def normalize_frames(frames: np.ndarray) -> np.ndarray:
     """Vector version of :func:`normalize` for a ``(T, H, W)`` frame stack."""
     frames = np.asarray(frames)
-    return frames.astype(float).reshape(frames.shape[0], -1) / NORM_DIVISOR
+    pixels = int(np.prod(frames.shape[1:]))
+    return frames.astype(float).reshape(frames.shape[0], pixels) / NORM_DIVISOR
 
 
 @dataclass
@@ -83,19 +90,23 @@ class RollingStats:
         return self.avg is not None
 
 
-def update_rolling(stats: RollingStats, image: Image) -> RollingStats:
-    """Feed one image into the rolling statistics (in place, also returned)."""
-    s = normalize(image)
+def _roll(stats: RollingStats, s: np.ndarray) -> None:
+    """One step of the rolling recursion on the normalized sample ``s``."""
     if stats.avg is None:
         stats.avg = s.copy()
         stats.min = s.copy()
         stats.max = s.copy()
-        return stats
+        return
     a = stats.alpha
     avg_prev = stats.avg
     stats.min = np.minimum(s, a * stats.min + (1.0 - a) * avg_prev)
     stats.max = np.maximum(s, a * stats.max + (1.0 - a) * avg_prev)
     stats.avg = a * avg_prev + (1.0 - a) * s
+
+
+def update_rolling(stats: RollingStats, image: Image) -> RollingStats:
+    """Feed one image into the rolling statistics (in place, also returned)."""
+    _roll(stats, normalize(image))
     return stats
 
 
@@ -117,6 +128,41 @@ def build_features(image: Image, stats: RollingStats | None = None) -> np.ndarra
         [float(np.mean(stats.avg)), float(np.mean(stats.min)), float(np.mean(stats.max))]
     )
     return np.concatenate([base, extras])
+
+
+# frames whose rolling tracks are held at once while their means are taken
+_STATS_BLOCK = 256
+
+
+def stream_features(
+    frames: np.ndarray, with_stats: bool, alpha: float = 0.99
+) -> np.ndarray:
+    """:func:`build_features` for every frame of a ``(T, H, W)`` stack.
+
+    Returns ``(T, H*W)`` normalized pixels, plus (``with_stats``) the three
+    aggregates of rolling statistics fed the stream from its first frame,
+    equal bit for bit to updating a fresh :class:`RollingStats` and
+    building features frame by frame.  The stack is normalized with one
+    division; the recursion steps through the frames with the same step as
+    :func:`update_rolling`; the means are taken one block of frames at a
+    time, which bounds the tracks held at once.  Pixel ranges are not
+    checked here (:meth:`AnnotatedSequence.check` does that).
+    """
+    pixels = normalize_frames(frames)
+    if not with_stats:
+        return pixels
+    stats = RollingStats(alpha)
+    T, n = pixels.shape
+    out = np.empty((T, n + 3))
+    out[:, :n] = pixels
+    tracks = np.empty((min(T, _STATS_BLOCK), 3, n))
+    for start in range(0, T, _STATS_BLOCK):
+        block = pixels[start : start + _STATS_BLOCK]
+        for k, s in enumerate(block):
+            _roll(stats, s)
+            tracks[k] = stats.avg, stats.min, stats.max
+        out[start : start + len(block), n:] = tracks[: len(block)].mean(axis=-1)
+    return out
 
 
 # --- annotated frame streams -------------------------------------------------

@@ -142,8 +142,8 @@ def _relu(x: np.ndarray) -> np.ndarray:
 def softmax(v: np.ndarray) -> np.ndarray:
     """Exact softmax, shifted by the maximum for numeric range control."""
     v = np.asarray(v, dtype=float)
-    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def approx_softmax(v: np.ndarray) -> np.ndarray:
@@ -155,9 +155,9 @@ def approx_softmax(v: np.ndarray) -> np.ndarray:
     exact softmax and still sum to one.
     """
     v = np.asarray(v, dtype=float)
-    shifted = np.maximum(v - np.max(v, axis=-1, keepdims=True), _SOFTMAX_SHIFT_FLOOR)
+    shifted = np.maximum(v - v.max(axis=-1, keepdims=True), _SOFTMAX_SHIFT_FLOOR)
     e = approx_exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def max_onehot(v: np.ndarray) -> np.ndarray:

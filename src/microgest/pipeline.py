@@ -15,6 +15,7 @@ compares against stream annotations.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -168,12 +169,13 @@ class CandidateDetector:
         for name, value in (("deviation", deviation), ("stability", stability)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidParams(f"{name} must be finite and >= 0, got {value}")
-        if not min_run >= 0:
-            raise InvalidParams(f"min_run must be >= 0, got {min_run}")
-        if not pad >= 0:
-            raise InvalidParams(f"pad must be >= 0, got {pad}")
-        if not capacity >= 1:
-            raise InvalidParams(f"capacity must be at least 1 frame, got {capacity}")
+        for name, value, least in (("min_run", min_run, 0), ("pad", pad, 0),
+                                   ("capacity", capacity, 1)):
+            # frame counts: a float or a bool is not one, even when it is whole
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidParams(f"{name} must be >= {least}, got {value}")
         if not 0.0 <= baseline_alpha <= 1.0:
             raise InvalidParams(f"baseline_alpha must be in [0, 1], got {baseline_alpha}")
         self.deviation = deviation

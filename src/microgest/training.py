@@ -7,23 +7,38 @@ whose output layer is declared MAX or APPROX_SOFTMAX train against exact
 softmax: those two kinds are execution-time substitutes and share its
 gradient.
 
-The forward passes own no arithmetic: every layer of a batch or of a BPTT
-time step goes through :func:`microgest.inference.layer_forward`, the same
-kernel and activation table that inference uses, so its multiply-accumulates
-are counted by :func:`microgest.inference.count_macs` too.  The kernel is
-called directly, not through ``forward_dense``, so per-layer timings taken
-around the inference steppers measure inference only.
+The forward passes own no arithmetic: every layer of a batch, of a BPTT
+window or of a BPTT time step goes through
+:func:`microgest.inference.layer_forward`, the same kernel and activation
+table that inference uses, so its multiply-accumulates are counted by
+:func:`microgest.inference.count_macs` too.  The kernel is called
+directly, not through ``forward_dense``, so per-layer timings taken around
+the inference steppers measure inference only.
 
 The backward passes have one activation derivative, ``_pull_back``.  It
-works on the last axis, so a minibatch and one BPTT time step use the same
-lines: the softmax family goes through its Jacobian product, element-wise
-kinds multiply by their derivative, with subgradient zero at the kinks of
-relu and hard sigmoid.  Recurrent training has one loop over BPTT windows,
-the lazy generator ``_windows``, shared by :func:`sequence_loss`,
-:func:`sequence_gradients` and :func:`train_rnn_bptt`; inside a window
-only ``_forward_window`` and ``_backward_window`` do arithmetic.  Every
-public function that reads parameters and data starts with one entry
-check (``_ffnn_inputs`` or ``_sequence_inputs``) that validates the
+works on the last axis, so a minibatch, a window of time steps and one
+time step use the same lines: the softmax family goes through its Jacobian
+product, element-wise kinds multiply by their derivative, with subgradient
+zero at the kinks of relu and hard sigmoid.  Recurrent training has one
+loop over BPTT windows, the lazy generator ``_windows``, shared by
+:func:`sequence_loss`, :func:`sequence_gradients` and
+:func:`train_rnn_bptt`; inside a window only ``_forward_window`` and
+``_backward_window`` do arithmetic.
+
+Truncated BPTT (Williams and Peng, 1990) is time-major.  Dense layers
+below the first recurrent layer depend on no earlier step, so they run
+once per window, forward and backward, over all its steps at once; only
+the first recurrent layer and the layers above it loop over ``t``.  The
+result is bit-identical to stepping every layer: the prefix's products go
+through numpy as stacks of single rows (``(T, 1, fan_in)`` forward,
+``(n, 1)`` columns backward), which numpy multiplies one row at a time
+exactly as it does a lone vector, and every layer's weight and bias
+gradients add their per-step terms from the last step to the first.  A
+plain ``(T, fan_in)`` product, or a reduction over the steps, would round
+differently.
+
+Every public function that reads parameters and data starts with one
+entry check (``_ffnn_inputs`` or ``_sequence_inputs``) that validates the
 parameters against the spec before anything is computed.
 """
 
@@ -116,7 +131,7 @@ def _pull_back(
     """
     kind = _train_kind(kind)
     if kind is Activation.SOFTMAX:
-        return A * (dA - np.sum(dA * A, axis=-1, keepdims=True))
+        return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
     if kind is Activation.SIGMOID:
         return dA * (A * (1.0 - A))
     if kind is Activation.TANH:
@@ -420,17 +435,44 @@ def _sequence_inputs(spec: ModelSpec, params: Parameters, sequences):
     return sequences
 
 
+def _first_stepped(spec: ModelSpec) -> int:
+    """Index of the lowest layer that steps through time: the first
+    recurrent layer, or the output layer of a net without one."""
+    return next(
+        (i for i, layer in enumerate(spec.layers) if layer.kind is LayerKind.RECURRENT),
+        len(spec.layers) - 1,
+    )
+
+
 def _forward_window(spec: ModelSpec, Ws, bs, X_win, state: RnnState):
-    """Forward one window, updating ``state`` in place; returns caches."""
+    """Forward one window, updating ``state`` in place; returns caches.
+
+    ``U``, ``Z`` and ``A`` hold one ``(T, width)`` array per layer.  The
+    dense prefix below the first recurrent layer runs once per window: its
+    rows go through the kernel stacked as ``(T, 1, fan_in)``, which numpy
+    multiplies row by row exactly as it does a lone vector, so every row
+    equals the per-step value bit for bit and counts the same MACs.  Only
+    the first recurrent layer and the layers above it step through ``t``.
+    """
     T = X_win.shape[0]
-    U = [np.empty((T, layer.fan_in)) for layer in spec.layers]
-    Z = [np.empty((T, layer.neurons)) for layer in spec.layers]
-    A = [np.empty((T, layer.neurons)) for layer in spec.layers]
     kinds = [_train_kind(layer.activation) for layer in spec.layers]
+    first = _first_stepped(spec)
+    U, Z, A = [], [], []
+    below = X_win
+    for i in range(first):
+        z, a = layer_forward(kinds[i], Ws[i], bs[i], below[:, None, :])
+        U.append(below)
+        Z.append(z[:, 0])
+        A.append(a[:, 0])
+        below = A[-1]
+    for layer in spec.layers[first:]:
+        U.append(np.empty((T, layer.fan_in)))
+        Z.append(np.empty((T, layer.neurons)))
+        A.append(np.empty((T, layer.neurons)))
     for t in range(T):
-        x = X_win[t]
-        for i, layer in enumerate(spec.layers):
-            recurrent = layer.kind is LayerKind.RECURRENT
+        x = below[t]
+        for i in range(first, len(spec.layers)):
+            recurrent = spec.layers[i].kind is LayerKind.RECURRENT
             u = np.concatenate([x, state.layer(i)]) if recurrent else x
             z, x = layer_forward(kinds[i], Ws[i], bs[i], u)
             U[i][t], Z[i][t], A[i][t] = u, z, x
@@ -442,16 +484,26 @@ def _forward_window(spec: ModelSpec, Ws, bs, X_win, state: RnnState):
 def _backward_window(spec: ModelSpec, Ws, U, Z, A, targets, scale):
     """Full backprop inside one window; no gradient crosses its start.
 
-    At each step one gradient ``da`` walks down the layers; a recurrent
-    layer adds the gradient its output sent to the next step's input.
+    The first recurrent layer and the layers above it step back through
+    ``t``: one gradient ``da`` walks down them, and a recurrent layer adds
+    the gradient its output sent to the next step's input.  What reaches
+    the dense prefix is kept per step and pulled through the prefix once
+    per window: ``dA = W.T @ dZ`` as a stack of ``(n, 1)`` columns, which
+    numpy multiplies column by column exactly as it does a lone vector.
+    Every layer's ``dZ`` rows are kept, and its weight and bias gradients
+    add their per-step terms from the last step to the first, starting at
+    zero, so the sums round as a per-step walk does; a reduction over the
+    steps could add pairwise.
     """
     top = len(spec.layers) - 1
-    gW = [np.zeros_like(W) for W in Ws]
-    gb = [np.zeros(W.shape[0]) for W in Ws]
+    first = _first_stepped(spec)
+    T = U[0].shape[0]
+    DZ = [np.empty((T, W.shape[0])) for W in Ws]
     feedback = RnnState(spec)
-    for t in range(U[0].shape[0] - 1, -1, -1):
+    DA = np.empty((T, spec.layers[first].input_size))
+    for t in range(T - 1, -1, -1):
         da = np.zeros(spec.output_size)
-        for i in range(top, -1, -1):
+        for i in range(top, first - 1, -1):
             layer = spec.layers[i]
             recurrent = layer.kind is LayerKind.RECURRENT
             if recurrent:
@@ -461,12 +513,22 @@ def _backward_window(spec: ModelSpec, Ws, U, Z, A, targets, scale):
                 ce = A[i][t].copy()
                 ce[targets[t]] -= 1.0
                 dz = dz + ce * scale
-            gW[i] += np.outer(dz, U[i][t])
-            gb[i] += dz
+            DZ[i][t] = dz
             du = Ws[i].T @ dz
             da = du[: layer.input_size]
             if recurrent:
                 feedback.layer(i)[:] = du[layer.input_size :]
+        DA[t] = da
+    for i in range(first - 1, -1, -1):
+        DZ[i] = _pull_back(spec.layers[i].activation, Z[i], A[i], DA)
+        if i > 0:
+            DA = (Ws[i].T @ DZ[i][:, :, None])[:, :, 0]
+    gW = [np.zeros_like(W) for W in Ws]
+    gb = [np.zeros(W.shape[0]) for W in Ws]
+    for g, h, dz, u in zip(gW, gb, DZ, U):
+        for t in range(T - 1, -1, -1):
+            g += dz[t, :, None] * u[t]
+            h += dz[t]
     return gW, gb
 
 

@@ -3,14 +3,16 @@
 The oracles here deliberately avoid the library's own execution paths:
 forward passes are re-derived with explicit Python loops, gradients with
 central finite differences, the compressed-model bit codec one bit at a
-time, and candidate detection frame by frame, so a test comparing the two
-exercises two independent routes to the same number.
+time, candidate detection frame by frame and BPTT windows step by step, so
+a test comparing the two exercises two independent routes to the same
+number.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -18,15 +20,18 @@ import pytest
 
 from microgest.errors import CorruptStream, InvalidParams
 from microgest.features import Annotation
+from microgest.inference import layer_forward
 from microgest.model import (
     Activation,
     LayerKind,
     ModelSpec,
     Parameters,
+    RnnState,
     chain,
 )
 from microgest.pipeline import Candidate, GestureClass
-from microgest.training import init_params
+from microgest import training
+from microgest.training import _pull_back, _train_kind, init_params
 
 
 # --- brute-force forward pass ------------------------------------------------
@@ -110,6 +115,74 @@ def max_rel_error(analytic, numeric, floor=1e-8):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+# --- per-step BPTT windows ----------------------------------------------------
+#
+# The window passes as they were before the dense prefix ran once per window:
+# every layer steps through ``t``.  ``oracle_window_route`` swaps them into
+# ``microgest.training`` so a public sequence function can be run both ways.
+
+def oracle_forward_window(spec: ModelSpec, Ws, bs, X_win, state: RnnState):
+    """Forward one window, updating ``state`` in place; returns caches."""
+    T = X_win.shape[0]
+    U = [np.empty((T, layer.fan_in)) for layer in spec.layers]
+    Z = [np.empty((T, layer.neurons)) for layer in spec.layers]
+    A = [np.empty((T, layer.neurons)) for layer in spec.layers]
+    kinds = [_train_kind(layer.activation) for layer in spec.layers]
+    for t in range(T):
+        x = X_win[t]
+        for i, layer in enumerate(spec.layers):
+            recurrent = layer.kind is LayerKind.RECURRENT
+            u = np.concatenate([x, state.layer(i)]) if recurrent else x
+            z, x = layer_forward(kinds[i], Ws[i], bs[i], u)
+            U[i][t], Z[i][t], A[i][t] = u, z, x
+            if recurrent:
+                state.layer(i)[:] = x
+    return U, Z, A
+
+
+def oracle_backward_window(spec: ModelSpec, Ws, U, Z, A, targets, scale):
+    """Full backprop inside one window; no gradient crosses its start.
+
+    At each step one gradient ``da`` walks down the layers; a recurrent
+    layer adds the gradient its output sent to the next step's input.
+    """
+    top = len(spec.layers) - 1
+    gW = [np.zeros_like(W) for W in Ws]
+    gb = [np.zeros(W.shape[0]) for W in Ws]
+    feedback = RnnState(spec)
+    for t in range(U[0].shape[0] - 1, -1, -1):
+        da = np.zeros(spec.output_size)
+        for i in range(top, -1, -1):
+            layer = spec.layers[i]
+            recurrent = layer.kind is LayerKind.RECURRENT
+            if recurrent:
+                da = da + feedback.layer(i)
+            dz = _pull_back(layer.activation, Z[i][t], A[i][t], da)
+            if i == top and targets[t] >= 0:
+                ce = A[i][t].copy()
+                ce[targets[t]] -= 1.0
+                dz = dz + ce * scale
+            gW[i] += np.outer(dz, U[i][t])
+            gb[i] += dz
+            du = Ws[i].T @ dz
+            da = du[: layer.input_size]
+            if recurrent:
+                feedback.layer(i)[:] = du[layer.input_size :]
+    return gW, gb
+
+
+@contextmanager
+def oracle_window_route():
+    """Run ``microgest.training`` on the per-step window passes inside."""
+    saved = training._forward_window, training._backward_window
+    training._forward_window = oracle_forward_window
+    training._backward_window = oracle_backward_window
+    try:
+        yield
+    finally:
+        training._forward_window, training._backward_window = saved
 
 
 # --- bit-serial codec ----------------------------------------------------------

@@ -417,6 +417,36 @@ def test_train_needs_at_least_two_target_frames(tmp_path, gesture_setup, capsys,
     assert not (tmp_path / "m.mgnn").exists()
 
 
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-0.1", "1.0", "1.5"])
+def test_train_rejects_a_validation_fraction_outside_zero_to_one(
+    tmp_path, gesture_setup, phase_setup, capsys, fraction
+):
+    # on phase data, 1.5 made a negative cut and 1.0 trained on no frames
+    for (_, data, _), arch in ((gesture_setup, "180-8relu-5softmax"),
+                               (phase_setup, "12-r10tanh-17softmax")):
+        err = _one_error_line(capsys, ["train", "--data", data, "--arch", arch,
+                                       "--out", tmp_path / "m.mgnn",
+                                       "--epochs", "1", "--val-fraction", fraction])
+        assert "--val-fraction" in err
+        assert not (tmp_path / "m.mgnn").exists()
+
+
+def test_phase_training_without_training_frames_is_one_error_line(
+    tmp_path, phase_setup, capsys
+):
+    # the parent trained on nothing and saved the initial weights
+    _, data, _ = phase_setup
+    empty = tmp_path / "empty.mgds"
+    run(capsys, ["synth", "--out", empty, "--per-class", "0", "--labels", "phase"])
+    for source, fraction in ((data, "0.99999"), (empty, "0.2"), (empty, "0")):
+        err = _one_error_line(capsys, ["train", "--data", source,
+                                       "--arch", "12-r10tanh-17softmax",
+                                       "--out", tmp_path / "m.mgnn",
+                                       "--val-fraction", fraction])
+        assert "no frames to train on" in err
+        assert not (tmp_path / "m.mgnn").exists()
+
+
 @pytest.mark.parametrize("clusters", ["a", "4,,2", "4.5"])
 def test_compress_rejects_a_malformed_cluster_option(
     tmp_path, gesture_setup, capsys, clusters

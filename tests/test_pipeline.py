@@ -285,6 +285,14 @@ def test_whole_stack_means_equal_per_frame_means_bit_for_bit():
         dict(baseline_alpha=1.5),
         dict(baseline_alpha=-0.1),
         dict(baseline_alpha=float("nan")),
+        dict(pad=2.5),
+        dict(pad=2.0),
+        dict(pad=True),
+        dict(capacity=30.5),
+        dict(capacity=np.float64(30.0)),
+        dict(min_run=True),
+        dict(min_run=2.0),
+        dict(min_run="9"),
     ],
 )
 def test_invalid_detector_parameters_rejected(kwargs):
@@ -292,6 +300,14 @@ def test_invalid_detector_parameters_rejected(kwargs):
         CandidateDetector(**kwargs)
     with pytest.raises(InvalidParams):
         extract_candidates(_stream((20, 800)), **kwargs)
+
+
+def test_numpy_integer_detector_parameters_are_accepted():
+    frames = _stream((15, 800), (12, 640), (13, 800))
+    kwargs = dict(min_run=np.int64(9), pad=np.int32(5), capacity=np.uint8(80))
+    assert [(c.start_index, c.end_index) for c in extract_candidates(frames, **kwargs)] == [
+        (c.start_index, c.end_index) for c in extract_candidates(frames)
+    ]
 
 
 def test_frames_without_pixels_are_a_shape_mismatch():

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from microgest.errors import (
     DivergenceDetected,
@@ -35,7 +36,7 @@ from microgest.training import (
     train_rnn_bptt,
 )
 
-from conftest import max_rel_error, numeric_grad
+from conftest import max_rel_error, numeric_grad, oracle_window_route
 
 D, R = LayerKind.DENSE, LayerKind.RECURRENT
 A = Activation
@@ -550,6 +551,91 @@ def test_sequence_loss_rejects_a_non_finite_weight():
     params.layers[0].biases[1] = np.inf
     with pytest.raises(NonFiniteParameter):
         sequence_loss(spec, params, np.ones((4, 2)), np.zeros(4, int))
+
+
+# --- time-major windows against the per-step oracle --------------------------
+
+_HIDDEN = [A.SIGMOID, A.TANH, A.HARD_SIGMOID, A.SOFTSIGN, A.RELU, A.SOFTMAX]
+
+
+@st.composite
+def _window_specs(draw):
+    """A dense prefix (maybe none), a stepped part, a softmax-family output.
+
+    The stepped part is one or two stacked recurrent layers, maybe with
+    dense layers above them, or no recurrent layer at all."""
+    width = st.integers(1, 6)
+    hidden = st.sampled_from(_HIDDEN)
+    defs = [(D, draw(width), draw(hidden)) for _ in range(draw(st.integers(0, 3)))]
+    defs += [(R, draw(width), draw(hidden)) for _ in range(draw(st.integers(0, 2)))]
+    defs += [(D, draw(width), draw(hidden)) for _ in range(draw(st.integers(0, 2)))]
+    out = draw(st.sampled_from([A.SOFTMAX, A.MAX, A.APPROX_SOFTMAX]))
+    kind = R if out is not A.MAX and draw(st.booleans()) else D
+    defs.append((kind, draw(width), out))
+    return chain(draw(width), defs)
+
+
+def _sequence_route(spec, params, X, targets, horizon):
+    """Everything the public sequence functions return, and the MACs counted."""
+    cfg = TrainingConfig(optimizer="adam", learning_rate=0.05, epochs=2,
+                         batch_size=1, seed=5)
+    with count_macs() as counter:
+        loss = sequence_loss(spec, params, X, targets)
+        grads = []
+        if (targets >= 0).any():
+            gW, gb = sequence_gradients(spec, params, X, targets, horizon=horizon)
+            grads = gW + gb
+        trained, history = train_rnn_bptt(
+            spec, params, [(X, targets), (X[::-1], targets)], cfg, horizon=horizon
+        )
+    arrays = grads + [a for lp in trained.layers for a in (lp.weights, lp.biases)]
+    return loss, [a.tobytes() for a in arrays], history, counter.count
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=_window_specs(), seed=st.integers(0, 2**31 - 1),
+       length=st.integers(1, 40), horizon=st.integers(1, 45),
+       labels=st.sampled_from(["every", "some", "gap", "none"]))
+@example(spec=chain(1, [(D, 1, A.SIGMOID), (D, 1, A.RELU), (R, 1, A.TANH),
+                        (D, 1, A.SOFTMAX)]),
+         seed=3, length=37, horizon=37, labels="some")
+@example(spec=parse_arch("12-9-9-r17softmax"), seed=4, length=1, horizon=1,
+         labels="every")
+def test_sequence_functions_equal_the_per_step_oracle(spec, seed, length, horizon, labels):
+    # bit for bit: the dense prefix runs once per window, the oracle steps it
+    rng = np.random.default_rng(seed)
+    X = 3.0 * rng.normal(size=(length, spec.features))
+    X[rng.random(length) < 0.2] = 0.0  # relu kinks
+    targets = rng.integers(0, spec.output_size, size=length)
+    if labels == "some":
+        targets[rng.random(length) < 0.5] = -1
+    elif labels == "gap":  # whole windows without a label
+        targets[length // 4 : 3 * length // 4 + 1] = -1
+    elif labels == "none":
+        targets[:] = -1
+    params = init_params(spec, seed)
+    fast = _sequence_route(spec, params, X, targets, horizon)
+    with oracle_window_route():
+        slow = _sequence_route(spec, params, X, targets, horizon)
+    assert fast == slow
+
+
+def test_stacked_products_equal_per_row_products_bit_for_bit():
+    # The windowed passes rely on numpy multiplying a (T, 1, f) stack and a
+    # stack of (n, 1) columns one row at a time, exactly as it does a lone
+    # vector; a plain (T, f) product goes to another routine and rounds
+    # differently.  A numpy or BLAS that changes this must fail here.
+    rng = np.random.default_rng(61)
+    shapes = [(T, n, f) for T in (1, 2, 37) for n in (1, 2) for f in (1, 3)]
+    shapes += [tuple(int(v) for v in rng.integers(1, (41, 21, 21))) for _ in range(600)]
+    for T, n, f in shapes:
+        W = rng.normal(size=(n, f)) * rng.choice([1e-3, 1.0, 50.0])
+        U = rng.normal(size=(T, f))
+        dZ = rng.normal(size=(T, n))
+        forward = (U[:, None, :] @ W.T)[:, 0]
+        backward = (W.T @ dZ[:, :, None])[:, :, 0]
+        assert forward.tobytes() == np.stack([u @ W.T for u in U]).tobytes()
+        assert backward.tobytes() == np.stack([W.T @ dz for dz in dZ]).tobytes()
 
 
 # --- pinned trained weights ---------------------------------------------------
