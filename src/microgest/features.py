@@ -8,8 +8,9 @@ arithmetic alone, at the price of never producing exactly 1.0.
 Features come two ways with one rolling-statistics rule: a streaming caller
 feeds one :class:`Image` at a time to :func:`update_rolling` and
 :func:`build_features`, and :func:`stream_features` computes the same rows
-for a whole frame stack.  Both step the recursion through the same helper,
-so the two routes agree bit for bit.
+for a whole frame stack.  Both step the recursion through the same helper
+and take the three appended means through another, so the two routes agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -52,9 +53,19 @@ def normalize(image: Image) -> np.ndarray:
 
 def normalize_frames(frames: np.ndarray) -> np.ndarray:
     """Vector version of :func:`normalize` for a ``(T, H, W)`` frame stack."""
+    return _normalized_rows(frames, 0)
+
+
+def _normalized_rows(frames: np.ndarray, spare: int) -> np.ndarray:
+    """A new ``(T, H*W + spare)`` array whose first ``H*W`` columns hold
+    the normalized frames; the division writes straight into it, so no
+    full-size float copy of the stack is made on the way."""
     frames = np.asarray(frames)
+    T = frames.shape[0]
     pixels = int(np.prod(frames.shape[1:]))
-    return frames.astype(float).reshape(frames.shape[0], pixels) / NORM_DIVISOR
+    out = np.empty((T, pixels + spare))
+    np.divide(frames.reshape(T, pixels), NORM_DIVISOR, out=out[:, :pixels])
+    return out
 
 
 @dataclass
@@ -124,44 +135,45 @@ def build_features(image: Image, stats: RollingStats | None = None) -> np.ndarra
         return base
     if not stats.initialized:
         raise InvalidParams("rolling stats must be updated before building features")
-    extras = np.array(
-        [float(np.mean(stats.avg)), float(np.mean(stats.min)), float(np.mean(stats.max))]
-    )
-    return np.concatenate([base, extras])
+    tracks = np.stack([stats.avg, stats.min, stats.max])
+    return np.concatenate([base, _aggregates(tracks)])
+
+
+def _aggregates(tracks: np.ndarray) -> np.ndarray:
+    """The three appended features of ``(..., 3, n)`` avg/min/max tracks."""
+    return tracks.mean(axis=-1)
 
 
 # frames whose rolling tracks are held at once while their means are taken
 _STATS_BLOCK = 256
 
 
-def stream_features(
-    frames: np.ndarray, with_stats: bool, alpha: float = 0.99
-) -> np.ndarray:
+def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
     """:func:`build_features` for every frame of a ``(T, H, W)`` stack.
 
     Returns ``(T, H*W)`` normalized pixels, plus (``with_stats``) the three
     aggregates of rolling statistics fed the stream from its first frame,
-    equal bit for bit to updating a fresh :class:`RollingStats` and
-    building features frame by frame.  The stack is normalized with one
-    division; the recursion steps through the frames with the same step as
-    :func:`update_rolling`; the means are taken one block of frames at a
-    time, which bounds the tracks held at once.  Pixel ranges are not
-    checked here (:meth:`AnnotatedSequence.check` does that).
+    equal bit for bit to updating a fresh default :class:`RollingStats`
+    and building features frame by frame.  The stack is normalized with one
+    division, written straight into the output; the recursion steps
+    through the frames with the same step as :func:`update_rolling`; the
+    means are taken one block of frames at a time, which bounds the tracks
+    held at once.  Pixel ranges are not checked here
+    (:meth:`AnnotatedSequence.check` does that).
     """
-    pixels = normalize_frames(frames)
     if not with_stats:
-        return pixels
-    stats = RollingStats(alpha)
-    T, n = pixels.shape
-    out = np.empty((T, n + 3))
-    out[:, :n] = pixels
+        return normalize_frames(frames)
+    out = _normalized_rows(frames, 3)
+    T, n = out.shape[0], out.shape[1] - 3
+    pixels = out[:, :n]
+    stats = RollingStats()
     tracks = np.empty((min(T, _STATS_BLOCK), 3, n))
     for start in range(0, T, _STATS_BLOCK):
         block = pixels[start : start + _STATS_BLOCK]
         for k, s in enumerate(block):
             _roll(stats, s)
             tracks[k] = stats.avg, stats.min, stats.max
-        out[start : start + len(block), n:] = tracks[: len(block)].mean(axis=-1)
+        out[start : start + len(block), n:] = _aggregates(tracks[: len(block)])
     return out
 
 

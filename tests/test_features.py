@@ -154,40 +154,38 @@ def test_rolling_bounds_and_determinism(stream):
     assert np.array_equal(replay.max, stats.max)
 
 
-def _per_frame_features(frames, alpha):
-    """Features the way a streaming caller builds them, one image at a time."""
-    stats = RollingStats(alpha)
+def _per_frame_features(frames):
+    """Features the way a streaming caller built them, one image at a time:
+    a fresh default :class:`RollingStats` and one 1-D mean per track."""
+    stats = RollingStats()
     rows = []
     for frame in frames:
         image = _img(frame)
         update_rolling(stats, image)
-        rows.append(build_features(image, stats))
+        means = [np.mean(stats.avg), np.mean(stats.min), np.mean(stats.max)]
+        row = np.concatenate([normalize(image), means])
+        assert build_features(image, stats).tobytes() == row.tobytes()
+        rows.append(row)
     width = frames.shape[1] * frames.shape[2] + 3
     return np.stack(rows) if rows else np.zeros((0, width))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.999])
-def test_stream_features_equal_per_frame_features_bit_for_bit(alpha):
-    # The whole-stream path takes the three means of a block of frames with
-    # one reduction; a numpy whose row reduction sums differently from a
-    # lone vector's must fail here.  Lengths cover no frame, one frame and
-    # more than one block.
+def test_stream_features_equal_per_frame_features_bit_for_bit():
+    # The appended means are taken over the rows of a (3, n) track stack,
+    # and the whole-stream path over a block of such stacks at once; a numpy
+    # whose row reduction sums differently from a lone vector's must fail
+    # here.  Lengths cover no frame, one frame and more than one block.
     rng = np.random.default_rng(71)
     for side in (1, 3, 8):
         for length in (0, 1, 2, 300, 700):
             frames = rng.integers(0, ADC_MAX + 1, size=(length, side, side))
             frames = frames.astype(np.uint16)
-            want = _per_frame_features(frames, alpha)
-            got = stream_features(frames, with_stats=True, alpha=alpha)
+            want = _per_frame_features(frames)
+            got = stream_features(frames, with_stats=True)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             plain = stream_features(frames, with_stats=False)
             assert plain.tobytes() == want[:, : side * side].tobytes()
-
-
-def test_stream_features_reject_a_bad_alpha():
-    with pytest.raises(InvalidParams):
-        stream_features(np.zeros((3, 2, 2)), with_stats=True, alpha=1.0)
 
 
 # --- annotated streams -------------------------------------------------------
