@@ -135,16 +135,13 @@ def _phase_targets(ds: AnnotatedSequence) -> np.ndarray:
     return targets
 
 
-def _stream_events(spec, params, ds: AnnotatedSequence, target_frames: int,
-                   phases: bool):
-    """Gesture events of a model over a stream.  With ``phases``, a 17-output
-    recurrent model steps every frame and the FSM reads its states;
-    otherwise the candidate recognizer runs."""
-    if not phases:
-        return FfnnRecognizer(spec, params, target_frames=target_frames)(ds)
+def _phase_features(spec: ModelSpec, ds: AnnotatedSequence) -> np.ndarray:
+    """Per-frame inputs of a phase model over a stream, checked to fit it:
+    the model has one output per phase state and takes the normalized
+    pixels, plus the three rolling statistics when it has room for them."""
     if spec.output_size != N_PHASE_STATES:
         raise InvalidParams(
-            f"phase-state events need a {N_PHASE_STATES}-output model, "
+            f"phase labels need a {N_PHASE_STATES}-output model, "
             f"got {spec.output_size}"
         )
     pixels = ds.width * ds.height
@@ -153,8 +150,17 @@ def _stream_events(spec, params, ds: AnnotatedSequence, target_frames: int,
             f"model wants {spec.features} features but frames provide "
             f"{pixels} pixels (+3 rolling statistics)"
         )
-    X = stream_features(ds.frames, with_stats=spec.features == pixels + 3)
-    return fsm_postprocess(_rnn_outputs(spec, params, X))
+    return stream_features(ds.frames, with_stats=spec.features == pixels + 3)
+
+
+def _stream_events(spec, params, ds: AnnotatedSequence, target_frames: int,
+                   phases: bool):
+    """Gesture events of a model over a stream.  With ``phases``, a phase
+    model steps every frame and the FSM reads its states; otherwise the
+    candidate recognizer runs."""
+    if not phases:
+        return FfnnRecognizer(spec, params, target_frames=target_frames)(ds)
+    return fsm_postprocess(_rnn_outputs(spec, params, _phase_features(spec, ds)))
 
 
 # --- commands ----------------------------------------------------------------
@@ -218,21 +224,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     params = init_params(spec, args.seed)
-    payload: dict = {"arch": format_arch(spec)}
-    human: list[str] = []
 
     if ds.label_kind == LABEL_KIND_PHASE:
-        X = stream_features(ds.frames, with_stats=True)
+        X = _phase_features(spec, ds)
         targets = _phase_targets(ds)
-        if X.shape[0] and X.shape[1] != spec.features:
-            raise ShapeMismatch(
-                f"model wants {spec.features} features, stream provides {X.shape[1]}"
-            )
-        if targets.max(initial=-1) >= spec.output_size:
-            raise ShapeMismatch(
-                f"phase label {targets.max()} needs more than "
-                f"{spec.output_size} outputs"
-            )
         n_val = int(round(args.val_fraction * len(ds)))
         cut = len(ds) - n_val
         if not cut:
@@ -252,10 +247,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 stats["val_accuracy"] = float(
                     np.mean(preds[labelled] == targets[cut:][labelled])
                 )
-        payload.update(stats)
-        human.append(f"trained {format_arch(spec)} on {cut} frames")
-        for key, value in stats.items():
-            human.append(f"  {key} = {value}")
+        trained_on = f"{cut} frames"
     else:
         X, y = _candidate_dataset(ds, spec, args.target_frames)
         train_idx, val_idx = _split(X.shape[0], args.val_fraction, args.seed)
@@ -271,13 +263,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             stats["val_accuracy"] = classification_accuracy(
                 spec, params, X[val_idx], y[val_idx]
             )
-        payload.update(stats)
-        human.append(
-            f"trained {format_arch(spec)} on {train_idx.size} candidates"
-        )
-        for key, value in stats.items():
-            human.append(f"  {key} = {value}")
+        trained_on = f"{train_idx.size} candidates"
 
+    human = [f"trained {format_arch(spec)} on {trained_on}"]
+    human.extend(f"  {key} = {value}" for key, value in stats.items())
     save_model(
         args.out,
         spec,
@@ -285,8 +274,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         meta={"arch": format_arch(spec), "seed": args.seed, "epochs": args.epochs},
     )
     human.append(f"saved model to {args.out}")
-    payload["path"] = str(args.out)
-    _emit(args, human, payload)
+    _emit(args, human, {"arch": format_arch(spec), **stats, "path": str(args.out)})
     return 0
 
 

@@ -160,11 +160,19 @@ def quantize_kmeans(weights: np.ndarray, removed: np.ndarray, k: int) -> Quantiz
     Surviving weights are visited in row-major order.
     """
     removed = np.asarray(removed, dtype=bool)
-    surviving = np.asarray(weights, dtype=float)[~removed]
+    return _quantize(np.asarray(weights, dtype=float)[~removed], k)
+
+
+def _quantize(surviving: np.ndarray, k: int | None) -> QuantizedLayer:
+    """Shared-value table and indices of a layer's surviving weights: ``k``
+    k-means clusters, or with ``k=None`` one centroid per distinct value."""
     if surviving.size == 0:
         raise KTooLarge("layer has no surviving weights to quantize")
-    centroids, assignment, _ = kmeans_1d(surviving, k)
-    return QuantizedLayer(centroids, assignment, bits_per_index(k))
+    if k is None:
+        centroids, assignment = np.unique(surviving, return_inverse=True)
+    else:
+        centroids, assignment, _ = kmeans_1d(surviving, k)
+    return QuantizedLayer(centroids, assignment, bits_per_index(len(centroids)))
 
 
 def dequantize_layer(
@@ -555,16 +563,23 @@ def _huffman_coded_size(data: bytes) -> int:
     return (bits + 7) // 8 + huffman_table_bytes(HuffmanTable(lengths, len(data)))
 
 
-def encoded_payload_size(cm: CompressedModel) -> int:
-    """Bytes of encoded parameters as they would land on flash.
-
-    Core blocks (centroids, packed indices, deltas) of every layer plus the
-    raw float32 biases; when Huffman is enabled the core blocks are coded
-    as one stream and the table size is charged too.
-    """
+def _payload_sizes(cm: CompressedModel) -> dict[str, int]:
+    """Encoded parameter bytes: ``encoded`` is the core blocks (centroids,
+    packed indices, deltas) of every layer plus the raw float32 biases;
+    with Huffman enabled, ``huffman`` codes the core blocks as one stream
+    and charges the table size too."""
     core = b"".join(layer_core_block(layer) for layer in cm.layers)
-    core_size = _huffman_coded_size(core) if cm.huffman else len(core)
-    return core_size + len(bias_block(cm))
+    bias_bytes = len(bias_block(cm))
+    sizes = {"encoded": len(core) + bias_bytes}
+    if cm.huffman:
+        sizes["huffman"] = _huffman_coded_size(core) + bias_bytes
+    return sizes
+
+
+def encoded_payload_size(cm: CompressedModel) -> int:
+    """Bytes of encoded parameters as they would land on flash: the
+    ``huffman`` stage size when Huffman is enabled, else ``encoded``."""
+    return _payload_sizes(cm)["huffman" if cm.huffman else "encoded"]
 
 
 def _resolve_clusters(options: CompressionOptions, n_layers: int) -> list[int | None]:
@@ -614,26 +629,17 @@ def compress_model(
     if retrain_after_prune is not None:
         pruned = apply_pruning(retrain_after_prune(pruned, removed), removed)
 
-    sparse_bytes = 0
-    for lp in pruned.layers:
-        sl = encode_sparse(lp.weights)
-        sparse_bytes += 4 * len(sl.values) + len(sl.deltas) + 4 * lp.biases.size
-
-    quantized: list[QuantizedLayer] = []
-    for lp, mask, k in zip(
-        pruned.layers, removed, _resolve_clusters(options, len(spec.layers))
-    ):
-        surviving = lp.weights[~mask]
-        if surviving.size == 0:
-            raise KTooLarge("layer has no surviving weights to quantize")
-        if k is None:
-            # lossless mode: one centroid per distinct surviving value
-            centroids, inverse = np.unique(surviving, return_inverse=True)
-            quantized.append(
-                QuantizedLayer(centroids, inverse, bits_per_index(len(centroids)))
-            )
-        else:
-            quantized.append(quantize_kmeans(lp.weights, mask, k))
+    # the sparse stage stores a float32 value and a delta byte per entry
+    sparse_bytes = sum(
+        5 * _encode_stream(np.flatnonzero(lp.weights))[0].size + 4 * lp.biases.size
+        for lp in pruned.layers
+    )
+    quantized = [
+        _quantize(lp.weights[~mask], k)
+        for lp, mask, k in zip(
+            pruned.layers, removed, _resolve_clusters(options, len(spec.layers))
+        )
+    ]
 
     if retrain_after_quantize is not None:
         assignments = []
@@ -652,13 +658,9 @@ def compress_model(
         for lp, mask, q in zip(pruned.layers, removed, quantized)
     ]
     cm = CompressedModel(spec=spec, layers=layers, huffman=options.huffman)
-    core = b"".join(layer_core_block(layer) for layer in layers)
-    bias_bytes = len(bias_block(cm))
     cm.stage_sizes["naive"] = 4 * n_params
     cm.stage_sizes["pruned_sparse"] = sparse_bytes
-    cm.stage_sizes["encoded"] = len(core) + bias_bytes
-    if options.huffman:
-        cm.stage_sizes["huffman"] = _huffman_coded_size(core) + bias_bytes
+    cm.stage_sizes.update(_payload_sizes(cm))
     return cm
 
 

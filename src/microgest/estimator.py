@@ -43,19 +43,17 @@ class CostModel:
     ``mac_us`` covers one weight multiplication plus its accumulation.
     ``activation_us`` maps each activation to its per-neuron evaluation
     time; layer-wise activations (softmax family, max) are also charged
-    per neuron.  ``approx_exp_us`` prices one call of the quadratic
-    exponential approximation on its own.
+    per neuron.
     """
 
     mac_us: float = 18.0
-    approx_exp_us: float = 75.0
     activation_us: Mapping[Activation, float] = field(
         default_factory=_default_activation_costs
     )
 
     def __post_init__(self) -> None:
-        if not (_finite_positive(self.mac_us) and _finite_positive(self.approx_exp_us)):
-            raise InvalidParams("cost constants must be finite and positive")
+        if not _finite_positive(self.mac_us):
+            raise InvalidParams("mac_us must be finite and positive")
         for act, us in self.activation_us.items():
             if not _finite_positive(us):
                 raise InvalidParams(f"cost for {act.value} must be finite and positive")
@@ -233,7 +231,6 @@ def activation_time(spec: ModelSpec, cost: CostModel | None = None) -> float:
 
 _COST_KEYS = {
     "mac_us": "mac_us",
-    "approx_exp_us": "approx_exp_us",
     "sigmoid_us": Activation.SIGMOID,
     "tanh_us": Activation.TANH,
     "hard_sigmoid_us": Activation.HARD_SIGMOID,

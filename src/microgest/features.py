@@ -40,10 +40,19 @@ class Image:
                 f"pixels shape {self.pixels.shape}, expected "
                 f"({self.height}, {self.width})"
             )
-        if self.pixels.size and (
-            np.min(self.pixels) < 0 or np.max(self.pixels) > ADC_MAX
-        ):
-            raise PixelOutOfRange("pixel values must lie in 0..1023")
+        _check_pixels(self.pixels)
+
+
+def _check_pixels(values: np.ndarray) -> None:
+    """The pixel rule: whole numbers in 0..1023.  NaN fails the range
+    comparisons; integer arrays hold whole numbers only, so they skip
+    that test."""
+    if values.size and not (
+        values.min() >= 0
+        and values.max() <= ADC_MAX
+        and (values.dtype.kind in "biu" or (values == np.floor(values)).all())
+    ):
+        raise PixelOutOfRange(f"pixel values must be whole numbers in 0..{ADC_MAX}")
 
 
 def normalize(image: Image) -> np.ndarray:
@@ -225,11 +234,8 @@ class AnnotatedSequence:
         return Image(self.width, self.height, self.frames[t])
 
     def check(self) -> None:
-        """Validate pixel range and annotation frame indices."""
-        if len(self) and (
-            int(self.frames.min()) < 0 or int(self.frames.max()) > ADC_MAX
-        ):
-            raise PixelOutOfRange("frame values must lie in 0..1023")
+        """Validate pixel values and annotation frame indices."""
+        _check_pixels(self.frames)
         for ann in self.annotations:
             if not (0 <= ann.frame < len(self)):
                 raise InvalidParams(

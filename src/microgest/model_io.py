@@ -41,13 +41,11 @@ from .errors import (
     ChecksumMismatch,
     CorruptStream,
     IllegalActivationPlacement,
-    InvalidParams,
-    PixelOutOfRange,
     ShapeMismatch,
     Truncated,
     VersionUnsupported,
 )
-from .features import ADC_MAX, AnnotatedSequence, Annotation
+from .features import AnnotatedSequence, Annotation
 from .model import (
     Activation,
     LayerKind,
@@ -335,23 +333,17 @@ def compressed_payload_size(path: str | Path) -> int:
 
 def save_dataset(path: str | Path, dataset: AnnotatedSequence) -> None:
     """Write frames and annotations losslessly."""
-    frames = np.asarray(dataset.frames)
-    if frames.size and (frames.min() < 0 or frames.max() > ADC_MAX):
-        raise PixelOutOfRange(f"pixel values must lie in 0..{ADC_MAX}")
-    n = len(frames)
-    for ann in dataset.annotations:
-        if not 0 <= ann.frame < n:
-            raise InvalidParams(f"annotation frame {ann.frame} out of range")
+    dataset.check()
     header = {
         "format": "dataset",
         "width": dataset.width,
         "height": dataset.height,
         "fps": dataset.fps,
-        "n_frames": n,
+        "n_frames": len(dataset),
         "label_kind": dataset.label_kind,
         "annotations": [[int(a.frame), int(a.label)] for a in dataset.annotations],
     }
-    payload = np.ascontiguousarray(frames, dtype="<u2").tobytes()
+    payload = np.ascontiguousarray(dataset.frames, dtype="<u2").tobytes()
     _atomic_write(path, _frame(MAGIC_DATASET, header, payload))
 
 

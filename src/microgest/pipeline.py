@@ -386,12 +386,17 @@ def classify_candidate(
 
     The feature order is time-major: all pixels of the first frame, then the
     second, and so on.  Ties in the output argmax resolve to the lowest
-    class index.
+    class index.  The model must have one output per gesture class.
     """
     feats = candidate_features(scaled)
     if feats.shape[0] != spec.features:
         raise ShapeMismatch(
             f"candidate yields {feats.shape[0]} features, model expects {spec.features}"
+        )
+    if spec.output_size != len(GestureClass):
+        raise ShapeMismatch(
+            f"candidate classes need a {len(GestureClass)}-output model, "
+            f"got {spec.output_size}"
         )
     out = run_ffnn(spec, params, feats)
     return GestureClass(int(np.argmax(out)))

@@ -31,7 +31,7 @@ from .features import (
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
 )
-from .pipeline import GestureClass, PHASES_PER_GESTURE
+from .pipeline import GestureClass, PHASES_PER_GESTURE, extract_candidates
 
 
 @dataclass(frozen=True)
@@ -357,8 +357,6 @@ def auto_annotate(
     the brightness-dip detector are labelled in that order at their final
     frame, which removes per-frame hand labelling for recorded data.
     """
-    from .pipeline import extract_candidates
-
     frames = np.asarray(frames)
     height = frames.shape[1] if height is None else height
     width = frames.shape[2] if width is None else width

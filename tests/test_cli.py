@@ -226,6 +226,52 @@ def test_eval_phase_model_runs_end_to_end(phase_setup, capsys):
     assert "accuracy:" in out
 
 
+def test_phase_models_may_take_pixels_alone(tmp_path, phase_setup, capsys):
+    # train once refused the pixels-only net that eval and infer ran
+    _, data, _ = phase_setup
+    model = tmp_path / "pixels.mgnn"
+    rc, _, err = run(capsys, ["train", "--data", data, "--arch",
+                              "9-6relu-r17softmax", "--out", model,
+                              "--epochs", "1"])
+    assert rc == 0, err
+    rc, out, _ = run(capsys, ["eval", "--model", model, "--data", data])
+    assert rc == 0 and "accuracy:" in out
+    rc, out, _ = run(capsys, ["infer", "--model", model, "--data", data,
+                              "--mode", "rnn-phases"])
+    assert rc == 0 and "event(s)" in out
+
+
+def test_train_refuses_a_phase_model_eval_refuses(tmp_path, phase_setup, capsys):
+    _, data, _ = phase_setup
+    spec = parse_arch("12-6relu-r18softmax")
+    model = tmp_path / "wide.mgnn"
+    save_model(model, spec, init_params(spec, 0))
+    eval_err = _one_error_line(capsys, ["eval", "--model", model, "--data", data])
+    train_err = _one_error_line(capsys, ["train", "--data", data, "--arch",
+                                         "12-6relu-r18softmax",
+                                         "--out", tmp_path / "m.mgnn",
+                                         "--epochs", "1"])
+    assert train_err == eval_err and "17-output" in train_err
+    assert not (tmp_path / "m.mgnn").exists()
+
+
+def test_a_candidate_model_without_five_outputs_is_one_error_line(
+    tmp_path, gesture_setup, capsys
+):
+    # training accepts extra outputs; classifying once leaked a ValueError
+    _, data, _ = gesture_setup
+    model = tmp_path / "nine.mgnn"
+    rc, _, err = run(capsys, ["train", "--data", data, "--arch",
+                              "180-4relu-9softmax", "--out", model,
+                              "--epochs", "1"])
+    assert rc == 0, err
+    for argv in (["eval", "--model", model, "--data", data],
+                 ["infer", "--model", model, "--data", data,
+                  "--mode", "ffnn-candidates"]):
+        err = _one_error_line(capsys, argv)
+        assert "5-output" in err
+
+
 # --- compress ----------------------------------------------------------------
 
 def test_compress_writes_a_loadable_compressed_model(
@@ -373,7 +419,7 @@ def test_estimate_json_activation_time_is_the_exact_sum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["mac_us = nan", "relu_us = inf",
-                                  "approx_exp_us = -inf"])
+                                  "softmax_us = -inf"])
 def test_estimate_rejects_non_finite_costs(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")

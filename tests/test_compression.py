@@ -19,6 +19,7 @@ from microgest.compression import (
     decompress_model,
     dequantize_layer,
     encode_sparse,
+    encoded_payload_size,
     huffman_decode,
     huffman_encode,
     huffman_table_bytes,
@@ -552,6 +553,13 @@ def test_huffman_stage_size_equals_the_encoded_size(seed, density, clusters):
         len(encoded) + huffman_table_bytes(table) + len(bias_block(cm))
     )
     assert cm.stage_sizes["encoded"] == len(core) + len(bias_block(cm))
+    assert encoded_payload_size(cm) == cm.stage_sizes["huffman"]
+    pruned = apply_pruning(params, prune(params, target_density=density))
+    sparse = [encode_sparse(lp.weights) for lp in pruned.layers]
+    assert cm.stage_sizes["pruned_sparse"] == sum(
+        4 * len(sl.values) + len(sl.deltas) + 4 * lp.biases.size
+        for sl, lp in zip(sparse, pruned.layers)
+    )
 
 
 def test_decompression_reconstructs_the_quantized_weights():

@@ -244,8 +244,6 @@ def test_cost_model_rejects_non_finite_times(value):
     with pytest.raises(InvalidParams):
         CostModel(mac_us=value)
     with pytest.raises(InvalidParams):
-        CostModel(approx_exp_us=value)
-    with pytest.raises(InvalidParams):
         CostModel(activation_us={A.RELU: value})
 
 
@@ -334,7 +332,6 @@ def test_config_text_overrides_every_field():
     text = """
     # execution-time constants
     mac_us = 2.5
-    approx_exp_us = 10
     sigmoid_us = 100
     tanh_us = 101
     hard_sigmoid_us = 7
@@ -352,7 +349,6 @@ def test_config_text_overrides_every_field():
     """
     cost, budget = parse_config_text(text)
     assert cost.mac_us == 2.5
-    assert cost.approx_exp_us == 10.0
     assert cost.activation_cost(A.SIGMOID) == 100.0
     assert cost.activation_cost(A.TANH) == 101.0
     assert cost.activation_cost(A.HARD_SIGMOID) == 7.0
@@ -379,13 +375,15 @@ def test_empty_config_gives_defaults():
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(InvalidParams):
         parse_config_text("made_up_key = 3")
+    with pytest.raises(InvalidParams, match="unknown key 'approx_exp_us'"):
+        parse_config_text("approx_exp_us = 75")
     with pytest.raises(InvalidParams):
         parse_config_text("mac_us = fast")
     with pytest.raises(InvalidParams):
         parse_config_text("just some words")
 
 
-@pytest.mark.parametrize("key", ["mac_us", "approx_exp_us", "relu_us", "softmax_us"])
+@pytest.mark.parametrize("key", ["mac_us", "relu_us", "softmax_us"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_config_rejects_non_finite_costs(key, value):
     with pytest.raises(InvalidParams):

@@ -30,10 +30,10 @@ def test_image_validates_shape():
 
 
 def test_image_validates_pixel_range():
-    with pytest.raises(PixelOutOfRange):
-        _img([[0, 1024]])
-    with pytest.raises(PixelOutOfRange):
-        _img([[-1, 5]])
+    for bad in (1024, -1, np.nan, np.inf, 2.5):
+        with pytest.raises(PixelOutOfRange):
+            _img([[0, bad]])
+    assert _img([[0.0, 1023.0]]).pixels.max() == ADC_MAX  # whole floats pass
 
 
 def test_normalize_divides_by_1024():
@@ -208,6 +208,10 @@ def test_annotated_sequence_check_catches_bad_pixels():
     )
     with pytest.raises(PixelOutOfRange):
         seq.check()
+    for bad in (np.nan, np.inf, 2.5, 1023.5):
+        seq = AnnotatedSequence(width=1, height=1, frames=np.array([[[0.0]], [[bad]]]))
+        with pytest.raises(PixelOutOfRange):
+            seq.check()
 
 
 def test_annotated_sequence_check_catches_bad_annotation_frame():

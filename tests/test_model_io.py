@@ -561,6 +561,13 @@ def test_out_of_range_pixels_are_rejected(tmp_path):
     )
     with pytest.raises(PixelOutOfRange):
         save_dataset(tmp_path / "bad.mgds", ds)
+    for bad in (np.nan, np.inf, 2.5, 5.5):
+        frames = np.zeros((3, 2, 2))
+        frames[1, 0, 1] = bad
+        ds = AnnotatedSequence(width=2, height=2, frames=frames)
+        with pytest.raises(PixelOutOfRange):
+            save_dataset(tmp_path / "bad.mgds", ds)
+    assert not (tmp_path / "bad.mgds").exists()
 
 
 def test_dangling_annotation_is_rejected(tmp_path):
