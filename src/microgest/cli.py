@@ -41,6 +41,7 @@ from .pipeline import (
     FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,
+    _check_candidate_model,
     candidate_features,
     extract_candidates,
     fsm_postprocess,
@@ -97,7 +98,8 @@ def _candidate_dataset(
     ds: AnnotatedSequence, spec: ModelSpec, target_frames: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detected candidates as a feature matrix with auto-assigned labels,
-    checked to be non-empty and to fit ``spec``'s inputs and outputs."""
+    checked to be non-empty, to fit ``spec``'s outputs and ``spec`` to be a
+    candidate model (``pipeline._check_candidate_model``)."""
     cands = extract_candidates(np.asarray(ds.frames))
     labelled = label_candidates(cands, ds.annotations)
     if not labelled:
@@ -106,14 +108,11 @@ def _candidate_dataset(
         [candidate_features(scale_candidate(c, target_frames)) for c, _ in labelled]
     )
     y = np.array([label for _, label in labelled], dtype=int)
-    if X.shape[1] != spec.features:
-        raise ShapeMismatch(
-            f"model wants {spec.features} features, candidates provide {X.shape[1]}"
-        )
     if y.max() >= spec.output_size:
         raise ShapeMismatch(
             f"label {y.max()} needs more than {spec.output_size} outputs"
         )
+    _check_candidate_model(spec, X.shape[1])
     return X, y
 
 

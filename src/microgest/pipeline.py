@@ -379,6 +379,21 @@ def candidate_features(scaled: ScaledCandidate) -> np.ndarray:
     return scaled.frames.astype(float).ravel() / NORM_DIVISOR
 
 
+def _check_candidate_model(spec: ModelSpec, features: int) -> None:
+    """The candidate-model contract, for training, evaluation and inference
+    alike: one input per candidate feature (``features`` of them) and one
+    output per gesture class."""
+    if features != spec.features:
+        raise ShapeMismatch(
+            f"candidates yield {features} features, model expects {spec.features}"
+        )
+    if spec.output_size != len(GestureClass):
+        raise ShapeMismatch(
+            f"candidate classes need a {len(GestureClass)}-output model, "
+            f"got {spec.output_size}"
+        )
+
+
 def classify_candidate(
     spec: ModelSpec, params: Parameters, scaled: ScaledCandidate
 ) -> GestureClass:
@@ -389,15 +404,7 @@ def classify_candidate(
     class index.  The model must have one output per gesture class.
     """
     feats = candidate_features(scaled)
-    if feats.shape[0] != spec.features:
-        raise ShapeMismatch(
-            f"candidate yields {feats.shape[0]} features, model expects {spec.features}"
-        )
-    if spec.output_size != len(GestureClass):
-        raise ShapeMismatch(
-            f"candidate classes need a {len(GestureClass)}-output model, "
-            f"got {spec.output_size}"
-        )
+    _check_candidate_model(spec, feats.shape[0])
     out = run_ffnn(spec, params, feats)
     return GestureClass(int(np.argmax(out)))
 

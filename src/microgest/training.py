@@ -15,27 +15,20 @@ table that inference uses, so its multiply-accumulates are counted by
 directly, not through ``forward_dense``, so per-layer timings taken around
 the inference steppers measure inference only.
 
-The backward passes have one activation derivative, ``_pull_back``.  It
-works on the last axis, so a minibatch, a window of time steps and one
-time step use the same lines: the softmax family goes through its Jacobian
-product, element-wise kinds multiply by their derivative, with subgradient
-zero at the kinks of relu and hard sigmoid.  Recurrent training has one
-loop over BPTT windows, the lazy generator ``_windows``, shared by
+The backward kernels live in :mod:`microgest.backprop`: the one
+activation derivative ``_pull_back``, used by the minibatch backward pass
+here, and the time-major truncated-BPTT window passes.  Recurrent training
+has one loop over BPTT windows, the lazy generator ``_windows``, shared by
 :func:`sequence_loss`, :func:`sequence_gradients` and
 :func:`train_rnn_bptt`; inside a window only ``_forward_window`` and
 ``_backward_window`` do arithmetic.
 
-Truncated BPTT (Williams and Peng, 1990) is time-major.  Dense layers
-below the first recurrent layer depend on no earlier step, so they run
-once per window, forward and backward, over all its steps at once; only
-the first recurrent layer and the layers above it loop over ``t``.  The
-result is bit-identical to stepping every layer: the prefix's products go
-through numpy as stacks of single rows (``(T, 1, fan_in)`` forward,
-``(n, 1)`` columns backward), which numpy multiplies one row at a time
-exactly as it does a lone vector, and every layer's weight and bias
-gradients add their per-step terms from the last step to the first.  A
-plain ``(T, fan_in)`` product, or a reduction over the steps, would round
-differently.
+A run's trainable arrays (weights and biases, or centroid tables and
+biases when quantized) are views into one flat float64 buffer, and the
+optimizers keep flat moments: each step concatenates the gradients once
+and updates the whole buffer with one set of ufunc calls.  Element-wise
+IEEE arithmetic rounds each element on its own, so this equals one update
+per array bit for bit.
 
 Every public function that reads parameters and data starts with one
 entry check (``_ffnn_inputs`` or ``_sequence_inputs``) that validates the
@@ -44,16 +37,23 @@ parameters against the spec before anything is computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .backprop import (
+    _backward_window,
+    _forward_window,
+    _Net,
+    _pull_back,
+    _train_kind,
+)
 from .errors import DivergenceDetected, InvalidParams, ShapeMismatch
 from .inference import layer_forward
 from .model import (
     Activation,
-    LayerKind,
     LayerParams,
     ModelSpec,
     Parameters,
@@ -80,9 +80,10 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.optimizer not in ("sgd", "adam"):
             raise InvalidParams(f"unknown optimizer {self.optimizer!r}")
-        # zero is allowed and leaves parameters untouched; negative is not
-        if self.learning_rate < 0.0:
-            raise InvalidParams("learning_rate must be >= 0")
+        # zero is allowed and leaves parameters untouched; negative is not,
+        # and neither is NaN or an infinity
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise InvalidParams("learning_rate must be finite and >= 0")
         # zero epochs is a valid no-op run (used to materialize an init)
         if self.epochs < 0:
             raise InvalidParams("epochs must be >= 0")
@@ -90,8 +91,8 @@ class TrainingConfig:
             raise InvalidParams("batch_size must be >= 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise InvalidParams("betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise InvalidParams("eps must be > 0")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidParams("eps must be finite and > 0")
 
 
 def init_params(spec: ModelSpec, seed: int) -> Parameters:
@@ -111,39 +112,6 @@ def init_params(spec: ModelSpec, seed: int) -> Parameters:
     return Parameters(layers)
 
 
-# --- training-time activations -----------------------------------------------
-
-def _train_kind(kind: Activation) -> Activation:
-    if kind in (Activation.MAX, Activation.APPROX_SOFTMAX):
-        return Activation.SOFTMAX
-    return kind
-
-
-def _pull_back(
-    kind: Activation, Z: np.ndarray, A: np.ndarray, dA: np.ndarray
-) -> np.ndarray:
-    """Pull a gradient through activation ``kind``: ``dA`` on ``A`` to ``dZ``.
-
-    Works on the last axis, so a batch of rows and one time step go through
-    the same lines.  Softmax-family kinds apply the Jacobian product
-    ``A * (dA - sum(dA * A))``; element-wise kinds multiply by their
-    derivative, with subgradient zero at kinks.
-    """
-    kind = _train_kind(kind)
-    if kind is Activation.SOFTMAX:
-        return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
-    if kind is Activation.SIGMOID:
-        return dA * (A * (1.0 - A))
-    if kind is Activation.TANH:
-        return dA * (1.0 - A * A)
-    if kind is Activation.HARD_SIGMOID:
-        return dA * (0.2 * ((Z > -2.5) & (Z < 2.5)))
-    if kind is Activation.SOFTSIGN:
-        d = 1.0 + np.abs(Z)
-        return dA * (1.0 / (d * d))
-    return dA * (Z > 0.0).astype(float)  # relu, the last element-wise kind
-
-
 def _check_output_trainable(spec: ModelSpec) -> None:
     if _train_kind(spec.layers[-1].activation) is not Activation.SOFTMAX:
         raise InvalidParams(
@@ -154,37 +122,60 @@ def _check_output_trainable(spec: ModelSpec) -> None:
 
 # --- optimizers --------------------------------------------------------------
 
+def _flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copies of ``arrays`` laid end to end in one float64 buffer, and one
+    view into that buffer per array, shaped like it."""
+    flat = np.concatenate([np.asarray(a, dtype=float) for a in arrays], axis=None)
+    views, start = [], 0
+    for a in arrays:
+        stop = start + np.size(a)
+        views.append(flat[start:stop].reshape(np.shape(a)))
+        start = stop
+    return flat, views
+
+
 class _Sgd:
-    def __init__(self, arrays: list[np.ndarray], cfg: TrainingConfig) -> None:
+    def __init__(self, size: int, cfg: TrainingConfig) -> None:
         self.lr = cfg.learning_rate
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(arrays, grads):
-            p -= self.lr * g
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        flat -= self.lr * grad
 
 
 class _Adam:
-    def __init__(self, arrays: list[np.ndarray], cfg: TrainingConfig) -> None:
+    def __init__(self, size: int, cfg: TrainingConfig) -> None:
         self.lr = cfg.learning_rate
         self.b1, self.b2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in arrays]
-        self.v = [np.zeros_like(p) for p in arrays]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for p, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.b1
+        m += (1.0 - self.b1) * grad
+        v *= self.b2
+        v += (1.0 - self.b2) * grad * grad
+        # flat -= lr * (m / c1) / (sqrt(v / c2) + eps), with two temporaries
+        step = m / c1
+        step *= self.lr
+        den = v / c2
+        np.sqrt(den, out=den)
+        den += self.eps
+        step /= den
+        flat -= step
 
 
-def _make_optimizer(arrays: list[np.ndarray], cfg: TrainingConfig):
-    return _Adam(arrays, cfg) if cfg.optimizer == "adam" else _Sgd(arrays, cfg)
+def _make_optimizer(size: int, cfg: TrainingConfig):
+    """The run's optimizer over one flat buffer of ``size`` parameters.
+
+    Element-wise IEEE arithmetic rounds each element on its own, so one
+    update of the whole buffer equals one update per array bit for bit.
+    """
+    return _Adam(size, cfg) if cfg.optimizer == "adam" else _Sgd(size, cfg)
 
 
 # --- feed-forward training ---------------------------------------------------
@@ -248,7 +239,7 @@ def _backward_batch(spec: ModelSpec, Ws, zs, acts, y):
         gW[i] = delta.T @ acts[i]
         gb[i] = delta.sum(axis=0)
         if i > 0:
-            kind = spec.layers[i - 1].activation
+            kind = _train_kind(spec.layers[i - 1].activation)
             delta = _pull_back(kind, zs[i - 1], acts[i], delta @ Ws[i])
     return gW, gb
 
@@ -284,6 +275,9 @@ def _lookup(assignments, centroids) -> list[np.ndarray]:
 def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
     """Shared minibatch loop for plain, masked, and quantized training.
 
+    The trainable arrays are views into one flat buffer, weights then
+    biases, or centroid tables then biases when quantized; each step
+    concatenates the gradients once and updates the whole buffer.
     ``removed`` is a per-layer boolean mask of pruned weights (True means
     removed); their gradients are zeroed so they stay exactly 0.0.
     ``quant`` is ``(assignments, centroids)``: weights become centroid
@@ -293,20 +287,23 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
     _check_output_trainable(spec)
     n = X.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    bs = [lp.biases.astype(float).copy() for lp in params.layers]
+    L = len(params.layers)
+    biases = [lp.biases for lp in params.layers]
 
     if quant is None:
-        Ws = [lp.weights.astype(float).copy() for lp in params.layers]
+        flat, views = _flat_copy([lp.weights for lp in params.layers] + biases)
+        Ws = views[:L]
         if removed is not None:
-            for W, m in zip(Ws, removed):
-                W[m] = 0.0
-        arrays = Ws + bs
+            pruned = np.zeros(flat.size, dtype=bool)
+            pruned[: sum(W.size for W in Ws)] = np.concatenate(removed, axis=None)
+            flat[pruned] = 0.0
     else:
         assignments, centroids = quant
-        centroids = [np.asarray(c, dtype=float).copy() for c in centroids]
-        arrays = centroids + bs
+        flat, views = _flat_copy(list(centroids) + biases)
+        centroids = views[:L]
+    bs = views[L:]
 
-    opt = _make_optimizer(arrays, cfg)
+    opt = _make_optimizer(flat.size, cfg)
     history = []
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -320,20 +317,16 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
             epoch_loss += loss * idx.shape[0]
             gW, gb = _backward_batch(spec, Ws, zs, acts, y[idx])
             if quant is None:
+                grad = np.concatenate(gW + gb, axis=None)
                 if removed is not None:
-                    for g, m in zip(gW, removed):
-                        g[m] = 0.0
-                opt.step(arrays, gW + gb)
+                    grad[pruned] = 0.0
             else:
                 gC = [
-                    np.bincount(
-                        a[a >= 0].ravel(),
-                        weights=g[a >= 0].ravel(),
-                        minlength=c.shape[0],
-                    )
+                    np.bincount(a[a >= 0], weights=g[a >= 0], minlength=c.size)
                     for a, g, c in zip(assignments, gW, centroids)
                 ]
-                opt.step(arrays, gC + gb)
+                grad = np.concatenate(gC + gb, axis=None)
+            opt.step(flat, grad)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise DivergenceDetected(f"loss became {epoch_loss} during training")
@@ -370,7 +363,10 @@ def retrain_pruned(
     ``removed`` holds one boolean mask per layer, True at pruned positions;
     those weights are pinned at exactly 0.0 for the whole run.
     """
-    out, history, _ = _fit_ffnn(spec, params, X, y, cfg, removed=list(removed))
+    removed = [np.asarray(m, dtype=bool) for m in removed]
+    if [m.shape for m in removed] != [(l.neurons, l.fan_in) for l in spec.layers]:
+        raise ShapeMismatch("need one removal mask per layer, shaped like its weights")
+    out, history, _ = _fit_ffnn(spec, params, X, y, cfg, removed=removed)
     return out, history
 
 
@@ -391,8 +387,12 @@ def retrain_quantized(
     weights; biases keep training individually.  Returns
     ``(new centroids, reconstructed Parameters)``.
     """
+    if not len(assignments) == len(centroids) == len(spec.layers):
+        raise ShapeMismatch("need one assignment array and centroid table per layer")
     for a, c, layer in zip(assignments, centroids, spec.layers):
         a = np.asarray(a)
+        if np.ndim(c) != 1:
+            raise ShapeMismatch("a centroid table must be one-dimensional")
         if a.shape != (layer.neurons, layer.fan_in):
             raise ShapeMismatch("assignment shape must match the weight matrix")
         if a.size and np.max(a) >= len(c):
@@ -435,104 +435,7 @@ def _sequence_inputs(spec: ModelSpec, params: Parameters, sequences):
     return sequences
 
 
-def _first_stepped(spec: ModelSpec) -> int:
-    """Index of the lowest layer that steps through time: the first
-    recurrent layer, or the output layer of a net without one."""
-    return next(
-        (i for i, layer in enumerate(spec.layers) if layer.kind is LayerKind.RECURRENT),
-        len(spec.layers) - 1,
-    )
-
-
-def _forward_window(spec: ModelSpec, Ws, bs, X_win, state: RnnState):
-    """Forward one window, updating ``state`` in place; returns caches.
-
-    ``U``, ``Z`` and ``A`` hold one ``(T, width)`` array per layer.  The
-    dense prefix below the first recurrent layer runs once per window: its
-    rows go through the kernel stacked as ``(T, 1, fan_in)``, which numpy
-    multiplies row by row exactly as it does a lone vector, so every row
-    equals the per-step value bit for bit and counts the same MACs.  Only
-    the first recurrent layer and the layers above it step through ``t``.
-    """
-    T = X_win.shape[0]
-    kinds = [_train_kind(layer.activation) for layer in spec.layers]
-    first = _first_stepped(spec)
-    U, Z, A = [], [], []
-    below = X_win
-    for i in range(first):
-        z, a = layer_forward(kinds[i], Ws[i], bs[i], below[:, None, :])
-        U.append(below)
-        Z.append(z[:, 0])
-        A.append(a[:, 0])
-        below = A[-1]
-    for layer in spec.layers[first:]:
-        U.append(np.empty((T, layer.fan_in)))
-        Z.append(np.empty((T, layer.neurons)))
-        A.append(np.empty((T, layer.neurons)))
-    for t in range(T):
-        x = below[t]
-        for i in range(first, len(spec.layers)):
-            recurrent = spec.layers[i].kind is LayerKind.RECURRENT
-            u = np.concatenate([x, state.layer(i)]) if recurrent else x
-            z, x = layer_forward(kinds[i], Ws[i], bs[i], u)
-            U[i][t], Z[i][t], A[i][t] = u, z, x
-            if recurrent:
-                state.layer(i)[:] = x
-    return U, Z, A
-
-
-def _backward_window(spec: ModelSpec, Ws, U, Z, A, targets, scale):
-    """Full backprop inside one window; no gradient crosses its start.
-
-    The first recurrent layer and the layers above it step back through
-    ``t``: one gradient ``da`` walks down them, and a recurrent layer adds
-    the gradient its output sent to the next step's input.  What reaches
-    the dense prefix is kept per step and pulled through the prefix once
-    per window: ``dA = W.T @ dZ`` as a stack of ``(n, 1)`` columns, which
-    numpy multiplies column by column exactly as it does a lone vector.
-    Every layer's ``dZ`` rows are kept, and its weight and bias gradients
-    add their per-step terms from the last step to the first, starting at
-    zero, so the sums round as a per-step walk does; a reduction over the
-    steps could add pairwise.
-    """
-    top = len(spec.layers) - 1
-    first = _first_stepped(spec)
-    T = U[0].shape[0]
-    DZ = [np.empty((T, W.shape[0])) for W in Ws]
-    feedback = RnnState(spec)
-    DA = np.empty((T, spec.layers[first].input_size))
-    for t in range(T - 1, -1, -1):
-        da = np.zeros(spec.output_size)
-        for i in range(top, first - 1, -1):
-            layer = spec.layers[i]
-            recurrent = layer.kind is LayerKind.RECURRENT
-            if recurrent:
-                da = da + feedback.layer(i)
-            dz = _pull_back(layer.activation, Z[i][t], A[i][t], da)
-            if i == top and targets[t] >= 0:
-                ce = A[i][t].copy()
-                ce[targets[t]] -= 1.0
-                dz = dz + ce * scale
-            DZ[i][t] = dz
-            du = Ws[i].T @ dz
-            da = du[: layer.input_size]
-            if recurrent:
-                feedback.layer(i)[:] = du[layer.input_size :]
-        DA[t] = da
-    for i in range(first - 1, -1, -1):
-        DZ[i] = _pull_back(spec.layers[i].activation, Z[i], A[i], DA)
-        if i > 0:
-            DA = (Ws[i].T @ DZ[i][:, :, None])[:, :, 0]
-    gW = [np.zeros_like(W) for W in Ws]
-    gb = [np.zeros(W.shape[0]) for W in Ws]
-    for g, h, dz, u in zip(gW, gb, DZ, U):
-        for t in range(T - 1, -1, -1):
-            g += dz[t, :, None] * u[t]
-            h += dz[t]
-    return gW, gb
-
-
-def _windows(spec: ModelSpec, Ws, bs, X_seq, targets, horizon: int):
+def _windows(net: _Net, Ws, bs, X_seq, targets, horizon: int):
     """Yield ``(U, Z, A, targets)`` for each window of ``horizon`` frames.
 
     State starts at zero and carries across windows.  The loop is lazy:
@@ -540,10 +443,10 @@ def _windows(spec: ModelSpec, Ws, bs, X_seq, targets, horizon: int):
     reached, so an optimizer step taken in place after one window is seen
     by the next.
     """
-    state = RnnState(spec)
+    state = RnnState(net.spec)
     for start in range(0, X_seq.shape[0], horizon):
         stop = start + horizon
-        U, Z, A = _forward_window(spec, Ws, bs, X_seq[start:stop], state)
+        U, Z, A = _forward_window(net, Ws, bs, X_seq[start:stop], state)
         yield U, Z, A, targets[start:stop]
 
 
@@ -561,7 +464,8 @@ def sequence_loss(spec: ModelSpec, params: Parameters, X_seq, targets) -> float:
     [(X_seq, targets)] = _sequence_inputs(spec, params, [(X_seq, targets)])
     whole = max(len(targets), 1)  # the whole sequence is one window
     total, count = 0.0, 0
-    for _, _, A, t_win in _windows(spec, *_layer_arrays(params), X_seq, targets, whole):
+    net = _Net(spec)
+    for _, _, A, t_win in _windows(net, *_layer_arrays(params), X_seq, targets, whole):
         total, count = _window_loss(A, t_win)
     return total / count if count else 0.0
 
@@ -585,13 +489,12 @@ def sequence_gradients(
     if n_labeled == 0:
         raise InvalidParams("sequence has no labeled frames")
     Ws, bs = _layer_arrays(params)
-    gW_total = [np.zeros_like(W) for W in Ws]
-    gb_total = [np.zeros_like(b) for b in bs]
-    for U, Z, A, t_win in _windows(spec, Ws, bs, X_seq, targets, horizon):
-        gW, gb = _backward_window(spec, Ws, U, Z, A, t_win, 1.0 / n_labeled)
-        for total, g in zip(gW_total + gb_total, gW + gb):
-            total += g
-    return gW_total, gb_total
+    net = _Net(spec)
+    flat, views = _flat_copy([np.zeros_like(a) for a in Ws + bs])
+    for U, Z, A, t_win in _windows(net, Ws, bs, X_seq, targets, horizon):
+        gW, gb = _backward_window(net, Ws, U, Z, A, t_win, 1.0 / n_labeled)
+        flat += np.concatenate(gW + gb, axis=None)
+    return views[: len(Ws)], views[len(Ws) :]
 
 
 def train_rnn_bptt(
@@ -615,24 +518,27 @@ def train_rnn_bptt(
     if horizon < 1:
         raise InvalidParams("horizon must be >= 1")
     rng = np.random.default_rng(cfg.seed)
-    Ws = [lp.weights.astype(float).copy() for lp in params.layers]
-    bs = [lp.biases.astype(float).copy() for lp in params.layers]
-    arrays = Ws + bs
-    opt = _make_optimizer(arrays, cfg)
+    L = len(params.layers)
+    flat, views = _flat_copy(
+        [lp.weights for lp in params.layers] + [lp.biases for lp in params.layers]
+    )
+    Ws, bs = views[:L], views[L:]
+    net = _Net(spec)
+    opt = _make_optimizer(flat.size, cfg)
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(sequences))
         epoch_loss = 0.0
         epoch_labeled = 0
         for si in order:
-            for U, Z, A, t_win in _windows(spec, Ws, bs, *sequences[si], horizon):
+            for U, Z, A, t_win in _windows(net, Ws, bs, *sequences[si], horizon):
                 total, count = _window_loss(A, t_win)
                 if count == 0:
                     continue
                 epoch_loss += total
                 epoch_labeled += count
-                gW, gb = _backward_window(spec, Ws, U, Z, A, t_win, 1.0 / count)
-                opt.step(arrays, gW + gb)
+                gW, gb = _backward_window(net, Ws, U, Z, A, t_win, 1.0 / count)
+                opt.step(flat, np.concatenate(gW + gb, axis=None))
         mean_loss = epoch_loss / epoch_labeled if epoch_labeled else 0.0
         if not np.isfinite(mean_loss):
             raise DivergenceDetected(f"loss became {mean_loss} during training")

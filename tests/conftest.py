@@ -3,9 +3,9 @@
 The oracles here deliberately avoid the library's own execution paths:
 forward passes are re-derived with explicit Python loops, gradients with
 central finite differences, the compressed-model bit codec one bit at a
-time, candidate detection frame by frame and BPTT windows step by step, so
-a test comparing the two exercises two independent routes to the same
-number.
+time, candidate detection frame by frame, BPTT windows step by step and
+optimizer updates one array at a time, so a test comparing the two
+exercises two independent routes to the same number.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from microgest.model import (
 )
 from microgest.pipeline import Candidate, GestureClass
 from microgest import training
-from microgest.training import _pull_back, _train_kind, init_params
+from microgest.backprop import _pull_back, _train_kind
+from microgest.training import init_params
 
 
 # --- brute-force forward pass ------------------------------------------------
@@ -123,8 +124,9 @@ def max_rel_error(analytic, numeric, floor=1e-8):
 # every layer steps through ``t``.  ``oracle_window_route`` swaps them into
 # ``microgest.training`` so a public sequence function can be run both ways.
 
-def oracle_forward_window(spec: ModelSpec, Ws, bs, X_win, state: RnnState):
+def oracle_forward_window(net, Ws, bs, X_win, state: RnnState):
     """Forward one window, updating ``state`` in place; returns caches."""
+    spec = net.spec
     T = X_win.shape[0]
     U = [np.empty((T, layer.fan_in)) for layer in spec.layers]
     Z = [np.empty((T, layer.neurons)) for layer in spec.layers]
@@ -142,12 +144,13 @@ def oracle_forward_window(spec: ModelSpec, Ws, bs, X_win, state: RnnState):
     return U, Z, A
 
 
-def oracle_backward_window(spec: ModelSpec, Ws, U, Z, A, targets, scale):
+def oracle_backward_window(net, Ws, U, Z, A, targets, scale):
     """Full backprop inside one window; no gradient crosses its start.
 
     At each step one gradient ``da`` walks down the layers; a recurrent
     layer adds the gradient its output sent to the next step's input.
     """
+    spec = net.spec
     top = len(spec.layers) - 1
     gW = [np.zeros_like(W) for W in Ws]
     gb = [np.zeros(W.shape[0]) for W in Ws]
@@ -159,7 +162,7 @@ def oracle_backward_window(spec: ModelSpec, Ws, U, Z, A, targets, scale):
             recurrent = layer.kind is LayerKind.RECURRENT
             if recurrent:
                 da = da + feedback.layer(i)
-            dz = _pull_back(layer.activation, Z[i][t], A[i][t], da)
+            dz = _pull_back(_train_kind(layer.activation), Z[i][t], A[i][t], da)
             if i == top and targets[t] >= 0:
                 ce = A[i][t].copy()
                 ce[targets[t]] -= 1.0
@@ -183,6 +186,40 @@ def oracle_window_route():
         yield
     finally:
         training._forward_window, training._backward_window = saved
+
+
+# --- per-array optimizers ------------------------------------------------------
+#
+# The optimizers as they were before a run's parameters shared one flat
+# buffer: one set of updates per array.
+
+class OracleSgd:
+    def __init__(self, arrays: list[np.ndarray], cfg) -> None:
+        self.lr = cfg.learning_rate
+
+    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        for p, g in zip(arrays, grads):
+            p -= self.lr * g
+
+
+class OracleAdam:
+    def __init__(self, arrays: list[np.ndarray], cfg) -> None:
+        self.lr = cfg.learning_rate
+        self.b1, self.b2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in arrays]
+        self.v = [np.zeros_like(p) for p in arrays]
+
+    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        for p, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 # --- bit-serial codec ----------------------------------------------------------

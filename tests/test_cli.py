@@ -258,18 +258,57 @@ def test_train_refuses_a_phase_model_eval_refuses(tmp_path, phase_setup, capsys)
 def test_a_candidate_model_without_five_outputs_is_one_error_line(
     tmp_path, gesture_setup, capsys
 ):
-    # training accepts extra outputs; classifying once leaked a ValueError
+    # classifying once leaked a ValueError
     _, data, _ = gesture_setup
+    spec = parse_arch("180-4relu-9softmax")
     model = tmp_path / "nine.mgnn"
-    rc, _, err = run(capsys, ["train", "--data", data, "--arch",
-                              "180-4relu-9softmax", "--out", model,
-                              "--epochs", "1"])
-    assert rc == 0, err
+    save_model(model, spec, init_params(spec, 0))
     for argv in (["eval", "--model", model, "--data", data],
                  ["infer", "--model", model, "--data", data,
                   "--mode", "ffnn-candidates"]):
         err = _one_error_line(capsys, argv)
         assert "5-output" in err
+
+
+def test_train_and_compress_refuse_a_candidate_model_eval_refuses(
+    tmp_path, gesture_setup, capsys
+):
+    # train once saved a nine-output gesture model that eval and infer refuse
+    _, data, _ = gesture_setup
+    spec = parse_arch("180-4relu-9softmax")
+    model = tmp_path / "nine.mgnn"
+    save_model(model, spec, init_params(spec, 0))
+    eval_err = _one_error_line(capsys, ["eval", "--model", model, "--data", data])
+    train_err = _one_error_line(capsys, ["train", "--data", data, "--arch",
+                                         "180-4relu-9softmax",
+                                         "--out", tmp_path / "m.mgnn",
+                                         "--epochs", "1"])
+    compress_err = _one_error_line(capsys, ["compress", "--model", model,
+                                            "--out", tmp_path / "m.mgcm",
+                                            "--retrain-data", data,
+                                            "--retrain-epochs", "1"])
+    assert train_err == compress_err == eval_err and "5-output" in train_err
+    assert not (tmp_path / "m.mgnn").exists()
+    assert not (tmp_path / "m.mgcm").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_a_non_finite_learning_rate_is_one_error_line(
+    tmp_path, gesture_setup, capsys, lr
+):
+    # NaN once trained to "loss became nan", inf leaked a RuntimeWarning
+    # and compress blamed the weights
+    _, data, model = gesture_setup
+    for argv in (["train", "--data", data, "--arch", "180-4relu-5softmax",
+                  "--out", tmp_path / "m.mgnn", "--epochs", "1", "--lr", lr],
+                 ["compress", "--model", model, "--out", tmp_path / "m.mgcm",
+                  "--density", "0.4", "--clusters", "15",
+                  "--retrain-data", data, "--retrain-epochs", "1",
+                  "--lr", lr]):
+        err = _one_error_line(capsys, argv)
+        assert "learning_rate must be finite" in err
+    assert not (tmp_path / "m.mgnn").exists()
+    assert not (tmp_path / "m.mgcm").exists()
 
 
 # --- compress ----------------------------------------------------------------

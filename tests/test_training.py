@@ -36,7 +36,14 @@ from microgest.training import (
     train_rnn_bptt,
 )
 
-from conftest import max_rel_error, numeric_grad, oracle_window_route
+from microgest import backprop, training
+from conftest import (
+    OracleAdam,
+    OracleSgd,
+    max_rel_error,
+    numeric_grad,
+    oracle_window_route,
+)
 
 D, R = LayerKind.DENSE, LayerKind.RECURRENT
 A = Activation
@@ -89,11 +96,15 @@ def test_init_shapes_cover_recurrent_fan_in():
     [
         dict(optimizer="rmsprop"),
         dict(learning_rate=-0.1),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
         dict(epochs=-1),
         dict(batch_size=0),
         dict(beta1=1.0),
         dict(beta2=-0.1),
         dict(eps=0.0),
+        dict(eps=float("nan")),
+        dict(eps=float("inf")),
     ],
 )
 def test_bad_training_config_rejected(kw):
@@ -332,6 +343,18 @@ def test_retrain_pruned_with_empty_mask_matches_plain_training():
         assert np.array_equal(la.weights, lb.weights)
 
 
+def test_retrain_pruned_validates_its_masks():
+    # a transposed mask has the right size, so the flat parameter buffer
+    # would take it without a shape check; a missing one once went unseen
+    spec = chain(2, [(D, 3, A.TANH), (D, 2, A.SOFTMAX)])
+    params = init_params(spec, 4)
+    X, y = _xor_data()
+    good = [np.zeros_like(lp.weights, dtype=bool) for lp in params.layers]
+    for removed in ([good[0].T, good[1]], good[:1], good + [good[1]]):
+        with pytest.raises(ShapeMismatch):
+            retrain_pruned(spec, params, removed, X, y, _cfg(epochs=1))
+
+
 # --- quantized retraining -----------------------------------------------------
 
 def test_identity_quantization_reproduces_plain_training():
@@ -403,6 +426,14 @@ def test_quantized_retraining_validates_assignments():
         retrain_quantized(
             spec, params, [np.full((2, 2), 5)], [np.zeros(2)], X, y, _cfg()
         )
+    # the centroid tables share one flat buffer with the biases, so a
+    # missing, extra or two-dimensional table must not shift them
+    good = [np.zeros((2, 2), int)]
+    for assignments, centroids in [(good, []), (good, [np.zeros(2)] * 2),
+                                   (good * 2, [np.zeros(2)]),
+                                   (good, [np.zeros((2, 1))])]:
+        with pytest.raises(ShapeMismatch):
+            retrain_quantized(spec, params, assignments, centroids, X, y, _cfg())
 
 
 # --- recurrent training -------------------------------------------------------
@@ -553,6 +584,54 @@ def test_sequence_loss_rejects_a_non_finite_weight():
         sequence_loss(spec, params, np.ones((4, 2)), np.zeros(4, int))
 
 
+# --- the flat optimizer buffer against per-array updates ---------------------
+
+_PARAM_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),  # weights, maybe pruned
+    st.tuples(st.integers(1, 9)),  # biases, or a centroid table
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes=st.lists(_PARAM_SHAPES, min_size=1, max_size=6),
+       optimizer=st.sampled_from(["sgd", "adam"]),
+       seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 6),
+       pruned=st.booleans())
+def test_the_flat_optimizer_equals_per_array_updates(shapes, optimizer, seed,
+                                                    steps, pruned):
+    # bit for bit: element-wise IEEE arithmetic rounds each element alone
+    rng = np.random.default_rng(seed)
+    cfg = TrainingConfig(optimizer=optimizer,
+                         learning_rate=float(10.0 ** rng.uniform(-4, 0)),
+                         beta1=float(rng.uniform(0.0, 0.99)),
+                         beta2=float(rng.uniform(0.9, 0.9999)),
+                         eps=float(10.0 ** rng.uniform(-10, -4)))
+    arrays = [rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 2) for shape in shapes]
+    # pruned weights start at 0.0 and see zero gradients, as in retraining
+    masks = [rng.random(a.shape) < 0.4 if pruned and a.ndim == 2 else None
+             for a in arrays]
+    for a, m in zip(arrays, masks):
+        if m is not None:
+            a[m] = 0.0
+    flat, views = training._flat_copy(arrays)
+    fast = training._make_optimizer(flat.size, cfg)
+    slow = (OracleAdam if optimizer == "adam" else OracleSgd)(arrays, cfg)
+    for _ in range(steps):
+        grads = [rng.normal(size=a.shape) * 10.0 ** rng.uniform(-8, 3) for a in arrays]
+        for g, m in zip(grads, masks):
+            if m is not None:
+                g[m] = 0.0
+        fast.step(flat, np.concatenate(grads, axis=None))
+        slow.step(arrays, grads)
+    assert [v.tobytes() for v in views] == [a.tobytes() for a in arrays]
+    if optimizer == "adam":
+        assert fast.m.tobytes() == np.concatenate(slow.m, axis=None).tobytes()
+        assert fast.v.tobytes() == np.concatenate(slow.v, axis=None).tobytes()
+    for v, m in zip(views, masks):
+        if m is not None:
+            assert not v[m].any()
+
+
 # --- time-major windows against the per-step oracle --------------------------
 
 _HIDDEN = [A.SIGMOID, A.TANH, A.HARD_SIGMOID, A.SOFTSIGN, A.RELU, A.SOFTMAX]
@@ -636,6 +715,56 @@ def test_stacked_products_equal_per_row_products_bit_for_bit():
         backward = (W.T @ dZ[:, :, None])[:, :, 0]
         assert forward.tobytes() == np.stack([u @ W.T for u in U]).tobytes()
         assert backward.tobytes() == np.stack([W.T @ dz for dz in dZ]).tobytes()
+
+
+def test_chunked_gradient_sums_equal_the_last_to_first_loop_bit_for_bit():
+    # The window gradients rely on numpy forming a (n, 1) @ (1, f) stack
+    # product exactly as the element-wise outer product and reducing a
+    # reversed chunk of those terms over its first axis one step after
+    # another; a pairwise reduction would round differently.  A numpy that
+    # changes either must fail here.
+    rng = np.random.default_rng(71)
+    for T in range(1, 71):
+        for n, f in [(1, 1), (1, 4), (3, 1), (17, 26), (9, 12)] + [
+            tuple(int(v) for v in rng.integers(1, 20, 2))
+        ]:
+            dZ = rng.normal(size=(T, n)) * 10.0 ** rng.uniform(-6, 6, (T, n))
+            U = np.ones((T, f + 1))
+            U[:, :f] = rng.normal(size=(T, f)) * 10.0 ** rng.uniform(-6, 6, (T, f))
+            dZ[rng.random((T, n)) < 0.1] = -0.0
+            U[:, :f][rng.random((T, f)) < 0.1] = -0.0
+            loop = np.zeros((n, f + 1))
+            for t in range(T - 1, -1, -1):
+                loop += dZ[t, :, None] * U[t]
+            assert backprop._stepwise_sum(dZ, U).tobytes() == loop.tobytes()
+
+
+def test_one_window_backward_pass_stays_within_its_memory_bound():
+    # The per-step walk it replaced peaked at 31 568 traced bytes here; the
+    # chunked sums may add one chunk of outer products (8 steps of the
+    # widest layer, 17 x 27 floats), not one per step of the window.
+    import tracemalloc
+
+    spec = parse_arch("12-9-9-r17softmax")
+    params = init_params(spec, 0)
+    Ws = [lp.weights for lp in params.layers]
+    bs = [lp.biases for lp in params.layers]
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(32, 12))
+    targets = rng.integers(0, 17, 32)
+    targets[rng.random(32) < 0.3] = -1
+    net = backprop._Net(spec)
+    caches = backprop._forward_window(net, Ws, bs, X, RnnState(spec))
+    backprop._backward_window(net, Ws, *caches, targets, 0.1)  # warm caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = backprop._backward_window(net, Ws, *caches, targets, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grads[0][-1].shape == (17, 26)
+    assert peak <= 31_568 + 8 * 17 * 27 * 8
 
 
 # --- pinned trained weights ---------------------------------------------------
