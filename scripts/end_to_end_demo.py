@@ -3,10 +3,12 @@
 
 Everything lands in a scratch directory (default ./demo_output) as the
 same files the CLI produces, so each stage can be rerun or inspected with
-the ``microgest`` subcommands afterwards.  Takes a few seconds.
+the ``microgest`` subcommands afterwards.  After each stage's own output a
+line gives its wall time in seconds.  Takes a few seconds.
 """
 
 import argparse
+import time
 from pathlib import Path
 
 from microgest.cli import main as cli
@@ -14,9 +16,11 @@ from microgest.cli import main as cli
 
 def run(argv: list[str]) -> None:
     print("\n$ microgest " + " ".join(argv))
+    start = time.perf_counter()
     rc = cli(argv)
     if rc != 0:
         raise SystemExit(rc)
+    print(f"[{argv[0]}: {time.perf_counter() - start:.3f} s wall]")
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ file that cannot be read or written, prints one line to stderr and exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -70,10 +71,9 @@ ARCH_HELP = (
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func", "json"}
     out = {}
     for key, value in sorted(vars(args).items()):
-        if key in skip:
+        if key == "json":
             continue
         out[key] = str(value) if isinstance(value, Path) else value
     return out
@@ -452,7 +452,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="microgest",
         description=(
@@ -475,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=3)
     p.add_argument("--fps", type=float, default=40.0)
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("train", help="train a model on a dataset")
     p.add_argument("--data", type=Path, required=True)
@@ -489,7 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-frames", type=int, default=20)
     p.add_argument("--horizon", type=int, default=32)
     _add_common(p)
-    p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("eval", help="score a model against a dataset")
     p.add_argument("--model", type=Path, required=True)
@@ -497,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=int, default=10)
     p.add_argument("--target-frames", type=int, default=20)
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("compress", help="prune, quantize, and encode a model")
     p.add_argument("--model", type=Path, required=True)
@@ -515,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--target-frames", type=int, default=20)
     _add_common(p)
-    p.set_defaults(func=cmd_compress)
 
     p = subs.add_parser("estimate", help="static resource and timing report")
     p.add_argument("--model", type=Path, default=None)
@@ -524,7 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="key=value cost and budget file")
     p.add_argument("--bytes-per-param", type=int, choices=(1, 2, 4), default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_estimate)
 
     p = subs.add_parser("infer", help="run a model over a recorded stream")
     p.add_argument("--model", type=Path, required=True)
@@ -534,15 +530,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--target-frames", type=int, default=20)
     _add_common(p)
-    p.set_defaults(func=cmd_infer)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command; returns its exit code.
+
+    The parser is built once per process.  The command's ``cmd_<name>``
+    function is looked up in this module at call time, so a function
+    rebound here after the first call is the one that runs.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (MicrogestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,7 @@ from .errors import (
     ChecksumMismatch,
     CorruptStream,
     IllegalActivationPlacement,
+    NonFiniteParameter,
     ShapeMismatch,
     Truncated,
     VersionUnsupported,
@@ -179,17 +180,24 @@ def save_model(
     params: Parameters,
     meta: dict | None = None,
 ) -> None:
-    """Write spec and parameters; values are rounded to 32-bit floats."""
+    """Write spec and parameters; values are rounded to 32-bit floats.
+    A value beyond the 32-bit range raises ``NonFiniteParameter`` before
+    anything is written."""
     validate(spec, params)
     header = _spec_to_header(spec)
     header["format"] = "model"
     if meta:
         header["meta"] = meta
-    blocks = []
-    for lp in params.layers:
-        blocks.append(np.asarray(lp.weights, dtype="<f4").tobytes())
-        blocks.append(np.asarray(lp.biases, dtype="<f4").tobytes())
-    _atomic_write(path, _frame(MAGIC_MODEL, header, b"".join(blocks)))
+    with np.errstate(over="ignore"):
+        blocks = [
+            np.asarray(values, dtype="<f4")
+            for lp in params.layers
+            for values in (lp.weights, lp.biases)
+        ]
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise NonFiniteParameter("a weight or bias overflows a 32-bit float")
+    payload = b"".join(b.tobytes() for b in blocks)
+    _atomic_write(path, _frame(MAGIC_MODEL, header, payload))
 
 
 def load_model(path: str | Path) -> tuple[ModelSpec, Parameters]:

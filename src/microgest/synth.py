@@ -31,7 +31,12 @@ from .features import (
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
 )
-from .pipeline import GestureClass, PHASES_PER_GESTURE, extract_candidates
+from .pipeline import (
+    GestureClass,
+    N_PHASE_STATES,
+    PHASES_PER_GESTURE,
+    extract_candidates,
+)
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,11 @@ _CLASS_OF = {motion: cls for cls, motion in _MOTION.items()}
 
 
 def _to_adc(values: np.ndarray) -> np.ndarray:
-    """Round and clamp pixel values to the ADC range."""
-    return np.clip(np.rint(values), 0, ADC_MAX).astype(np.uint16)
+    """Round and clamp float pixel values to the ADC range.  Works in place,
+    so ``values`` is overwritten."""
+    np.rint(values, out=values)
+    np.clip(values, 0, ADC_MAX, out=values)
+    return values.astype(np.uint16)
 
 
 def _band_coverage(path: np.ndarray, half_width: float, cells: int) -> np.ndarray:
@@ -159,6 +167,50 @@ def _phase_states(p: GestureSynthParams, centers: np.ndarray) -> np.ndarray:
     )
 
 
+def _render(
+    p: GestureSynthParams, rng: np.random.Generator, labels: str
+) -> tuple[np.ndarray, int, list[int]]:
+    """Render one instance as ``(frames, first, states)``: annotation ``i``
+    marks frame ``first + i`` with label ``states[i]``.  Every random draw
+    comes from ``rng``."""
+    if labels not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
+        raise InvalidParams(f"unknown label mode {labels!r}")
+    crossing = p.contrast > 0.0 and p.direction is not GestureClass.NO_GESTURE
+    if crossing:
+        centers = _crossing_path(p)
+        coverage = _sweep(centers, p.occluder_width / 2, _MOTION[p.direction], p)
+    elif p.contrast > 0.0:
+        coverage = _disturbance_coverage(p, rng)
+    else:
+        coverage = np.zeros((max(2, int(round(p.speed))), p.height, p.width))
+    n = coverage.shape[0]
+    stop = p.lead_in + n
+
+    # background * (1 - contrast * coverage) between steady lead frames
+    values = np.empty((stop + p.lead_out, p.height, p.width))
+    values[: p.lead_in] = p.background_brightness
+    values[stop:] = p.background_brightness
+    body = values[p.lead_in : stop]
+    np.multiply(coverage, p.contrast, out=body)
+    np.subtract(1.0, body, out=body)
+    body *= p.background_brightness
+    if p.gamma != 1.0:
+        values /= ADC_MAX
+        np.power(values, p.gamma, out=values)
+        values *= ADC_MAX
+    if p.noise_sigma > 0.0:
+        values += rng.normal(0.0, p.noise_sigma, values.shape)
+    frames = _to_adc(values)
+
+    if labels == LABEL_KIND_GESTURE:
+        effective = p.direction if crossing else GestureClass.NO_GESTURE
+        return frames, stop - 1, [int(effective)]
+    states = np.zeros(frames.shape[0], dtype=int)
+    if crossing:
+        states[p.lead_in : stop] = _phase_states(p, centers)
+    return frames, 0, states.tolist()
+
+
 def synthesize_gesture(
     p: GestureSynthParams, seed: int, labels: str = LABEL_KIND_GESTURE
 ) -> AnnotatedSequence:
@@ -169,47 +221,17 @@ def synthesize_gesture(
     annotation marks the final frame of the crossing; with ``labels="phase"``
     every frame carries its motion-phase state.  A ``contrast`` of zero
     renders a constant sequence and is labelled NO_GESTURE regardless of the
-    requested direction.  Identical parameters and seed reproduce identical
-    bytes.
+    requested direction.  Every random draw of the render comes from one
+    ``default_rng(seed)`` stream, and the label mode draws nothing, so both
+    label modes give the same frames and identical parameters and seed
+    reproduce identical bytes.
     """
-    rng = np.random.default_rng(seed)
-    if p.contrast > 0.0 and p.direction is not GestureClass.NO_GESTURE:
-        effective = p.direction
-        centers = _crossing_path(p)
-        coverage = _sweep(centers, p.occluder_width / 2, _MOTION[effective], p)
-        states = _phase_states(p, centers)
-    else:
-        effective = GestureClass.NO_GESTURE
-        if p.contrast > 0.0:
-            coverage = _disturbance_coverage(p, rng)
-        else:
-            coverage = np.zeros((max(2, int(round(p.speed))), p.height, p.width))
-        states = np.zeros(coverage.shape[0], dtype=int)
-
-    body = p.background_brightness * (1.0 - p.contrast * coverage)
-    pre = np.full((p.lead_in, p.height, p.width), p.background_brightness)
-    post = np.full((p.lead_out, p.height, p.width), p.background_brightness)
-    values = np.concatenate([pre, body, post])
-    if p.gamma != 1.0:
-        values = ADC_MAX * np.power(values / ADC_MAX, p.gamma)
-    if p.noise_sigma > 0.0:
-        values = values + rng.normal(0.0, p.noise_sigma, values.shape)
-    frames = _to_adc(values)
-
-    final = p.lead_in + coverage.shape[0] - 1
-    if labels == LABEL_KIND_GESTURE:
-        annotations = [Annotation(final, int(effective))]
-    elif labels == LABEL_KIND_PHASE:
-        all_states = np.zeros(frames.shape[0], dtype=int)
-        all_states[p.lead_in : p.lead_in + len(states)] = states
-        annotations = [Annotation(t, int(s)) for t, s in enumerate(all_states)]
-    else:
-        raise InvalidParams(f"unknown label mode {labels!r}")
+    frames, first, states = _render(p, np.random.default_rng(seed), labels)
     return AnnotatedSequence(
         width=p.width,
         height=p.height,
         frames=frames,
-        annotations=annotations,
+        annotations=[Annotation(first + i, s) for i, s in enumerate(states)],
         label_kind=labels,
     )
 
@@ -303,39 +325,42 @@ def _remap_label(label: int, kind: str, mapping) -> int:
     return PHASES_PER_GESTURE * int(mapping[gesture]) + phase
 
 
+def _transform_frames(frames: np.ndarray, transform: Transform) -> np.ndarray:
+    """ADC frames ``(T, H, W)`` after one transform, as a new array."""
+    if isinstance(transform, MirrorX):
+        return np.flip(frames, axis=2).copy()
+    if isinstance(transform, MirrorY):
+        return np.flip(frames, axis=1).copy()
+    if isinstance(transform, Rotate):
+        if frames.shape[1] != frames.shape[2]:
+            raise NonSquareImage("quarter-turn rotation needs a square sensor")
+        return np.rot90(frames, k=-transform.quarters, axes=(1, 2)).copy()
+    if not isinstance(transform, (Brightness, Gamma, Noise)):
+        raise InvalidParams(f"unknown transform {transform!r}")
+    values = frames.astype(float)
+    if isinstance(transform, Brightness):
+        values += transform.delta
+    elif isinstance(transform, Gamma):
+        values /= ADC_MAX
+        np.power(values, transform.gamma, out=values)
+        values *= ADC_MAX
+    else:
+        rng = np.random.default_rng(transform.seed)
+        values += rng.normal(0.0, transform.sigma, values.shape)
+    return _to_adc(values)
+
+
 def augment(seq: AnnotatedSequence, transform: Transform) -> AnnotatedSequence:
     """Apply one transform to a sequence, remapping labels as needed."""
-    frames = seq.frames
-    width, height = seq.width, seq.height
-    if isinstance(transform, MirrorX):
-        frames = np.flip(frames, axis=2).copy()
-    elif isinstance(transform, MirrorY):
-        frames = np.flip(frames, axis=1).copy()
-    elif isinstance(transform, Rotate):
-        if seq.width != seq.height:
-            raise NonSquareImage("quarter-turn rotation needs a square sensor")
-        frames = np.rot90(frames, k=-transform.quarters, axes=(1, 2)).copy()
-    elif isinstance(transform, Brightness):
-        frames = _to_adc(frames.astype(float) + transform.delta)
-    elif isinstance(transform, Gamma):
-        frames = _to_adc(
-            ADC_MAX * np.power(frames.astype(float) / ADC_MAX, transform.gamma)
-        )
-    elif isinstance(transform, Noise):
-        rng = np.random.default_rng(transform.seed)
-        frames = _to_adc(
-            frames.astype(float) + rng.normal(0.0, transform.sigma, frames.shape)
-        )
-    else:
-        raise InvalidParams(f"unknown transform {transform!r}")
+    frames = _transform_frames(seq.frames, transform)
     mapping = gesture_label_map(transform)
     annotations = [
         Annotation(a.frame, _remap_label(a.label, seq.label_kind, mapping))
         for a in seq.annotations
     ]
     return AnnotatedSequence(
-        width=width,
-        height=height,
+        width=seq.width,
+        height=seq.height,
         frames=frames,
         annotations=annotations,
         label_kind=seq.label_kind,
@@ -385,8 +410,9 @@ def _bridge_frames(
     else:
         steps = max(1, int(math.ceil(abs(math.log(to_level / from_level)) / _BRIDGE_RATE)))
     levels = from_level * np.power(to_level / from_level, np.arange(1, steps + 1) / steps)
-    values = levels[:, None, None] * np.ones(shape)
-    return _to_adc(values + rng.normal(0.0, 1.0, values.shape))
+    values = rng.normal(0.0, 1.0, (steps, *shape))
+    values += levels[:, None, None]
+    return _to_adc(values)
 
 
 def build_corpus(
@@ -407,6 +433,14 @@ def build_corpus(
     rotations remap the label back).  Background changes between instances
     ride on slow bridge ramps so a streaming detector can follow the
     baseline.  Deterministic for a given seed.
+
+    Each instance has its own seed ``iseed``, drawn from ``seed``.  Its
+    parameter draws (and its augmentation and bridge draws after the
+    render) come from ``default_rng(iseed)``, and its render draws come
+    from a second stream that also starts where ``default_rng(iseed)``
+    starts, as if ``synthesize_gesture(params, iseed)`` were called.  So an
+    instance is ``synthesize_gesture`` followed by ``augment`` with its
+    geometry, gamma and brightness, and the label kind changes no frame.
     """
     if per_class < 0:
         raise InvalidParams("per_class must be >= 0")
@@ -429,22 +463,33 @@ def build_corpus(
     geoms: list[Transform | None] = [None, MirrorX(), MirrorY()]
     if square:
         geoms += [Rotate(1), Rotate(2), Rotate(3)]
+    # per geometry: the class to render for each wanted class, and the
+    # label every rendered label becomes
+    n_labels = N_PHASE_STATES if label_kind == LABEL_KIND_PHASE else len(GestureClass)
+    sources, relabel = [], []
+    for geom in geoms:
+        mapping = gesture_label_map(geom)
+        sources.append({dst: src for src, dst in mapping.items()})
+        relabel.append([_remap_label(l, label_kind, mapping) for l in range(n_labels)])
+    # the render stream: re-started at each instance's seed by copying
+    # the state of that instance's fresh parameter stream
+    render_bits = np.random.PCG64()
+    render_rng = np.random.Generator(render_bits)
 
     for cls, iseed in order:
         irng = np.random.default_rng(iseed)
+        render_bits.state = irng.bit_generator.state
         band = float(irng.uniform(0.30, 0.42))
         min_speed = math.ceil(14 * (1 + band) / (1 - band))
         max_speed = math.floor(13 * (1 + band) / band)
         speed = float(irng.uniform(min_speed, max_speed))
         contrast = float(irng.uniform(0.55, 0.95))
         noise = float(irng.uniform(1.0, 3.2))
-        bg = float(np.clip(bg * math.exp(irng.uniform(-0.12, 0.12)), lo, hi))
+        bg = float(min(max(bg * math.exp(irng.uniform(-0.12, 0.12)), lo), hi))
 
-        geom = geoms[int(irng.integers(0, len(geoms)))]
-        source = {dst: src for src, dst in gesture_label_map(geom).items()}[cls]
-
+        g = int(irng.integers(0, len(geoms)))
         params = GestureSynthParams(
-            direction=source,
+            direction=sources[g][cls],
             speed=speed,
             occluder_width=band,
             background_brightness=bg,
@@ -453,15 +498,17 @@ def build_corpus(
             width=width,
             height=height,
         )
-        seq = synthesize_gesture(params, seed=iseed, labels=label_kind)
-        if geom is not None:
-            seq = augment(seq, geom)
+        frames, first, states = _render(params, render_rng, label_kind)
+        if geoms[g] is not None:
+            frames = _transform_frames(frames, geoms[g])
         if irng.random() < 0.5:
-            seq = augment(seq, Gamma(float(irng.uniform(0.88, 1.15))))
+            frames = _transform_frames(frames, Gamma(float(irng.uniform(0.88, 1.15))))
         if irng.random() < 0.3:
-            seq = augment(seq, Brightness(float(irng.uniform(-0.06, 0.10)) * bg))
+            frames = _transform_frames(
+                frames, Brightness(float(irng.uniform(-0.06, 0.10)) * bg)
+            )
 
-        first_mean = float(seq.frames[0].mean())
+        first_mean = float(frames[0].mean())
         if prev_tail is not None and abs(first_mean - prev_tail) > 1e-9:
             bridge = _bridge_frames(prev_tail, first_mean, (height, width), irng)
             if label_kind == LABEL_KIND_PHASE:
@@ -470,12 +517,14 @@ def build_corpus(
                 )
             chunks.append(bridge)
             offset += bridge.shape[0]
+        table = relabel[g]
+        start = offset + first
         annotations.extend(
-            Annotation(a.frame + offset, a.label) for a in seq.annotations
+            Annotation(start + i, table[s]) for i, s in enumerate(states)
         )
-        chunks.append(seq.frames)
-        offset += len(seq)
-        prev_tail = float(seq.frames[-1].mean())
+        chunks.append(frames)
+        offset += frames.shape[0]
+        prev_tail = float(frames[-1].mean())
 
     frames = (
         np.concatenate(chunks)

@@ -395,8 +395,10 @@ def retrain_quantized(
             raise ShapeMismatch("a centroid table must be one-dimensional")
         if a.shape != (layer.neurons, layer.fan_in):
             raise ShapeMismatch("assignment shape must match the weight matrix")
-        if a.size and np.max(a) >= len(c):
-            raise InvalidParams("assignment index outside the centroid table")
+        if a.size and not -1 <= np.min(a) <= np.max(a) < len(c):
+            raise InvalidParams(
+                f"assignment index outside -1..{len(c) - 1} (-1 marks a pruned weight)"
+            )
     out, history, new_centroids = _fit_ffnn(
         spec,
         params,

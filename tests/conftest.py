@@ -3,14 +3,16 @@
 The oracles here deliberately avoid the library's own execution paths:
 forward passes are re-derived with explicit Python loops, gradients with
 central finite differences, the compressed-model bit codec one bit at a
-time, candidate detection frame by frame, BPTT windows step by step and
-optimizer updates one array at a time, so a test comparing the two
-exercises two independent routes to the same number.
+time, candidate detection frame by frame, BPTT windows step by step,
+optimizer updates one array at a time and corpus instances through the
+public render and augment calls, so a test comparing the two exercises
+two independent routes to the same number.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter, deque
 from contextlib import contextmanager
 from typing import Sequence
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from microgest.errors import CorruptStream, InvalidParams
-from microgest.features import Annotation
+from microgest.features import LABEL_KIND_PHASE, AnnotatedSequence, Annotation
 from microgest.inference import layer_forward
 from microgest.model import (
     Activation,
@@ -31,6 +33,17 @@ from microgest.model import (
 )
 from microgest.pipeline import Candidate, GestureClass
 from microgest import training
+from microgest.synth import (
+    Brightness,
+    Gamma,
+    GestureSynthParams,
+    MirrorX,
+    MirrorY,
+    Rotate,
+    augment,
+    gesture_label_map,
+    synthesize_gesture,
+)
 from microgest.backprop import _pull_back, _train_kind
 from microgest.training import init_params
 
@@ -582,6 +595,76 @@ def oracle_label_candidates(
         label = best.label if best is not None else int(GestureClass.NO_GESTURE)
         labelled.append((cand, label))
     return labelled
+
+
+# --- corpus assembly, one public call per step -------------------------------
+
+def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture",
+                        background_range=(520.0, 940.0)):
+    """``build_corpus`` made of ``synthesize_gesture``, ``augment`` and
+    ``gesture_label_map`` calls, each instance drawing from its own fresh
+    ``default_rng(iseed)`` streams.  Returns the corpus and the set of
+    ``(geometry, gamma applied, brightness applied)`` its instances used."""
+    rng = np.random.default_rng(seed)
+    order = [(cls, int(rng.integers(0, 2**31)))
+             for cls in GestureClass for _ in range(per_class)]
+    rng.shuffle(order)
+    lo, hi = background_range
+    bg = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
+    geoms = [None, MirrorX(), MirrorY()]
+    if width == height:
+        geoms += [Rotate(1), Rotate(2), Rotate(3)]
+    chunks, annotations, combos = [], [], set()
+    offset, prev_tail = 0, None
+    for cls, iseed in order:
+        irng = np.random.default_rng(iseed)
+        band = float(irng.uniform(0.30, 0.42))
+        min_speed = math.ceil(14 * (1 + band) / (1 - band))
+        max_speed = math.floor(13 * (1 + band) / band)
+        speed = float(irng.uniform(min_speed, max_speed))
+        contrast = float(irng.uniform(0.55, 0.95))
+        noise = float(irng.uniform(1.0, 3.2))
+        bg = float(np.clip(bg * math.exp(irng.uniform(-0.12, 0.12)), lo, hi))
+        geom = geoms[int(irng.integers(0, len(geoms)))]
+        source = next(src for src, dst in gesture_label_map(geom).items() if dst == cls)
+        params = GestureSynthParams(
+            direction=source, speed=speed, occluder_width=band,
+            background_brightness=bg, contrast=contrast, noise_sigma=noise,
+            width=width, height=height,
+        )
+        seq = synthesize_gesture(params, seed=iseed, labels=label_kind)
+        if geom is not None:
+            seq = augment(seq, geom)
+        gamma = irng.random() < 0.5
+        if gamma:
+            seq = augment(seq, Gamma(float(irng.uniform(0.88, 1.15))))
+        brightness = irng.random() < 0.3
+        if brightness:
+            seq = augment(seq, Brightness(float(irng.uniform(-0.06, 0.10)) * bg))
+        combos.add((geom, gamma, brightness))
+
+        first_mean = float(seq.frames[0].mean())
+        if prev_tail is not None and abs(first_mean - prev_tail) > 1e-9:
+            if prev_tail <= 0 or first_mean <= 0:
+                steps = 1
+            else:
+                steps = max(1, math.ceil(abs(math.log(first_mean / prev_tail)) / 0.004))
+            levels = prev_tail * np.power(first_mean / prev_tail,
+                                          np.arange(1, steps + 1) / steps)
+            values = levels[:, None, None] * np.ones((height, width))
+            noisy = values + irng.normal(0.0, 1.0, values.shape)
+            chunks.append(np.clip(np.rint(noisy), 0, 1023).astype(np.uint16))
+            if label_kind == LABEL_KIND_PHASE:
+                annotations += [Annotation(offset + t, 0) for t in range(steps)]
+            offset += steps
+        annotations += [Annotation(a.frame + offset, a.label) for a in seq.annotations]
+        chunks.append(seq.frames)
+        offset += len(seq)
+        prev_tail = float(seq.frames[-1].mean())
+    frames = np.concatenate(chunks) if chunks else np.zeros((0, height, width), np.uint16)
+    corpus = AnnotatedSequence(width=width, height=height, frames=frames,
+                               annotations=annotations, label_kind=label_kind)
+    return corpus, combos
 
 
 # --- random model construction -----------------------------------------------

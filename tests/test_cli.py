@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from microgest import cli
 from microgest.cli import main
 from microgest.compression import encoded_payload_size
 from microgest.estimator import activation_time, load_config
@@ -311,6 +312,20 @@ def test_a_non_finite_learning_rate_is_one_error_line(
     assert not (tmp_path / "m.mgcm").exists()
 
 
+def test_a_learning_rate_past_float32_is_one_error_line(
+    tmp_path, gesture_setup, capsys
+):
+    # it once trained finite float64 weights beyond float32's range, leaked
+    # an overflow RuntimeWarning on save and wrote an unloadable model
+    _, data, _ = gesture_setup
+    err = _one_error_line(capsys, ["train", "--data", data,
+                                   "--arch", "180-4relu-5softmax",
+                                   "--out", tmp_path / "m.mgnn",
+                                   "--epochs", "1", "--lr", "1e300"])
+    assert "32-bit" in err
+    assert not (tmp_path / "m.mgnn").exists()
+
+
 # --- compress ----------------------------------------------------------------
 
 def test_compress_writes_a_loadable_compressed_model(
@@ -557,6 +572,17 @@ def test_a_phase_label_outside_the_state_space_is_one_error_line(
                  ["eval", "--model", model, "--data", bad]):
         err = _one_error_line(capsys, argv)
         assert f"phase label {label}" in err
+
+
+def test_commands_are_looked_up_when_main_runs(monkeypatch, capsys):
+    # the parser is built once per process; a command rebound after the
+    # first call (as a tracer that wraps cmd_* does) is the one that runs
+    argv = ["estimate", "--arch", "180-8relu-5softmax"]
+    assert run(capsys, argv)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_estimate", lambda args: seen.append(args.arch) or 3)
+    assert run(capsys, argv)[0] == 3
+    assert seen == ["180-8relu-5softmax"]
 
 
 # --- infer -------------------------------------------------------------------

@@ -23,13 +23,14 @@ from microgest.errors import (
     CorruptStream,
     InvalidParams,
     MicrogestError,
+    NonFiniteParameter,
     PixelOutOfRange,
     ShapeMismatch,
     Truncated,
     VersionUnsupported,
 )
 from microgest.features import AnnotatedSequence, Annotation
-from microgest.model import parse_arch, format_arch, validate
+from microgest.model import LayerParams, Parameters, parse_arch, format_arch, validate
 from microgest.model_io import (
     compressed_payload_size,
     load_compressed,
@@ -70,6 +71,32 @@ def test_model_round_trip_recovers_spec_and_float32_params(tmp_path, model):
     for lp, l2 in zip(params.layers, params2.layers):
         assert np.array_equal(l2.weights, np.float32(lp.weights).astype(float))
         assert np.array_equal(l2.biases, np.float32(lp.biases).astype(float))
+
+
+def test_parameters_beyond_float32_are_refused_before_writing(tmp_path, model):
+    # finite float64 values past float32's range once leaked an overflow
+    # RuntimeWarning and wrote weights that load_model refuses
+    spec, params = model
+    path = tmp_path / "net.mgnn"
+    save_model(path, spec, params)
+    before = path.read_bytes()
+    f32_max = float(np.finfo(np.float32).max)
+
+    def with_bias(value):
+        out = Parameters([LayerParams(lp.weights, lp.biases.copy()) for lp in params.layers])
+        out.layers[-1].biases[0] = value
+        return out
+
+    huge_weights = Parameters(
+        [LayerParams(lp.weights * 1e300, lp.biases) for lp in params.layers]
+    )
+    for huge in (huge_weights, with_bias(2 * f32_max)):
+        with pytest.raises(NonFiniteParameter):
+            save_model(path, spec, huge)
+        assert path.read_bytes() == before
+    # the largest float32 itself still fits
+    save_model(path, spec, with_bias(f32_max))
+    assert load_model(path)[1].layers[-1].biases[0] == f32_max
 
 
 def test_model_serialization_is_canonical(tmp_path, model):

@@ -24,6 +24,8 @@ from microgest.synth import (
     synthesize_gesture,
 )
 
+from conftest import oracle_build_corpus
+
 L2R = GestureClass.LEFT_TO_RIGHT
 R2L = GestureClass.RIGHT_TO_LEFT
 T2B = GestureClass.TOP_TO_BOTTOM
@@ -340,6 +342,52 @@ def test_saved_corpus_bytes_are_pinned(tmp_path, kind, width, height):
     save_dataset(path, corpus)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == _PINNED_CORPUS[kind, width, height]
+
+
+# SHA-256 of the saved ``build_corpus(40, seed=1101)`` (gesture labels) and
+# ``build_corpus(4, seed=1101, label_kind="phase")``, as rendered before the
+# corpus loop stopped calling synthesize_gesture and augment per instance.
+_PINNED_LARGER_CORPUS = {
+    (40, LABEL_KIND_GESTURE): "d1fcdace0b2f795f5c21363debed14ca4ef6a82383e04defedfa4f75fffefdd5",
+    (4, LABEL_KIND_PHASE): "e0044b6127c32409ac1db8e97b85ac9a5ff30d05bf49369afc01d5533b4cb948",
+}
+
+
+@pytest.mark.parametrize("per_class, kind", list(_PINNED_LARGER_CORPUS))
+def test_larger_saved_corpora_are_pinned(tmp_path, per_class, kind):
+    path = tmp_path / "corpus.mgds"
+    save_dataset(path, build_corpus(per_class, seed=1101, label_kind=kind))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _PINNED_LARGER_CORPUS[per_class, kind]
+
+
+@pytest.mark.parametrize("kind", [LABEL_KIND_GESTURE, LABEL_KIND_PHASE])
+@pytest.mark.parametrize("width, height", [(3, 3), (4, 3)])
+def test_corpus_equals_render_then_augment_for_every_combination(kind, width, height):
+    # every instance equals synthesize_gesture followed by augment with its
+    # geometry, gamma and brightness, and the seeds together use every
+    # geometry x gamma x brightness combination
+    geometries = 6 if width == height else 3
+    used = set()
+    for seed in range(20, 25):
+        corpus = build_corpus(8, seed=seed, width=width, height=height, label_kind=kind)
+        want, combos = oracle_build_corpus(8, seed, width, height, kind)
+        assert np.array_equal(corpus.frames, want.frames)
+        assert corpus.frames.dtype == want.frames.dtype
+        assert corpus.annotations == want.annotations
+        used |= combos
+    assert len(used) == geometries * 2 * 2
+
+
+@pytest.mark.parametrize("direction", list(GestureClass))
+@pytest.mark.parametrize("kw", [{}, {"gamma": 0.8}, {"contrast": 0.0},
+                                {"noise_sigma": 0.0, "width": 4}])
+def test_label_mode_never_changes_the_frames(direction, kw):
+    params = GestureSynthParams(direction=direction, **kw)
+    gesture = synthesize_gesture(params, seed=31, labels=LABEL_KIND_GESTURE)
+    phase = synthesize_gesture(params, seed=31, labels=LABEL_KIND_PHASE)
+    assert gesture.frames.tobytes() == phase.frames.tobytes()
+    assert gesture.frames.shape == phase.frames.shape
 
 
 def test_negative_per_class_rejected():

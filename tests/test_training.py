@@ -426,6 +426,12 @@ def test_quantized_retraining_validates_assignments():
         retrain_quantized(
             spec, params, [np.full((2, 2), 5)], [np.zeros(2)], X, y, _cfg()
         )
+    # -1 marks a pruned position; any other negative index is refused
+    with pytest.raises(InvalidParams):
+        retrain_quantized(
+            spec, params, [np.full((2, 2), -5)], [np.zeros(2)], X, y, _cfg()
+        )
+    retrain_quantized(spec, params, [np.full((2, 2), -1)], [np.zeros(2)], X, y, _cfg())
     # the centroid tables share one flat buffer with the biases, so a
     # missing, extra or two-dimensional table must not shift them
     good = [np.zeros((2, 2), int)]
