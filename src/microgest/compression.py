@@ -59,7 +59,7 @@ def prune(
         raise InvalidParams("give exactly one of threshold or target_density")
     masks = []
     if threshold is not None:
-        if threshold < 0.0:
+        if not threshold >= 0.0:  # NaN included
             raise InvalidParams("threshold must be >= 0")
         for lp in params.layers:
             masks.append(np.abs(lp.weights) < threshold)
@@ -94,17 +94,19 @@ def no_pruning(params: Parameters) -> list[np.ndarray]:
 
 # --- shared-weight clustering ------------------------------------------------
 
-def kmeans_1d(
-    values: np.ndarray, k: int, tol: float = 1e-9, max_iter: int = 300
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+KMEANS_TOL = 1e-9
+KMEANS_MAX_ITER = 300
+
+
+def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd's k-means on scalars with linear initialization.
 
     Centroids start equally spaced over ``[min, max]`` of the data, which
     makes the procedure deterministic.  Iteration stops when no centroid
-    moves more than ``tol`` or after ``max_iter`` rounds.  Empty clusters
-    keep their previous centroid.  Returns ``(centroids, assignment,
-    per-iteration sum of squared errors)``; the error sequence never
-    increases.
+    moves more than :data:`KMEANS_TOL` or after :data:`KMEANS_MAX_ITER`
+    rounds.  Empty clusters keep their previous centroid.  Returns
+    ``(centroids, assignment, per-iteration sum of squared errors)``; the
+    error sequence never increases.
     """
     values = np.asarray(values, dtype=float).ravel()
     if k < 1:
@@ -118,7 +120,7 @@ def kmeans_1d(
         centroids = np.linspace(lo, hi, k)
     assignment = np.zeros(values.size, dtype=int)
     sse_history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = np.abs(values[:, None] - centroids[None, :])
         assignment = np.argmin(dist, axis=1)
         sse_history.append(float(np.sum((values - centroids[assignment]) ** 2)))
@@ -130,7 +132,7 @@ def kmeans_1d(
                 new_centroids[j] = members.mean()
                 moved = max(moved, abs(new_centroids[j] - centroids[j]))
         centroids = new_centroids
-        if moved <= tol:
+        if moved <= KMEANS_TOL:
             break
     dist = np.abs(values[:, None] - centroids[None, :])
     assignment = np.argmin(dist, axis=1)
@@ -142,7 +144,7 @@ def bits_per_index(k: int) -> int:
     """Packed width of a cluster index: ``ceil(log2 k)``, zero for ``k=1``."""
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    return max(0, math.ceil(math.log2(k))) if k > 1 else 0
+    return math.ceil(math.log2(k)) if k > 1 else 0
 
 
 @dataclass
@@ -618,11 +620,7 @@ def compress_model(
     validate(spec, params)
     n_params = sum(lp.weights.size + lp.biases.size for lp in params.layers)
     if options.target_density is not None or options.threshold is not None:
-        removed = prune(
-            params,
-            threshold=options.threshold,
-            target_density=options.target_density,
-        )
+        removed = prune(params, options.threshold, options.target_density)
     else:
         removed = no_pruning(params)
     pruned = apply_pruning(params, removed)

@@ -15,6 +15,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,14 +78,20 @@ def _normalized_rows(frames: np.ndarray, spare: int) -> np.ndarray:
     return out
 
 
+# Decay of the rolling statistics: close to one, so the average follows
+# slow illumination drift only.
+ROLLING_ALPHA = 0.99
+
+
 @dataclass
 class RollingStats:
     """Per-pixel exponential average plus decaying min/max envelopes.
 
-    All three tracks live in the normalized domain.  With decay ``alpha``
-    close to one the average follows slow illumination drift, while the
-    min/max envelopes latch short excursions and then relax back toward the
-    average.  The update for sample ``s`` is::
+    All three tracks live in the normalized domain.  With the fixed decay
+    ``alpha`` = :data:`ROLLING_ALPHA` (0.99) the average follows slow
+    illumination drift, while the min/max envelopes latch short excursions
+    and then relax back toward the average.  The update for sample ``s``
+    is::
 
         avg'  = alpha * avg + (1 - alpha) * s
         min'  = min(s, alpha * min + (1 - alpha) * avg)
@@ -96,14 +103,9 @@ class RollingStats:
     fresh object reproduces identical values.
     """
 
-    alpha: float = 0.99
     avg: np.ndarray | None = field(default=None)
     min: np.ndarray | None = field(default=None)
     max: np.ndarray | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidParams(f"alpha must be in (0, 1), got {self.alpha}")
 
     @property
     def initialized(self) -> bool:
@@ -117,7 +119,7 @@ def _roll(stats: RollingStats, s: np.ndarray) -> None:
         stats.min = s.copy()
         stats.max = s.copy()
         return
-    a = stats.alpha
+    a = ROLLING_ALPHA
     avg_prev = stats.avg
     stats.min = np.minimum(s, a * stats.min + (1.0 - a) * avg_prev)
     stats.max = np.maximum(s, a * stats.max + (1.0 - a) * avg_prev)
@@ -162,7 +164,7 @@ def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
 
     Returns ``(T, H*W)`` normalized pixels, plus (``with_stats``) the three
     aggregates of rolling statistics fed the stream from its first frame,
-    equal bit for bit to updating a fresh default :class:`RollingStats`
+    equal bit for bit to updating a fresh :class:`RollingStats`
     and building features frame by frame.  The stack is normalized with one
     division, written straight into the output; the recursion steps
     through the frames with the same step as :func:`update_rolling`; the
@@ -207,7 +209,8 @@ class AnnotatedSequence:
     ``frames`` has shape ``(T, height, width)`` with ADC-range values.
     ``label_kind`` says how annotation labels are meant: ``"gesture"``
     labels name a gesture class at its final frame, ``"phase"`` labels give
-    the motion-phase state of that frame.
+    the motion-phase state of that frame.  ``fps``, the frame rate, must be
+    finite and above zero.
     """
 
     width: int
@@ -226,12 +229,12 @@ class AnnotatedSequence:
             )
         if self.label_kind not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
             raise InvalidParams(f"unknown label kind {self.label_kind!r}")
+        # NaN fails both comparisons
+        if not 0.0 < self.fps < math.inf:
+            raise InvalidParams(f"fps must be finite and > 0, got {self.fps}")
 
     def __len__(self) -> int:
         return int(self.frames.shape[0])
-
-    def image(self, t: int) -> Image:
-        return Image(self.width, self.height, self.frames[t])
 
     def check(self) -> None:
         """Validate pixel values and annotation frame indices."""

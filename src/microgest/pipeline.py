@@ -58,9 +58,9 @@ PHASES_PER_GESTURE = 4
 def phase_state(gesture: GestureClass, phase: int) -> int:
     """State id of ``phase`` (1-based, 1..4) of a swipe gesture."""
     if gesture not in SWIPE_CLASSES:
-        raise ValueError(f"{gesture} has no phase states")
+        raise InvalidParams(f"{gesture} has no phase states")
     if not 1 <= phase <= PHASES_PER_GESTURE:
-        raise ValueError(f"phase must be 1..{PHASES_PER_GESTURE}, got {phase}")
+        raise InvalidParams(f"phase must be 1..{PHASES_PER_GESTURE}, got {phase}")
     return PHASES_PER_GESTURE * int(gesture) + phase
 
 
@@ -120,23 +120,33 @@ def _frame_means(frames) -> np.ndarray:
     return np.asarray(stack, dtype=float).reshape(len(stack), pixels).mean(axis=1)
 
 
+# The detector's fixed rules, described in CandidateDetector
+DETECTOR_DEVIATION = 0.10
+DETECTOR_STABILITY = 0.01
+DETECTOR_BASELINE_ALPHA = 0.9
+
+
 class CandidateDetector:
     """Streaming brightness-dip detector.
 
     The detector tracks a rolling average of image mean brightness and looks
-    for runs of frames deviating from it by a tenth or more.  A run of at
-    least ``min_run`` counted frames becomes a candidate, padded with
-    ``pad`` frames of context on each side.
+    for runs of frames deviating from it by a tenth or more
+    (:data:`DETECTOR_DEVIATION`).  A run of at least ``min_run`` counted
+    frames becomes a candidate, padded with ``pad`` frames of context on
+    each side.
 
     Two stability rules shape what is counted:
 
-    * only frames whose mean differs by less than one percent from the
-      previous frame's mean are "considered"; a not-considered frame
-      freezes the detector (it neither updates the rolling average nor
-      counts toward or against a run) and is parked until the next
-      considered frame decides where it belongs;
+    * only frames whose mean differs by less than one percent
+      (:data:`DETECTOR_STABILITY`) from the previous frame's mean are
+      "considered"; a not-considered frame freezes the detector (it
+      neither updates the rolling average nor counts toward or against a
+      run) and is parked until the next considered frame decides where it
+      belongs;
     * the rolling average is updated only by considered frames that do not
-      deviate, so candidates never drag the baseline toward themselves.
+      deviate, so candidates never drag the baseline toward themselves;
+      each update keeps 0.9 (:data:`DETECTOR_BASELINE_ALPHA`) of the old
+      average.
 
     Parked frames sandwiched between deviating frames join the run; parked
     frames at a run's end become its trailing context.  A run that would
@@ -157,18 +167,7 @@ class CandidateDetector:
 
     _IDLE, _RUN, _POST = range(3)
 
-    def __init__(
-        self,
-        deviation: float = 0.10,
-        stability: float = 0.01,
-        min_run: int = 9,
-        pad: int = 5,
-        capacity: int = 80,
-        baseline_alpha: float = 0.9,
-    ) -> None:
-        for name, value in (("deviation", deviation), ("stability", stability)):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidParams(f"{name} must be finite and >= 0, got {value}")
+    def __init__(self, min_run: int = 9, pad: int = 5, capacity: int = 80) -> None:
         for name, value, least in (("min_run", min_run, 0), ("pad", pad, 0),
                                    ("capacity", capacity, 1)):
             # frame counts: a float or a bool is not one, even when it is whole
@@ -176,14 +175,9 @@ class CandidateDetector:
                 raise InvalidParams(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise InvalidParams(f"{name} must be >= {least}, got {value}")
-        if not 0.0 <= baseline_alpha <= 1.0:
-            raise InvalidParams(f"baseline_alpha must be in [0, 1], got {baseline_alpha}")
-        self.deviation = deviation
-        self.stability = stability
         self.min_run = min_run
         self.pad = pad
         self.capacity = capacity
-        self.baseline_alpha = baseline_alpha
         self._index = -1
         self._rollavg: float | None = None
         self._prev_mean: float | None = None
@@ -246,9 +240,9 @@ class CandidateDetector:
         Returns the index spans ``(first, last, truncated)`` of the
         candidates completed on the way.
         """
-        deviation, stability = self.deviation, self.stability
+        deviation, stability = DETECTOR_DEVIATION, DETECTOR_STABILITY
         min_run, pad, capacity = self.min_run, self.pad, self.capacity
-        alpha = self.baseline_alpha
+        alpha = DETECTOR_BASELINE_ALPHA
         IDLE, RUN, POST = self._IDLE, self._RUN, self._POST
         index, rollavg, prev = self._index, self._rollavg, self._prev_mean
         phase, mark, hist = self._phase, self._mark, self._hist

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NonSquareImage
+from .errors import InvalidParams, NonSquareImage, ShapeMismatch
 from .features import (
     ADC_MAX,
     AnnotatedSequence,
@@ -39,6 +39,10 @@ from .pipeline import (
 )
 
 
+# Steady frames before and after each rendered crossing or disturbance
+LEAD_FRAMES = 15
+
+
 @dataclass(frozen=True)
 class GestureSynthParams:
     """Knobs of one rendered gesture instance.
@@ -46,7 +50,9 @@ class GestureSynthParams:
     ``speed`` is the number of frames the occluder needs to cross the
     field; ``occluder_width`` is the band width as a fraction of the field
     span.  ``direction`` NO_GESTURE renders a non-directional disturbance
-    (a hover dip or an aborted half swipe) instead of a crossing.
+    (a hover dip or an aborted half swipe) instead of a crossing.  Every
+    instance has :data:`LEAD_FRAMES` (15) steady frames on each side; a
+    gamma curve is the :class:`Gamma` transform's job.
     """
 
     direction: GestureClass
@@ -55,11 +61,8 @@ class GestureSynthParams:
     background_brightness: float = 800.0
     contrast: float = 0.8
     noise_sigma: float = 2.0
-    gamma: float = 1.0
     width: int = 3
     height: int = 3
-    lead_in: int = 15
-    lead_out: int = 15
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.speed) and self.speed >= 2):
@@ -72,12 +75,8 @@ class GestureSynthParams:
             raise InvalidParams("contrast must be in [0, 1]")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise InvalidParams("noise_sigma must be finite and >= 0")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise InvalidParams("gamma must be finite and > 0")
         if self.width < 1 or self.height < 1:
             raise InvalidParams("sensor must be at least 1x1")
-        if self.lead_in < 0 or self.lead_out < 0:
-            raise InvalidParams("lead frames must be >= 0")
 
 
 # Motion of each class across the sensor as (dx, dy), y pointing down;
@@ -184,20 +183,16 @@ def _render(
     else:
         coverage = np.zeros((max(2, int(round(p.speed))), p.height, p.width))
     n = coverage.shape[0]
-    stop = p.lead_in + n
+    stop = LEAD_FRAMES + n
 
     # background * (1 - contrast * coverage) between steady lead frames
-    values = np.empty((stop + p.lead_out, p.height, p.width))
-    values[: p.lead_in] = p.background_brightness
+    values = np.empty((stop + LEAD_FRAMES, p.height, p.width))
+    values[:LEAD_FRAMES] = p.background_brightness
     values[stop:] = p.background_brightness
-    body = values[p.lead_in : stop]
+    body = values[LEAD_FRAMES:stop]
     np.multiply(coverage, p.contrast, out=body)
     np.subtract(1.0, body, out=body)
     body *= p.background_brightness
-    if p.gamma != 1.0:
-        values /= ADC_MAX
-        np.power(values, p.gamma, out=values)
-        values *= ADC_MAX
     if p.noise_sigma > 0.0:
         values += rng.normal(0.0, p.noise_sigma, values.shape)
     frames = _to_adc(values)
@@ -207,7 +202,7 @@ def _render(
         return frames, stop - 1, [int(effective)]
     states = np.zeros(frames.shape[0], dtype=int)
     if crossing:
-        states[p.lead_in : stop] = _phase_states(p, centers)
+        states[LEAD_FRAMES:stop] = _phase_states(p, centers)
     return frames, 0, states.tolist()
 
 
@@ -216,15 +211,15 @@ def synthesize_gesture(
 ) -> AnnotatedSequence:
     """Render one annotated gesture instance.
 
-    The sequence is ``lead_in`` steady frames, the crossing (or disturbance),
-    then ``lead_out`` steady frames.  With ``labels="gesture"`` a single
-    annotation marks the final frame of the crossing; with ``labels="phase"``
-    every frame carries its motion-phase state.  A ``contrast`` of zero
-    renders a constant sequence and is labelled NO_GESTURE regardless of the
-    requested direction.  Every random draw of the render comes from one
-    ``default_rng(seed)`` stream, and the label mode draws nothing, so both
-    label modes give the same frames and identical parameters and seed
-    reproduce identical bytes.
+    The sequence is :data:`LEAD_FRAMES` steady frames, the crossing (or
+    disturbance), then :data:`LEAD_FRAMES` steady frames again.  With
+    ``labels="gesture"`` a single annotation marks the final frame of the
+    crossing; with ``labels="phase"`` every frame carries its motion-phase
+    state.  A ``contrast`` of zero renders a constant sequence and is
+    labelled NO_GESTURE regardless of the requested direction.  Every
+    random draw of the render comes from one ``default_rng(seed)`` stream,
+    and the label mode draws nothing, so both label modes give the same
+    frames and identical parameters and seed reproduce identical bytes.
     """
     frames, first, states = _render(p, np.random.default_rng(seed), labels)
     return AnnotatedSequence(
@@ -371,20 +366,20 @@ def augment(seq: AnnotatedSequence, transform: Transform) -> AnnotatedSequence:
 def auto_annotate(
     frames: np.ndarray,
     protocol: tuple[GestureClass, GestureClass],
-    width: int | None = None,
-    height: int | None = None,
     **detector_kwargs,
 ) -> AnnotatedSequence:
-    """Label a recorded stream by a known alternation protocol.
+    """Label a recorded ``(T, H, W)`` stream by a known alternation protocol.
 
     The stream must contain gestures performed strictly alternating between
     the two protocol classes, starting with the first.  Candidates found by
     the brightness-dip detector are labelled in that order at their final
-    frame, which removes per-frame hand labelling for recorded data.
+    frame, which removes per-frame hand labelling for recorded data.  The
+    sensor's width and height are the stack's.
     """
     frames = np.asarray(frames)
-    height = frames.shape[1] if height is None else height
-    width = frames.shape[2] if width is None else width
+    if frames.ndim != 3:
+        raise ShapeMismatch(f"frames shape {frames.shape}, expected (T, H, W)")
+    height, width = frames.shape[1:]
     annotations = []
     for i, cand in enumerate(extract_candidates(frames, **detector_kwargs)):
         label = protocol[i % 2]
@@ -399,6 +394,8 @@ def auto_annotate(
 # Background drift per bridge frame; slow enough that the detector keeps
 # treating bridge frames as stable, steady illumination.
 _BRIDGE_RATE = 0.004
+# Range of a corpus's background brightness, in ADC counts
+BACKGROUND_RANGE = (520.0, 940.0)
 
 
 def _bridge_frames(
@@ -421,14 +418,14 @@ def build_corpus(
     width: int = 3,
     height: int = 3,
     label_kind: str = LABEL_KIND_GESTURE,
-    background_range: tuple[float, float] = (520.0, 940.0),
     fps: float = 40.0,
 ) -> AnnotatedSequence:
     """Assemble one long annotated stream with ``per_class`` instances each.
 
     All five classes (four swipes plus NO_GESTURE disturbances) appear
     ``per_class`` times in shuffled order.  Geometry, contrast, speed,
-    noise, and background vary per instance; a slice of instances is
+    noise, and background (within :data:`BACKGROUND_RANGE`, 520 to 940
+    ADC counts) vary per instance; a slice of instances is
     produced by augmenting a rendering of a different class (mirrors and
     rotations remap the label back).  Background changes between instances
     ride on slow bridge ramps so a streaming detector can follow the
@@ -453,7 +450,7 @@ def build_corpus(
     ]
     rng.shuffle(order)
 
-    lo, hi = background_range
+    lo, hi = BACKGROUND_RANGE
     bg = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
     chunks: list[np.ndarray] = []
     annotations: list[Annotation] = []

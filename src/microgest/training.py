@@ -63,19 +63,25 @@ from .model import (
 
 _LOG_CLIP = 1e-12
 
+# Adam's fixed moment decays and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Optimizer choice and schedule for one training run."""
+    """Optimizer choice and schedule for one training run.
+
+    Adam runs with the fixed ``beta1`` 0.9, ``beta2`` 0.999 and ``eps``
+    1e-8 (:data:`ADAM_BETA1`, :data:`ADAM_BETA2`, :data:`ADAM_EPS`).
+    """
 
     optimizer: str = "adam"
     learning_rate: float = 0.01
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.optimizer not in ("sgd", "adam"):
@@ -89,10 +95,6 @@ class TrainingConfig:
             raise InvalidParams("epochs must be >= 0")
         if self.batch_size < 1:
             raise InvalidParams("batch_size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InvalidParams("betas must lie in [0, 1)")
-        if not 0.0 < self.eps < math.inf:
-            raise InvalidParams("eps must be finite and > 0")
 
 
 def init_params(spec: ModelSpec, seed: int) -> Parameters:
@@ -145,26 +147,25 @@ class _Sgd:
 class _Adam:
     def __init__(self, size: int, cfg: TrainingConfig) -> None:
         self.lr = cfg.learning_rate
-        self.b1, self.b2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         m, v = self.m, self.v
-        m *= self.b1
-        m += (1.0 - self.b1) * grad
-        v *= self.b2
-        v += (1.0 - self.b2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
         # flat -= lr * (m / c1) / (sqrt(v / c2) + eps), with two temporaries
         step = m / c1
         step *= self.lr
         den = v / c2
         np.sqrt(den, out=den)
-        den += self.eps
+        den += ADAM_EPS
         step /= den
         flat -= step
 

@@ -218,7 +218,7 @@ class OracleSgd:
 class OracleAdam:
     def __init__(self, arrays: list[np.ndarray], cfg) -> None:
         self.lr = cfg.learning_rate
-        self.b1, self.b2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m = [np.zeros_like(p) for p in arrays]
         self.v = [np.zeros_like(p) for p in arrays]
@@ -406,21 +406,13 @@ class OracleCandidateDetector:
 
     _IDLE, _RUN, _POST = range(3)
 
-    def __init__(
-        self,
-        deviation: float = 0.10,
-        stability: float = 0.01,
-        min_run: int = 9,
-        pad: int = 5,
-        capacity: int = 80,
-        baseline_alpha: float = 0.9,
-    ) -> None:
-        self.deviation = deviation
-        self.stability = stability
+    def __init__(self, min_run: int = 9, pad: int = 5, capacity: int = 80) -> None:
+        self.deviation = 0.10
+        self.stability = 0.01
         self.min_run = min_run
         self.pad = pad
         self.capacity = capacity
-        self.baseline_alpha = baseline_alpha
+        self.baseline_alpha = 0.9
         self._index = -1
         self._rollavg: float | None = None
         self._prev_mean: float | None = None
@@ -599,8 +591,7 @@ def oracle_label_candidates(
 
 # --- corpus assembly, one public call per step -------------------------------
 
-def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture",
-                        background_range=(520.0, 940.0)):
+def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture"):
     """``build_corpus`` made of ``synthesize_gesture``, ``augment`` and
     ``gesture_label_map`` calls, each instance drawing from its own fresh
     ``default_rng(iseed)`` streams.  Returns the corpus and the set of
@@ -609,7 +600,7 @@ def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture"
     order = [(cls, int(rng.integers(0, 2**31)))
              for cls in GestureClass for _ in range(per_class)]
     rng.shuffle(order)
-    lo, hi = background_range
+    lo, hi = 520.0, 940.0
     bg = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
     geoms = [None, MirrorX(), MirrorY()]
     if width == height:

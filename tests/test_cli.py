@@ -117,6 +117,16 @@ def test_synth_per_class_zero_gives_an_empty_corpus(tmp_path, capsys):
     assert len(ds) == 0 and ds.annotations == []
 
 
+@pytest.mark.parametrize("fps", ["-1", "nan"])
+def test_synth_rejects_a_bad_fps(tmp_path, capsys, fps):
+    # both once wrote a dataset that loaded back without complaint
+    out = tmp_path / "ds.mgds"
+    err = _one_error_line(capsys, ["synth", "--out", out, "--per-class", "1",
+                                   "--fps", fps])
+    assert "fps" in err
+    assert not out.exists()
+
+
 # --- train -------------------------------------------------------------------
 
 def test_train_saves_a_loadable_model_with_metadata(gesture_setup):
@@ -383,6 +393,16 @@ def test_compress_rejects_a_wrong_length_cluster_list(
                               "--out", tmp_path / "bad.mgcm",
                               "--clusters", "4,8,16"])
     assert rc == 1 and err
+
+
+def test_compress_rejects_a_nan_threshold(tmp_path, gesture_setup, capsys):
+    # NaN once pruned nothing and succeeded
+    _, _, model = gesture_setup
+    out = tmp_path / "nan.mgcm"
+    err = _one_error_line(capsys, ["compress", "--model", model, "--out", out,
+                                   "--threshold", "nan", "--clusters", "15"])
+    assert "threshold" in err
+    assert not out.exists()
 
 
 def test_compress_with_retraining_runs_end_to_end(

@@ -72,6 +72,8 @@ def test_prune_needs_exactly_one_policy():
     with pytest.raises(InvalidParams):
         prune(params, threshold=-0.1)
     with pytest.raises(InvalidParams):
+        prune(params, threshold=float("nan"))  # once pruned nothing
+    with pytest.raises(InvalidParams):
         prune(params, target_density=1.5)
 
 

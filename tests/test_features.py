@@ -69,25 +69,25 @@ def test_rolling_first_sample_initializes_all_tracks():
 
 
 def test_rolling_update_formulas_hand_computed():
-    # alpha = 0.5 for easy hand arithmetic, one pixel
-    stats = RollingStats(alpha=0.5)
+    # the fixed alpha of 0.99, one pixel
+    stats = RollingStats()
     update_rolling(stats, _img([[512]]))  # avg = min = max = 0.5
     update_rolling(stats, _img([[1024 // 4]]))  # sample 0.25
-    # avg' = .5*.5 + .5*.25 = .375
-    # min' = min(.25, .5*.5 + .5*.5) = .25   (uses avg from before the update)
-    # max' = max(.25, .5*.5 + .5*.5) = .5
-    assert stats.avg[0] == pytest.approx(0.375)
+    # avg' = .99*.5 + .01*.25 = .4975
+    # min' = min(.25, .99*.5 + .01*.5) = .25   (uses avg from before the update)
+    # max' = max(.25, .99*.5 + .01*.5) = .5
+    assert stats.avg[0] == pytest.approx(0.4975)
     assert stats.min[0] == pytest.approx(0.25)
     assert stats.max[0] == pytest.approx(0.5)
 
     update_rolling(stats, _img([[512]]))  # sample 0.5
-    # uses avg_prev = .375:
-    # min' = min(.5, .5*.25 + .5*.375) = .3125
-    # max' = max(.5, .5*.5  + .5*.375) = .5
-    # avg' = .5*.375 + .5*.5 = .4375
-    assert stats.min[0] == pytest.approx(0.3125)
+    # uses avg_prev = .4975:
+    # min' = min(.5, .99*.25 + .01*.4975) = .252475
+    # max' = max(.5, .99*.5  + .01*.4975) = .5
+    # avg' = .99*.4975 + .01*.5 = .497525
+    assert stats.min[0] == pytest.approx(0.252475)
     assert stats.max[0] == pytest.approx(0.5)
-    assert stats.avg[0] == pytest.approx(0.4375)
+    assert stats.avg[0] == pytest.approx(0.497525)
 
 
 def test_rolling_constant_stream_is_a_fixed_point():
@@ -98,13 +98,6 @@ def test_rolling_constant_stream_is_a_fixed_point():
     assert np.allclose(stats.avg, level)
     assert np.allclose(stats.min, level)
     assert np.allclose(stats.max, level)
-
-
-def test_rolling_alpha_validation():
-    with pytest.raises(InvalidParams):
-        RollingStats(alpha=0.0)
-    with pytest.raises(InvalidParams):
-        RollingStats(alpha=1.0)
 
 
 def test_build_features_without_stats_is_normalized_pixels():
@@ -225,8 +218,7 @@ def test_annotated_sequence_check_catches_bad_annotation_frame():
         seq.check()
 
 
-def test_annotated_sequence_image_accessor():
-    frames = np.arange(8).reshape(2, 2, 2)
-    seq = AnnotatedSequence(width=2, height=2, frames=frames)
-    assert len(seq) == 2
-    assert np.array_equal(seq.image(1).pixels, frames[1])
+@pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_annotated_sequence_rejects_a_bad_fps(fps):
+    with pytest.raises(InvalidParams):
+        AnnotatedSequence(width=1, height=1, frames=np.zeros((2, 1, 1)), fps=fps)

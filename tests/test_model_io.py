@@ -609,6 +609,15 @@ def test_dangling_annotation_is_rejected(tmp_path):
         save_dataset(tmp_path / "bad.mgds", ds)
 
 
+@pytest.mark.parametrize("fps", [-1.0, 0.0, float("nan"), float("inf")])
+def test_a_dataset_header_with_a_bad_fps_is_rejected(tmp_path, fps):
+    path = tmp_path / "corpus.mgds"
+    save_dataset(path, build_corpus(1, seed=1))
+    _with_header_field(path, ("fps",), fps)
+    with pytest.raises(InvalidParams):
+        load_dataset(path)
+
+
 def test_file_kinds_do_not_cross_load(tmp_path, model):
     model_path = tmp_path / "net.mgnn"
     save_model(model_path, *model)

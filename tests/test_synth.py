@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from microgest.errors import InvalidParams, NonSquareImage
+from microgest.errors import InvalidParams, NonSquareImage, ShapeMismatch
 from microgest.features import ADC_MAX, LABEL_KIND_GESTURE, LABEL_KIND_PHASE
 from microgest.model_io import save_dataset
 from microgest.pipeline import GestureClass, PHASES_PER_GESTURE
@@ -62,12 +62,13 @@ def test_zero_contrast_renders_constant_no_gesture():
 
 
 def test_gesture_annotation_marks_final_crossing_frame():
-    seq = synthesize_gesture(_params(speed=30, lead_in=15, lead_out=10), seed=0)
+    # 15 steady lead frames on each side of the 30-frame crossing
+    seq = synthesize_gesture(_params(speed=30), seed=0)
     assert len(seq.annotations) == 1
     ann = seq.annotations[0]
     assert ann.label == int(L2R)
     assert ann.frame == 15 + 30 - 1
-    assert len(seq) == 15 + 30 + 10
+    assert len(seq) == 15 + 30 + 15
 
 
 def test_swipe_dims_cells_in_motion_order():
@@ -107,7 +108,7 @@ def test_phase_labels_cover_every_frame_in_walk_order():
 
 def test_gamma_darkens_midtones():
     flat = synthesize_gesture(_params(), seed=0)
-    curved = synthesize_gesture(_params(gamma=2.0), seed=0)
+    curved = augment(flat, Gamma(2.0))
     assert curved.frames.max() < flat.frames.max()
 
 
@@ -120,15 +121,15 @@ def test_gamma_darkens_midtones():
         dict(background_brightness=2000.0),
         dict(contrast=1.5),
         dict(noise_sigma=-1.0),
-        dict(gamma=0.0),
+        dict(height=0),
         dict(width=0),
-        dict(lead_in=-1),
+        dict(contrast=-0.1),
         dict(speed=np.inf),
         dict(speed=np.nan),
         dict(noise_sigma=np.inf),
         dict(noise_sigma=np.nan),
-        dict(gamma=np.inf),
-        dict(gamma=np.nan),
+        dict(occluder_width=np.nan),
+        dict(background_brightness=np.nan),
     ],
 )
 def test_invalid_render_parameters_rejected(kw):
@@ -298,6 +299,14 @@ def test_auto_annotate_alternates_protocol_labels():
     assert labels == [int(L2R), int(R2L), int(L2R)]
     for ann in seq.annotations:
         assert frames[ann.frame].mean() == 800.0  # end frame sits in padding
+    assert (seq.width, seq.height) == (3, 3)
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 9), (40, 3, 3, 1)])
+def test_auto_annotate_needs_a_frame_stack(shape):
+    # a 1-D or 2-D stack once escaped as an IndexError
+    with pytest.raises(ShapeMismatch):
+        auto_annotate(np.full(shape, 800.0), (L2R, R2L))
 
 
 # --- corpus assembly ---------------------------------------------------------
@@ -380,8 +389,8 @@ def test_corpus_equals_render_then_augment_for_every_combination(kind, width, he
 
 
 @pytest.mark.parametrize("direction", list(GestureClass))
-@pytest.mark.parametrize("kw", [{}, {"gamma": 0.8}, {"contrast": 0.0},
-                                {"noise_sigma": 0.0, "width": 4}])
+@pytest.mark.parametrize("kw", [{}, {"speed": 18.0, "occluder_width": 0.3},
+                                {"contrast": 0.0}, {"noise_sigma": 0.0, "width": 4}])
 def test_label_mode_never_changes_the_frames(direction, kw):
     params = GestureSynthParams(direction=direction, **kw)
     gesture = synthesize_gesture(params, seed=31, labels=LABEL_KIND_GESTURE)
