@@ -113,11 +113,11 @@ from .training import (
     train_ffnn,
     train_rnn_bptt,
 )
+from .bitcode import HuffmanTable, pack_bits, unpack_bits
 from .compression import (
     CompressedLayer,
     CompressedModel,
     CompressionOptions,
-    HuffmanTable,
     SparseLayer,
     apply_pruning,
     bits_per_index,
@@ -128,11 +128,9 @@ from .compression import (
     huffman_decode,
     huffman_encode,
     kmeans_1d,
-    pack_bits,
     prune,
     quantize_kmeans,
     sparse_matvec,
-    unpack_bits,
 )
 from .estimator import (
     Budget,

@@ -1,0 +1,189 @@
+"""Bit-level codes of the compressed-model format.
+
+Fixed-width packing of cluster indices, and the construction of canonical
+Huffman codes: code lengths from a byte histogram, canonical code values,
+the decoder's lookup table, and the size of a code table and of a coded
+stream.  The coding stages themselves,
+:func:`microgest.compression.huffman_encode` and
+:func:`microgest.compression.huffman_decode`, are built on these.
+
+The bit layer works on whole arrays: packing expands values into a bit
+matrix and hands it to ``np.packbits``; unpacking is the reverse.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .errors import CorruptStream, InvalidParams
+
+
+# --- fixed-width packing -----------------------------------------------------
+
+#: Widest packed value: unpacked values are int64.
+MAX_BIT_WIDTH = 63
+
+
+def _check_width(width: int) -> None:
+    if not 0 <= width <= MAX_BIT_WIDTH:
+        raise InvalidParams(f"bit width must be in 0..{MAX_BIT_WIDTH}")
+
+
+def _word_bytes(width: int) -> int:
+    """Bytes of the narrowest unsigned integer type holding ``width`` bits."""
+    return next(n for n in (1, 2, 4, 8) if 8 * n >= width)
+
+
+def pack_bits(values: Sequence[int], width: int) -> bytes:
+    """Pack unsigned integers into a big-endian-within-byte bit stream."""
+    _check_width(width)
+    if width == 0:
+        return b""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        array = np.array(values, dtype=object)  # integers past 64 bits stay exact
+    bad = (array < 0) | (array >= 1 << width)
+    if bad.any():
+        raise InvalidParams(f"value {array[bad][0]} does not fit in {width} bits")
+    n = _word_bytes(width)
+    octets = array.astype(f">u{n}").view(np.uint8).reshape(-1, n)
+    return np.packbits(np.unpackbits(octets, axis=1)[:, 8 * n - width :]).tobytes()
+
+
+def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits` for a known value count."""
+    _check_width(width)
+    if width == 0:
+        return np.zeros(count, dtype=int)
+    needed = (count * width + 7) // 8
+    if len(data) < needed:
+        raise CorruptStream("bit stream shorter than declared")
+    n = _word_bytes(width)
+    bits = np.zeros((count, 8 * n), dtype=np.uint8)  # values, right-aligned
+    bits[:, 8 * n - width :] = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8, count=needed), count=count * width
+    ).reshape(count, width)
+    return np.packbits(bits, axis=1).view(f">u{n}").ravel().astype(np.int64)
+
+
+# --- canonical Huffman codes -------------------------------------------------
+
+@dataclass
+class HuffmanTable:
+    """Canonical code description: bit length per symbol, plus symbol count."""
+
+    lengths: dict[int, int]
+    n_symbols: int
+
+
+def _code_lengths(counts: np.ndarray) -> dict[int, int]:
+    """Huffman code length of every byte value with a nonzero count.
+
+    Merges the two lightest subtrees first; ties go to the subtree made
+    earliest, leaves in symbol order before every merged subtree.
+    """
+    symbols = np.flatnonzero(counts).tolist()
+    if len(symbols) == 1:
+        # degenerate alphabet: spend one bit per symbol anyway
+        return {symbols[0]: 1}
+    heap = [(int(counts[sym]), node, node) for node, sym in enumerate(symbols)]
+    heapq.heapify(heap)
+    parent = [0] * (2 * len(symbols) - 1)
+    node = len(symbols)
+    while len(heap) > 1:
+        fa, _, a = heapq.heappop(heap)
+        fb, _, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (fa + fb, node, node))
+        node += 1
+    depth = [0] * len(parent)
+    for child in range(len(parent) - 2, -1, -1):  # parents are made after children
+        depth[child] = depth[parent[child]] + 1
+    return dict(zip(symbols, depth))
+
+
+def _histogram(data: bytes) -> np.ndarray:
+    """Count of each of the 256 byte values; empty input has no code.
+
+    Counted 4096 bytes at a time: ``np.bincount`` widens its input to
+    64-bit integers, eight bytes per byte counted.
+    """
+    if not data:
+        raise InvalidParams("cannot build a code for empty input")
+    octets = np.frombuffer(data, dtype=np.uint8)
+    return sum(
+        np.bincount(octets[at : at + 4096], minlength=256) for at in range(0, len(data), 4096)
+    )
+
+
+def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """Assign canonical code values: sorted by (length, symbol)."""
+    codes: dict[int, tuple[int, int]] = {}
+    code = 0
+    prev_len: int | None = None
+    for sym, length in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])):
+        if prev_len is None:
+            code = 0
+        else:
+            code = (code + 1) << (length - prev_len)
+        codes[sym] = (code, length)
+        prev_len = length
+    return codes
+
+
+#: Decoding-table length of a word longer than the table's width.
+_LONG = 255
+
+
+def _decode_table(
+    lengths: dict[int, int], width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical code of ``lengths`` by length, and a table of the word
+    that each ``width``-bit peek starts.
+
+    Returns ``(symbols, count, first, word_len, word_sym)``: the symbols in
+    canonical order (bytes), the number of words of each length, the rank
+    of each length's first word, and per peek the length and symbol of the
+    word of at most ``width`` bits it starts.  A peek that starts a longer
+    word has length :data:`_LONG` and in place of the symbol its rank ``e``
+    past the last word of at most ``width`` bits; ``e`` is below 256, since
+    a code has at most 256 words.  Any other peek matches nothing: length 0.
+    """
+    codes = canonical_codes(lengths)  # ascending code ranges
+    symbols = np.fromiter(codes, dtype=np.uint8)
+    by_rank = np.array([n for _, n in codes.values()])  # code lengths in rank order
+    count = np.bincount(by_rank)
+    first = np.cumsum(count) - count
+    short = int(first[width] + count[width])
+    # the words of at most `width` bits fill the peeks from 0 on, in rank
+    # order, 2**(width - n) peeks for a word of n bits
+    spans = np.array([1 << (width - n) for n in by_rank[:short].tolist()], dtype=np.int64)
+    ends = np.minimum(np.cumsum(spans), 1 << width)
+    rank = np.repeat(np.arange(short), np.diff(ends, prepend=0))
+    e = np.arange((1 << width) - rank.size)  # rank of a later peek past the last short word
+    longer = np.where((e < 256) & (by_rank[-1] > width), _LONG, 0)
+    word_len = np.concatenate((by_rank[rank], longer)).astype(np.uint8)
+    word_sym = np.concatenate((symbols[rank], e)).astype(np.uint8)
+    return symbols, count, first, word_len, word_sym
+
+
+def huffman_table_bytes(table: HuffmanTable) -> int:
+    """Serialized size of a code table: 2-byte count plus 2 bytes per symbol."""
+    return 2 + 2 * len(table.lengths)
+
+
+def _huffman_coded_size(data: bytes) -> int:
+    """Bytes :func:`~microgest.compression.huffman_encode` gives for
+    ``data``, table included.
+
+    Counted from the histogram and the code lengths, without encoding:
+    ``ceil(sum(count * length) / 8)`` plus :func:`huffman_table_bytes`.
+    """
+    counts = _histogram(data)
+    lengths = _code_lengths(counts)
+    bits = sum(int(counts[sym]) * length for sym, length in lengths.items())
+    return (bits + 7) // 8 + huffman_table_bytes(HuffmanTable(lengths, len(data)))

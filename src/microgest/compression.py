@@ -7,26 +7,39 @@ packing of cluster indices, and an optional canonical Huffman pass over the
 encoded bytes.  Biases are never pruned or quantized; they ride along
 uncompressed.
 
-The bit layer works on whole arrays: packing and Huffman encoding expand
-values into a bit matrix and hand it to ``np.packbits``; unpacking is the
-reverse.  Huffman decoding reads one code word per step, by searching the
-canonical code ranges, and accepts any code with lengths up to 255 bits.
-:func:`compress_model` reports the Huffman stage's size from the byte
-histogram and the code lengths, without encoding; only saving encodes.
+K-means sorts each layer's values once and, while the centroids stay in
+order, assigns them by cutting the sorted values at the centroid
+midpoints, with a check that keeps the result equal to the nearest-centroid
+``argmin``.  Huffman coding works on blocks of the stream: encoding hands
+the code-word bits of a block of symbols to ``np.packbits``; decoding
+finds the code word at every bit offset of a block with a lookup table
+and walks the chain of word lengths, for any code with lengths up to 255
+bits.  Bit packing and the construction of canonical codes live in
+:mod:`microgest.bitcode`.  :func:`compress_model` reports the Huffman
+stage's size from the byte histogram and the code lengths, without
+encoding; only saving encodes.
 
 Masks returned by :func:`prune` mark *removed* weights with True.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .bitcode import (
+    _LONG,
+    HuffmanTable,
+    _code_lengths,
+    _decode_table,
+    _histogram,
+    _huffman_coded_size,
+    canonical_codes,
+    pack_bits,
+)
 from .errors import (
     CorruptStream,
     DeltaOverflow,
@@ -99,45 +112,92 @@ KMEANS_MAX_ITER = 300
 
 
 def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd's k-means on scalars with linear initialization.
+    """Lloyd's k-means on finite scalars with linear initialization.
 
     Centroids start equally spaced over ``[min, max]`` of the data, which
-    makes the procedure deterministic.  Iteration stops when no centroid
-    moves more than :data:`KMEANS_TOL` or after :data:`KMEANS_MAX_ITER`
-    rounds.  Empty clusters keep their previous centroid.  Returns
-    ``(centroids, assignment, per-iteration sum of squared errors)``; the
-    error sequence never increases.
+    makes the procedure deterministic.  Each round assigns every value the
+    centroid at the least distance ``|v - c|``, the first on a tie, and
+    moves each centroid to the mean of its members.  Iteration stops when
+    no centroid moves more than :data:`KMEANS_TOL` or after
+    :data:`KMEANS_MAX_ITER` rounds.  Empty clusters keep their previous
+    centroid.  Returns ``(centroids, assignment, per-iteration sum of
+    squared errors)``; the error sequence never increases.
+
+    The values are sorted once.  While the centroids are non-decreasing, a
+    round cuts the sorted values at the centroid midpoints into one segment
+    per cluster (:func:`_sorted_cut`), and only clusters whose segment moved
+    are averaged again, over their members in index order.  Any other round
+    takes the ``argmin`` of the full distance matrix, so the result is
+    bit-identical to computing that matrix every round.
     """
     values = np.asarray(values, dtype=float).ravel()
     if k < 1:
         raise InvalidParams("k must be >= 1")
     if k > values.size:
         raise KTooLarge(f"k={k} exceeds the {values.size} available values")
+    if not np.isfinite(values).all():
+        raise InvalidParams("k-means needs finite values")
     lo, hi = float(values.min()), float(values.max())
     if k == 1:
         centroids = np.array([(lo + hi) / 2.0])
     else:
         centroids = np.linspace(lo, hi, k)
-    assignment = np.zeros(values.size, dtype=int)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    assignment = np.zeros(values.size, dtype=np.intp)
+    cut = None  # segment bounds of the last round; None after a full-matrix round
     sse_history: list[float] = []
-    for _ in range(KMEANS_MAX_ITER):
-        dist = np.abs(values[:, None] - centroids[None, :])
-        assignment = np.argmin(dist, axis=1)
+    moved = math.inf
+    while True:
+        new_cut = _sorted_cut(ordered, centroids)
+        if new_cut is None:
+            assignment = np.argmin(np.abs(values[:, None] - centroids[None, :]), axis=1)
+            stale = range(k)
+        else:  # only clusters whose segment moved have new members
+            stale = range(k) if cut is None else (
+                (new_cut[:-1] != cut[:-1]) | (new_cut[1:] != cut[1:])
+            ).nonzero()[0]
+            for j in stale:
+                assignment[order[new_cut[j] : new_cut[j + 1]]] = j
+        cut = new_cut
         sse_history.append(float(np.sum((values - centroids[assignment]) ** 2)))
+        if moved <= KMEANS_TOL or len(sse_history) > KMEANS_MAX_ITER:
+            return centroids, assignment, sse_history
         moved = 0.0
         new_centroids = centroids.copy()
-        for j in range(k):
+        for j in stale:  # every other cluster keeps the mean of the members it has
             members = values[assignment == j]
             if members.size:
                 new_centroids[j] = members.mean()
                 moved = max(moved, abs(new_centroids[j] - centroids[j]))
         centroids = new_centroids
-        if moved <= KMEANS_TOL:
-            break
-    dist = np.abs(values[:, None] - centroids[None, :])
-    assignment = np.argmin(dist, axis=1)
-    sse_history.append(float(np.sum((values - centroids[assignment]) ** 2)))
-    return centroids, assignment, sse_history
+
+
+def _sorted_cut(ordered: np.ndarray, centroids: np.ndarray) -> np.ndarray | None:
+    """Bounds of one segment of the sorted values per centroid, such that
+    every value's nearest centroid is its segment's; None when the
+    midpoint cut does not give that or the centroids are not sorted.
+
+    The cut is kept only if, for every value, its segment's centroid is a
+    strict local minimum of the rounded distances to the centroids.  Over
+    sorted centroids those distances fall and then rise (rounding is
+    monotone), so a strict local minimum is the unique minimum: the index
+    ``argmin`` returns.  Every value is checked, because rounding can make
+    distances equal anywhere in a segment, not only at its ends.
+    """
+    if not (centroids[1:] >= centroids[:-1]).all():  # NaN included
+        return None
+    half = 0.5 * centroids  # halves first: the sum of two large centroids could overflow
+    mids = half[:-1] + half[1:]
+    # one stable merge places each midpoint before the values equal to it
+    merged = np.argsort(np.concatenate((mids, ordered)), kind="stable")
+    inner = np.flatnonzero(merged < mids.size) - np.arange(mids.size)
+    cut = np.concatenate(([0], inner, [ordered.size]))
+    counts = cut[1:] - cut[:-1]
+    padded = np.concatenate(([-np.inf], centroids, [np.inf]))
+    side = np.abs(ordered - padded[:-2].repeat(counts))
+    np.minimum(side, np.abs(ordered - padded[2:].repeat(counts)), out=side)
+    return cut if (np.abs(ordered - centroids.repeat(counts)) < side).all() else None
 
 
 def bits_per_index(k: int) -> int:
@@ -288,167 +348,114 @@ def sparse_matvec(sl: SparseLayer, shape: tuple[int, int], x: np.ndarray) -> np.
     return y.astype(float, copy=False)  # bincount gives ints when no entry is stored
 
 
-# --- bit packing -------------------------------------------------------------
-
-#: Widest packed value: unpacked values are int64.
-MAX_BIT_WIDTH = 63
-
-
-def _check_width(width: int) -> None:
-    if not 0 <= width <= MAX_BIT_WIDTH:
-        raise InvalidParams(f"bit width must be in 0..{MAX_BIT_WIDTH}")
-
-
-def _word_bytes(width: int) -> int:
-    """Bytes of the narrowest unsigned integer type holding ``width`` bits."""
-    return next(n for n in (1, 2, 4, 8) if 8 * n >= width)
-
-
-def pack_bits(values: Sequence[int], width: int) -> bytes:
-    """Pack unsigned integers into a big-endian-within-byte bit stream."""
-    _check_width(width)
-    if width == 0:
-        return b""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iu":
-        array = np.array(values, dtype=object)  # integers past 64 bits stay exact
-    bad = (array < 0) | (array >= 1 << width)
-    if bad.any():
-        raise InvalidParams(f"value {array[bad][0]} does not fit in {width} bits")
-    n = _word_bytes(width)
-    octets = array.astype(f">u{n}").view(np.uint8).reshape(-1, n)
-    return np.packbits(np.unpackbits(octets, axis=1)[:, 8 * n - width :]).tobytes()
-
-
-def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits` for a known value count."""
-    _check_width(width)
-    if width == 0:
-        return np.zeros(count, dtype=int)
-    needed = (count * width + 7) // 8
-    if len(data) < needed:
-        raise CorruptStream("bit stream shorter than declared")
-    n = _word_bytes(width)
-    bits = np.zeros((count, 8 * n), dtype=np.uint8)  # values, right-aligned
-    bits[:, 8 * n - width :] = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=needed), count=count * width
-    ).reshape(count, width)
-    return np.packbits(bits, axis=1).view(f">u{n}").ravel().astype(np.int64)
-
-
 # --- canonical Huffman coding ------------------------------------------------
 
-@dataclass
-class HuffmanTable:
-    """Canonical code description: bit length per symbol, plus symbol count."""
-
-    lengths: dict[int, int]
-    n_symbols: int
-
-
-def _code_lengths(counts: np.ndarray) -> dict[int, int]:
-    """Huffman code length of every byte value with a nonzero count.
-
-    Merges the two lightest subtrees first; ties go to the subtree made
-    earliest, leaves in symbol order before every merged subtree.
-    """
-    symbols = np.flatnonzero(counts).tolist()
-    if len(symbols) == 1:
-        # degenerate alphabet: spend one bit per symbol anyway
-        return {symbols[0]: 1}
-    heap = [(int(counts[sym]), node, node) for node, sym in enumerate(symbols)]
-    heapq.heapify(heap)
-    parent = [0] * (2 * len(symbols) - 1)
-    node = len(symbols)
-    while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        parent[a] = parent[b] = node
-        heapq.heappush(heap, (fa + fb, node, node))
-        node += 1
-    depth = [0] * len(parent)
-    for child in range(len(parent) - 2, -1, -1):  # parents are made after children
-        depth[child] = depth[parent[child]] + 1
-    return dict(zip(symbols, depth))
-
-
-def _histogram(data: bytes) -> np.ndarray:
-    """Count of each of the 256 byte values; empty input has no code."""
-    if not data:
-        raise InvalidParams("cannot build a code for empty input")
-    return np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-
-
-def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """Assign canonical code values: sorted by (length, symbol)."""
-    codes: dict[int, tuple[int, int]] = {}
-    code = 0
-    prev_len: int | None = None
-    for sym, length in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])):
-        if prev_len is None:
-            code = 0
-        else:
-            code = (code + 1) << (length - prev_len)
-        codes[sym] = (code, length)
-        prev_len = length
-    return codes
+#: Bytes coded or decoded per block, and bits one decoding table lookup reads.
+_BLOCK_BYTES = 1024
+_LOOKUP_BITS = 12
 
 
 def huffman_encode(data: bytes) -> tuple[bytes, HuffmanTable]:
-    """Encode bytes with a canonical Huffman code built from their histogram."""
+    """Encode bytes with a canonical Huffman code built from their histogram.
+
+    The code-word bits of one block of symbols at a time are packed; the
+    bits of a last partial byte carry over into the next block.
+    """
     lengths = _code_lengths(_histogram(data))
     max_len = max(lengths.values())
     words = np.zeros((256, max_len), dtype=np.uint8)  # code bits, left-aligned
-    widths = np.zeros(256, dtype=np.int64)
+    used = np.zeros((256, max_len), dtype=bool)  # the bits each code word has
     for sym, (value, length) in canonical_codes(lengths).items():
         octets = np.frombuffer(value.to_bytes((length + 7) // 8, "big"), dtype=np.uint8)
         words[sym, :length] = np.unpackbits(octets)[-length:]
-        widths[sym] = length
+        used[sym, :length] = True
     symbols = np.frombuffer(data, dtype=np.uint8)
-    used = np.arange(max_len) < widths[symbols][:, None]
-    return np.packbits(words[symbols][used]).tobytes(), HuffmanTable(lengths, len(data))
+    packed, carry = [], np.zeros(0, dtype=np.uint8)
+    for start in range(0, symbols.size, _BLOCK_BYTES):
+        part = symbols[start : start + _BLOCK_BYTES]
+        bits = np.concatenate((carry, words[part][used[part]]))
+        whole = bits.size - bits.size % 8
+        packed.append(np.packbits(bits[:whole]).tobytes())
+        carry = bits[whole:]
+    packed.append(np.packbits(carry).tobytes())
+    return b"".join(packed), HuffmanTable(lengths, len(data))
 
 
 def huffman_decode(encoded: bytes, table: HuffmanTable) -> bytes:
     """Decode a canonical Huffman stream back to bytes.
 
-    Decodes one code word per step: peek ``max_len`` bits and find the
-    code word whose canonical range ``[value, value + 1) << (max_len -
-    length)`` holds them.  Lengths may reach 255 bits, so the peek is a
-    Python integer.
+    Lengths may reach 255 bits.  Block by block, the decoder finds the
+    length and symbol of the code word that starts at every bit offset,
+    then walks the chain of lengths from offset 0 and gathers the symbols
+    at its start positions.  A table of ``2**K`` entries, ``K = min(max
+    length, 12)``, maps the next ``K`` bits to a word of at most ``K``
+    bits.  A longer word goes on one bit at a time with the canonical
+    recurrence (Moffat and Turpin, 1997): at length ``l``, ``d = 2e + bit``
+    is its rank among the ``count[l]`` words of that length if ``d <
+    count[l]``; otherwise ``e = d - count[l]`` carries on, and once ``e``
+    reaches 256 no word can match, as a code has at most 256.  So each
+    offset decodes exactly as a bit-by-bit reader decodes it, errors
+    included: a stream that runs out is ``bit stream ended inside a code
+    word``, and one that matches nothing with more than ``max length``
+    bits left is ``no code word matches the stream``.
     """
     if table.n_symbols == 0:
         return b""
     if min(table.lengths.values()) < 1:
         raise CorruptStream("code word shorter than one bit")
     max_len = max(table.lengths.values())
-    codes = canonical_codes(table.lengths)  # ascending code ranges
-    limits = [(value + 1) << (max_len - length) for value, length in codes.values()]
-    symbols = list(codes)
-    # a peek above every range matches no code word: it never fits
-    lengths = [length for _, length in codes.values()] + [math.inf]
-    chunk = max_len // 8 + 8  # bytes per refill: always at least a full peek
-    n_bytes = len(encoded)
-    out = bytearray()
-    acc = nbits = pos = 0
-    for _ in range(table.n_symbols):
-        if nbits < max_len and pos < n_bytes:
-            octets = encoded[pos : pos + chunk]
-            pos += len(octets)
-            acc = (acc << 8 * len(octets)) | int.from_bytes(octets, "big")
-            nbits += 8 * len(octets)
-        shift = nbits - max_len
-        i = bisect.bisect_right(limits, acc >> shift if shift >= 0 else acc << -shift)
-        length = lengths[i]
-        if length > nbits:
-            # read bit by bit, a stream shows no match only after max_len + 1 bits
-            if nbits + 8 * (n_bytes - pos) > max_len:
+    if max_len > 255 or not 0 <= min(table.lengths) <= max(table.lengths) <= 255:
+        raise CorruptStream("code table out of range")
+    width = min(max_len, _LOOKUP_BITS)
+    symbols, count, first, word_len, word_sym = _decode_table(table.lengths, width)
+
+    data = np.frombuffer(encoded, dtype=np.uint8)
+    total = 8 * data.size
+    pieces, left, pos = [], table.n_symbols, 0
+    for base in range(0, data.size, _BLOCK_BYTES):
+        nb = min(_BLOCK_BYTES, data.size - base)
+        chunk = np.zeros(nb + max_len // 8 + 3, dtype=np.int64)  # zeros past the end
+        raw = data[base : base + chunk.size]
+        chunk[: raw.size] = raw
+        # the next `width` bits at each bit offset, from 24-bit big-endian words
+        words = chunk[:nb] * 65536 + chunk[1 : nb + 1] * 256 + chunk[2 : nb + 2]
+        at = np.empty((nb, 8), dtype=np.int64)
+        for bit in range(8):
+            at[:, bit] = words // (1 << (24 - width - bit)) % (1 << width)
+        steps, syms = word_len[at.ravel()], word_sym[at.ravel()]
+        wide = np.flatnonzero(steps == _LONG)
+        if wide.size:
+            bits = np.unpackbits(chunk.astype(np.uint8))
+            e = syms[wide].astype(np.int64)
+            steps[wide] = 0
+            for length in range(width + 1, max_len + 1):
+                d = 2 * e + bits[wide + length - 1]
+                hit = d < count[length]
+                steps[wide[hit]] = length
+                syms[wide[hit]] = symbols[first[length] + d[hit]]
+                e = d - count[length]
+                wide, e = wide[~hit & (e < 256)], e[~hit & (e < 256)]
+                if not wide.size:
+                    break
+        tail = max(0, total - 8 * base - max_len)  # words from here may run past the end
+        steps[tail:][np.arange(tail, 8 * nb) + steps[tail:] > total - 8 * base] = 0
+        step = steps.tobytes() + bytes(256)  # a zero step ends the walk
+        chain = bytearray(len(step))  # marks the offsets where a word starts
+        p = pos - 8 * base
+        while n := step[p]:
+            chain[p] = 1
+            p += n
+        starts = np.flatnonzero(np.frombuffer(chain, dtype=np.uint8))
+        if p < 8 * nb and starts.size < left:
+            if total - 8 * base - p > max_len:
                 raise CorruptStream("no code word matches the stream")
             raise CorruptStream("bit stream ended inside a code word")
-        nbits -= length
-        acc &= (1 << nbits) - 1
-        out.append(symbols[i])
-    return bytes(out)
+        pieces.append(syms[starts[:left]].tobytes())
+        left -= min(left, starts.size)
+        if not left:
+            return b"".join(pieces)
+        pos = 8 * base + p
+    raise CorruptStream("bit stream ended inside a code word")
 
 
 # --- compressed model container ----------------------------------------------
@@ -546,23 +553,6 @@ def bias_block(cm: CompressedModel) -> bytes:
     return b"".join(
         np.asarray(layer.biases, dtype="<f4").tobytes() for layer in cm.layers
     )
-
-
-def huffman_table_bytes(table: HuffmanTable) -> int:
-    """Serialized size of a code table: 2-byte count plus 2 bytes per symbol."""
-    return 2 + 2 * len(table.lengths)
-
-
-def _huffman_coded_size(data: bytes) -> int:
-    """Bytes :func:`huffman_encode` gives for ``data``, table included.
-
-    Counted from the histogram and the code lengths, without encoding:
-    ``ceil(sum(count * length) / 8)`` plus :func:`huffman_table_bytes`.
-    """
-    counts = _histogram(data)
-    lengths = _code_lengths(counts)
-    bits = sum(int(counts[sym]) * length for sym, length in lengths.items())
-    return (bits + 7) // 8 + huffman_table_bytes(HuffmanTable(lengths, len(data)))
 
 
 def _payload_sizes(cm: CompressedModel) -> dict[str, int]:

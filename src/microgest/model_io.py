@@ -24,18 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .bitcode import HuffmanTable, huffman_table_bytes, unpack_bits
 from .compression import (
     CompressedLayer,
     CompressedModel,
-    HuffmanTable,
     _decode_stream,
     bias_block,
     bits_per_index,
     huffman_decode,
     huffman_encode,
-    huffman_table_bytes,
     layer_core_block,
-    unpack_bits,
 )
 from .errors import (
     ChecksumMismatch,

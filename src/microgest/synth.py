@@ -30,6 +30,7 @@ from .features import (
     Annotation,
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
+    _check_fps,
 )
 from .pipeline import (
     GestureClass,
@@ -441,6 +442,7 @@ def build_corpus(
     """
     if per_class < 0:
         raise InvalidParams("per_class must be >= 0")
+    _check_fps(fps)
     rng = np.random.default_rng(seed)
     square = width == height
     order = [

@@ -2,11 +2,12 @@
 
 The oracles here deliberately avoid the library's own execution paths:
 forward passes are re-derived with explicit Python loops, gradients with
-central finite differences, the compressed-model bit codec one bit at a
-time, candidate detection frame by frame, BPTT windows step by step,
-optimizer updates one array at a time and corpus instances through the
-public render and augment calls, so a test comparing the two exercises
-two independent routes to the same number.
+central finite differences, k-means with the full distance matrix every
+round, the compressed-model bit codec one bit at a time, candidate
+detection frame by frame, BPTT windows step by step, optimizer updates
+one array at a time and corpus instances through the public render and
+augment calls, so a test comparing the two exercises two independent
+routes to the same number.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from microgest.errors import CorruptStream, InvalidParams
+from microgest.compression import KMEANS_MAX_ITER, KMEANS_TOL
+from microgest.errors import CorruptStream, InvalidParams, KTooLarge
 from microgest.features import LABEL_KIND_PHASE, AnnotatedSequence, Annotation
 from microgest.inference import layer_forward
 from microgest.model import (
@@ -233,6 +235,44 @@ class OracleAdam:
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+# --- k-means -------------------------------------------------------------------
+
+def oracle_kmeans_1d(values, k):
+    """Lloyd's k-means as the library ran it before sorted segments: the full
+    distance matrix and its ``argmin`` every round, and a mask scan per
+    cluster."""
+    values = np.asarray(values, dtype=float).ravel()
+    if k < 1:
+        raise InvalidParams("k must be >= 1")
+    if k > values.size:
+        raise KTooLarge(f"k={k} exceeds the {values.size} available values")
+    lo, hi = float(values.min()), float(values.max())
+    if k == 1:
+        centroids = np.array([(lo + hi) / 2.0])
+    else:
+        centroids = np.linspace(lo, hi, k)
+    assignment = np.zeros(values.size, dtype=int)
+    sse_history: list[float] = []
+    for _ in range(KMEANS_MAX_ITER):
+        dist = np.abs(values[:, None] - centroids[None, :])
+        assignment = np.argmin(dist, axis=1)
+        sse_history.append(float(np.sum((values - centroids[assignment]) ** 2)))
+        moved = 0.0
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = values[assignment == j]
+            if members.size:
+                new_centroids[j] = members.mean()
+                moved = max(moved, abs(new_centroids[j] - centroids[j]))
+        centroids = new_centroids
+        if moved <= KMEANS_TOL:
+            break
+    dist = np.abs(values[:, None] - centroids[None, :])
+    assignment = np.argmin(dist, axis=1)
+    sse_history.append(float(np.sum((values - centroids[assignment]) ** 2)))
+    return centroids, assignment, sse_history
 
 
 # --- bit-serial codec ----------------------------------------------------------

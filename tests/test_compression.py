@@ -1,19 +1,28 @@
 """Pruning, weight sharing, sparse deltas, bit packing, Huffman, pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microgest.compression import (
-    DELTA_LIMIT,
+from microgest.bitcode import (
     MAX_BIT_WIDTH,
-    CompressionOptions,
     HuffmanTable,
+    canonical_codes,
+    huffman_table_bytes,
+    pack_bits,
+    unpack_bits,
+)
+from microgest.compression import (
+    _BLOCK_BYTES,
+    DELTA_LIMIT,
+    CompressionOptions,
     SparseLayer,
+    _sorted_cut,
     apply_pruning,
     bias_block,
     bits_per_index,
-    canonical_codes,
     compress_model,
     decode_sparse,
     decompress_model,
@@ -22,15 +31,12 @@ from microgest.compression import (
     encoded_payload_size,
     huffman_decode,
     huffman_encode,
-    huffman_table_bytes,
     kmeans_1d,
     layer_core_block,
     no_pruning,
-    pack_bits,
     prune,
     quantize_kmeans,
     sparse_matvec,
-    unpack_bits,
 )
 from microgest.errors import (
     CorruptStream,
@@ -47,6 +53,7 @@ from conftest import (
     oracle_encode_with_code,
     oracle_huffman_decode,
     oracle_huffman_encode,
+    oracle_kmeans_1d,
     oracle_pack_bits,
     oracle_unpack_bits,
     random_model,
@@ -169,6 +176,106 @@ def test_kmeans_rejects_bad_k():
         kmeans_1d(np.ones(4), 0)
     with pytest.raises(KTooLarge):
         kmeans_1d(np.ones(4), 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_refuses_values_that_are_not_finite(bad):
+    with pytest.raises(InvalidParams, match="finite"):
+        kmeans_1d(np.array([bad, 1.0, 2.0]), 2)
+    weights = np.array([[bad, 1.0], [2.0, 3.0]])
+    with pytest.raises(InvalidParams, match="finite"):
+        quantize_kmeans(weights, np.zeros((2, 2), dtype=bool), 2)
+
+
+# subnormals and signed zeros; values 1e17-1e20, whose distances to
+# centroids 1e-300 or 8.0 apart round to equal; magnitudes whose sums and
+# midpoints overflow
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 2e-300,
+         3e-300, -1e-300, 1.0, -1.0, 1.0000000000000002, 8.0, 16.0]
+_FAR = [1e17, 1.0000000000000002e17, -1e17, 3e18, 1e19, -1e20, 1e20]
+_HUGE = [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+         8.98846567431158e307]
+_KMEANS_INPUT = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    st.lists(st.sampled_from(_TINY + _FAR), min_size=1, max_size=40),
+    st.lists(st.sampled_from(_TINY + _FAR + _HUGE), min_size=1, max_size=40),
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),  # duplicates
+)
+
+
+def _assert_same_kmeans(values, k):
+    """Equal centroids, assignment and error history, bit for bit, and no
+    RuntimeWarning unless the full-matrix oracle raises one too."""
+    with warnings.catch_warnings(record=True) as oracle_warnings:
+        warnings.simplefilter("always")
+        expected = _outcome(oracle_kmeans_1d, values, k)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(kmeans_1d, values, k)
+    if not oracle_warnings:
+        assert [str(w.message) for w in caught] == []
+    if not isinstance(expected, tuple) or isinstance(expected[0], type):
+        assert got == expected  # the same error
+        return
+    (centroids, assignment, sse), (want_c, want_a, want_sse) = got, expected
+    assert centroids.tobytes() == want_c.tobytes()
+    assert assignment.dtype == want_a.dtype
+    assert assignment.tolist() == want_a.tolist()
+    assert np.array(sse).tobytes() == np.array(want_sse).tobytes()
+
+
+@given(_KMEANS_INPUT, st.data())
+@settings(max_examples=400, deadline=None)
+def test_kmeans_matches_the_full_matrix_oracle(values, data):
+    n = len(values)
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+    _assert_same_kmeans(np.array(values), k)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(100, 2500), st.integers(2, 20),
+       st.sampled_from([None, 3, 1]))
+@settings(max_examples=25, deadline=None)
+def test_kmeans_matches_the_oracle_over_many_rounds(seed, n, k, decimals):
+    # layer-sized inputs run dozens of rounds; rounding adds duplicates
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3], size=n)
+    if decimals is not None:
+        values = np.round(values, decimals)
+    _assert_same_kmeans(values, k)
+
+
+def test_kmeans_of_extreme_inputs_matches_the_oracle():
+    for values in ([1e308, 1.7e308, -1e308], [-1e308, -1e308, 1e308, 1e308],
+                   [0.0, -0.0, 0.0, -0.0], [5e-324, 0.0, -5e-324, 1e-300],
+                   [8.0, 1e17, 1.0000000000000002e17, 0.0, 1e21]):
+        for k in range(1, len(values) + 1):
+            _assert_same_kmeans(np.array(values), k)
+
+
+@given(
+    st.lists(st.sampled_from(_TINY + _FAR), min_size=1, max_size=30),
+    st.lists(st.sampled_from([0.0, 1e-300, 2e-300, 8.0, 16.0, 1e17, 1e21, -1e21]),
+             min_size=1, max_size=6),
+)
+@settings(max_examples=300)
+def test_a_sorted_cut_is_kept_only_where_it_is_the_argmin(values, centroids):
+    ordered = np.sort(np.array(values))
+    centroids = np.sort(np.array(centroids))
+    cut = _sorted_cut(ordered, centroids)
+    if cut is not None:
+        nearest = np.argmin(np.abs(ordered[:, None] - centroids[None, :]), axis=1)
+        segment = np.repeat(np.arange(centroids.size), np.diff(cut))
+        assert segment.tolist() == nearest.tolist()
+
+
+def test_a_tie_inside_a_segment_refuses_the_cut():
+    # both ends of the middle segment are strictly nearest to 8.0, but
+    # 1e17 - 8.0 rounds to 1e17, a tie that argmin gives to 0.0
+    ordered = np.array([8.0, 1e17, 1.0000000000000002e17])
+    centroids = np.array([0.0, 8.0, 1e21])
+    nearest = np.argmin(np.abs(ordered[:, None] - centroids[None, :]), axis=1)
+    assert nearest.tolist() == [1, 0, 1]
+    assert _sorted_cut(ordered, centroids) is None
 
 
 @pytest.mark.parametrize(
@@ -443,6 +550,18 @@ def test_decode_rejects_unmatchable_stream():
         huffman_decode(b"\xff\xff", HuffmanTable({1: 0, 2: 1}, 4))  # a zero-bit word
 
 
+@pytest.mark.parametrize("encoded, error", [
+    (b"\x03", "bit stream ended inside a code word"),  # 00 00 00 11: two bits left
+    (b"\x03\x00", "no code word matches the stream"),  # ten bits left
+    (b"\x0c", "no code word matches the stream"),  # 00 00 11 00: four bits left
+])
+def test_an_unused_word_is_a_mismatch_only_past_max_length_bits(encoded, error):
+    lengths = {1: 2, 2: 2, 3: 2}  # code space 11 unused
+    expected = _outcome(oracle_huffman_decode, encoded, lengths, 4)
+    assert _outcome(huffman_decode, encoded, HuffmanTable(lengths, 4)) == expected
+    assert expected == (CorruptStream, error)
+
+
 # skewed alphabets give deep codes; uniform ones give flat codes
 _CODEC_INPUT = st.one_of(
     st.binary(max_size=600),
@@ -506,6 +625,78 @@ def test_decode_handles_a_code_two_hundred_bits_deep():
     assert huffman_decode(encoded, table) == data
     with pytest.raises(CorruptStream):
         huffman_decode(encoded[:-2], table)
+
+
+def _fibonacci_stream(n_symbols=20, seed=14):
+    """A skewed byte stream: symbol ``i`` appears ``fib(i)`` times, so its
+    code reaches 19 bits; it encodes to about 5.8 KB, several decode blocks."""
+    fib = [1, 1]
+    while len(fib) < n_symbols:
+        fib.append(fib[-1] + fib[-2])
+    data = np.repeat(np.arange(n_symbols, dtype=np.uint8), fib)
+    np.random.default_rng(seed).shuffle(data)
+    encoded, lengths = oracle_huffman_encode(bytes(data))
+    return bytes(data), encoded, lengths
+
+
+_DEEP = _fibonacci_stream()
+_EDGES = (_BLOCK_BYTES, 2 * _BLOCK_BYTES)  # the first two block edges, in bytes
+
+
+def test_a_deep_code_over_several_blocks_decodes_as_the_oracle_does():
+    data, encoded, lengths = _DEEP
+    assert max(lengths.values()) > 12 and len(encoded) > _EDGES[1]
+    assert huffman_decode(encoded, HuffmanTable(lengths, len(data))) == data
+
+
+@pytest.mark.parametrize("edge", _EDGES)
+@pytest.mark.parametrize("delta", [-3, -1, 0, 1, 2])
+def test_damage_at_a_block_edge_gives_what_the_oracle_gives(edge, delta):
+    data, encoded, lengths = _DEEP
+    at = edge + delta
+    table = HuffmanTable(lengths, len(data))
+    for mask in (None, 0x01, 0x80, 0xFF):
+        damaged = bytearray(encoded[:at])
+        if mask is not None:
+            damaged = bytearray(encoded)
+            damaged[at] ^= mask
+        assert _outcome(huffman_decode, bytes(damaged), table) == _outcome(
+            oracle_huffman_decode, bytes(damaged), lengths, len(data)
+        )
+
+
+@pytest.mark.parametrize("before", [1, 7, 12, 13, 18])
+def test_a_long_word_across_a_block_edge(before):
+    # a one-bit word fills the stream up to `before` bits short of each of the
+    # first two block edges, where a 19-bit word starts
+    _, _, lengths = _DEEP
+    common = min(lengths, key=lengths.get)
+    rare = max(lengths, key=lengths.get)
+    assert (lengths[common], lengths[rare]) == (1, 19)
+    edge_bits = 8 * _BLOCK_BYTES
+    data = bytes([common] * (edge_bits - before) + [rare]
+                 + [common] * (edge_bits - 19) + [rare] + [common] * 40)
+    encoded = oracle_encode_with_code(data, lengths)
+    table = HuffmanTable(lengths, len(data))
+    assert huffman_decode(encoded, table) == data
+    for cut in (_EDGES[0], _EDGES[0] + 1, _EDGES[1], _EDGES[1] + 1):
+        assert _outcome(huffman_decode, encoded[:cut], table) == _outcome(
+            oracle_huffman_decode, encoded[:cut], lengths, len(data)
+        )
+
+
+@pytest.mark.parametrize("lengths", [{0: 256}, {0: 1, 1: 257}, {0: 2, 1: 2, 2: 300}])
+def test_a_code_word_deeper_than_255_bits_is_refused(lengths):
+    # 256 fits no uint8 length table: refused, never wrapped to a short word
+    table = HuffmanTable(lengths, 2)
+    assert _outcome(huffman_decode, bytes(80), table) == (
+        CorruptStream, "code table out of range"
+    )
+
+
+def test_a_code_over_symbols_that_are_not_bytes_is_refused():
+    with pytest.raises(CorruptStream, match="out of range"):
+        huffman_decode(b"\x40", HuffmanTable({1: 1, 300: 1}, 2))
 
 
 # --- whole-pipeline container -------------------------------------------------

@@ -404,6 +404,25 @@ def test_negative_per_class_rejected():
         build_corpus(-1, seed=0)
 
 
+@pytest.mark.parametrize("fps", [-1.0, 0.0, float("nan"), float("inf")])
+def test_a_bad_fps_is_refused_before_any_instance_is_rendered(monkeypatch, fps):
+    import microgest.synth as synth
+
+    rendered = []
+    render = synth._render
+
+    def counting_render(*args, **kwargs):
+        rendered.append(args)
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "_render", counting_render)
+    with pytest.raises(InvalidParams, match="fps"):
+        build_corpus(3, seed=0, fps=fps)
+    assert rendered == []
+    build_corpus(1, seed=0)  # the patched renderer is the one a corpus goes through
+    assert rendered
+
+
 def test_corpus_frames_stay_in_adc_range():
     corpus = build_corpus(2, seed=3)
     assert corpus.frames.dtype == np.uint16
