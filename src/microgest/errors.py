@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all microgest modules.
+"""Exception hierarchy shared by all microgest modules, and the integer
+and seed rules they all check arguments with.
 
 Every error raised on purpose by this package derives from
 :class:`MicrogestError`, so callers (and the CLI) can catch one type.
 """
+
+import numbers
 
 
 class MicrogestError(Exception):
@@ -98,3 +101,26 @@ class Truncated(MicrogestError):
 
 class UnknownActivationCost(MicrogestError):
     """The cost model has no entry for an activation used by the model."""
+
+
+# --- argument rules ----------------------------------------------------------
+
+def _is_integer(value) -> bool:
+    """The integer rule for counts, sizes and seeds: an ``int`` or a numpy
+    integer.  A bool or a float is not one, even when it is whole."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Refuse ``value`` with :class:`InvalidParams` unless it is an integer
+    (:func:`_is_integer`) of at least ``least``."""
+    if not _is_integer(value):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParams(f"{name} must be >= {least}, got {value}")
+
+
+def _check_seed(seed) -> None:
+    """The seed rule: a non-negative integer, as ``numpy.random.default_rng``
+    takes it."""
+    _check_integer("seed", seed, 0)

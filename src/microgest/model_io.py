@@ -69,7 +69,9 @@ _PREFIX = struct.Struct("<4sHI")
 MAX_DENSE_WEIGHTS = 1 << 24
 
 
-def _atomic_write(path: str | Path, data: bytes) -> None:
+def _atomic_write(path: str | Path, pieces) -> None:
+    """Write the byte pieces of a file one after another, then move the
+    file into place."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -78,17 +80,21 @@ def _atomic_write(path: str | Path, data: bytes) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(f.fileno(), 0o666 & ~umask)
-            f.write(data)
+            for piece in pieces:
+                f.write(piece)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _frame(magic: bytes, header: dict, payload: bytes) -> bytes:
+def _frame(magic: bytes, header: dict, payload) -> tuple:
+    """The pieces of a framed file: prelude and header, the payload (any
+    contiguous bytes-like object, written as it is), and the CRC-32 of
+    both, taken piece by piece so the payload is never copied."""
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = _PREFIX.pack(magic, FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    head = _PREFIX.pack(magic, FORMAT_VERSION, len(header_bytes)) + header_bytes
+    return head, payload, struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
 
 
 def _unframe(data: bytes, magic: bytes) -> tuple[dict, bytes]:
@@ -349,7 +355,8 @@ def save_dataset(path: str | Path, dataset: AnnotatedSequence) -> None:
         "label_kind": dataset.label_kind,
         "annotations": [[int(a.frame), int(a.label)] for a in dataset.annotations],
     }
-    payload = np.ascontiguousarray(dataset.frames, dtype="<u2").tobytes()
+    # the frames' own bytes: no copy of a stack that is already little-endian
+    payload = np.ascontiguousarray(dataset.frames, dtype="<u2").reshape(-1).view(np.uint8)
     _atomic_write(path, _frame(MAGIC_DATASET, header, payload))
 
 

@@ -15,7 +15,6 @@ compares against stream annotations.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, ShapeMismatch, TooShort
+from .errors import InvalidParams, ShapeMismatch, TooShort, _check_integer, _is_integer
 from .features import NORM_DIVISOR, AnnotatedSequence, Annotation
 from .inference import run_ffnn
 from .model import ModelSpec, Parameters
@@ -112,18 +111,29 @@ def _frame_means(frames) -> np.ndarray:
     """Mean brightness of every frame of a ``(T, ...)`` stack, as float64.
 
     Pixels are widened to float64 before the reduction and each frame is
-    reduced as one contiguous row, which gives the same bits as
-    ``np.asarray(frame, dtype=float).mean()`` taken frame by frame.
+    summed as one contiguous row, then divided by its pixel count: the two
+    steps ``ndarray.mean`` takes, without its Python-level wrapper.  That
+    gives the same bits as ``np.asarray(frame, dtype=float).mean()`` taken
+    frame by frame.
     """
     stack = np.asarray(frames)
     pixels = _frame_pixels(stack)
-    return np.asarray(stack, dtype=float).reshape(len(stack), pixels).mean(axis=1)
+    rows = np.asarray(stack, dtype=float).reshape(len(stack), pixels)
+    return np.add.reduce(rows, axis=1) / pixels
 
 
 # The detector's fixed rules, described in CandidateDetector
 DETECTOR_DEVIATION = 0.10
 DETECTOR_STABILITY = 0.01
 DETECTOR_BASELINE_ALPHA = 0.9
+
+
+def _considered(means, prevs):
+    """The stability rule: a frame is considered when its mean equals the
+    previous frame's mean or differs from it by less than
+    :data:`DETECTOR_STABILITY` of it.  Takes floats, or float64 arrays
+    element by element with the same IEEE operations."""
+    return (means == prevs) | (abs(means - prevs) < DETECTOR_STABILITY * prevs)
 
 
 class CandidateDetector:
@@ -158,7 +168,14 @@ class CandidateDetector:
     and whole-stream detection share it: :meth:`push` takes one frame's
     mean and keeps just the frames a live index still refers to, while
     :func:`extract_candidates` takes the means of whole blocks of frames
-    and slices each candidate out of the stack.
+    and slices each candidate out of the stack.  A block's stability rule
+    is taken in one numpy call, element by element with the IEEE
+    operations a lone frame's takes.  While the detector is idle, a
+    stretch of considered frames that do not deviate runs through a tight
+    loop that only moves the rolling average, and the stretch then turns
+    into context at once; the general step would give each such frame the
+    same average and fold it into context one at a time, and context is
+    capped at ``pad`` either way.
 
     One detector instance serves one stream (single writer).  Feed frames
     with :meth:`push`; each call returns the candidates completed by that
@@ -170,11 +187,7 @@ class CandidateDetector:
     def __init__(self, min_run: int = 9, pad: int = 5, capacity: int = 80) -> None:
         for name, value, least in (("min_run", min_run, 0), ("pad", pad, 0),
                                    ("capacity", capacity, 1)):
-            # frame counts: a float or a bool is not one, even when it is whole
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParams(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise InvalidParams(f"{name} must be >= {least}, got {value}")
+            _check_integer(name, value, least)
         self.min_run = min_run
         self.pad = pad
         self.capacity = capacity
@@ -209,7 +222,11 @@ class CandidateDetector:
         elif frame.shape != self._shape:
             raise ShapeMismatch(f"frame of shape {frame.shape} in a stream of {self._shape}")
         self._frames.append(frame)
-        return self._collect(self._advance([float(_frame_means(frame[np.newaxis])[0])]))
+        mean = float(_frame_means(frame[np.newaxis])[0])
+        prev = self._prev_mean
+        return self._collect(
+            self._advance([mean], [prev is not None and _considered(mean, prev)])
+        )
 
     def finish(self) -> list[Candidate]:
         """Flush a run still open at stream end."""
@@ -234,37 +251,54 @@ class CandidateDetector:
         self._first = self._mark - self._hist
         return found
 
-    def _advance(self, means) -> list[tuple[int, int, bool]]:
-        """Step the state machine over the means of the next frames.
+    def _advance(self, means, considered) -> list[tuple[int, int, bool]]:
+        """Step the state machine over the means of the next frames, given
+        whether each is considered (:func:`_considered` against the mean
+        before it; ignored for the stream's first frame).
 
         Returns the index spans ``(first, last, truncated)`` of the
         candidates completed on the way.
         """
-        deviation, stability = DETECTOR_DEVIATION, DETECTOR_STABILITY
+        deviation = DETECTOR_DEVIATION
         min_run, pad, capacity = self.min_run, self.pad, self.capacity
         alpha = DETECTOR_BASELINE_ALPHA
+        beta = 1.0 - alpha
         IDLE, RUN, POST = self._IDLE, self._RUN, self._POST
-        index, rollavg, prev = self._index, self._rollavg, self._prev_mean
+        rollavg = self._rollavg
         phase, mark, hist = self._phase, self._mark, self._hist
         run, count = self._run, self._run_count
+        base, n, i = self._index + 1, len(means), 0  # means[i] is frame base + i
+        if rollavg is None and n:
+            rollavg = means[0]
+            hist, mark = min(hist + 1, pad), base + 1
+            i = 1
         spans = []
-        for mean in means:
-            index += 1
-            if rollavg is None:
-                rollavg = prev = mean
-                hist, mark = min(hist + 1, pad), index + 1
-                continue
-            considered = mean == prev or abs(mean - prev) < stability * prev
+        while i < n:
+            if phase == IDLE:
+                # the idle fast path: considered frames that do not deviate
+                # only move the average, then turn into context at once
+                stretch = i
+                while i < n and considered[i]:
+                    mean = means[i]
+                    diff = abs(mean - rollavg)
+                    if diff > 0.0 and diff >= deviation * rollavg:
+                        break
+                    rollavg = alpha * rollavg + beta * mean
+                    i += 1
+                if i > stretch:
+                    hist, mark = min(hist + base + i - mark, pad), base + i
+                    if i == n:
+                        break
+            index, mean = base + i, means[i]
             diff = abs(mean - rollavg)
             deviating = diff > 0.0 and diff >= deviation * rollavg
-            prev = mean
-            if considered and not deviating:
-                rollavg = alpha * rollavg + (1.0 - alpha) * mean
+            if considered[i] and not deviating:
+                rollavg = alpha * rollavg + beta * mean
             emit = truncated = False
             if phase == POST:
                 post = index + 1 - mark - run
                 emit = post >= pad or hist + run + post >= capacity
-            elif not considered:
+            elif not considered[i]:
                 # parked at the window's end until a considered frame
                 if phase == IDLE and index + 1 - mark > capacity:
                     # pathological flicker; oldest parked frames decay to context
@@ -279,13 +313,16 @@ class CandidateDetector:
                 phase = POST
                 emit = index + 1 - mark - run >= pad
             else:
-                # idle, or a run too short: everything so far is context
+                # a run too short: everything so far is context
                 hist, mark = min(hist + index + 1 - mark, pad), index + 1
                 phase, run, count = IDLE, 0, 0
             if emit:
                 spans.append(_window_span(mark, hist, run, index + 1, pad, capacity, truncated))
                 phase, mark, hist, run, count = IDLE, index + 1, 0, 0, 0
-        self._index, self._rollavg, self._prev_mean = index, rollavg, prev
+            i += 1
+        if n:
+            self._index, self._prev_mean = base + n - 1, means[-1]
+        self._rollavg = rollavg
         self._phase, self._mark, self._hist = phase, mark, hist
         self._run, self._run_count = run, count
         return spans
@@ -329,7 +366,12 @@ def extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]
     step = max(1, _BLOCK_PIXELS // _frame_pixels(stack))
     spans = []
     for start in range(0, len(stack), step):
-        spans += detector._advance(_frame_means(stack[start : start + step]).tolist())
+        means = _frame_means(stack[start : start + step])
+        prev = means[0] if detector._prev_mean is None else detector._prev_mean
+        prevs = np.concatenate(([prev], means[:-1]))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN here as for floats
+            considered = _considered(means, prevs).tolist()
+        spans += detector._advance(means.tolist(), considered)
     spans += detector._close()
     return [
         Candidate(stack[first : last + 1].copy(), first, last, truncated)
@@ -348,8 +390,10 @@ def scale_candidate(candidate, target: int = 20) -> ScaledCandidate:
     exactly ``target`` frames passes through unchanged, which makes the
     operation idempotent.
     """
-    if target < 2:
-        raise InvalidParams(f"target must be at least 2 frames, got {target}")
+    if not _is_integer(target) or target < 2:
+        raise InvalidParams(
+            f"target must be a whole number of at least 2 frames, got {target!r}"
+        )
     if isinstance(candidate, (Candidate, ScaledCandidate)):
         frames = candidate.frames
         start, end = candidate.start_index, candidate.end_index

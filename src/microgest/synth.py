@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, NonSquareImage, ShapeMismatch
+from .errors import InvalidParams, NonSquareImage, ShapeMismatch, _check_integer, _check_seed
 from .features import (
     ADC_MAX,
     AnnotatedSequence,
@@ -33,6 +35,8 @@ from .features import (
     _check_fps,
 )
 from .pipeline import (
+    _BLOCK_PIXELS,
+    _frame_means,
     GestureClass,
     N_PHASE_STATES,
     PHASES_PER_GESTURE,
@@ -93,12 +97,17 @@ _MOTION = {
 _CLASS_OF = {motion: cls for cls, motion in _MOTION.items()}
 
 
-def _to_adc(values: np.ndarray) -> np.ndarray:
-    """Round and clamp float pixel values to the ADC range.  Works in place,
-    so ``values`` is overwritten."""
+def _round_adc(values: np.ndarray) -> np.ndarray:
+    """Round and clamp float pixel values to the ADC range, in place."""
     np.rint(values, out=values)
     np.clip(values, 0, ADC_MAX, out=values)
-    return values.astype(np.uint16)
+    return values
+
+
+def _to_adc(values: np.ndarray) -> np.ndarray:
+    """ADC pixels of float pixel values.  Works in place, so ``values`` is
+    overwritten."""
+    return _round_adc(values).astype(np.uint16)
 
 
 def _band_coverage(path: np.ndarray, half_width: float, cells: int) -> np.ndarray:
@@ -170,9 +179,10 @@ def _phase_states(p: GestureSynthParams, centers: np.ndarray) -> np.ndarray:
 def _render(
     p: GestureSynthParams, rng: np.random.Generator, labels: str
 ) -> tuple[np.ndarray, int, list[int]]:
-    """Render one instance as ``(frames, first, states)``: annotation ``i``
-    marks frame ``first + i`` with label ``states[i]``.  Every random draw
-    comes from ``rng``."""
+    """Render one instance as ``(values, first, states)``: ``values`` are
+    its float pixels before ADC rounding, and annotation ``i`` marks frame
+    ``first + i`` with label ``states[i]``.  Every random draw comes from
+    ``rng``."""
     if labels not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
         raise InvalidParams(f"unknown label mode {labels!r}")
     crossing = p.contrast > 0.0 and p.direction is not GestureClass.NO_GESTURE
@@ -196,15 +206,14 @@ def _render(
     body *= p.background_brightness
     if p.noise_sigma > 0.0:
         values += rng.normal(0.0, p.noise_sigma, values.shape)
-    frames = _to_adc(values)
 
     if labels == LABEL_KIND_GESTURE:
         effective = p.direction if crossing else GestureClass.NO_GESTURE
-        return frames, stop - 1, [int(effective)]
-    states = np.zeros(frames.shape[0], dtype=int)
+        return values, stop - 1, [int(effective)]
+    states = np.zeros(values.shape[0], dtype=int)
     if crossing:
         states[LEAD_FRAMES:stop] = _phase_states(p, centers)
-    return frames, 0, states.tolist()
+    return values, 0, states.tolist()
 
 
 def synthesize_gesture(
@@ -222,11 +231,11 @@ def synthesize_gesture(
     and the label mode draws nothing, so both label modes give the same
     frames and identical parameters and seed reproduce identical bytes.
     """
-    frames, first, states = _render(p, np.random.default_rng(seed), labels)
+    values, first, states = _render(p, np.random.default_rng(seed), labels)
     return AnnotatedSequence(
         width=p.width,
         height=p.height,
-        frames=frames,
+        frames=_to_adc(values),
         annotations=[Annotation(first + i, s) for i, s in enumerate(states)],
         label_kind=labels,
     )
@@ -399,18 +408,131 @@ _BRIDGE_RATE = 0.004
 BACKGROUND_RANGE = (520.0, 940.0)
 
 
-def _bridge_frames(
-    from_level: float, to_level: float, shape: tuple[int, int], rng
-) -> np.ndarray:
-    """Gently ramp the background between two brightness levels."""
+def _bridge_levels(from_level: float, to_level: float) -> np.ndarray:
+    """Background level of each frame of a gentle ramp between two
+    brightness levels."""
     if from_level <= 0 or to_level <= 0:
         steps = 1
     else:
         steps = max(1, int(math.ceil(abs(math.log(to_level / from_level)) / _BRIDGE_RATE)))
-    levels = from_level * np.power(to_level / from_level, np.arange(1, steps + 1) / steps)
-    values = rng.normal(0.0, 1.0, (steps, *shape))
-    values += levels[:, None, None]
-    return _to_adc(values)
+    return from_level * np.power(to_level / from_level, np.arange(1, steps + 1) / steps)
+
+
+class _Instance(NamedTuple):
+    """One rendered corpus instance, as its pixel stages and bridge need it."""
+
+    frames: int  # frame count
+    geometry: int  # index of its geometric transform; 0 is none
+    gamma: float  # its Gamma exponent, or 0.0 for none
+    shift: float  # its Brightness delta, or 0.0 for none
+    rng: np.random.Generator  # its own stream; the bridge draw comes last
+    first: int
+    states: list[int]
+
+
+def _instances(order, bg, sources, width, height, label_kind):
+    """Render the instances of ``order`` one after another, as pairs of
+    float pixels ``(T, H, W)`` before ADC rounding and :class:`_Instance`.
+
+    Every draw of an instance comes from its own ``default_rng(iseed)``
+    in a fixed order, except the render's, which come from a copy of
+    that stream's starting state (see :func:`build_corpus`); ``bg``
+    drifts from one instance to the next.
+    """
+    lo, hi = BACKGROUND_RANGE
+    # the render stream: re-started at each instance's seed by copying
+    # the state of that instance's fresh parameter stream
+    render_bits = np.random.PCG64()
+    render_rng = np.random.Generator(render_bits)
+    for cls, iseed in order:
+        irng = np.random.default_rng(iseed)
+        render_bits.state = irng.bit_generator.state
+        band = float(irng.uniform(0.30, 0.42))
+        min_speed = math.ceil(14 * (1 + band) / (1 - band))
+        max_speed = math.floor(13 * (1 + band) / band)
+        speed = float(irng.uniform(min_speed, max_speed))
+        contrast = float(irng.uniform(0.55, 0.95))
+        noise = float(irng.uniform(1.0, 3.2))
+        bg = float(min(max(bg * math.exp(irng.uniform(-0.12, 0.12)), lo), hi))
+
+        g = int(irng.integers(0, len(sources)))
+        params = GestureSynthParams(
+            direction=sources[g][cls],
+            speed=speed,
+            occluder_width=band,
+            background_brightness=bg,
+            contrast=contrast,
+            noise_sigma=noise,
+            width=width,
+            height=height,
+        )
+        values, first, states = _render(params, render_rng, label_kind)
+        gamma = float(irng.uniform(0.88, 1.15)) if irng.random() < 0.5 else 0.0
+        shift = float(irng.uniform(-0.06, 0.10)) * bg if irng.random() < 0.3 else 0.0
+        yield values, _Instance(len(values), g, gamma, shift, irng, first, states)
+
+
+def _blocks(instances, perms: np.ndarray):
+    """Run the pixel stages of rendered instances a block at a time; yields
+    each block's ADC frames ``(T, pixels)``, the means of each instance's
+    first and last frame, and its :class:`_Instance` list.
+
+    An instance's float pixels are copied into one buffer of
+    ``pipeline._BLOCK_PIXELS`` floats (or of one instance, if that is
+    larger), each frame's pixels in the order of its geometry's
+    permutation ``perms[geometry]``.  The buffer is reused from block to
+    block and freed with the generator.
+    """
+    pixels = perms.shape[1]
+    buffer = np.empty(_BLOCK_PIXELS)
+    block: list[_Instance] = []
+    used = 0
+    for values, inst in instances:
+        if block and used + values.size > buffer.size:
+            yield *_pixel_stages(buffer[:used].reshape(-1, pixels), block), block
+            block, used = [], 0
+        if values.size > buffer.size:
+            buffer = np.empty(values.size)
+        rows = buffer[used : used + values.size].reshape(-1, pixels)
+        np.take(values.reshape(-1, pixels), perms[inst.geometry], axis=1, out=rows,
+                mode="clip")
+        block.append(inst)
+        used += values.size
+    if block:
+        yield *_pixel_stages(buffer[:used].reshape(-1, pixels), block), block
+
+
+def _pixel_stages(rows: np.ndarray, block: list[_Instance]):
+    """ADC frames ``(T, pixels)`` of a block's float pixel rows, which are
+    overwritten, and the means of each instance's first and last frame.
+
+    Each stage is one in-place call over the whole block, with a per-frame
+    parameter (the instance's, repeated over its frames): ADC rounding,
+    Gamma, and Brightness.  Every stage maps each pixel on its own with
+    the IEEE operations :func:`_transform_frames` applies to one instance,
+    so each pixel gets the same bits: ``np.power`` with a per-frame
+    exponent equals the call with that exponent as a scalar bit for bit.
+    The frames of an instance without Gamma take the exponent 1.0 and
+    those without Brightness a zero shift; either leaves a whole pixel
+    value within far less than half a count of itself, so the rounding
+    after the stage gives it back unchanged.  The geometry moved pixels
+    within a frame before these stages, which act on each pixel alone, so
+    the order does not matter; a frame's mean is its integer sum (exact in
+    any order) over its pixel count.
+    """
+    lengths = [inst.frames for inst in block]
+    _round_adc(rows)
+    rows /= ADC_MAX
+    np.power(rows, np.repeat([inst.gamma or 1.0 for inst in block], lengths)[:, None],
+             out=rows)
+    rows *= ADC_MAX
+    _round_adc(rows)
+    rows += np.repeat([inst.shift for inst in block], lengths)[:, None]
+    frames = _round_adc(rows).astype(np.uint16)
+    ends = list(accumulate(lengths))
+    heads = _frame_means(frames[[end - n for end, n in zip(ends, lengths)]])
+    tails = _frame_means(frames[[end - 1 for end in ends]])
+    return frames, heads.tolist(), tails.tolist()
 
 
 def build_corpus(
@@ -430,7 +552,8 @@ def build_corpus(
     produced by augmenting a rendering of a different class (mirrors and
     rotations remap the label back).  Background changes between instances
     ride on slow bridge ramps so a streaming detector can follow the
-    baseline.  Deterministic for a given seed.
+    baseline.  Deterministic for a given seed, a non-negative integer;
+    ``per_class``, ``width`` and ``height`` are integers too.
 
     Each instance has its own seed ``iseed``, drawn from ``seed``.  Its
     parameter draws (and its augmentation and bridge draws after the
@@ -439,12 +562,22 @@ def build_corpus(
     starts, as if ``synthesize_gesture(params, iseed)`` were called.  So an
     instance is ``synthesize_gesture`` followed by ``augment`` with its
     geometry, gamma and brightness, and the label kind changes no frame.
+
+    Instances are rendered one at a time, and their pixel stages
+    (:func:`_pixel_stages`) run once per block of instances holding at
+    most ``pipeline._BLOCK_PIXELS`` float pixels, so no float copy of the
+    whole corpus is made.  Each instance's bridge needs the mean of its
+    first frame, so the bridge draws follow a block's pixel stages, and
+    the bridges of a block are rounded in one call too.  Every draw stays
+    on its instance's own stream, and every pixel gets the bits of the
+    per-instance calls.
     """
-    if per_class < 0:
-        raise InvalidParams("per_class must be >= 0")
+    for name, value, least in (("per_class", per_class, 0), ("width", width, 1),
+                               ("height", height, 1)):
+        _check_integer(name, value, least)
+    _check_seed(seed)
     _check_fps(fps)
     rng = np.random.default_rng(seed)
-    square = width == height
     order = [
         (cls, int(rng.integers(0, 2**31)))
         for cls in GestureClass
@@ -454,76 +587,59 @@ def build_corpus(
 
     lo, hi = BACKGROUND_RANGE
     bg = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
-    chunks: list[np.ndarray] = []
-    annotations: list[Annotation] = []
-    offset = 0
-    prev_tail: float | None = None
 
     geoms: list[Transform | None] = [None, MirrorX(), MirrorY()]
-    if square:
+    if width == height:
         geoms += [Rotate(1), Rotate(2), Rotate(3)]
-    # per geometry: the class to render for each wanted class, and the
-    # label every rendered label becomes
+    # per geometry: the class to render for each wanted class, the label
+    # every rendered label becomes, and where each pixel of a frame comes from
     n_labels = N_PHASE_STATES if label_kind == LABEL_KIND_PHASE else len(GestureClass)
     sources, relabel = [], []
     for geom in geoms:
         mapping = gesture_label_map(geom)
         sources.append({dst: src for src, dst in mapping.items()})
         relabel.append([_remap_label(l, label_kind, mapping) for l in range(n_labels)])
-    # the render stream: re-started at each instance's seed by copying
-    # the state of that instance's fresh parameter stream
-    render_bits = np.random.PCG64()
-    render_rng = np.random.Generator(render_bits)
+    index = np.arange(width * height).reshape(1, height, width)
+    perms = np.stack([
+        index if geom is None else _transform_frames(index, geom) for geom in geoms
+    ]).reshape(len(geoms), -1)
 
-    for cls, iseed in order:
-        irng = np.random.default_rng(iseed)
-        render_bits.state = irng.bit_generator.state
-        band = float(irng.uniform(0.30, 0.42))
-        min_speed = math.ceil(14 * (1 + band) / (1 - band))
-        max_speed = math.floor(13 * (1 + band) / band)
-        speed = float(irng.uniform(min_speed, max_speed))
-        contrast = float(irng.uniform(0.55, 0.95))
-        noise = float(irng.uniform(1.0, 3.2))
-        bg = float(min(max(bg * math.exp(irng.uniform(-0.12, 0.12)), lo), hi))
-
-        g = int(irng.integers(0, len(geoms)))
-        params = GestureSynthParams(
-            direction=sources[g][cls],
-            speed=speed,
-            occluder_width=band,
-            background_brightness=bg,
-            contrast=contrast,
-            noise_sigma=noise,
-            width=width,
-            height=height,
-        )
-        frames, first, states = _render(params, render_rng, label_kind)
-        if geoms[g] is not None:
-            frames = _transform_frames(frames, geoms[g])
-        if irng.random() < 0.5:
-            frames = _transform_frames(frames, Gamma(float(irng.uniform(0.88, 1.15))))
-        if irng.random() < 0.3:
-            frames = _transform_frames(
-                frames, Brightness(float(irng.uniform(-0.06, 0.10)) * bg)
+    chunks: list[np.ndarray] = []
+    annotations: list[Annotation] = []
+    offset = 0
+    prev_tail: float | None = None
+    instances = _instances(order, bg, sources, width, height, label_kind)
+    for frames, heads, tails, block in _blocks(instances, perms):
+        frames = frames.reshape(-1, height, width)
+        noise, levels, steps = [], [], []
+        for inst, head, tail in zip(block, heads, tails):
+            bridge = 0
+            if prev_tail is not None and abs(head - prev_tail) > 1e-9:
+                levels.append(_bridge_levels(prev_tail, head))
+                bridge = len(levels[-1])
+                noise.append(inst.rng.normal(0.0, 1.0, (bridge, height, width)))
+                if label_kind == LABEL_KIND_PHASE:
+                    annotations.extend(Annotation(offset + t, 0) for t in range(bridge))
+                offset += bridge
+            steps.append(bridge)
+            table = relabel[inst.geometry]
+            start = offset + inst.first
+            annotations.extend(
+                Annotation(start + i, table[s]) for i, s in enumerate(inst.states)
             )
-
-        first_mean = float(frames[0].mean())
-        if prev_tail is not None and abs(first_mean - prev_tail) > 1e-9:
-            bridge = _bridge_frames(prev_tail, first_mean, (height, width), irng)
-            if label_kind == LABEL_KIND_PHASE:
-                annotations.extend(
-                    Annotation(offset + t, 0) for t in range(bridge.shape[0])
-                )
-            chunks.append(bridge)
-            offset += bridge.shape[0]
-        table = relabel[g]
-        start = offset + first
-        annotations.extend(
-            Annotation(start + i, table[s]) for i, s in enumerate(states)
-        )
-        chunks.append(frames)
-        offset += frames.shape[0]
-        prev_tail = float(frames[-1].mean())
+            offset += inst.frames
+            prev_tail = tail
+        if noise:
+            ramp = np.concatenate(noise)
+            ramp += np.concatenate(levels)[:, None, None]
+            ramp = _to_adc(ramp)
+        at = done = 0
+        for inst, bridge in zip(block, steps):
+            if bridge:
+                chunks.append(ramp[done : done + bridge])
+                done += bridge
+            chunks.append(frames[at : at + inst.frames])
+            at += inst.frames
 
     frames = (
         np.concatenate(chunks)

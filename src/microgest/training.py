@@ -50,7 +50,7 @@ from .backprop import (
     _pull_back,
     _train_kind,
 )
-from .errors import DivergenceDetected, InvalidParams, ShapeMismatch
+from .errors import DivergenceDetected, InvalidParams, ShapeMismatch, _check_seed
 from .inference import layer_forward
 from .model import (
     Activation,
@@ -95,6 +95,7 @@ class TrainingConfig:
             raise InvalidParams("epochs must be >= 0")
         if self.batch_size < 1:
             raise InvalidParams("batch_size must be >= 1")
+        _check_seed(self.seed)
 
 
 def init_params(spec: ModelSpec, seed: int) -> Parameters:
@@ -105,6 +106,7 @@ def init_params(spec: ModelSpec, seed: int) -> Parameters:
     roughly constant through depth.  Biases start at zero.  Deterministic
     per seed.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     layers = []
     for layer in spec.layers:

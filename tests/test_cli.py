@@ -322,6 +322,25 @@ def test_a_non_finite_learning_rate_is_one_error_line(
     assert not (tmp_path / "m.mgcm").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_a_negative_seed_is_one_error_line(tmp_path, gesture_setup, capsys, seed):
+    # each once ended in a numpy ValueError traceback from default_rng
+    _, data, model = gesture_setup
+    synth_err = _one_error_line(capsys, ["synth", "--out", tmp_path / "ds.mgds",
+                                         "--per-class", "1", "--seed", seed])
+    train_err = _one_error_line(capsys, ["train", "--data", data,
+                                         "--arch", "180-4relu-5softmax",
+                                         "--out", tmp_path / "m.mgnn",
+                                         "--epochs", "1", "--seed", seed])
+    compress_err = _one_error_line(capsys, ["compress", "--model", model,
+                                            "--out", tmp_path / "m.mgcm",
+                                            "--retrain-data", data,
+                                            "--retrain-epochs", "1", "--seed", seed])
+    assert synth_err == train_err == compress_err
+    assert f"seed must be >= 0, got {seed}" in synth_err
+    assert not any(tmp_path.iterdir())
+
+
 def test_a_learning_rate_past_float32_is_one_error_line(
     tmp_path, gesture_setup, capsys
 ):

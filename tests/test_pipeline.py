@@ -28,6 +28,8 @@ from microgest.pipeline import (
     phase_events,
     phase_state,
     scale_candidate,
+    _BLOCK_PIXELS,
+    _considered,
     _frame_means,
 )
 from microgest.synth import build_corpus
@@ -243,6 +245,56 @@ def test_detector_equals_the_oracle_on_window_edges(frames, kwargs):
     assert _assert_detector_equals_oracle(frames, kwargs)
 
 
+def _block_edge_stream(shape, seed):
+    """A steady stream over four of ``extract_candidates``'s blocks: a dip
+    across the first block edge, a flicker stretch longer than the default
+    capacity across the second, and an idle stretch longer than ``pad``
+    and ``capacity`` across the third, between two dips."""
+    edge = _BLOCK_PIXELS // (shape[0] * shape[1])
+    levels = np.ones(3 * edge + 200)
+    levels[edge - 8 : edge + 8] = 0.8
+    levels[2 * edge - 60 : 2 * edge + 60 : 2] = 1.04
+    levels[3 * edge - 150 : 3 * edge - 135] = 0.8
+    levels[3 * edge + 100 : 3 * edge + 115] = 0.8
+    frames = 700.0 * levels[:, None, None] + np.random.default_rng(seed).normal(
+        0.0, 1.5, (len(levels),) + shape
+    )
+    return edge, np.clip(np.rint(frames), 0, 1023).astype(np.uint16)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
+@pytest.mark.parametrize("kwargs", [{}, dict(min_run=4, pad=7, capacity=30)])
+def test_detector_equals_the_oracle_across_block_edges(shape, kwargs):
+    edge, frames = _block_edge_stream(shape, seed=71)
+    cands = _assert_detector_equals_oracle(frames, kwargs)
+    spans = [(c.start_index, c.end_index) for c in cands]
+    assert any(first < edge <= last for first, last in spans)  # the dip
+    before = [last for _, last in spans if last < 3 * edge]
+    after = [first for first, _ in spans if first >= 3 * edge - 100]
+    assert max(before) < 3 * edge - 100 and min(after) > 3 * edge + 50  # the idle stretch
+
+
+def test_the_stability_rule_of_a_block_equals_that_of_each_frame():
+    # extract_candidates takes the rule over a block of means in one call,
+    # push over one frame's mean
+    rng = np.random.default_rng(72)
+    prevs = np.concatenate([rng.uniform(0.0, 1023.0, 500), [0.0, 0.0, 700.0, 1e-300, 5.0]])
+    means = np.concatenate([prevs[:500] * rng.uniform(0.98, 1.02, 500),
+                            [0.0, 1e-300, 707.0, 0.0, 5.05]])
+    block = _considered(means, prevs).tolist()
+    assert block == [_considered(float(m), float(p)) for m, p in zip(means, prevs)]
+    assert 0 < sum(block) < len(block)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_frames_of_infinite_or_nan_mean_match_the_oracle_without_a_warning(bad):
+    # a block's stability rule subtracts infinite means from each other,
+    # which numpy flags and Python floats do not
+    frames = np.full((50, 2, 2), bad)
+    frames[:10], frames[30:33] = 700.0, 650.0
+    _assert_detector_equals_oracle(frames, {})
+
+
 def _per_frame_means(frames):
     return np.array([float(np.asarray(f, dtype=float).mean()) for f in frames])
 
@@ -382,6 +434,20 @@ def test_scale_rejects_a_target_below_two_frames(target):
     cand = Candidate(frames=np.zeros((5, 3, 3)), start_index=0, end_index=4)
     with pytest.raises(InvalidParams):
         scale_candidate(cand, target)
+
+
+@pytest.mark.parametrize("target", [2.5, 20.0, True, "20", None])
+def test_scale_refuses_a_target_that_is_not_an_integer(target):
+    # 2.5 once raised an IndexError from inside the interpolation
+    cand = Candidate(frames=np.zeros((5, 3, 3)), start_index=0, end_index=4)
+    with pytest.raises(InvalidParams, match="target"):
+        scale_candidate(cand, target)
+
+
+def test_scale_takes_a_numpy_integer_target():
+    frames = np.random.default_rng(73).uniform(0, 1023, (37, 3, 3))
+    want = scale_candidate(frames, 20).frames
+    assert scale_candidate(frames, np.int64(20)).frames.tobytes() == want.tobytes()
 
 
 @given(st.integers(2, 60), st.integers(0, 2**31 - 1))

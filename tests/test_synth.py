@@ -8,7 +8,7 @@ import pytest
 from microgest.errors import InvalidParams, NonSquareImage, ShapeMismatch
 from microgest.features import ADC_MAX, LABEL_KIND_GESTURE, LABEL_KIND_PHASE
 from microgest.model_io import save_dataset
-from microgest.pipeline import GestureClass, PHASES_PER_GESTURE
+from microgest.pipeline import _BLOCK_PIXELS, GestureClass, PHASES_PER_GESTURE
 from microgest.synth import (
     Brightness,
     Gamma,
@@ -421,6 +421,109 @@ def test_a_bad_fps_is_refused_before_any_instance_is_rendered(monkeypatch, fps):
     assert rendered == []
     build_corpus(1, seed=0)  # the patched renderer is the one a corpus goes through
     assert rendered
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(per_class=2.5), dict(per_class=True), dict(per_class=-1),
+        dict(width=3.0), dict(height=np.float64(3)), dict(width=0), dict(height=-2),
+        dict(per_class=0, width=0), dict(per_class=0, height=2.0),
+        dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(seed="3"),
+        dict(per_class=0, seed=-1),
+    ],
+    ids=repr,
+)
+def test_bad_corpus_arguments_are_refused_before_any_instance_is_rendered(
+    monkeypatch, kwargs
+):
+    # each once raised a TypeError or numpy's ValueError, rendered first,
+    # or (with no instances) returned a stack of frames without pixels
+    import microgest.synth as synth
+
+    rendered = []
+    render = synth._render
+
+    def counting_render(*args, **kw):
+        rendered.append(args)
+        return render(*args, **kw)
+
+    monkeypatch.setattr(synth, "_render", counting_render)
+    with pytest.raises(InvalidParams):
+        build_corpus(**{"per_class": 1, "seed": 1, **kwargs})
+    assert rendered == []
+
+
+def test_numpy_integer_corpus_arguments_give_the_same_corpus():
+    want = build_corpus(2, seed=3, width=4, height=3)
+    got = build_corpus(np.int64(2), seed=np.uint32(3), width=np.int32(4), height=np.int8(3))
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.frames.shape == want.frames.shape
+    assert got.annotations == want.annotations
+
+
+@pytest.mark.parametrize(
+    "per_class, width, height, kind",
+    [(30, 3, 3, LABEL_KIND_GESTURE), (80, 1, 1, LABEL_KIND_PHASE),
+     (8, 4, 3, LABEL_KIND_PHASE), (2, 14, 14, LABEL_KIND_GESTURE)],
+)
+def test_a_corpus_over_several_blocks_equals_the_oracle(
+    monkeypatch, per_class, width, height, kind
+):
+    # the pixel stages run once per block of instances; a 14x14 instance
+    # holds more pixels than a block, so it is a block of its own
+    import microgest.synth as synth
+
+    blocks = []
+    stages = synth._pixel_stages
+
+    def counting_stages(rows, block):
+        blocks.append(len(block))
+        return stages(rows, block)
+
+    monkeypatch.setattr(synth, "_pixel_stages", counting_stages)
+    corpus = build_corpus(per_class, seed=61, width=width, height=height, label_kind=kind)
+    want, _ = oracle_build_corpus(per_class, 61, width, height, kind)
+    assert corpus.frames.dtype == want.frames.dtype
+    assert corpus.frames.shape == want.frames.shape
+    assert corpus.frames.tobytes() == want.frames.tobytes()
+    assert corpus.annotations == want.annotations
+    assert len(blocks) > 1 and sum(blocks) == 5 * per_class
+    if width * height * 100 > _BLOCK_PIXELS:
+        assert blocks == [1] * (5 * per_class)
+
+
+def test_power_with_a_per_frame_exponent_equals_the_scalar_call():
+    # _pixel_stages raises a whole block of instances to their Gamma in one
+    # call; each instance must get the bits of np.power(frames, gamma)
+    rng = np.random.default_rng(62)
+    for height, width in [(1, 1), (3, 3), (4, 3), (2, 5), (14, 14)]:
+        lengths = rng.integers(1, 140, 25)
+        exponents = rng.uniform(0.88, 1.15, 25)
+        values = rng.integers(0, ADC_MAX + 1, (lengths.sum(), height, width)) / ADC_MAX
+        block = values.reshape(len(values), -1).copy()
+        np.power(block, np.repeat(exponents, lengths)[:, None], out=block)
+        start = 0
+        for n, gamma in zip(lengths, exponents):
+            one = values[start : start + n].copy()
+            np.power(one, float(gamma), out=one)
+            assert block[start : start + n].tobytes() == one.tobytes()
+            start += n
+
+
+def test_unit_gamma_and_zero_brightness_leave_every_adc_value_unchanged():
+    # frames without Gamma or Brightness go through those stages with the
+    # exponent 1.0 and a zero shift, among frames that have them
+    adc = np.arange(ADC_MAX + 1, dtype=float)
+    rows = np.stack([adc, adc[::-1], adc, adc[::-1]])
+    rows /= ADC_MAX
+    np.power(rows, np.array([1.0, 1.0, 1.1, 0.9])[:, None], out=rows)
+    rows *= ADC_MAX
+    np.clip(np.rint(rows), 0, ADC_MAX, out=rows)
+    rows += np.array([0.0, 0.0, 3.5, -2.0])[:, None]
+    np.clip(np.rint(rows), 0, ADC_MAX, out=rows)
+    assert np.array_equal(rows[0], adc)
+    assert np.array_equal(rows[1], adc[::-1])
 
 
 def test_corpus_frames_stay_in_adc_range():

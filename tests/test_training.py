@@ -112,6 +112,23 @@ def test_bad_training_config_rejected(kw):
         _cfg(**kw)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    # -1 once raised numpy's ValueError from default_rng, 1.5 a TypeError
+    spec = chain(6, [(D, 5, A.TANH), (D, 3, A.SOFTMAX)])
+    with pytest.raises(InvalidParams, match="seed"):
+        _cfg(seed=seed)
+    with pytest.raises(InvalidParams, match="seed"):
+        init_params(spec, seed)
+
+
+def test_a_numpy_integer_seed_is_the_same_seed():
+    spec = chain(6, [(D, 5, A.TANH), (D, 3, A.SOFTMAX)])
+    assert _cfg(seed=np.uint32(7)).seed == 7
+    for a, b in zip(init_params(spec, np.int64(7)).layers, init_params(spec, 7).layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+
 def test_zero_learning_rate_and_zero_epochs_are_legal():
     _cfg(learning_rate=0.0)
     _cfg(epochs=0)
