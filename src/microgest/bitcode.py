@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptStream, InvalidParams
+from .errors import CorruptStream, InvalidParams, _check_integer
 
 
 # --- fixed-width packing -----------------------------------------------------
@@ -29,8 +29,9 @@ MAX_BIT_WIDTH = 63
 
 
 def _check_width(width: int) -> None:
-    if not 0 <= width <= MAX_BIT_WIDTH:
-        raise InvalidParams(f"bit width must be in 0..{MAX_BIT_WIDTH}")
+    _check_integer("bit width", width, 0)
+    if width > MAX_BIT_WIDTH:
+        raise InvalidParams(f"bit width must be in 0..{MAX_BIT_WIDTH}, got {width}")
 
 
 def _word_bytes(width: int) -> int:
@@ -57,6 +58,7 @@ def pack_bits(values: Sequence[int], width: int) -> bytes:
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits` for a known value count."""
     _check_width(width)
+    _check_integer("count", count, 0)
     if width == 0:
         return np.zeros(count, dtype=int)
     needed = (count * width + 7) // 8

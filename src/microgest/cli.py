@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compression import CompressionOptions, compress_model
+from .compression import CompressionOptions, compress_model, encoded_payload_size
 from .errors import InvalidParams, MicrogestError, ShapeMismatch
 from .estimator import Budget, CostModel, check_fit, load_config
 from .features import (
@@ -31,7 +31,6 @@ from .features import (
 from .inference import step_rnn
 from .model import ModelSpec, RnnState, format_arch, parse_arch
 from .model_io import (
-    compressed_payload_size,
     load_dataset,
     load_model,
     save_compressed,
@@ -360,7 +359,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         retrain_after_quantize=after_quantize,
     )
     save_compressed(args.out, cm)
-    on_disk = compressed_payload_size(args.out)
+    on_disk = encoded_payload_size(cm)
     naive = cm.stage_sizes["naive"]
     human = [f"stage sizes (bytes):"]
     for stage, size in cm.stage_sizes.items():

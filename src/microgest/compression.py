@@ -45,6 +45,7 @@ from .errors import (
     DeltaOverflow,
     InvalidParams,
     KTooLarge,
+    _check_integer,
 )
 from .model import LayerParams, ModelSpec, Parameters, validate
 from .inference import record_macs
@@ -131,8 +132,7 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[
     bit-identical to computing that matrix every round.
     """
     values = np.asarray(values, dtype=float).ravel()
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
+    _check_integer("k", k, 1)
     if k > values.size:
         raise KTooLarge(f"k={k} exceeds the {values.size} available values")
     if not np.isfinite(values).all():
@@ -202,8 +202,7 @@ def _sorted_cut(ordered: np.ndarray, centroids: np.ndarray) -> np.ndarray | None
 
 def bits_per_index(k: int) -> int:
     """Packed width of a cluster index: ``ceil(log2 k)``, zero for ``k=1``."""
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
+    _check_integer("k", k, 1)
     return math.ceil(math.log2(k)) if k > 1 else 0
 
 
@@ -577,9 +576,11 @@ def encoded_payload_size(cm: CompressedModel) -> int:
 def _resolve_clusters(options: CompressionOptions, n_layers: int) -> list[int | None]:
     if options.clusters is None:
         return [None] * n_layers
-    if isinstance(options.clusters, int):
+    try:
+        ks = list(options.clusters)
+    except TypeError:  # one count for every layer
+        _check_integer("clusters", options.clusters, 1)
         return [options.clusters] * n_layers
-    ks = list(options.clusters)
     if len(ks) != n_layers:
         raise InvalidParams(f"need one cluster count per layer ({n_layers})")
     return ks

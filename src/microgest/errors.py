@@ -108,7 +108,10 @@ class UnknownActivationCost(MicrogestError):
 def _is_integer(value) -> bool:
     """The integer rule for counts, sizes and seeds: an ``int`` or a numpy
     integer.  A bool or a float is not one, even when it is whole."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int skips the ABC check, which costs far more than a type test
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _check_integer(name: str, value, least: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import InvalidParams, UnknownActivationCost
+from .errors import InvalidParams, UnknownActivationCost, _check_integer
 from .model import Activation, LayerKind, ModelSpec, check_spec
 
 
@@ -83,14 +83,14 @@ class Budget:
     bytes_per_variable: int = 4
 
     def __post_init__(self) -> None:
-        if self.flash_bytes < 0 or self.ram_bytes < 0:
-            raise InvalidParams("memory sizes must be >= 0")
+        _check_integer("flash_bytes", self.flash_bytes, 0)
+        _check_integer("ram_bytes", self.ram_bytes, 0)
+        _check_integer("bytes_per_parameter", self.bytes_per_parameter, 1)
         if self.bytes_per_parameter not in (1, 2, 4):
             raise InvalidParams("bytes_per_parameter must be 1, 2, or 4")
         if not 0.0 < self.ram_fraction_for_layers <= 1.0:
             raise InvalidParams("ram_fraction_for_layers must be in (0, 1]")
-        if self.bytes_per_variable <= 0:
-            raise InvalidParams("bytes_per_variable must be positive")
+        _check_integer("bytes_per_variable", self.bytes_per_variable, 1)
 
 
 @dataclass(frozen=True)

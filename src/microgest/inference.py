@@ -216,16 +216,20 @@ def layer_forward(
     return Z, _ACTIVATIONS[kind](Z)
 
 
+def _vector(values, size: int, owner: str, noun: str = "inputs") -> np.ndarray:
+    """The input check of every stepper: one float vector of ``size`` entries."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (size,):
+        raise ShapeMismatch(f"{owner} expects {size} {noun}, got {values.shape}")
+    return values
+
+
 def forward_dense(layer: LayerSpec, lp: LayerParams, inputs: np.ndarray) -> np.ndarray:
     """One dense layer: ``activation(W @ inputs + b)``.
 
     Performs exactly ``neurons * fan_in`` multiply-accumulates.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (layer.input_size,):
-        raise ShapeMismatch(
-            f"dense layer expects {layer.input_size} inputs, got {inputs.shape}"
-        )
+    inputs = _vector(inputs, layer.input_size, "dense layer")
     return layer_forward(layer.activation, lp.weights, lp.biases, inputs)[1]
 
 
@@ -238,13 +242,9 @@ def step_recurrent(
     in place with the new activations, which are also returned.  The weight
     matrix sees ``[inputs, prev]`` concatenated, feedback columns last.
     """
-    inputs = np.asarray(inputs, dtype=float)
     if layer.kind is not LayerKind.RECURRENT:
         raise ShapeMismatch("step_recurrent needs a recurrent layer")
-    if inputs.shape != (layer.input_size,):
-        raise ShapeMismatch(
-            f"recurrent layer expects {layer.input_size} inputs, got {inputs.shape}"
-        )
+    inputs = _vector(inputs, layer.input_size, "recurrent layer")
     if prev.shape != (layer.neurons,):
         raise ShapeMismatch(
             f"feedback state must have {layer.neurons} entries, got {prev.shape}"
@@ -259,12 +259,7 @@ def run_ffnn(spec: ModelSpec, params: Parameters, features: np.ndarray) -> np.nd
     """Evaluate a pure feed-forward model on one feature vector."""
     if spec.has_recurrent:
         raise RecurrentLayerPresent("run_ffnn cannot evaluate recurrent layers")
-    features = np.asarray(features, dtype=float)
-    if features.shape != (spec.features,):
-        raise ShapeMismatch(
-            f"model expects {spec.features} features, got {features.shape}"
-        )
-    x = features
+    x = _vector(features, spec.features, "model", "features")
     for layer, lp in zip(spec.layers, params.layers):
         x = forward_dense(layer, lp, x)
     return x
@@ -279,12 +274,7 @@ def step_rnn(
     consume and update their slot in ``state``.  The state belongs to one
     stream only and must be reset at stream boundaries.
     """
-    features = np.asarray(features, dtype=float)
-    if features.shape != (spec.features,):
-        raise ShapeMismatch(
-            f"model expects {spec.features} features, got {features.shape}"
-        )
-    x = features
+    x = _vector(features, spec.features, "model", "features")
     for i, (layer, lp) in enumerate(zip(spec.layers, params.layers)):
         if layer.kind is LayerKind.RECURRENT:
             x = step_recurrent(layer, lp, x, state.layer(i))

@@ -20,12 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    IllegalActivationPlacement,
-    InvalidParams,
-    NonFiniteParameter,
-    ShapeMismatch,
-)
+from .errors import IllegalActivationPlacement, InvalidParams, NonFiniteParameter
+from .errors import ShapeMismatch, _is_integer
 
 
 class Activation(Enum):
@@ -118,14 +114,16 @@ def check_spec(spec: ModelSpec) -> None:
     IllegalActivationPlacement for a MAX activation on a recurrent layer
     (the one-hot output would be fed back and freeze the layer state).
     """
-    if spec.features < 1:
-        raise ShapeMismatch(f"feature count must be >= 1, got {spec.features}")
+    if not (_is_integer(spec.features) and spec.features >= 1):
+        raise ShapeMismatch(f"feature count must be an integer >= 1, got {spec.features!r}")
     if not spec.layers:
         raise ShapeMismatch("a model needs at least one layer")
     prev = spec.features
     for i, layer in enumerate(spec.layers):
-        if layer.neurons < 1:
-            raise ShapeMismatch(f"layer {i}: neuron count must be >= 1")
+        if not (_is_integer(layer.neurons) and layer.neurons >= 1):
+            raise ShapeMismatch(
+                f"layer {i}: neuron count must be an integer >= 1, got {layer.neurons!r}"
+            )
         if layer.input_size != prev:
             raise ShapeMismatch(
                 f"layer {i}: input_size {layer.input_size} does not match "

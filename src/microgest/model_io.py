@@ -9,7 +9,8 @@ The checksum covers every byte before it.  Numeric payloads are
 little-endian regardless of host; weights and biases are stored as 32-bit
 floats, images as 16-bit unsigned ADC values.  Writes go to a temporary
 file in the target directory and are renamed into place, so a reader
-never observes a half-written file.
+never observes a half-written file.  A read takes the payload straight
+into an array of its own; a loaded dataset's frames are that array.
 """
 
 from __future__ import annotations
@@ -97,27 +98,37 @@ def _frame(magic: bytes, header: dict, payload) -> tuple:
     return head, payload, struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
 
 
-def _unframe(data: bytes, magic: bytes) -> tuple[dict, bytes]:
-    if len(data) < _PREFIX.size + 4:
-        raise Truncated("file shorter than the fixed prelude")
-    got_magic, version, header_len = _PREFIX.unpack_from(data)
-    if got_magic != magic:
-        raise CorruptStream(f"bad magic {got_magic!r}, expected {magic!r}")
-    if version > FORMAT_VERSION:
-        raise VersionUnsupported(f"file version {version} is newer than {FORMAT_VERSION}")
-    if len(data) < _PREFIX.size + header_len + 4:
-        raise Truncated("file ends inside the header")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+def _unframe(path: str | Path, magic: bytes) -> tuple[dict, np.ndarray]:
+    """Read a framed file: its header, and its payload read straight into
+    an aligned, writable byte array of its own, which a loader may keep as
+    its data.  The CRC is taken piece by piece, so no byte is copied."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _PREFIX.size + 4:
+            raise Truncated("file shorter than the fixed prelude")
+        prelude = f.read(_PREFIX.size)
+        got_magic, version, header_len = _PREFIX.unpack(prelude)
+        if got_magic != magic:
+            raise CorruptStream(f"bad magic {got_magic!r}, expected {magic!r}")
+        if version > FORMAT_VERSION:
+            raise VersionUnsupported(f"file version {version} is newer than {FORMAT_VERSION}")
+        if size < _PREFIX.size + header_len + 4:
+            raise Truncated("file ends inside the header")
+        header_bytes = f.read(header_len)
+        payload = np.empty(size - _PREFIX.size - header_len - 4, dtype=np.uint8)
+        tail = f.read(4) if f.readinto(payload) == payload.size else b""
+    if len(tail) != 4:
+        raise Truncated("file changed while it was read")
+    crc = zlib.crc32(payload, zlib.crc32(header_bytes, zlib.crc32(prelude)))
+    if crc != struct.unpack("<I", tail)[0]:
         raise ChecksumMismatch("checksum does not match file contents")
-    header_bytes = data[_PREFIX.size : _PREFIX.size + header_len]
     try:
         header = json.loads(header_bytes.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptStream(f"unreadable header: {exc}") from None
     if not isinstance(header, dict):
         raise CorruptStream("header is not a JSON object")
-    return header, data[_PREFIX.size + header_len : -4]
+    return header, payload
 
 
 @contextmanager
@@ -206,7 +217,7 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[ModelSpec, Parameters]:
     """Read a model file back; inverse of :func:`save_model`."""
-    header, payload = _unframe(Path(path).read_bytes(), MAGIC_MODEL)
+    header, payload = _unframe(path, MAGIC_MODEL)
     spec = _spec_from_header(header)
     expected = 4 * sum(l.neurons * l.fan_in + l.neurons for l in spec.layers)
     if len(payload) != expected:
@@ -226,7 +237,7 @@ def load_model(path: str | Path) -> tuple[ModelSpec, Parameters]:
 
 
 def load_model_meta(path: str | Path) -> dict:
-    header, _ = _unframe(Path(path).read_bytes(), MAGIC_MODEL)
+    header, _ = _unframe(path, MAGIC_MODEL)
     return header.get("meta", {})
 
 
@@ -283,7 +294,7 @@ def load_compressed(path: str | Path) -> CompressedModel:
     ``ShapeMismatch``, so a model that loads also decompresses to finite
     parameters that fit its spec, at most ``MAX_DENSE_WEIGHTS`` of them.
     """
-    header, payload = _unframe(Path(path).read_bytes(), MAGIC_COMPRESSED)
+    header, payload = _unframe(path, MAGIC_COMPRESSED)
     spec = _spec_from_header(header)
     dense = sum(layer.neurons * layer.fan_in for layer in spec.layers)
     if dense > MAX_DENSE_WEIGHTS:
@@ -336,7 +347,7 @@ def compressed_payload_size(path: str | Path) -> int:
     stream plus bias block, plus the serialized code table when Huffman is
     enabled.
     """
-    header, payload = _unframe(Path(path).read_bytes(), MAGIC_COMPRESSED)
+    header, payload = _unframe(path, MAGIC_COMPRESSED)
     table = _code_table(header)
     return len(payload) + (0 if table is None else huffman_table_bytes(table))
 
@@ -361,7 +372,7 @@ def save_dataset(path: str | Path, dataset: AnnotatedSequence) -> None:
 
 
 def load_dataset(path: str | Path) -> AnnotatedSequence:
-    header, payload = _unframe(Path(path).read_bytes(), MAGIC_DATASET)
+    header, payload = _unframe(path, MAGIC_DATASET)
     with _malformed("dataset header"):
         width = int(header["width"])
         height = int(header["height"])
@@ -374,11 +385,8 @@ def load_dataset(path: str | Path) -> AnnotatedSequence:
     expected = 2 * n * width * height
     if len(payload) != expected:
         raise Truncated(f"payload holds {len(payload)} bytes, header implies {expected}")
-    frames = (
-        np.frombuffer(payload, dtype="<u2")
-        .reshape(n, height, width)
-        .astype(np.uint16)
-    )
+    # the frames are the payload array itself on a little-endian host
+    frames = payload.view("<u2").reshape(n, height, width).astype(np.uint16, copy=False)
     dataset = AnnotatedSequence(
         width=width,
         height=height,

@@ -461,22 +461,15 @@ class FfnnRecognizer:
     candidate's last frame index; NO_GESTURE classifications stay silent.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        params: Parameters,
-        target_frames: int = 20,
-        **detector_kwargs,
-    ) -> None:
+    def __init__(self, spec: ModelSpec, params: Parameters, target_frames: int = 20) -> None:
         self.spec = spec
         self.params = params
         self.target_frames = target_frames
-        self.detector_kwargs = detector_kwargs
 
     def __call__(self, stream) -> list[Event]:
         frames = stream.frames if isinstance(stream, AnnotatedSequence) else stream
         events: list[Event] = []
-        for cand in extract_candidates(np.asarray(frames), **self.detector_kwargs):
+        for cand in extract_candidates(np.asarray(frames)):
             scaled = scale_candidate(cand, self.target_frames)
             cls = classify_candidate(self.spec, self.params, scaled)
             if cls is not GestureClass.NO_GESTURE:

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, NonSquareImage, ShapeMismatch, _check_integer, _check_seed
+from .errors import InvalidParams, NonSquareImage, ShapeMismatch
+from .errors import _check_integer, _check_seed, _is_integer
 from .features import (
     ADC_MAX,
     AnnotatedSequence,
@@ -80,8 +81,8 @@ class GestureSynthParams:
             raise InvalidParams("contrast must be in [0, 1]")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise InvalidParams("noise_sigma must be finite and >= 0")
-        if self.width < 1 or self.height < 1:
-            raise InvalidParams("sensor must be at least 1x1")
+        _check_integer("width", self.width, 1)
+        _check_integer("height", self.height, 1)
 
 
 # Motion of each class across the sensor as (dx, dy), y pointing down;
@@ -231,6 +232,7 @@ def synthesize_gesture(
     and the label mode draws nothing, so both label modes give the same
     frames and identical parameters and seed reproduce identical bytes.
     """
+    _check_seed(seed)
     values, first, states = _render(p, np.random.default_rng(seed), labels)
     return AnnotatedSequence(
         width=p.width,
@@ -255,13 +257,14 @@ class MirrorY:
 
 @dataclass(frozen=True)
 class Rotate:
-    """Rotate by ``quarters`` quarter turns clockwise (square sensors only)."""
+    """Rotate by ``quarters`` quarter turns clockwise (square sensors only);
+    a negative count turns counter-clockwise."""
 
     quarters: int
 
     def __post_init__(self) -> None:
-        if self.quarters % 4 == 0:
-            raise InvalidParams("rotation must be 1..3 quarter turns")
+        if not _is_integer(self.quarters) or self.quarters % 4 == 0:
+            raise InvalidParams(f"rotation must be 1..3 quarter turns, got {self.quarters!r}")
 
 
 @dataclass(frozen=True)
@@ -296,6 +299,7 @@ class Noise:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise InvalidParams("noise sigma must be finite and >= 0")
+        _check_seed(self.seed)
 
 
 Transform = MirrorX | MirrorY | Rotate | Brightness | Gamma | Noise
@@ -374,9 +378,7 @@ def augment(seq: AnnotatedSequence, transform: Transform) -> AnnotatedSequence:
 
 
 def auto_annotate(
-    frames: np.ndarray,
-    protocol: tuple[GestureClass, GestureClass],
-    **detector_kwargs,
+    frames: np.ndarray, protocol: tuple[GestureClass, GestureClass]
 ) -> AnnotatedSequence:
     """Label a recorded ``(T, H, W)`` stream by a known alternation protocol.
 
@@ -391,7 +393,7 @@ def auto_annotate(
         raise ShapeMismatch(f"frames shape {frames.shape}, expected (T, H, W)")
     height, width = frames.shape[1:]
     annotations = []
-    for i, cand in enumerate(extract_candidates(frames, **detector_kwargs)):
+    for i, cand in enumerate(extract_candidates(frames)):
         label = protocol[i % 2]
         annotations.append(Annotation(cand.end_index, int(label)))
     return AnnotatedSequence(

@@ -26,9 +26,10 @@ has one loop over BPTT windows, the lazy generator ``_windows``, shared by
 A run's trainable arrays (weights and biases, or centroid tables and
 biases when quantized) are views into one flat float64 buffer, and the
 optimizers keep flat moments: each step concatenates the gradients once
-and updates the whole buffer with one set of ufunc calls.  Element-wise
-IEEE arithmetic rounds each element on its own, so this equals one update
-per array bit for bit.
+and updates the whole buffer with one set of ufunc calls.  Every run has
+one epoch loop, :func:`_optimize`, which owns the seeded shuffle, the
+optimizer, the per-epoch mean loss and the divergence check; a run only
+supplies a generator of its steps.
 
 Every public function that reads parameters and data starts with one
 entry check (``_ffnn_inputs`` or ``_sequence_inputs``) that validates the
@@ -50,7 +51,8 @@ from .backprop import (
     _pull_back,
     _train_kind,
 )
-from .errors import DivergenceDetected, InvalidParams, ShapeMismatch, _check_seed
+from .errors import DivergenceDetected, InvalidParams, ShapeMismatch
+from .errors import _check_integer, _check_seed
 from .inference import layer_forward
 from .model import (
     Activation,
@@ -91,10 +93,8 @@ class TrainingConfig:
         if not 0.0 <= self.learning_rate < math.inf:
             raise InvalidParams("learning_rate must be finite and >= 0")
         # zero epochs is a valid no-op run (used to materialize an init)
-        if self.epochs < 0:
-            raise InvalidParams("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise InvalidParams("batch_size must be >= 1")
+        _check_integer("epochs", self.epochs, 0)
+        _check_integer("batch_size", self.batch_size, 1)
         _check_seed(self.seed)
 
 
@@ -179,6 +179,32 @@ def _make_optimizer(size: int, cfg: TrainingConfig):
     update of the whole buffer equals one update per array bit for bit.
     """
     return _Adam(size, cfg) if cfg.optimizer == "adam" else _Sgd(size, cfg)
+
+
+def _optimize(cfg: TrainingConfig, flat: np.ndarray, n: int, epoch) -> list[float]:
+    """The one epoch loop of every training run; returns the loss history.
+
+    Each epoch draws an order of the ``n`` items from ``cfg.seed``'s
+    stream, and ``epoch(order)`` yields one ``(loss sum, count, flat
+    gradient)`` per step.  The optimizer updates ``flat`` in place before
+    the generator computes the next step.  An epoch's loss is its loss sum
+    over its count (0.0 when nothing was counted); a loss that is not
+    finite raises DivergenceDetected.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    opt = _make_optimizer(flat.size, cfg)
+    history = []
+    for _ in range(cfg.epochs):
+        total, count = 0.0, 0
+        for loss, k, grad in epoch(rng.permutation(n)):
+            total += loss
+            count += k
+            opt.step(flat, grad)
+        mean_loss = total / count if count else 0.0
+        if not np.isfinite(mean_loss):
+            raise DivergenceDetected(f"loss became {mean_loss} during training")
+        history.append(mean_loss)
+    return history
 
 
 # --- feed-forward training ---------------------------------------------------
@@ -276,7 +302,7 @@ def _lookup(assignments, centroids) -> list[np.ndarray]:
 
 
 def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
-    """Shared minibatch loop for plain, masked, and quantized training.
+    """Shared minibatch steps for plain, masked, and quantized training.
 
     The trainable arrays are views into one flat buffer, weights then
     biases, or centroid tables then biases when quantized; each step
@@ -288,8 +314,6 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
     """
     X, y = _ffnn_inputs(spec, params, X, y)
     _check_output_trainable(spec)
-    n = X.shape[0]
-    rng = np.random.default_rng(cfg.seed)
     L = len(params.layers)
     biases = [lp.biases for lp in params.layers]
 
@@ -306,19 +330,12 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
         centroids = views[:L]
     bs = views[L:]
 
-    opt = _make_optimizer(flat.size, cfg)
-    history = []
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
+    def epoch(perm):
+        for start in range(0, perm.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            if quant is not None:
-                Ws = _lookup(assignments, centroids)
-            zs, acts = _forward_batch(spec, Ws, bs, X[idx])
-            loss = _batch_loss(acts[-1], y[idx])
-            epoch_loss += loss * idx.shape[0]
-            gW, gb = _backward_batch(spec, Ws, zs, acts, y[idx])
+            W_now = Ws if quant is None else _lookup(assignments, centroids)
+            zs, acts = _forward_batch(spec, W_now, bs, X[idx])
+            gW, gb = _backward_batch(spec, W_now, zs, acts, y[idx])
             if quant is None:
                 grad = np.concatenate(gW + gb, axis=None)
                 if removed is not None:
@@ -329,12 +346,9 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
                     for a, g, c in zip(assignments, gW, centroids)
                 ]
                 grad = np.concatenate(gC + gb, axis=None)
-            opt.step(flat, grad)
-        epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            raise DivergenceDetected(f"loss became {epoch_loss} during training")
-        history.append(epoch_loss)
+            yield _batch_loss(acts[-1], y[idx]) * idx.shape[0], idx.shape[0], grad
 
+    history = _optimize(cfg, flat, X.shape[0], epoch)
     if quant is not None:
         Ws = _lookup(assignments, centroids)
     out = Parameters([LayerParams(W, b) for W, b in zip(Ws, bs)])
@@ -488,8 +502,7 @@ def sequence_gradients(
     [(X_seq, targets)] = _sequence_inputs(spec, params, [(X_seq, targets)])
     _check_output_trainable(spec)
     horizon = len(targets) if horizon is None else horizon
-    if horizon < 1:
-        raise InvalidParams("horizon must be >= 1")
+    _check_integer("horizon", horizon, 1)
     n_labeled = int(np.sum(targets >= 0))
     if n_labeled == 0:
         raise InvalidParams("sequence has no labeled frames")
@@ -520,33 +533,22 @@ def train_rnn_bptt(
     """
     sequences = _sequence_inputs(spec, params, sequences)
     _check_output_trainable(spec)
-    if horizon < 1:
-        raise InvalidParams("horizon must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
+    _check_integer("horizon", horizon, 1)
     L = len(params.layers)
     flat, views = _flat_copy(
         [lp.weights for lp in params.layers] + [lp.biases for lp in params.layers]
     )
     Ws, bs = views[:L], views[L:]
     net = _Net(spec)
-    opt = _make_optimizer(flat.size, cfg)
-    history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(sequences))
-        epoch_loss = 0.0
-        epoch_labeled = 0
+
+    def epoch(order):
         for si in order:
             for U, Z, A, t_win in _windows(net, Ws, bs, *sequences[si], horizon):
                 total, count = _window_loss(A, t_win)
-                if count == 0:
-                    continue
-                epoch_loss += total
-                epoch_labeled += count
-                gW, gb = _backward_window(net, Ws, U, Z, A, t_win, 1.0 / count)
-                opt.step(flat, np.concatenate(gW + gb, axis=None))
-        mean_loss = epoch_loss / epoch_labeled if epoch_labeled else 0.0
-        if not np.isfinite(mean_loss):
-            raise DivergenceDetected(f"loss became {mean_loss} during training")
-        history.append(mean_loss)
+                if count:
+                    gW, gb = _backward_window(net, Ws, U, Z, A, t_win, 1.0 / count)
+                    yield total, count, np.concatenate(gW + gb, axis=None)
+
+    history = _optimize(cfg, flat, len(sequences), epoch)
     out = Parameters([LayerParams(W, b) for W, b in zip(Ws, bs)])
     return out, history

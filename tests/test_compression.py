@@ -813,6 +813,26 @@ def test_per_layer_cluster_counts_apply():
     assert [layer.bits for layer in cm.layers] == [2, 3, 4]
 
 
+def test_a_numpy_cluster_count_compresses_as_the_int_does():
+    spec, params = _demo()
+    want = compress_model(spec, params, CompressionOptions(target_density=0.5, clusters=4))
+    got = compress_model(
+        spec, params, CompressionOptions(target_density=0.5, clusters=np.int64(4))
+    )
+    assert got.stage_sizes == want.stage_sizes
+    for a, b in zip(got.layers, want.layers):
+        assert a.bits == b.bits
+        for name in ("centroids", "indices", "deltas", "biases"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("clusters", [True, 4.0, "4"])
+def test_a_cluster_count_that_is_not_an_integer_is_refused(clusters):
+    spec, params = _demo()
+    with pytest.raises(InvalidParams):
+        compress_model(spec, params, CompressionOptions(clusters=clusters))
+
+
 def test_retraining_hooks_see_masks_and_replace_values():
     spec = parse_arch("6-4relu-3softmax")
     params = init_params(spec, 1)

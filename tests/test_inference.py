@@ -317,6 +317,32 @@ def test_step_recurrent_rejects_dense_layer():
         step_recurrent(layer, lp, np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("shape", [(2,), (4,), (1, 3), ()])
+def test_step_recurrent_rejects_a_wrong_input_shape(shape):
+    layer = LayerSpec(R, 3, 2, Activation.TANH)
+    lp = LayerParams(np.zeros((2, 5)), np.zeros(2))
+    with pytest.raises(ShapeMismatch, match="recurrent layer expects 3 inputs"):
+        step_recurrent(layer, lp, np.zeros(shape), np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 2), ()])
+def test_step_recurrent_rejects_a_wrong_state_shape(shape):
+    layer = LayerSpec(R, 3, 2, Activation.TANH)
+    lp = LayerParams(np.zeros((2, 5)), np.zeros(2))
+    with pytest.raises(ShapeMismatch, match="feedback state must have 2 entries"):
+        step_recurrent(layer, lp, np.zeros(3), np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (1, 3), ()])
+def test_run_ffnn_and_step_rnn_reject_a_wrong_feature_shape(shape):
+    ffnn = chain(3, [(D, 2, Activation.SOFTMAX)])
+    rnn = chain(3, [(R, 2, Activation.TANH), (D, 2, Activation.SOFTMAX)])
+    with pytest.raises(ShapeMismatch, match="model expects 3 features"):
+        run_ffnn(ffnn, zero_params(ffnn), np.zeros(shape))
+    with pytest.raises(ShapeMismatch, match="model expects 3 features"):
+        step_rnn(rnn, zero_params(rnn), np.zeros(shape), RnnState(rnn))
+
+
 def test_run_ffnn_refuses_recurrent_models():
     spec = chain(3, [(R, 3, Activation.TANH), (D, 2, Activation.SOFTMAX)])
     with pytest.raises(RecurrentLayerPresent):

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import struct
+import tracemalloc
+import types
 import warnings
 import zlib
 
@@ -338,6 +341,17 @@ def test_malformed_compressed_header_fields_are_rejected(tmp_path, keys, value, 
         load_compressed(path)
 
 
+def test_a_core_stream_longer_than_its_layer_blocks_is_corrupt(tmp_path):
+    _, _, cm = _demo_compressed(False)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    magic, header, _ = _split(path.read_bytes())
+    core = b"".join(layer_core_block(layer) for layer in cm.layers)
+    path.write_bytes(_reframe(magic, header, core + b"\0" + bias_block(cm)))
+    with pytest.raises(CorruptStream, match="longer than the layer blocks imply"):
+        load_compressed(path)
+
+
 def test_a_code_table_255_bits_deep_loads(tmp_path):
     _, _, cm = _demo_compressed(False)
     path = tmp_path / "net.mgcm"
@@ -570,6 +584,38 @@ def test_dataset_round_trip_is_lossless(tmp_path):
     assert ds2.annotations == ds.annotations
     assert (ds2.width, ds2.height, ds2.fps) == (ds.width, ds.height, ds.fps)
     assert ds2.label_kind == ds.label_kind
+
+
+def test_loading_a_dataset_holds_one_copy_of_its_frames(tmp_path):
+    # the payload is read straight into the array that becomes the frames:
+    # no copy of the file's bytes for the CRC, the payload slice or a cast
+    frames = np.random.default_rng(5).integers(0, 1024, (2000, 10, 10)).astype(np.uint16)
+    path = tmp_path / "big.mgds"
+    save_dataset(path, AnnotatedSequence(width=10, height=10, frames=frames))
+    load_dataset(path)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * frames.nbytes
+    assert ds.frames.dtype == np.uint16 and ds.frames.tobytes() == frames.tobytes()
+    assert ds.frames.flags.writeable and ds.frames.flags.aligned
+
+
+def test_a_file_shorter_than_its_stat_size_is_truncated(tmp_path, monkeypatch):
+    import microgest.model_io as model_io
+
+    path = tmp_path / "corpus.mgds"
+    save_dataset(path, build_corpus(1, seed=4))
+    real_fstat = os.fstat
+    monkeypatch.setattr(
+        model_io.os, "fstat",
+        lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + 8),
+    )
+    with pytest.raises(Truncated, match="changed while it was read"):
+        load_dataset(path)
 
 
 def test_empty_dataset_round_trips(tmp_path):

@@ -260,6 +260,26 @@ def test_noise_transform_is_seeded():
     assert not np.array_equal(a.frames, c.frames)
 
 
+@pytest.mark.parametrize("seed", [-1, None])
+def test_a_noise_seed_that_is_not_a_seed_is_refused_when_made(seed):
+    with pytest.raises(InvalidParams, match="seed"):
+        Noise(3.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, None])
+def test_a_render_seed_that_is_not_a_seed_is_refused(seed):
+    with pytest.raises(InvalidParams, match="seed"):
+        synthesize_gesture(_params(), seed=seed)
+
+
+def test_a_negative_rotation_turns_counter_clockwise():
+    seq = synthesize_gesture(_params(), seed=0)
+    left, right = augment(seq, Rotate(-1)), augment(seq, Rotate(3))
+    assert left.frames.tobytes() == right.frames.tobytes()
+    assert left.annotations == right.annotations
+    assert gesture_label_map(Rotate(-1)) == gesture_label_map(Rotate(3))
+
+
 def test_phase_labels_remap_with_the_gesture():
     seq = synthesize_gesture(_params(direction=L2R), seed=0,
                              labels=LABEL_KIND_PHASE)
@@ -465,13 +485,15 @@ def test_numpy_integer_corpus_arguments_give_the_same_corpus():
 @pytest.mark.parametrize(
     "per_class, width, height, kind",
     [(30, 3, 3, LABEL_KIND_GESTURE), (80, 1, 1, LABEL_KIND_PHASE),
-     (8, 4, 3, LABEL_KIND_PHASE), (2, 14, 14, LABEL_KIND_GESTURE)],
+     (8, 4, 3, LABEL_KIND_PHASE), (2, 14, 14, LABEL_KIND_GESTURE),
+     (1, 20, 20, LABEL_KIND_GESTURE)],
 )
 def test_a_corpus_over_several_blocks_equals_the_oracle(
     monkeypatch, per_class, width, height, kind
 ):
     # the pixel stages run once per block of instances; a 14x14 instance
-    # holds more pixels than a block, so it is a block of its own
+    # may hold more pixels than a block, and a 20x20 one always does, so
+    # it is a block of its own and the block buffer grows to hold it
     import microgest.synth as synth
 
     blocks = []

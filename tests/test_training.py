@@ -332,6 +332,18 @@ def test_exploding_run_raises_divergence():
             train_ffnn(spec, params, X, y, _cfg(learning_rate=0.1, batch_size=2))
 
 
+def test_exploding_bptt_run_raises_divergence():
+    spec = chain(2, [(R, 3, A.RELU), (D, 2, A.SOFTMAX)])
+    params = zero_params(spec)
+    for lp in params.layers:
+        lp.weights[:] = 1e200
+    X = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]])
+    targets = np.array([0, -1, 1])
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceDetected):
+            train_rnn_bptt(spec, params, [(X, targets)], _cfg(learning_rate=0.1), horizon=2)
+
+
 # --- pruned retraining --------------------------------------------------------
 
 def test_retrain_pruned_pins_removed_weights_at_zero():
