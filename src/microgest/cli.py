@@ -1,6 +1,6 @@
 """Command-line surface: synth, train, eval, compress, estimate, infer.
 
-Every command prints its effective configuration (including the seed)
+Every command prints its effective configuration (including any seed)
 before doing anything, so a run can be reproduced from its own output.
 ``--json`` switches stdout to a single machine-readable object carrying
 the same information.  Exit code 0 means success; any domain error, or a
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compression import CompressionOptions, compress_model, encoded_payload_size
+from .compression import CompressionOptions, compress_model
 from .errors import InvalidParams, MicrogestError, ShapeMismatch
 from .estimator import Budget, CostModel, check_fit, load_config
 from .features import (
@@ -42,6 +42,7 @@ from .pipeline import (
     GestureClass,
     N_PHASE_STATES,
     _check_candidate_model,
+    _check_labels,
     candidate_features,
     extract_candidates,
     fsm_postprocess,
@@ -93,8 +94,18 @@ def _emit(args: argparse.Namespace, human: list[str], payload: dict) -> None:
 
 # --- shared dataset plumbing -------------------------------------------------
 
+def _candidate_frames(spec: ModelSpec, ds: AnnotatedSequence) -> int:
+    """Frames a candidate is rescaled to: ``spec``'s features are whole
+    frames of the stream's pixels."""
+    frames, extra = divmod(spec.features, ds.width * ds.height)
+    if extra:
+        raise ShapeMismatch(f"model expects {spec.features} features, not "
+                            f"whole {ds.width}x{ds.height} frames")
+    return frames
+
+
 def _candidate_dataset(
-    ds: AnnotatedSequence, spec: ModelSpec, target_frames: int
+    ds: AnnotatedSequence, spec: ModelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detected candidates as a feature matrix with auto-assigned labels,
     checked to be non-empty, to fit ``spec``'s outputs and ``spec`` to be a
@@ -103,9 +114,8 @@ def _candidate_dataset(
     labelled = label_candidates(cands, ds.annotations)
     if not labelled:
         raise InvalidParams("dataset yielded no training candidates")
-    X = np.stack(
-        [candidate_features(scale_candidate(c, target_frames)) for c, _ in labelled]
-    )
+    frames = _candidate_frames(spec, ds)
+    X = np.stack([candidate_features(scale_candidate(c, frames)) for c, _ in labelled])
     y = np.array([label for _, label in labelled], dtype=int)
     if y.max() >= spec.output_size:
         raise ShapeMismatch(
@@ -125,10 +135,6 @@ def _phase_targets(ds: AnnotatedSequence) -> np.ndarray:
     """Per-frame phase-state labels of a stream, -1 where a frame has none."""
     targets = -np.ones(len(ds), dtype=int)
     for ann in ds.annotations:
-        if not 0 <= ann.label < N_PHASE_STATES:
-            raise InvalidParams(
-                f"phase label {ann.label} outside 0..{N_PHASE_STATES - 1}"
-            )
         targets[ann.frame] = ann.label
     return targets
 
@@ -151,13 +157,12 @@ def _phase_features(spec: ModelSpec, ds: AnnotatedSequence) -> np.ndarray:
     return stream_features(ds.frames, with_stats=spec.features == pixels + 3)
 
 
-def _stream_events(spec, params, ds: AnnotatedSequence, target_frames: int,
-                   phases: bool):
+def _stream_events(spec, params, ds: AnnotatedSequence, phases: bool):
     """Gesture events of a model over a stream.  With ``phases``, a phase
     model steps every frame and the FSM reads its states; otherwise the
     candidate recognizer runs."""
     if not phases:
-        return FfnnRecognizer(spec, params, target_frames=target_frames)(ds)
+        return FfnnRecognizer(spec, params, _candidate_frames(spec, ds))(ds)
     return fsm_postprocess(_rnn_outputs(spec, params, _phase_features(spec, ds)))
 
 
@@ -170,7 +175,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         width=args.width,
         height=args.height,
         label_kind=args.labels,
-        fps=args.fps,
     )
     save_dataset(args.out, corpus)
     counts: dict[str, int] = {}
@@ -214,6 +218,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     spec = parse_arch(args.arch)
     ds = load_dataset(args.data)
+    _check_labels(ds)
     cfg = TrainingConfig(
         optimizer=args.optimizer,
         learning_rate=args.lr,
@@ -247,7 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 )
         trained_on = f"{cut} frames"
     else:
-        X, y = _candidate_dataset(ds, spec, args.target_frames)
+        X, y = _candidate_dataset(ds, spec)
         train_idx, val_idx = _split(X.shape[0], args.val_fraction, args.seed)
         params, history = train_ffnn(spec, params, X[train_idx], y[train_idx], cfg)
         stats = {
@@ -279,8 +284,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     spec, params = load_model(args.model)
     ds = load_dataset(args.data)
+    _check_labels(ds)
     phases = ds.label_kind == LABEL_KIND_PHASE
-    events = _stream_events(spec, params, ds, args.target_frames, phases)
+    events = _stream_events(spec, params, ds, phases)
     if phases:
         targets = _phase_targets(ds)
         annotations = [Annotation(t, int(g)) for t, g in phase_events(targets)]
@@ -333,7 +339,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
     after_quantize = None
     if args.retrain_data is not None:
         ds = load_dataset(args.retrain_data)
-        X, y = _candidate_dataset(ds, spec, args.target_frames)
+        _check_labels(ds)
+        X, y = _candidate_dataset(ds, spec)
         cfg = TrainingConfig(
             learning_rate=args.lr,
             epochs=args.retrain_epochs,
@@ -359,7 +366,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         retrain_after_quantize=after_quantize,
     )
     save_compressed(args.out, cm)
-    on_disk = encoded_payload_size(cm)
+    on_disk = cm.stage_sizes["huffman" if cm.huffman else "encoded"]
     naive = cm.stage_sizes["naive"]
     human = [f"stage sizes (bytes):"]
     for stage, size in cm.stage_sizes.items():
@@ -424,9 +431,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_infer(args: argparse.Namespace) -> int:
     spec, params = load_model(args.model)
     ds = load_dataset(args.data)
-    events = _stream_events(
-        spec, params, ds, args.target_frames, args.mode == "rnn-phases"
-    )
+    events = _stream_events(spec, params, ds, args.mode == "rnn-phases")
     human = [f"{len(events)} event(s)"]
     for frame, cls in events:
         human.append(f"  frame {frame}: {GestureClass(int(cls)).name.lower()}")
@@ -447,7 +452,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master random seed")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -473,7 +477,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--width", type=int, default=3)
     p.add_argument("--height", type=int, default=3)
-    p.add_argument("--fps", type=float, default=40.0)
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
     _add_common(p)
 
     p = subs.add_parser("train", help="train a model on a dataset")
@@ -485,15 +489,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--target-frames", type=int, default=20)
     p.add_argument("--horizon", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
     _add_common(p)
 
     p = subs.add_parser("eval", help="score a model against a dataset")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--tolerance", type=int, default=10)
-    p.add_argument("--target-frames", type=int, default=20)
     _add_common(p)
 
     p = subs.add_parser("compress", help="prune, quantize, and encode a model")
@@ -510,7 +513,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--retrain-data", type=Path, default=None)
     p.add_argument("--retrain-epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--target-frames", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
     _add_common(p)
 
     p = subs.add_parser("estimate", help="static resource and timing report")
@@ -527,7 +530,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("ffnn-candidates", "rnn-phases"), required=True
     )
-    p.add_argument("--target-frames", type=int, default=20)
     _add_common(p)
 
     return parser

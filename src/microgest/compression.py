@@ -554,25 +554,6 @@ def bias_block(cm: CompressedModel) -> bytes:
     )
 
 
-def _payload_sizes(cm: CompressedModel) -> dict[str, int]:
-    """Encoded parameter bytes: ``encoded`` is the core blocks (centroids,
-    packed indices, deltas) of every layer plus the raw float32 biases;
-    with Huffman enabled, ``huffman`` codes the core blocks as one stream
-    and charges the table size too."""
-    core = b"".join(layer_core_block(layer) for layer in cm.layers)
-    bias_bytes = len(bias_block(cm))
-    sizes = {"encoded": len(core) + bias_bytes}
-    if cm.huffman:
-        sizes["huffman"] = _huffman_coded_size(core) + bias_bytes
-    return sizes
-
-
-def encoded_payload_size(cm: CompressedModel) -> int:
-    """Bytes of encoded parameters as they would land on flash: the
-    ``huffman`` stage size when Huffman is enabled, else ``encoded``."""
-    return _payload_sizes(cm)["huffman" if cm.huffman else "encoded"]
-
-
 def _resolve_clusters(options: CompressionOptions, n_layers: int) -> list[int | None]:
     if options.clusters is None:
         return [None] * n_layers
@@ -600,8 +581,11 @@ def compress_model(
     centroid retraining, then sparse assembly.  The returned container
     carries a byte-size report of every stage under ``stage_sizes``:
     ``naive`` (dense float32), ``pruned_sparse`` (float values plus
-    deltas), ``encoded`` (centroids, packed indices, deltas, biases), and
-    ``huffman`` when enabled.
+    deltas), ``encoded`` (the core blocks of every layer -- centroids,
+    packed indices, deltas -- plus the raw float32 biases), and, when
+    enabled, ``huffman`` (the core blocks coded as one stream, table
+    included, plus the biases).  The last of these is the parameter
+    payload a saved file holds.
 
     ``retrain_after_prune(pruned_params, removed_masks)`` must return new
     Parameters; ``retrain_after_quantize(assignments, centroids, params)``
@@ -649,7 +633,11 @@ def compress_model(
     cm = CompressedModel(spec=spec, layers=layers, huffman=options.huffman)
     cm.stage_sizes["naive"] = 4 * n_params
     cm.stage_sizes["pruned_sparse"] = sparse_bytes
-    cm.stage_sizes.update(_payload_sizes(cm))
+    core = b"".join(layer_core_block(layer) for layer in cm.layers)
+    bias_bytes = len(bias_block(cm))
+    cm.stage_sizes["encoded"] = len(core) + bias_bytes
+    if cm.huffman:
+        cm.stage_sizes["huffman"] = _huffman_coded_size(core) + bias_bytes
     return cm
 
 

@@ -44,13 +44,6 @@ class Image:
         _check_pixels(self.pixels)
 
 
-def _check_fps(fps: float) -> None:
-    """The frame-rate rule: finite and above zero (NaN fails both
-    comparisons)."""
-    if not 0.0 < fps < math.inf:
-        raise InvalidParams(f"fps must be finite and > 0, got {fps}")
-
-
 def _check_pixels(values: np.ndarray) -> None:
     """The pixel rule: whole numbers in 0..1023.  NaN fails the range
     comparisons; integer arrays hold whole numbers only, so they skip
@@ -236,7 +229,8 @@ class AnnotatedSequence:
             )
         if self.label_kind not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
             raise InvalidParams(f"unknown label kind {self.label_kind!r}")
-        _check_fps(self.fps)
+        if not 0.0 < self.fps < math.inf:  # NaN fails both comparisons
+            raise InvalidParams(f"fps must be finite and > 0, got {self.fps}")
 
     def __len__(self) -> int:
         return int(self.frames.shape[0])

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch, TooShort, _check_integer, _is_integer
-from .features import NORM_DIVISOR, AnnotatedSequence, Annotation
+from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
 from .inference import run_ffnn
 from .model import ModelSpec, Parameters
 
@@ -52,6 +52,15 @@ SWIPE_CLASSES = (
 # owns the four states 4g+1 .. 4g+4, in phase order.
 N_PHASE_STATES = 17
 PHASES_PER_GESTURE = 4
+
+
+def _check_labels(seq: AnnotatedSequence) -> None:
+    """The label space of a sequence's label kind: gesture labels are the
+    :class:`GestureClass` values 0..4, phase labels the states 0..16."""
+    n = N_PHASE_STATES if seq.label_kind == LABEL_KIND_PHASE else len(GestureClass)
+    bad = [ann.label for ann in seq.annotations if not 0 <= ann.label < n]
+    if bad:
+        raise InvalidParams(f"{seq.label_kind} label {bad[0]} outside 0..{n - 1}")
 
 
 def phase_state(gesture: GestureClass, phase: int) -> int:

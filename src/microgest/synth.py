@@ -33,10 +33,10 @@ from .features import (
     Annotation,
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
-    _check_fps,
 )
 from .pipeline import (
     _BLOCK_PIXELS,
+    _check_labels,
     _frame_means,
     GestureClass,
     N_PHASE_STATES,
@@ -360,7 +360,9 @@ def _transform_frames(frames: np.ndarray, transform: Transform) -> np.ndarray:
 
 
 def augment(seq: AnnotatedSequence, transform: Transform) -> AnnotatedSequence:
-    """Apply one transform to a sequence, remapping labels as needed."""
+    """Apply one transform to a sequence, remapping labels as needed; the
+    labels must lie in their kind's space (``pipeline._check_labels``)."""
+    _check_labels(seq)
     frames = _transform_frames(seq.frames, transform)
     mapping = gesture_label_map(transform)
     annotations = [
@@ -543,7 +545,6 @@ def build_corpus(
     width: int = 3,
     height: int = 3,
     label_kind: str = LABEL_KIND_GESTURE,
-    fps: float = 40.0,
 ) -> AnnotatedSequence:
     """Assemble one long annotated stream with ``per_class`` instances each.
 
@@ -555,7 +556,8 @@ def build_corpus(
     rotations remap the label back).  Background changes between instances
     ride on slow bridge ramps so a streaming detector can follow the
     baseline.  Deterministic for a given seed, a non-negative integer;
-    ``per_class``, ``width`` and ``height`` are integers too.
+    ``per_class``, ``width`` and ``height`` are integers too.  Speeds are
+    frame counts tuned for the stream's default 40 fps.
 
     Each instance has its own seed ``iseed``, drawn from ``seed``.  Its
     parameter draws (and its augmentation and bridge draws after the
@@ -578,7 +580,6 @@ def build_corpus(
                                ("height", height, 1)):
         _check_integer(name, value, least)
     _check_seed(seed)
-    _check_fps(fps)
     rng = np.random.default_rng(seed)
     order = [
         (cls, int(rng.integers(0, 2**31)))
@@ -654,5 +655,4 @@ def build_corpus(
         frames=frames,
         annotations=annotations,
         label_kind=label_kind,
-        fps=fps,
     )

@@ -13,7 +13,6 @@ import pytest
 
 from microgest import cli
 from microgest.cli import main
-from microgest.compression import encoded_payload_size
 from microgest.estimator import activation_time, load_config
 from microgest.model import parse_arch
 from microgest.features import Annotation
@@ -117,16 +116,6 @@ def test_synth_per_class_zero_gives_an_empty_corpus(tmp_path, capsys):
     assert len(ds) == 0 and ds.annotations == []
 
 
-@pytest.mark.parametrize("fps", ["-1", "nan"])
-def test_synth_rejects_a_bad_fps(tmp_path, capsys, fps):
-    # both once wrote a dataset that loaded back without complaint
-    out = tmp_path / "ds.mgds"
-    err = _one_error_line(capsys, ["synth", "--out", out, "--per-class", "1",
-                                   "--fps", fps])
-    assert "fps" in err
-    assert not out.exists()
-
-
 # --- train -------------------------------------------------------------------
 
 def test_train_saves_a_loadable_model_with_metadata(gesture_setup):
@@ -175,9 +164,26 @@ def test_train_rejects_a_mismatched_feature_width(
 ):
     _, data, _ = gesture_setup
     rc, _, err = run(capsys, ["train", "--data", data, "--arch",
-                              "90-5softmax", "--out", tmp_path / "m.mgnn"])
+                              "91-5softmax", "--out", tmp_path / "m.mgnn"])
     assert rc == 1
     assert "features" in err
+
+
+def test_a_candidate_model_takes_as_many_frames_as_its_features_fill(
+    tmp_path, gesture_setup, capsys, monkeypatch
+):
+    # 90 features are ten frames of the 3x3 sensor
+    _, data, _ = gesture_setup
+    targets = []
+    scale = cli.scale_candidate
+    monkeypatch.setattr(cli, "scale_candidate",
+                        lambda c, target: targets.append(target) or scale(c, target))
+    model = tmp_path / "m.mgnn"
+    payload = run_json(capsys, ["train", "--data", data, "--arch", "90-5softmax",
+                                "--out", model, "--epochs", "1"])
+    assert payload["candidates"] == len(targets) > 0
+    assert set(targets) == {10}
+    assert run_json(capsys, ["eval", "--model", model, "--data", data])["total"] > 0
 
 
 def test_train_fails_cleanly_on_an_empty_corpus(tmp_path, capsys):
@@ -368,7 +374,7 @@ def test_compress_writes_a_loadable_compressed_model(
     cm = load_compressed(out)
     assert set(cm.stage_sizes) == {"naive", "pruned_sparse", "encoded",
                                    "huffman"}
-    assert compressed_payload_size(out) == encoded_payload_size(cm)
+    assert compressed_payload_size(out) == cm.stage_sizes["huffman"]
 
 
 def test_compress_json_reports_stage_sizes(tmp_path, gesture_setup, capsys):
@@ -544,14 +550,12 @@ def test_unreadable_inputs_are_one_error_line(tmp_path, gesture_setup, capsys):
     assert "none.mgnn" in err
 
 
-@pytest.mark.parametrize("frames", ["1", "0", "-2"])
-def test_train_needs_at_least_two_target_frames(tmp_path, gesture_setup, capsys,
-                                                 frames):
+def test_train_needs_at_least_two_target_frames(tmp_path, gesture_setup, capsys):
+    # nine features are one frame of the 3x3 sensor
     _, data, _ = gesture_setup
     err = _one_error_line(capsys, ["train", "--data", data,
-                                   "--arch", "180-8relu-5softmax",
-                                   "--out", tmp_path / "m.mgnn",
-                                   "--target-frames", frames])
+                                   "--arch", "9-8relu-5softmax",
+                                   "--out", tmp_path / "m.mgnn"])
     assert "at least 2 frames" in err
     assert not (tmp_path / "m.mgnn").exists()
 
@@ -611,6 +615,56 @@ def test_a_phase_label_outside_the_state_space_is_one_error_line(
                  ["eval", "--model", model, "--data", bad]):
         err = _one_error_line(capsys, argv)
         assert f"phase label {label}" in err
+
+
+@pytest.mark.parametrize("label", [5, 7, -2])
+def test_a_gesture_label_outside_the_classes_is_one_error_line(
+    tmp_path, gesture_setup, capsys, label
+):
+    # eval once leaked "ValueError: 7 is not a valid GestureClass"
+    _, data, model = gesture_setup
+    ds = load_dataset(data)
+    ds.annotations[3] = Annotation(ds.annotations[3].frame, label)
+    bad = tmp_path / "bad.mgds"
+    save_dataset(bad, ds)
+    for argv in (["train", "--data", bad, "--arch", "180-8relu-5softmax",
+                  "--out", tmp_path / "m.mgnn", "--epochs", "1"],
+                 ["eval", "--model", model, "--data", bad],
+                 ["compress", "--model", model, "--out", tmp_path / "m.mgcm",
+                  "--retrain-data", bad, "--retrain-epochs", "1"]):
+        err = _one_error_line(capsys, argv)
+        assert f"gesture label {label} outside 0..4" in err
+    assert not (tmp_path / "m.mgnn").exists()
+    assert not (tmp_path / "m.mgcm").exists()
+
+
+SEEDED = ("synth", "train", "compress")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "compress",
+                                     "estimate", "infer"])
+def test_only_commands_that_draw_random_numbers_take_a_seed(command, capsys):
+    # the frame count, frame rate and unread seeds were once flags
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--target-frames" not in usage and "--fps" not in usage
+    assert ("--seed" in usage) == (command in SEEDED)
+
+
+def test_a_seed_on_a_command_that_draws_nothing_is_a_usage_error(
+    gesture_setup, capsys
+):
+    _, data, model = gesture_setup
+    for argv in (["eval", "--model", model, "--data", data],
+                 ["estimate", "--arch", "180-8relu-5softmax"],
+                 ["infer", "--model", model, "--data", data,
+                  "--mode", "ffnn-candidates"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([str(a) for a in argv] + ["--seed", "0"])
+        assert exit_.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 def test_commands_are_looked_up_when_main_runs(monkeypatch, capsys):

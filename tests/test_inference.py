@@ -38,7 +38,6 @@ from microgest.model import (
     chain,
     zero_params,
 )
-from microgest.training import init_params
 
 from conftest import loop_matvec, oracle_activation, oracle_forward, random_model
 
