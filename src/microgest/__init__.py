@@ -11,11 +11,9 @@ from .errors import (
     CorruptStream,
     DeltaOverflow,
     DivergenceDetected,
-    EmptyLayer,
     IllegalActivationPlacement,
     InvalidParams,
     KTooLarge,
-    LayerwiseKind,
     MicrogestError,
     NonFiniteParameter,
     NonSquareImage,
@@ -48,8 +46,6 @@ from .inference import (
     approx_pow2,
     approx_softmax,
     count_macs,
-    eval_activation,
-    eval_layer_activation,
     forward_dense,
     max_onehot,
     record_macs,
@@ -66,7 +62,6 @@ from .features import (
     RollingStats,
     build_features,
     normalize,
-    normalize_frames,
     stream_features,
     update_rolling,
 )
@@ -129,7 +124,6 @@ from .compression import (
     huffman_encode,
     kmeans_1d,
     prune,
-    quantize_kmeans,
     sparse_matvec,
 )
 from .estimator import (
@@ -137,7 +131,6 @@ from .estimator import (
     CostModel,
     ResourceReport,
     check_fit,
-    count_activation_calls,
     count_parameters,
     count_ram_variables,
     count_weights,

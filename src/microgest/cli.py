@@ -108,8 +108,14 @@ def _candidate_dataset(
     ds: AnnotatedSequence, spec: ModelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detected candidates as a feature matrix with auto-assigned labels,
-    checked to be non-empty, to fit ``spec``'s outputs and ``spec`` to be a
-    candidate model (``pipeline._check_candidate_model``)."""
+    checked to come from a gesture-labelled corpus, to be non-empty, to fit
+    ``spec``'s outputs and ``spec`` to be a candidate model
+    (``pipeline._check_candidate_model``)."""
+    if ds.label_kind != LABEL_KIND_GESTURE:
+        raise InvalidParams(
+            f"candidates need a {LABEL_KIND_GESTURE}-labelled corpus, "
+            f"got {ds.label_kind} labels"
+        )
     cands = extract_candidates(np.asarray(ds.frames))
     labelled = label_candidates(cands, ds.annotations)
     if not labelled:

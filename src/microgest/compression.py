@@ -101,11 +101,6 @@ def apply_pruning(params: Parameters, removed: Sequence[np.ndarray]) -> Paramete
     return Parameters(layers)
 
 
-def no_pruning(params: Parameters) -> list[np.ndarray]:
-    """All-False masks (every weight survives)."""
-    return [np.zeros(lp.weights.shape, dtype=bool) for lp in params.layers]
-
-
 # --- shared-weight clustering ------------------------------------------------
 
 KMEANS_TOL = 1e-9
@@ -215,15 +210,6 @@ class QuantizedLayer:
     bits: int
 
 
-def quantize_kmeans(weights: np.ndarray, removed: np.ndarray, k: int) -> QuantizedLayer:
-    """Cluster one layer's surviving weights into ``k`` shared values.
-
-    Surviving weights are visited in row-major order.
-    """
-    removed = np.asarray(removed, dtype=bool)
-    return _quantize(np.asarray(weights, dtype=float)[~removed], k)
-
-
 def _quantize(surviving: np.ndarray, k: int | None) -> QuantizedLayer:
     """Shared-value table and indices of a layer's surviving weights: ``k``
     k-means clusters, or with ``k=None`` one centroid per distinct value."""
@@ -234,16 +220,6 @@ def _quantize(surviving: np.ndarray, k: int | None) -> QuantizedLayer:
     else:
         centroids, assignment, _ = kmeans_1d(surviving, k)
     return QuantizedLayer(centroids, assignment, bits_per_index(len(centroids)))
-
-
-def dequantize_layer(
-    q: QuantizedLayer, removed: np.ndarray, shape: tuple[int, int]
-) -> np.ndarray:
-    """Dense weight matrix with every surviving weight replaced by its centroid."""
-    removed = np.asarray(removed, dtype=bool)
-    out = np.zeros(shape)
-    out[~removed] = q.centroids[q.indices]
-    return out
 
 
 # --- sparse address-map encoding ---------------------------------------------
@@ -597,7 +573,7 @@ def compress_model(
     if options.target_density is not None or options.threshold is not None:
         removed = prune(params, options.threshold, options.target_density)
     else:
-        removed = no_pruning(params)
+        removed = [np.zeros(lp.weights.shape, dtype=bool) for lp in params.layers]
     pruned = apply_pruning(params, removed)
     if retrain_after_prune is not None:
         pruned = apply_pruning(retrain_after_prune(pruned, removed), removed)

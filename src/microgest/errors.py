@@ -32,17 +32,8 @@ class IllegalActivationPlacement(MicrogestError):
 
 # --- inference ---------------------------------------------------------------
 
-class LayerwiseKind(MicrogestError):
-    """An element-wise evaluation was requested for a layer-wise activation,
-    or the other way round."""
-
-
 class RangeExceeded(MicrogestError):
     """Input to the fast power-of-two approximation is outside +/-126."""
-
-
-class EmptyLayer(MicrogestError):
-    """A layer-wise activation received a zero-length vector."""
 
 
 class RecurrentLayerPresent(MicrogestError):

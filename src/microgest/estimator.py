@@ -206,11 +206,6 @@ def count_parameters(spec: ModelSpec) -> int:
     return sum(row.weights + row.neurons for row in layer_costs(spec))
 
 
-def count_activation_calls(spec: ModelSpec) -> int:
-    """Per-neuron activation evaluations in one execution."""
-    return sum(row.neurons for row in layer_costs(spec))
-
-
 def count_ram_variables(spec: ModelSpec) -> tuple[int, int]:
     """Peak per-layer variable count and the index of the limiting layer."""
     needs = [row.ram_variables for row in layer_costs(spec)]

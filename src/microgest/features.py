@@ -61,11 +61,6 @@ def normalize(image: Image) -> np.ndarray:
     return image.pixels.astype(float).ravel() / NORM_DIVISOR
 
 
-def normalize_frames(frames: np.ndarray) -> np.ndarray:
-    """Vector version of :func:`normalize` for a ``(T, H, W)`` frame stack."""
-    return _normalized_rows(frames, 0)
-
-
 def _normalized_rows(frames: np.ndarray, spare: int) -> np.ndarray:
     """A new ``(T, H*W + spare)`` array whose first ``H*W`` columns hold
     the normalized frames; the division writes straight into it, so no
@@ -173,7 +168,7 @@ def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
     (:meth:`AnnotatedSequence.check` does that).
     """
     if not with_stats:
-        return normalize_frames(frames)
+        return _normalized_rows(frames, 0)
     out = _normalized_rows(frames, 3)
     T, n = out.shape[0], out.shape[1] - 3
     pixels = out[:, :n]

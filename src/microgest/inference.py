@@ -18,13 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import (
-    EmptyLayer,
-    LayerwiseKind,
-    RangeExceeded,
-    RecurrentLayerPresent,
-    ShapeMismatch,
-)
+from .errors import RangeExceeded, RecurrentLayerPresent, ShapeMismatch
 from .model import (
     Activation,
     LayerKind,
@@ -178,26 +172,6 @@ _ACTIVATIONS = {
     Activation.APPROX_SOFTMAX: approx_softmax,
     Activation.MAX: max_onehot,
 }
-
-
-def eval_activation(kind: Activation, x):
-    """Evaluate an element-wise activation on a scalar or array."""
-    if kind.is_layerwise:
-        raise LayerwiseKind(f"{kind.value} is layer-wise, use eval_layer_activation")
-    out = _ACTIVATIONS[kind](np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def eval_layer_activation(kind: Activation, v: np.ndarray) -> np.ndarray:
-    """Evaluate a layer-wise activation on a whole pre-activation vector."""
-    if not kind.is_layerwise:
-        raise LayerwiseKind(f"{kind.value} is element-wise, use eval_activation")
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] == 0:
-        raise EmptyLayer("layer-wise activation on an empty vector")
-    return _ACTIVATIONS[kind](v)
 
 
 # --- layer stepping ----------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -143,18 +143,12 @@ class LayerParams:
     weights: np.ndarray
     biases: np.ndarray
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.biases.copy())
-
 
 @dataclass
 class Parameters:
     """Trainable state of a model: one LayerParams per layer."""
 
     layers: list[LayerParams]
-
-    def copy(self) -> "Parameters":
-        return Parameters([lp.copy() for lp in self.layers])
 
 
 def zero_params(spec: ModelSpec) -> Parameters:
@@ -191,8 +185,8 @@ def validate(spec: ModelSpec, params: Parameters) -> None:
 class RnnState:
     """Previous-step activations of every recurrent layer.
 
-    One state belongs to exactly one stream; create a fresh state (or call
-    :meth:`reset`) at every stream start.  Single writer, no sharing.
+    One state belongs to exactly one stream; create a fresh state at every
+    stream start.  Single writer, no sharing.
     """
 
     def __init__(self, spec: ModelSpec) -> None:
@@ -204,15 +198,6 @@ class RnnState:
 
     def layer(self, index: int) -> np.ndarray:
         return self._prev[index]
-
-    @property
-    def layer_indices(self) -> Sequence[int]:
-        return sorted(self._prev)
-
-    def reset(self) -> None:
-        """Zero all feedback activations (stream boundary)."""
-        for vec in self._prev.values():
-            vec[:] = 0.0
 
 
 # --- architecture strings ----------------------------------------------------

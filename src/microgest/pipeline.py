@@ -54,10 +54,16 @@ N_PHASE_STATES = 17
 PHASES_PER_GESTURE = 4
 
 
-def _check_labels(seq: AnnotatedSequence) -> None:
-    """The label space of a sequence's label kind: gesture labels are the
+def _label_count(label_kind: str) -> int:
+    """Size of a label kind's space: gesture labels are the
     :class:`GestureClass` values 0..4, phase labels the states 0..16."""
-    n = N_PHASE_STATES if seq.label_kind == LABEL_KIND_PHASE else len(GestureClass)
+    return N_PHASE_STATES if label_kind == LABEL_KIND_PHASE else len(GestureClass)
+
+
+def _check_labels(seq: AnnotatedSequence) -> None:
+    """Refuse a sequence with a label outside its kind's space
+    (:func:`_label_count`)."""
+    n = _label_count(seq.label_kind)
     bad = [ann.label for ann in seq.annotations if not 0 <= ann.label < n]
     if bad:
         raise InvalidParams(f"{seq.label_kind} label {bad[0]} outside 0..{n - 1}")
@@ -551,8 +557,9 @@ def match_events(
     when that window contains one single event and its class matches; a
     second event inside the window spoils it even if one class is right.
     NO_GESTURE annotations are bookkeeping for training data and do not
-    enter the score.
+    enter the score.  ``tolerance`` is an integer of at least 0.
     """
+    _check_integer("tolerance", tolerance, 0)
     scored = [a for a in annotations if a.label != int(GestureClass.NO_GESTURE)]
     outcomes: list[tuple[Annotation, str]] = []
     correct = 0
@@ -606,8 +613,9 @@ def label_candidates(
     ``tolerance`` frames of its end; when annotations are equally close,
     or share a frame, the one listed first wins.  Candidates matching
     nothing are labelled NO_GESTURE, which turns spurious detections into
-    negative training examples.
+    negative training examples.  ``tolerance`` is an integer of at least 0.
     """
+    _check_integer("tolerance", tolerance, 0)
     order = sorted(range(len(annotations)), key=lambda k: annotations[k].frame)
     at = [annotations[k].frame for k in order]
     labelled = []

@@ -38,10 +38,12 @@ from .pipeline import (
     _BLOCK_PIXELS,
     _check_labels,
     _frame_means,
+    _label_count,
     GestureClass,
-    N_PHASE_STATES,
     PHASES_PER_GESTURE,
     extract_candidates,
+    last_phase_state,
+    phase_state,
 )
 
 
@@ -165,15 +167,15 @@ def _disturbance_coverage(p: GestureSynthParams, rng) -> np.ndarray:
 
 def _phase_states(p: GestureSynthParams, centers: np.ndarray) -> np.ndarray:
     """Motion-phase state of every crossing frame, in path coordinates."""
-    n = p.width if _MOTION[p.direction][0] else p.height
-    base = PHASES_PER_GESTURE * int(p.direction)
+    g = p.direction
+    n = p.width if _MOTION[g][0] else p.height
     lead = centers + p.occluder_width / 2
     trail = centers - p.occluder_width / 2
     return np.select(
         [(lead <= 0.0) | (trail >= 1.0), lead <= (n // 2) / n, lead <= (n - 1) / n,
          trail <= 1.0 / n],
-        [0, base + 1, base + 2, base + 3],
-        base + 4,
+        [0, phase_state(g, 1), phase_state(g, 2), phase_state(g, 3)],
+        last_phase_state(g),
     )
 
 
@@ -329,9 +331,8 @@ def _remap_label(label: int, kind: str, mapping) -> int:
         return int(mapping[GestureClass(label)])
     if label == 0:
         return 0
-    gesture = GestureClass((label - 1) // PHASES_PER_GESTURE)
-    phase = (label - 1) % PHASES_PER_GESTURE + 1
-    return PHASES_PER_GESTURE * int(mapping[gesture]) + phase
+    gesture, phase = divmod(label - 1, PHASES_PER_GESTURE)
+    return phase_state(mapping[GestureClass(gesture)], phase + 1)
 
 
 def _transform_frames(frames: np.ndarray, transform: Transform) -> np.ndarray:
@@ -596,7 +597,7 @@ def build_corpus(
         geoms += [Rotate(1), Rotate(2), Rotate(3)]
     # per geometry: the class to render for each wanted class, the label
     # every rendered label becomes, and where each pixel of a frame comes from
-    n_labels = N_PHASE_STATES if label_kind == LABEL_KIND_PHASE else len(GestureClass)
+    n_labels = _label_count(label_kind)
     sources, relabel = [], []
     for geom in geoms:
         mapping = gesture_label_map(geom)

@@ -225,6 +225,15 @@ def test_eval_json_counts_are_consistent(gesture_setup, capsys):
     assert payload["accuracy"] >= 0.5
 
 
+def test_a_negative_eval_tolerance_is_one_error_line(gesture_setup, capsys):
+    _, data, model = gesture_setup
+    err = _one_error_line(capsys, ["eval", "--model", model, "--data", data,
+                                   "--tolerance", "-3"])
+    assert "tolerance must be >= 0" in err
+    assert run_json(capsys, ["eval", "--model", model, "--data", data,
+                             "--tolerance", "0"])["total"] > 0
+
+
 def test_eval_phase_data_needs_a_seventeen_output_model(
     gesture_setup, phase_setup, capsys
 ):
@@ -456,6 +465,20 @@ def test_retraining_labels_beyond_the_model_outputs_are_one_error_line(
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "more than 2 outputs" in err  # the CLI's own check, as for train
+    assert not out.exists()
+
+
+def test_retraining_on_a_phase_corpus_is_one_error_line(
+    tmp_path, gesture_setup, phase_setup, capsys
+):
+    # phase-state ids are not gesture classes, whatever states candidates end on
+    _, _, model = gesture_setup
+    _, phase_data, _ = phase_setup
+    out = tmp_path / "retrained.mgcm"
+    err = _one_error_line(capsys, ["compress", "--model", model, "--out", out,
+                                   "--retrain-data", phase_data,
+                                   "--retrain-epochs", "1"])
+    assert "gesture-labelled corpus, got phase labels" in err
     assert not out.exists()
 
 

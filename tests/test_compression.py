@@ -26,15 +26,12 @@ from microgest.compression import (
     compress_model,
     decode_sparse,
     decompress_model,
-    dequantize_layer,
     encode_sparse,
     huffman_decode,
     huffman_encode,
     kmeans_1d,
     layer_core_block,
-    no_pruning,
     prune,
-    quantize_kmeans,
     sparse_matvec,
 )
 from microgest.errors import (
@@ -118,13 +115,6 @@ def test_apply_pruning_zeroes_only_the_mask():
     assert params.layers[0].weights[0, 0] == 1.0  # input untouched
 
 
-def test_no_pruning_masks_are_all_false():
-    params = _params_from([[1.0, 2.0]], [[3.0], [4.0]])
-    masks = no_pruning(params)
-    assert len(masks) == 2
-    assert not any(m.any() for m in masks)
-
-
 # --- scalar k-means ----------------------------------------------------------
 
 def test_kmeans_finds_the_two_obvious_groups():
@@ -181,9 +171,6 @@ def test_kmeans_rejects_bad_k():
 def test_kmeans_refuses_values_that_are_not_finite(bad):
     with pytest.raises(InvalidParams, match="finite"):
         kmeans_1d(np.array([bad, 1.0, 2.0]), 2)
-    weights = np.array([[bad, 1.0], [2.0, 3.0]])
-    with pytest.raises(InvalidParams, match="finite"):
-        quantize_kmeans(weights, np.zeros((2, 2), dtype=bool), 2)
 
 
 # subnormals and signed zeros; values 1e17-1e20, whose distances to
@@ -290,18 +277,15 @@ def test_index_width_rejects_zero():
 
 
 def test_quantize_and_dequantize_round_trip_two_values():
-    weights = np.array([[0.5, -0.25, 0.5], [-0.25, 0.0, 0.5]])
-    removed = weights == 0.0
-    q = quantize_kmeans(weights, removed, 2)
-    assert q.bits == 1
-    rebuilt = dequantize_layer(q, removed, weights.shape)
-    assert np.allclose(rebuilt, weights)
-
-
-def test_quantize_needs_survivors():
-    weights = np.ones((2, 2))
-    with pytest.raises(KTooLarge):
-        quantize_kmeans(weights, np.ones((2, 2), dtype=bool), 1)
+    weights = [[0.5, -0.25, 0.5], [-0.25, 0.0, 0.5]]
+    # the threshold removes only the zero; two values survive
+    cm = compress_model(
+        parse_arch("3-2softmax"),
+        _params_from(weights),
+        CompressionOptions(threshold=0.1, clusters=2),
+    )
+    assert cm.layers[0].bits == 1
+    assert np.array_equal(decompress_model(cm).layers[0].weights, weights)
 
 
 @pytest.mark.parametrize("clusters", [None, 1])

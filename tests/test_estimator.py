@@ -12,7 +12,6 @@ from microgest.estimator import (
     CostModel,
     activation_time,
     check_fit,
-    count_activation_calls,
     count_parameters,
     count_ram_variables,
     count_weights,
@@ -41,7 +40,7 @@ def test_tiny_dense_net_counts():
     spec = chain(3, [(D, 3, A.SIGMOID), (D, 2, A.SOFTMAX)])
     assert count_weights(spec) == 15
     assert count_parameters(spec) == 20
-    assert count_activation_calls(spec) == 5
+    assert check_fit(spec).activation_calls == 5
 
 
 def test_tiny_recurrent_net_counts():
@@ -54,7 +53,7 @@ def test_mid_size_recurrent_net_counts():
     spec = _rnn17()
     assert count_weights(spec) == 631
     assert count_parameters(spec) == 666
-    assert count_activation_calls(spec) == 35
+    assert check_fit(spec).activation_calls == 35
 
 
 @pytest.mark.parametrize(

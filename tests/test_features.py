@@ -13,7 +13,6 @@ from microgest.features import (
     RollingStats,
     build_features,
     normalize,
-    normalize_frames,
     stream_features,
     update_rolling,
 )
@@ -51,9 +50,9 @@ def test_normalize_is_row_major():
     assert np.array_equal(out * 1024.0, [1.0, 2.0, 3.0, 4.0])
 
 
-def test_normalize_frames_matches_per_image_normalize():
+def test_stream_features_without_stats_matches_per_image_normalize():
     frames = np.arange(24).reshape(2, 3, 4) * 40
-    batch = normalize_frames(frames)
+    batch = stream_features(frames, with_stats=False)
     for t in range(2):
         assert np.array_equal(batch[t], normalize(_img(frames[t])))
 

@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from microgest.errors import (
-    EmptyLayer,
-    LayerwiseKind,
     RangeExceeded,
     RecurrentLayerPresent,
     ShapeMismatch,
 )
 from microgest.inference import (
+    _ACTIVATIONS,
     approx_exp,
     approx_pow2,
     approx_softmax,
     count_macs,
-    eval_activation,
-    eval_layer_activation,
     forward_dense,
     max_onehot,
     record_macs,
@@ -103,46 +100,29 @@ def test_approx_exp_scalar_returns_float():
 # --- element-wise activations ------------------------------------------------
 
 def test_sigmoid_midpoint():
-    assert eval_activation(Activation.SIGMOID, 0.0) == 0.5
+    assert _ACTIVATIONS[Activation.SIGMOID](0.0) == 0.5
 
 
 def test_hard_sigmoid_piecewise_points():
-    assert eval_activation(Activation.HARD_SIGMOID, 0.0) == 0.5
-    assert eval_activation(Activation.HARD_SIGMOID, 3.0) == 1.0
-    assert eval_activation(Activation.HARD_SIGMOID, -3.0) == 0.0
+    assert _ACTIVATIONS[Activation.HARD_SIGMOID](0.0) == 0.5
+    assert _ACTIVATIONS[Activation.HARD_SIGMOID](3.0) == 1.0
+    assert _ACTIVATIONS[Activation.HARD_SIGMOID](-3.0) == 0.0
 
 
 def test_softsign_known_value():
-    assert eval_activation(Activation.SOFTSIGN, 1.0) == 0.5
-    assert eval_activation(Activation.SOFTSIGN, -1.0) == -0.5
+    assert _ACTIVATIONS[Activation.SOFTSIGN](1.0) == 0.5
+    assert _ACTIVATIONS[Activation.SOFTSIGN](-1.0) == -0.5
 
 
 def test_tanh_is_the_standard_odd_function():
     # range (-1, 1), odd symmetry, matches the library tanh
-    assert eval_activation(Activation.TANH, 1.0) == pytest.approx(math.tanh(1.0))
-    assert eval_activation(Activation.TANH, -2.0) == -eval_activation(
-        Activation.TANH, 2.0
-    )
+    assert _ACTIVATIONS[Activation.TANH](1.0) == pytest.approx(math.tanh(1.0))
+    assert _ACTIVATIONS[Activation.TANH](-2.0) == -_ACTIVATIONS[Activation.TANH](2.0)
 
 
 def test_relu_clamps_negatives():
-    assert eval_activation(Activation.RELU, -3.5) == 0.0
-    assert eval_activation(Activation.RELU, 2.5) == 2.5
-
-
-def test_eval_activation_rejects_layerwise_kind():
-    with pytest.raises(LayerwiseKind):
-        eval_activation(Activation.SOFTMAX, 0.0)
-
-
-def test_eval_layer_activation_rejects_elementwise_kind():
-    with pytest.raises(LayerwiseKind):
-        eval_layer_activation(Activation.RELU, np.array([1.0]))
-
-
-def test_eval_layer_activation_rejects_empty_vector():
-    with pytest.raises(EmptyLayer):
-        eval_layer_activation(Activation.SOFTMAX, np.array([]))
+    assert _ACTIVATIONS[Activation.RELU](-3.5) == 0.0
+    assert _ACTIVATIONS[Activation.RELU](2.5) == 2.5
 
 
 @given(
@@ -159,7 +139,7 @@ def test_eval_layer_activation_rejects_empty_vector():
 )
 def test_elementwise_matches_textbook_oracle(values, kind):
     z = np.array(values)
-    assert np.allclose(eval_activation(kind, z), oracle_activation(kind, z), atol=1e-12)
+    assert np.allclose(_ACTIVATIONS[kind](z), oracle_activation(kind, z), atol=1e-12)
 
 
 # --- layer-wise activations --------------------------------------------------
@@ -362,7 +342,9 @@ def test_step_rnn_matches_oracle_over_time(rng):
         spec, params = random_model(rng)
         state = RnnState(spec)
         oracle_states = {
-            i: np.zeros(spec.layers[i].neurons) for i in state.layer_indices
+            i: np.zeros(layer.neurons)
+            for i, layer in enumerate(spec.layers)
+            if layer.kind is LayerKind.RECURRENT
         }
         for _t in range(4):
             x = rng.normal(size=spec.features)

@@ -17,7 +17,7 @@ from microgest.compression import CompressionOptions, bits_per_index, compress_m
 from microgest.errors import InvalidParams, MicrogestError, ShapeMismatch
 from microgest.estimator import Budget
 from microgest.model import Activation, LayerKind, chain
-from microgest.pipeline import GestureClass
+from microgest.pipeline import Candidate, GestureClass, label_candidates, match_events
 from microgest.synth import GestureSynthParams, Noise, Rotate, augment, synthesize_gesture
 from microgest.training import (
     TrainingConfig,
@@ -38,6 +38,7 @@ SEQ_T = np.arange(12) % 2
 VALUES = _rng.normal(size=40)
 SENSOR = GestureSynthParams(GestureClass.LEFT_TO_RIGHT)
 SEQ = synthesize_gesture(SENSOR, seed=0)
+CANDIDATE = Candidate(SEQ.frames, 0, len(SEQ) - 1)
 
 
 def _budget(name):
@@ -83,6 +84,15 @@ SITES = {
     "Budget.bytes_per_variable": (_budget("bytes_per_variable"), InvalidParams),
     "chain.features": (lambda v: chain(v, [(D, 2, A.SOFTMAX)]), ShapeMismatch),
     "chain.neurons": (lambda v: chain(4, [(D, v, A.SOFTMAX)]), ShapeMismatch),
+    "match_events.tolerance": (
+        lambda v: match_events([(len(SEQ) - 1, GestureClass.LEFT_TO_RIGHT)],
+                               SEQ.annotations, tolerance=v),
+        InvalidParams,
+    ),
+    "label_candidates.tolerance": (
+        lambda v: label_candidates([CANDIDATE], SEQ.annotations, tolerance=v),
+        InvalidParams,
+    ),
 }
 
 NOT_INTEGERS = [True, False, 2.5, math.nan, math.inf, -math.inf]
@@ -110,3 +120,13 @@ def test_a_negative_or_huge_integer_gives_a_result_or_a_microgest_error(site, va
 def test_a_numpy_integer_is_an_integer(site):
     call, _ = SITES[site]
     call(np.int64(2))
+
+
+@pytest.mark.parametrize("site", ["match_events.tolerance", "label_candidates.tolerance"])
+def test_a_negative_tolerance_is_refused_and_zero_is_valid(site):
+    # a negative window matches nothing: every annotation would be missed
+    # and every candidate labelled NO_GESTURE
+    call, error = SITES[site]
+    with pytest.raises(error, match="tolerance"):
+        call(-3)
+    call(0)

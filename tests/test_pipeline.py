@@ -680,6 +680,10 @@ def test_label_candidates_equals_the_scanning_oracle(ends, annotations, toleranc
     # annotations arrive unsorted and may share frames
     cands = [_cand(end) for end in ends]
     anns = [Annotation(frame, label) for frame, label in annotations]
+    if tolerance < 0:
+        with pytest.raises(InvalidParams, match="tolerance"):
+            label_candidates(cands, anns, tolerance)
+        return
     got = label_candidates(cands, anns, tolerance)
     want = oracle_label_candidates(cands, anns, tolerance)
     assert [(c.end_index, label) for c, label in got] == [
