@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Run the full workflow: synthesize, train, evaluate, compress, estimate.
 
+Two flows run one after the other: the gesture flow (a candidate
+classifier, compressed and run on extracted candidates) and the phase
+flow (a recurrent per-frame phase model trained with truncated BPTT,
+evaluated through the phase-state walk and run frame by frame).
 Everything lands in a scratch directory (default ./demo_output) as the
 same files the CLI produces, so each stage can be rerun or inspected with
 the ``microgest`` subcommands afterwards.  After each stage's own output a
@@ -53,6 +57,19 @@ def main() -> None:
          "--seed", seed])
     run(["infer", "--model", str(model), "--data", str(heldout_ds),
          "--mode", "ffnn-candidates"])
+
+    phase_train_ds = out / "phase_train.mgds"
+    phase_heldout_ds = out / "phase_heldout.mgds"
+    phase_model = out / "phases.mgnn"
+    run(["synth", "--out", str(phase_train_ds), "--labels", "phase",
+         "--per-class", "20", "--seed", seed])
+    run(["synth", "--out", str(phase_heldout_ds), "--labels", "phase",
+         "--per-class", "10", "--seed", str(args.seed + 1)])
+    run(["train", "--data", str(phase_train_ds), "--arch", "12-9-9-r17softmax",
+         "--out", str(phase_model), "--epochs", "8", "--seed", seed])
+    run(["eval", "--model", str(phase_model), "--data", str(phase_heldout_ds)])
+    run(["infer", "--model", str(phase_model), "--data", str(phase_heldout_ds),
+         "--mode", "rnn-phases"])
     print(f"\nartifacts left in {out}/")
 
 

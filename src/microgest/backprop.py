@@ -7,16 +7,17 @@ product, element-wise kinds multiply by their derivative, with subgradient
 zero at the kinks of relu and hard sigmoid.
 
 Inside a truncated-BPTT window (Williams and Peng, 1990) only
-``_forward_window`` and ``_backward_window`` do arithmetic, and they are
-time-major.  Dense layers below the first recurrent layer depend on no
-earlier step, so they run once per window, forward and backward, over all
-its steps at once; only the first recurrent layer and the layers above it
-loop over ``t``, and what does not change from step to step (layer kinds,
-``W.T``, input sizes, the cross-entropy rows) is worked out once per run
-(``_Net``) or per window.  The result is bit-identical to stepping every
-layer: the prefix's products go through numpy as stacks of single rows
+``_forward_window`` and ``_backward_window`` do arithmetic.  They walk the
+layers one at a time, each over all steps of the window: no layer feeds a
+layer below it, so a layer's steps need nothing but the layer below, and
+only a recurrent layer, which feeds itself, loops over ``t``.  A dense
+layer runs once per window, forward and backward, over all its steps at
+once.  The result is bit-identical to stepping every layer at every step:
+the dense products go through numpy as stacks of single rows
 (``(T, 1, fan_in)`` forward, ``(n, 1)`` columns backward), which numpy
-multiplies one row at a time exactly as it does a lone vector.  Each
+multiplies one row at a time exactly as it does a lone vector.  What does
+not change from step to step (layer kinds, input sizes, the cross-entropy
+rows) is worked out once per run (``_Net``) or per window.  Each
 layer's weight and bias gradients are one sum of per-step outer products
 (the bias as a column of ones beside the inputs), formed as stacked
 ``np.matmul`` products in chunks of ``_SUM_CHUNK`` steps, which bounds
@@ -51,8 +52,8 @@ def _pull_back(
     ``A * (dA - sum(dA * A))``; element-wise kinds multiply by their
     derivative, with subgradient zero at kinks.
     """
-    if kind is Activation.SOFTMAX:
-        return A * (dA - np.add.reduce(dA * A, axis=-1, keepdims=True))
+    if kind is Activation.SOFTMAX:  # a lone vector's sum stays 0-d, as in softmax
+        return A * (dA - np.asarray(np.add.reduce(dA * A, axis=-1, keepdims=A.ndim > 1)))
     if kind is Activation.SIGMOID:
         return dA * (A * (1.0 - A))
     if kind is Activation.TANH:
@@ -68,25 +69,15 @@ def _pull_back(
 # --- truncated-BPTT windows ---------------------------------------------------
 
 class _Net:
-    """What the window passes read of a spec, worked out once per run.
-
-    ``first`` is the lowest layer that steps through time: the first
-    recurrent layer, or the output layer of a net without one.  ``stepped``
-    holds ``(index, input_size, fan_in, recurrent)`` for that layer and
-    every layer above it.
-    """
+    """What the window passes read of a spec, worked out once per run:
+    ``layers`` holds ``(training kind, input size, recurrent)`` per layer."""
 
     def __init__(self, spec: ModelSpec) -> None:
         self.spec = spec
-        self.kinds = [_train_kind(layer.activation) for layer in spec.layers]
-        self.first = next(
-            (i for i, l in enumerate(spec.layers) if l.kind is LayerKind.RECURRENT),
-            len(spec.layers) - 1,
-        )
-        self.stepped = [
-            (i, layer.input_size, layer.fan_in, layer.kind is LayerKind.RECURRENT)
-            for i, layer in enumerate(spec.layers)
-        ][self.first :]
+        self.layers = [
+            (_train_kind(l.activation), l.input_size, l.kind is LayerKind.RECURRENT)
+            for l in spec.layers
+        ]
 
 
 def _forward_window(net: _Net, Ws, bs, X_win, state: RnnState):
@@ -94,46 +85,50 @@ def _forward_window(net: _Net, Ws, bs, X_win, state: RnnState):
 
     ``U``, ``Z`` and ``A`` hold one array of ``T`` rows per layer; a row of
     ``U[i]`` is the layer's input followed by a 1.0, the input its bias
-    sees.  The dense prefix below the first recurrent layer runs once per
-    window: its rows go through the kernel stacked as ``(T, 1, fan_in)``,
-    which numpy multiplies row by row exactly as it does a lone vector, so
-    every row equals the per-step value bit for bit and counts the same
-    MACs.  Only the first recurrent layer and the layers above it step
-    through ``t``; each step writes its output straight into the input rows
-    that read it, the next layer's at ``t`` and its own feedback at ``t+1``.
+    sees.  A dense layer's rows go through the kernel once, stacked as
+    ``(T, 1, fan_in)``, which numpy multiplies row by row exactly as it
+    does a lone vector, so every row equals the per-step value bit for bit
+    and counts the same MACs; a recurrent layer steps (``_step_forward``).
     """
     T = X_win.shape[0]
-    layers = net.spec.layers
-    U = [np.ones((T, layer.fan_in + 1)) for layer in layers]
-    Z, A = [], []
+    U, Z, A = [], [], []
     below = X_win
-    for i in range(net.first):
-        U[i][:, :-1] = below
-        z, a = layer_forward(net.kinds[i], Ws[i], bs[i], below[:, None, :])
-        Z.append(z[:, 0])
-        A.append(a[:, 0])
-        below = A[-1]
-    U[net.first][:, : below.shape[1]] = below
-    top = len(layers) - 1
-    for i, n_in, fan_in, recurrent in net.stepped:
+    for i, (kind, n_in, recurrent) in enumerate(net.layers):
+        u = np.ones((T, Ws[i].shape[1] + 1))
+        u[:, :n_in] = below
         if recurrent:
-            U[i][0, n_in:fan_in] = state.layer(i)
-    rows = [([], []) for _ in net.stepped]  # each stepped layer's z and a rows
-    for t in range(T):
-        for (i, n_in, fan_in, recurrent), (zs, xs) in zip(net.stepped, rows):
-            z, x = layer_forward(net.kinds[i], Ws[i], bs[i], U[i][t, :fan_in])
-            zs.append(z)
-            xs.append(x)
-            if i < top:
-                U[i + 1][t, : x.shape[0]] = x
-            if recurrent and t + 1 < T:
-                U[i][t + 1, n_in:fan_in] = x
-    for (i, _, _, recurrent), (zs, xs) in zip(net.stepped, rows):
-        Z.append(np.array(zs))
-        A.append(np.array(xs))
-        if recurrent:
-            state.layer(i)[:] = xs[-1]
+            z, a = _step_forward(kind, Ws[i], bs[i], u, n_in, state.layer(i))
+        else:
+            z, a = layer_forward(kind, Ws[i], bs[i], below[:, None, :])
+            z, a = z[:, 0], a[:, 0]
+        U.append(u)
+        Z.append(z)
+        A.append(a)
+        below = a
     return U, Z, A
+
+
+def _step_forward(kind: Activation, W, b, u, n_in: int, prev: np.ndarray):
+    """A recurrent layer's steps through a window; returns its ``Z`` and
+    ``A`` rows.
+
+    Row ``t`` of ``u`` holds step ``t``'s input; its feedback columns,
+    from ``n_in`` on, get ``prev`` at the first step and each step's output
+    at the next, written as the step ends.  ``prev`` ends holding the last
+    output, the state the next window starts from.
+    """
+    feedback = u[:, n_in : W.shape[1]]
+    feedback[0] = prev
+    last = u.shape[0] - 1
+    zs, xs = [], []
+    for t, row in enumerate(u[:, : W.shape[1]]):
+        z, x = layer_forward(kind, W, b, row)
+        zs.append(z)
+        xs.append(x)
+        if t < last:
+            feedback[t + 1] = x
+    prev[:] = x
+    return np.array(zs), np.array(xs)
 
 
 # Steps per chunk of the gradient sums: a chunk's outer products are one
@@ -165,61 +160,63 @@ def _stepwise_sum(dZ: np.ndarray, U: np.ndarray) -> np.ndarray:
     return total
 
 
-def _step_back(net: _Net, WT, Z, A, targets, scale):
-    """The stepped part of a window's backward pass, from its last step to
-    its first: the ``dZ`` rows of the first recurrent layer and every layer
-    above it, and the gradient ``dA`` handed down to the layer below."""
-    top = len(WT) - 1
-    rows = np.nonzero(targets >= 0)[0]
-    CE = A[top][rows]
-    CE[np.arange(rows.size), targets[rows]] -= 1.0
-    CE *= scale
-    ce = dict(zip(rows.tolist(), CE))  # cross-entropy rows of labeled steps
-    feedback = {i: np.zeros(fan_in - n_in) for i, n_in, fan_in, r in net.stepped if r}
-    zero = np.zeros(WT[top].shape[1])
-    down = net.stepped[::-1]
-    dz_rows = [[] for _ in down]  # last step first
-    da_rows = []
-    for t in range(A[top].shape[0] - 1, -1, -1):
-        da = zero
-        for (i, n_in, _, recurrent), dzs in zip(down, dz_rows):
-            if recurrent:
-                da = da + feedback[i]
-            dz = _pull_back(net.kinds[i], Z[i][t], A[i][t], da)
-            if i == top and t in ce:
-                dz = dz + ce[t]
-            dzs.append(dz)
-            du = WT[i] @ dz
-            da = du[:n_in]
-            if recurrent:
-                feedback[i] = du[n_in:]
-        da_rows.append(da)
-    return [np.array(dzs[::-1]) for dzs in dz_rows[::-1]], np.array(da_rows[::-1])
+def _step_back(kind: Activation, WT, Z, A, DA, n_in: int, ce: dict):
+    """A recurrent layer's steps back through a window, from its last step
+    to its first; returns its ``dZ`` rows and the gradient it hands down.
+
+    Row ``t`` of ``DA`` is the gradient on step ``t``'s output from the
+    layer above; the gradient the output sent to the next step's input is
+    added to it.  ``ce`` maps a labeled step of the output layer to its
+    cross-entropy row, added after the pull-back.
+    """
+    feedback = np.zeros(WT.shape[0] - n_in)
+    dzs, das = [], []  # last step first
+    for t in range(Z.shape[0] - 1, -1, -1):
+        dz = _pull_back(kind, Z[t], A[t], DA[t] + feedback)
+        if t in ce:
+            dz = dz + ce[t]
+        dzs.append(dz)
+        du = WT @ dz
+        das.append(du[:n_in])
+        feedback = du[n_in:]
+    return np.array(dzs[::-1]), np.array(das[::-1])
 
 
 def _backward_window(net: _Net, Ws, U, Z, A, targets, scale):
     """Full backprop inside one window; no gradient crosses its start.
 
-    The first recurrent layer and the layers above it step back through
-    ``t`` (``_step_back``): one gradient ``da`` walks down them, and a
-    recurrent layer adds the gradient its output sent to the next step's
-    input.  The output's cross-entropy rows are formed once per window.
-    What reaches the dense prefix is pulled through the prefix once per
-    window: ``dA = W.T @ dZ`` as a stack of ``(n, 1)`` columns, which numpy
-    multiplies column by column exactly as it does a lone vector.  Every
-    layer's weight and bias gradients are one sum of the per-step outer
-    products of its ``dZ`` rows with its input rows and their column of
-    ones (``_stepwise_sum``), added in chunks from the last step to the
-    first, starting at zero, as a per-step walk adds them; a plain
-    reduction over the steps could add pairwise, and one stack of every
-    step's outer products would cost ``T`` times the gradient's memory.
+    The layers are pulled back from the top down, each over all steps of
+    the window.  The output's cross-entropy rows are formed once per
+    window and added after its pull-back.  A recurrent layer steps back
+    through ``t`` (``_step_back``); a dense layer is pulled back once per
+    window, and hands ``dA = W.T @ dZ`` down as a stack of ``(n, 1)``
+    columns, which numpy multiplies column by column exactly as it does a
+    lone vector.  Every layer's weight and bias gradients are one sum of
+    the per-step outer products of its ``dZ`` rows with its input rows and
+    their column of ones (``_stepwise_sum``), added in chunks from the
+    last step to the first, starting at zero, as a per-step walk adds
+    them; a plain reduction over the steps could add pairwise, and one
+    stack of every step's outer products would cost ``T`` times the
+    gradient's memory.
     """
-    WT = [W.T for W in Ws]
-    stepped, DA = _step_back(net, WT, Z, A, targets, scale)
-    prefix = []
-    for i in range(net.first - 1, -1, -1):
-        prefix.insert(0, _pull_back(net.kinds[i], Z[i], A[i], DA))
+    top = len(Ws) - 1
+    rows = np.nonzero(targets >= 0)[0]
+    CE = A[top][rows]
+    CE[np.arange(rows.size), targets[rows]] -= 1.0
+    CE *= scale
+    DA = np.broadcast_to(np.zeros(A[top].shape[1]), A[top].shape)  # none above
+    dZ = [None] * len(Ws)
+    for i in range(top, -1, -1):
+        kind, n_in, recurrent = net.layers[i]
+        WT = Ws[i].T
+        if recurrent:
+            ce = dict(zip(rows.tolist(), CE)) if i == top else {}
+            dZ[i], DA = _step_back(kind, WT, Z[i], A[i], DA, n_in, ce)
+            continue
+        dZ[i] = _pull_back(kind, Z[i], A[i], DA)
+        if i == top:
+            dZ[i][rows] += CE
         if i > 0:
-            DA = (WT[i] @ prefix[0][:, :, None])[:, :, 0]
-    G = [_stepwise_sum(dz, u) for dz, u in zip(prefix + stepped, U)]
+            DA = (WT @ dZ[i][:, :, None])[:, :, 0]
+    G = [_stepwise_sum(dz, u) for dz, u in zip(dZ, U)]
     return [g[:, :-1] for g in G], [g[:, -1] for g in G]

@@ -105,13 +105,16 @@ def _is_integer(value) -> bool:
     )
 
 
-def _check_integer(name: str, value, least: int) -> None:
+def _check_integer(name: str, value, least: int, most: int | None = None) -> None:
     """Refuse ``value`` with :class:`InvalidParams` unless it is an integer
-    (:func:`_is_integer`) of at least ``least``."""
+    (:func:`_is_integer`) of at least ``least`` and, if ``most`` is given,
+    at most ``most``: a size that numpy allocates at once needs that cap."""
     if not _is_integer(value):
         raise InvalidParams(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InvalidParams(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise InvalidParams(f"{name} must be <= {most}, got {value}")
 
 
 def _check_seed(seed) -> None:

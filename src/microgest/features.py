@@ -107,23 +107,27 @@ class RollingStats:
         return self.avg is not None
 
 
-def _roll(stats: RollingStats, s: np.ndarray) -> None:
-    """One step of the rolling recursion on the normalized sample ``s``."""
-    if stats.avg is None:
-        stats.avg = s.copy()
-        stats.min = s.copy()
-        stats.max = s.copy()
-        return
+def _roll(prev: np.ndarray, s: np.ndarray, ds: np.ndarray, out: np.ndarray) -> None:
+    """One step of the rolling recursion: the ``(3, n)`` avg/min/max tracks
+    ``prev`` fed the normalized sample ``s`` (``ds`` is ``(1 - alpha) * s``)
+    into ``out``, the min/max pair as one row pair."""
     a = ROLLING_ALPHA
-    avg_prev = stats.avg
-    stats.min = np.minimum(s, a * stats.min + (1.0 - a) * avg_prev)
-    stats.max = np.maximum(s, a * stats.max + (1.0 - a) * avg_prev)
-    stats.avg = a * avg_prev + (1.0 - a) * s
+    scaled = a * prev
+    envelopes = scaled[1:] + (1.0 - a) * prev[0]
+    np.minimum(s, envelopes[0], out=out[1])
+    np.maximum(s, envelopes[1], out=out[2])
+    np.add(scaled[0], ds, out=out[0])
 
 
 def update_rolling(stats: RollingStats, image: Image) -> RollingStats:
     """Feed one image into the rolling statistics (in place, also returned)."""
-    _roll(stats, normalize(image))
+    s = normalize(image)
+    if not stats.initialized:
+        stats.avg, stats.min, stats.max = s, s.copy(), s.copy()
+        return stats
+    out = np.empty((3, s.size))
+    _roll(np.stack([stats.avg, stats.min, stats.max]), s, (1.0 - ROLLING_ALPHA) * s, out)
+    stats.avg, stats.min, stats.max = out
     return stats
 
 
@@ -162,23 +166,34 @@ def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
     equal bit for bit to updating a fresh :class:`RollingStats`
     and building features frame by frame.  The stack is normalized with one
     division, written straight into the output; the recursion steps
-    through the frames with the same step as :func:`update_rolling`; the
-    means are taken one block of frames at a time, which bounds the tracks
-    held at once.  Pixel ranges are not checked here
-    (:meth:`AnnotatedSequence.check` does that).
+    through the frames with the same step as :func:`update_rolling`,
+    writing each frame's tracks straight into a block buffer, with
+    ``(1 - alpha) * s`` taken once per block; the means are taken one block
+    of frames at a time, which bounds the tracks held at once.  Pixel
+    ranges are not checked here (:meth:`AnnotatedSequence.check` does
+    that).
+
+    The recursion runs once per frame, so it keeps to the rule of the
+    per-step code in :mod:`microgest.inference`: no method wrapper, no
+    Python-level enum hash, and only numpy routines the flows already
+    call.
     """
     if not with_stats:
         return _normalized_rows(frames, 0)
     out = _normalized_rows(frames, 3)
     T, n = out.shape[0], out.shape[1] - 3
+    if T == 0:
+        return out
     pixels = out[:, :n]
-    stats = RollingStats()
     tracks = np.empty((min(T, _STATS_BLOCK), 3, n))
+    tracks[0] = pixels[0]  # the first frame starts all three tracks
+    prev = tracks[0]
     for start in range(0, T, _STATS_BLOCK):
         block = pixels[start : start + _STATS_BLOCK]
-        for k, s in enumerate(block):
-            _roll(stats, s)
-            tracks[k] = stats.avg, stats.min, stats.max
+        drift = (1.0 - ROLLING_ALPHA) * block
+        for k in range(1 if start == 0 else 0, len(block)):
+            _roll(prev, block[k], drift[k], tracks[k])
+            prev = tracks[k]
         out[start : start + len(block), n:] = _aggregates(tracks[: len(block)])
     return out
 
@@ -233,8 +248,9 @@ class AnnotatedSequence:
     def check(self) -> None:
         """Validate pixel values and annotation frame indices."""
         _check_pixels(self.frames)
+        length = len(self)
         for ann in self.annotations:
-            if not (0 <= ann.frame < len(self)):
+            if not (0 <= ann.frame < length):
                 raise InvalidParams(
-                    f"annotation frame {ann.frame} outside stream of {len(self)}"
+                    f"annotation frame {ann.frame} outside stream of {length}"
                 )

@@ -9,6 +9,14 @@ changing any result.
 ``_ACTIVATIONS`` its one activation table: the single-vector steppers here
 and the batched and windowed forward passes of :mod:`microgest.training`
 all compute their layers through it.
+
+The kernel and the activations run once per layer and time step, thousands
+of times per command, so code on a per-step path keeps to one rule: no
+method wrapper where the ufunc itself can be called (``np.maximum.reduce``
+and ``np.add.reduce`` are what ``ndarray.max`` and ``.sum`` run), no
+Python-level enum hash per call (:class:`~microgest.model.Activation`
+hashes by identity), and only numpy routines the flows already call, each
+of which pages in code of its own at its first call.
 """
 
 from __future__ import annotations
@@ -129,15 +137,26 @@ def _softsign(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.abs(x))
 
 
+# a 0-d array: numpy takes it faster than the Python float 0.0
+_ZERO = np.zeros(())
+
+
 def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    return np.maximum(x, _ZERO)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Exact softmax, shifted by the maximum for numeric range control."""
+    """Exact softmax, shifted by the maximum for numeric range control.
+
+    The maximum and the sum of a lone vector stay 0-d arrays, which numpy
+    broadcasts faster than a kept axis of length one; a batch keeps it.
+    """
     v = np.asarray(v, dtype=float)
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    keep = v.ndim > 1
+    e = v - np.asarray(np.maximum.reduce(v, axis=-1, keepdims=keep))
+    np.exp(e, out=e)
+    e /= np.asarray(np.add.reduce(e, axis=-1, keepdims=keep))
+    return e
 
 
 def approx_softmax(v: np.ndarray) -> np.ndarray:
@@ -149,9 +168,11 @@ def approx_softmax(v: np.ndarray) -> np.ndarray:
     exact softmax and still sum to one.
     """
     v = np.asarray(v, dtype=float)
-    shifted = np.maximum(v - v.max(axis=-1, keepdims=True), _SOFTMAX_SHIFT_FLOOR)
+    shifted = np.maximum(
+        v - np.maximum.reduce(v, axis=-1, keepdims=True), _SOFTMAX_SHIFT_FLOOR
+    )
     e = approx_exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def max_onehot(v: np.ndarray) -> np.ndarray:
@@ -186,7 +207,8 @@ def layer_forward(
     multiply-accumulates.  Inference and training both step through here.
     """
     Z = U @ W.T + b
-    record_macs(Z.size * W.shape[1])
+    if _active_counter is not None:  # record_macs, without a call per step
+        _active_counter.count += Z.size * W.shape[1]
     return Z, _ACTIVATIONS[kind](Z)
 
 

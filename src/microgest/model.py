@@ -41,6 +41,10 @@ class Activation(Enum):
     APPROX_SOFTMAX = "approxsoftmax"
     MAX = "max"
 
+    # Members are singletons, so the identity hash keys the activation
+    # table as the name hash did, without a Python-level call per lookup.
+    __hash__ = object.__hash__
+
     @property
     def is_layerwise(self) -> bool:
         return self in _LAYERWISE

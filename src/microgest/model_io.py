@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitcode import HuffmanTable, huffman_table_bytes, unpack_bits
+from .bitcode import MAX_DENSE_WEIGHTS, HuffmanTable, huffman_table_bytes, unpack_bits
 from .compression import (
     CompressedLayer,
     CompressedModel,
@@ -63,11 +63,6 @@ MAGIC_COMPRESSED = b"MGCM"
 MAGIC_DATASET = b"MGDS"
 
 _PREFIX = struct.Struct("<4sHI")
-
-#: Most dense weights a loaded compressed model may expand to (the paper's
-#: largest network, 180-20-10-5, has 3,850); a sparse payload does not
-#: bound them, so a forged header could ask decompression for terabytes.
-MAX_DENSE_WEIGHTS = 1 << 24
 
 
 def _atomic_write(path: str | Path, pieces) -> None:

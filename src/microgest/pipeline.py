@@ -522,7 +522,7 @@ def fsm_postprocess(outputs: Iterable[np.ndarray]) -> list[Event]:
             raise ShapeMismatch(
                 f"phase output needs {N_PHASE_STATES} entries, got {vec.shape[0]}"
             )
-        states.append(int(np.argmax(vec)))
+        states.append(int(vec.argmax()))
     return phase_events(states)
 
 
@@ -590,7 +590,9 @@ def evaluate_accuracy(
 
     ``recognizer`` maps an annotated sequence to gesture events; see
     :func:`match_events` for the per-annotation scoring rule.
+    ``tolerance`` is an integer of at least 0, even with no sequences.
     """
+    _check_integer("tolerance", tolerance, 0)
     if isinstance(sequences, AnnotatedSequence):
         sequences = [sequences]
     total = 0

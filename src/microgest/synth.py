@@ -50,6 +50,19 @@ from .pipeline import (
 # Steady frames before and after each rendered crossing or disturbance
 LEAD_FRAMES = 15
 
+# Most pixels of a synthesized frame: far above the paper's 3x3 sensor,
+# and small enough that a frame stack is allocated without surprise.
+MAX_FRAME_PIXELS = 1 << 16
+
+
+def _check_frame_size(width, height) -> None:
+    """The frame-size rule of every renderer: integer sides of at least 1
+    and at most :data:`MAX_FRAME_PIXELS` pixels in all."""
+    _check_integer("width", width, 1)
+    _check_integer("height", height, 1)
+    # Python ints: a product of numpy integers could wrap into range
+    _check_integer("width * height", int(width) * int(height), 1, MAX_FRAME_PIXELS)
+
 
 @dataclass(frozen=True)
 class GestureSynthParams:
@@ -83,8 +96,7 @@ class GestureSynthParams:
             raise InvalidParams("contrast must be in [0, 1]")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise InvalidParams("noise_sigma must be finite and >= 0")
-        _check_integer("width", self.width, 1)
-        _check_integer("height", self.height, 1)
+        _check_frame_size(self.width, self.height)
 
 
 # Motion of each class across the sensor as (dx, dy), y pointing down;
@@ -452,13 +464,16 @@ def _instances(order, bg, sources, width, height, label_kind):
     for cls, iseed in order:
         irng = np.random.default_rng(iseed)
         render_bits.state = irng.bit_generator.state
-        band = float(irng.uniform(0.30, 0.42))
+        # the five leading uniforms in one draw, each mapped as
+        # ``Generator.uniform`` maps it: low + (high - low) * u
+        u_band, u_speed, u_contrast, u_noise, u_drift = irng.random(5).tolist()
+        band = 0.30 + (0.42 - 0.30) * u_band
         min_speed = math.ceil(14 * (1 + band) / (1 - band))
         max_speed = math.floor(13 * (1 + band) / band)
-        speed = float(irng.uniform(min_speed, max_speed))
-        contrast = float(irng.uniform(0.55, 0.95))
-        noise = float(irng.uniform(1.0, 3.2))
-        bg = float(min(max(bg * math.exp(irng.uniform(-0.12, 0.12)), lo), hi))
+        speed = min_speed + (max_speed - min_speed) * u_speed
+        contrast = 0.55 + (0.95 - 0.55) * u_contrast
+        noise = 1.0 + (3.2 - 1.0) * u_noise
+        bg = min(max(bg * math.exp(-0.12 + (0.12 - -0.12) * u_drift), lo), hi)
 
         g = int(irng.integers(0, len(sources)))
         params = GestureSynthParams(
@@ -472,8 +487,10 @@ def _instances(order, bg, sources, width, height, label_kind):
             height=height,
         )
         values, first, states = _render(params, render_rng, label_kind)
-        gamma = float(irng.uniform(0.88, 1.15)) if irng.random() < 0.5 else 0.0
-        shift = float(irng.uniform(-0.06, 0.10)) * bg if irng.random() < 0.3 else 0.0
+        gamma = 0.88 + (1.15 - 0.88) * irng.random() if irng.random() < 0.5 else 0.0
+        shift = 0.0
+        if irng.random() < 0.3:
+            shift = (-0.06 + (0.10 - -0.06) * irng.random()) * bg
         yield values, _Instance(len(values), g, gamma, shift, irng, first, states)
 
 
@@ -577,9 +594,8 @@ def build_corpus(
     on its instance's own stream, and every pixel gets the bits of the
     per-instance calls.
     """
-    for name, value, least in (("per_class", per_class, 0), ("width", width, 1),
-                               ("height", height, 1)):
-        _check_integer(name, value, least)
+    _check_integer("per_class", per_class, 0)
+    _check_frame_size(width, height)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     order = [

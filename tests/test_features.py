@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from microgest.errors import InvalidParams, PixelOutOfRange, ShapeMismatch
 from microgest.features import (
+    _STATS_BLOCK,
     ADC_MAX,
+    ROLLING_ALPHA,
     AnnotatedSequence,
     Annotation,
     Image,
@@ -148,12 +150,26 @@ def test_rolling_bounds_and_determinism(stream):
 
 def _per_frame_features(frames):
     """Features the way a streaming caller built them, one image at a time:
-    a fresh default :class:`RollingStats` and one 1-D mean per track."""
+    a fresh default :class:`RollingStats` and one 1-D mean per track.  The
+    tracks must equal the recursion of the :class:`RollingStats` docstring,
+    stepped here on its own, bit for bit."""
     stats = RollingStats()
     rows = []
-    for frame in frames:
+    a = ROLLING_ALPHA
+    for t, frame in enumerate(frames):
         image = _img(frame)
         update_rolling(stats, image)
+        s = normalize(image)
+        if t == 0:
+            avg, lo, hi = s, s, s
+        else:
+            avg, lo, hi = (
+                a * avg + (1 - a) * s,
+                np.minimum(s, a * lo + (1 - a) * avg),
+                np.maximum(s, a * hi + (1 - a) * avg),
+            )
+        for want, got in ((avg, stats.avg), (lo, stats.min), (hi, stats.max)):
+            assert want.tobytes() == got.tobytes()
         means = [np.mean(stats.avg), np.mean(stats.min), np.mean(stats.max)]
         row = np.concatenate([normalize(image), means])
         assert build_features(image, stats).tobytes() == row.tobytes()
@@ -166,10 +182,12 @@ def test_stream_features_equal_per_frame_features_bit_for_bit():
     # The appended means are taken over the rows of a (3, n) track stack,
     # and the whole-stream path over a block of such stacks at once; a numpy
     # whose row reduction sums differently from a lone vector's must fail
-    # here.  Lengths cover no frame, one frame and more than one block.
+    # here.  Lengths cover no frame, one frame, and the edges of the blocks
+    # the tracks carry across (_STATS_BLOCK is 256).
+    assert _STATS_BLOCK == 256
     rng = np.random.default_rng(71)
     for side in (1, 3, 8):
-        for length in (0, 1, 2, 300, 700):
+        for length in (0, 1, 2, 255, 256, 257, 300, 512, 513, 700):
             frames = rng.integers(0, ADC_MAX + 1, size=(length, side, side))
             frames = frames.astype(np.uint16)
             want = _per_frame_features(frames)

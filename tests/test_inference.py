@@ -18,6 +18,7 @@ from microgest.inference import (
     approx_softmax,
     count_macs,
     forward_dense,
+    layer_forward,
     max_onehot,
     record_macs,
     run_ffnn,
@@ -204,22 +205,39 @@ def test_max_onehot_is_one_hot(values):
 
 
 @pytest.mark.parametrize("fn", [softmax, approx_softmax, max_onehot])
-@given(rows=st.integers(1, 6), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-       ties=st.booleans())
-def test_layerwise_activation_of_a_batch_equals_row_by_row(fn, rows, n, seed, ties):
+@given(rows=st.integers(1, 6), n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from(["ties", "normal", "wide"]))
+def test_layerwise_activation_of_a_batch_equals_row_by_row(fn, rows, n, seed, spread):
+    # bit for bit, for a (rows, n) batch and a (T, 1, n) stack as the BPTT
+    # windows pass them: a lone vector's reductions take another shape
+    # than a batch's, and must round the same
     rng = np.random.default_rng(seed)
-    # small integers make tied maxima common, so MAX's lowest-index rule is hit
-    if ties:
+    # small integers make tied maxima common, so MAX's lowest-index rule is
+    # hit; a wide spread underflows the exponentials and hits the clamp of
+    # the fast one
+    if spread == "ties":
         Z = rng.integers(-3, 4, size=(rows, n)).astype(float)
     else:
-        Z = rng.normal(0.0, 20.0, size=(rows, n))
-    batch = fn(Z)
-    assert batch.shape == Z.shape
-    for z, row in zip(Z, batch):
-        assert np.array_equal(row, fn(z))
+        Z = rng.normal(0.0, 20.0 if spread == "normal" else 1e3, size=(rows, n))
+    singles = np.stack([fn(z) for z in Z])
+    for stack in (Z, Z[:, None, :]):
+        batch = fn(stack)
+        assert batch.shape == stack.shape
+        assert batch.tobytes() == singles.tobytes()
 
 
 # --- dense and recurrent stepping --------------------------------------------
+
+@pytest.mark.parametrize("kind", list(Activation))
+def test_layer_forward_applies_the_table_entry_of_every_activation(kind):
+    rng = np.random.default_rng(5)
+    W, b = rng.normal(size=(4, 3)), rng.normal(size=4)
+    for U in (rng.normal(size=3), rng.normal(size=(5, 3)), rng.normal(size=(5, 1, 3))):
+        Z, A = layer_forward(kind, W, b, U)
+        assert Z.tobytes() == (U @ W.T + b).tobytes()
+        assert A.tobytes() == _ACTIVATIONS[kind](Z).tobytes()
+    assert len(_ACTIVATIONS) == len(Activation)
+
 
 def test_forward_dense_matches_loop_oracle(rng):
     for _ in range(20):

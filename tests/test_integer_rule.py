@@ -12,13 +12,27 @@ import math
 import numpy as np
 import pytest
 
-from microgest.bitcode import pack_bits, unpack_bits
+from microgest.bitcode import MAX_DENSE_WEIGHTS, pack_bits, unpack_bits
 from microgest.compression import CompressionOptions, bits_per_index, compress_model, kmeans_1d
 from microgest.errors import InvalidParams, MicrogestError, ShapeMismatch
 from microgest.estimator import Budget
 from microgest.model import Activation, LayerKind, chain
-from microgest.pipeline import Candidate, GestureClass, label_candidates, match_events
-from microgest.synth import GestureSynthParams, Noise, Rotate, augment, synthesize_gesture
+from microgest.pipeline import (
+    Candidate,
+    GestureClass,
+    evaluate_accuracy,
+    label_candidates,
+    match_events,
+)
+from microgest.synth import (
+    MAX_FRAME_PIXELS,
+    GestureSynthParams,
+    Noise,
+    Rotate,
+    augment,
+    build_corpus,
+    synthesize_gesture,
+)
 from microgest.training import (
     TrainingConfig,
     init_params,
@@ -69,6 +83,7 @@ SITES = {
     "pack_bits.width": (lambda v: pack_bits([1, 0, 1], v), InvalidParams),
     "unpack_bits.width": (lambda v: unpack_bits(bytes(32), v, 3), InvalidParams),
     "unpack_bits.count": (lambda v: unpack_bits(bytes(4), 1, v), InvalidParams),
+    "unpack_bits.count (width 0)": (lambda v: unpack_bits(b"", 0, v), InvalidParams),
     "GestureSynthParams.width": (
         lambda v: GestureSynthParams(GestureClass.LEFT_TO_RIGHT, width=v), InvalidParams
     ),
@@ -76,6 +91,13 @@ SITES = {
         lambda v: GestureSynthParams(GestureClass.LEFT_TO_RIGHT, height=v), InvalidParams
     ),
     "synthesize_gesture.seed": (lambda v: synthesize_gesture(SENSOR, seed=v), InvalidParams),
+    "synthesize_gesture.width": (
+        lambda v: synthesize_gesture(
+            GestureSynthParams(GestureClass.LEFT_TO_RIGHT, width=v), seed=0
+        ),
+        InvalidParams,
+    ),
+    "build_corpus.width": (lambda v: build_corpus(0, 0, width=v), InvalidParams),
     "Noise.seed": (lambda v: augment(SEQ, Noise(1.0, seed=v)), InvalidParams),
     "Rotate.quarters": (lambda v: augment(SEQ, Rotate(v)), InvalidParams),
     "Budget.flash_bytes": (_budget("flash_bytes"), InvalidParams),
@@ -92,6 +114,9 @@ SITES = {
     "label_candidates.tolerance": (
         lambda v: label_candidates([CANDIDATE], SEQ.annotations, tolerance=v),
         InvalidParams,
+    ),
+    "evaluate_accuracy.tolerance": (
+        lambda v: evaluate_accuracy(lambda s: [], [], tolerance=v), InvalidParams
     ),
 }
 
@@ -122,7 +147,10 @@ def test_a_numpy_integer_is_an_integer(site):
     call(np.int64(2))
 
 
-@pytest.mark.parametrize("site", ["match_events.tolerance", "label_candidates.tolerance"])
+@pytest.mark.parametrize(
+    "site",
+    ["match_events.tolerance", "label_candidates.tolerance", "evaluate_accuracy.tolerance"],
+)
 def test_a_negative_tolerance_is_refused_and_zero_is_valid(site):
     # a negative window matches nothing: every annotation would be missed
     # and every candidate labelled NO_GESTURE
@@ -130,3 +158,19 @@ def test_a_negative_tolerance_is_refused_and_zero_is_valid(site):
     with pytest.raises(error, match="tolerance"):
         call(-3)
     call(0)
+
+
+def test_sizes_above_their_cap_are_refused_before_anything_is_allocated():
+    # numpy would take each of these as one allocation and fail with a
+    # ValueError or MemoryError of its own
+    for count in (MAX_DENSE_WEIGHTS + 1, 2**50, 2**70):
+        with pytest.raises(InvalidParams, match="count"):
+            unpack_bits(b"", 0, count)
+    assert unpack_bits(b"", 0, 5).tolist() == [0] * 5
+    for width, height in ((2**40, 3), (3, 2**40), (MAX_FRAME_PIXELS + 1, 1),
+                          (np.int64(2**62 + 1), np.int64(4))):  # wraps to 4 in int64
+        with pytest.raises(InvalidParams, match=r"width \* height"):
+            GestureSynthParams(GestureClass.LEFT_TO_RIGHT, width=width, height=height)
+        with pytest.raises(InvalidParams, match=r"width \* height"):
+            build_corpus(1, 0, width=width, height=height)
+    GestureSynthParams(GestureClass.LEFT_TO_RIGHT, width=MAX_FRAME_PIXELS // 2, height=2)

@@ -713,7 +713,7 @@ def _sequence_route(spec, params, X, targets, horizon):
 @example(spec=parse_arch("12-9-9-r17softmax"), seed=4, length=1, horizon=1,
          labels="every")
 def test_sequence_functions_equal_the_per_step_oracle(spec, seed, length, horizon, labels):
-    # bit for bit: the dense prefix runs once per window, the oracle steps it
+    # bit for bit: each dense layer runs once per window, the oracle steps it
     rng = np.random.default_rng(seed)
     X = 3.0 * rng.normal(size=(length, spec.features))
     X[rng.random(length) < 0.2] = 0.0  # relu kinks
