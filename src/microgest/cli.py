@@ -24,6 +24,7 @@ from .estimator import Budget, CostModel, check_fit, load_config
 from .features import (
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
+    NORM_DIVISOR,
     AnnotatedSequence,
     Annotation,
     stream_features,
@@ -43,13 +44,12 @@ from .pipeline import (
     N_PHASE_STATES,
     _check_candidate_model,
     _check_labels,
-    candidate_features,
+    _resample,
     extract_candidates,
     fsm_postprocess,
     label_candidates,
     match_events,
     phase_events,
-    scale_candidate,
 )
 from .synth import build_corpus
 from .training import (
@@ -120,8 +120,10 @@ def _candidate_dataset(
     labelled = label_candidates(cands, ds.annotations)
     if not labelled:
         raise InvalidParams("dataset yielded no training candidates")
-    frames = _candidate_frames(spec, ds)
-    X = np.stack([candidate_features(scale_candidate(c, frames)) for c, _ in labelled])
+    spans = [(c.start_index, c.end_index) for c, _ in labelled]
+    X = _resample(ds.frames, spans, _candidate_frames(spec, ds))
+    X = X.reshape(len(X), -1)
+    X /= NORM_DIVISOR  # candidate_features' normalization, on every row at once
     y = np.array([label for _, label in labelled], dtype=int)
     if y.max() >= spec.output_size:
         raise ShapeMismatch(

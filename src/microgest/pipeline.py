@@ -24,7 +24,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, ShapeMismatch, TooShort, _check_integer, _is_integer
+from .errors import (
+    InvalidParams,
+    RecurrentLayerPresent,
+    ShapeMismatch,
+    TooShort,
+    _check_integer,
+    _is_integer,
+)
 from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
 from .inference import run_ffnn
 from .model import ModelSpec, Parameters
@@ -368,6 +375,10 @@ def _window_span(mark, hist, run, end, pad, capacity, truncated):
 # Whole-stream detection widens and steps this many pixels at a time, which
 # bounds the float64 copy of the stack.
 _BLOCK_PIXELS = 1 << 14
+# Whole-stream resampling gathers and blends this many samples at a time,
+# which keeps its temporaries, numpy's iterator buffers among them, small
+# beside the detector's float64 block.
+_GATHER_SAMPLES = 1 << 10
 
 
 def extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]:
@@ -396,6 +407,52 @@ def extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]
 
 # --- temporal scaling --------------------------------------------------------
 
+def _check_target(target) -> None:
+    """The target rule of temporal scaling: a whole number of at least 2
+    frames."""
+    if not _is_integer(target) or target < 2:
+        raise InvalidParams(
+            f"target must be a whole number of at least 2 frames, got {target!r}"
+        )
+
+
+def _resample(stack: np.ndarray, spans, target: int) -> np.ndarray:
+    """Every span ``(first, last)`` of a ``(T, ...)`` frame stack resampled
+    to ``target`` frames, as one float64 ``(N, target, ...)`` array.
+
+    This is the rule of :func:`scale_candidate`, which applies it to one
+    span.  A block of spans at a time, sample times, floor and ceiling
+    frames and blend fractions are ``(B, target)`` arrays, and the frames
+    are gathered from the stack and blended straight into the result with
+    the IEEE operations of a lone rescale, so each row is bit-identical to
+    one.  Temporaries stay within :data:`_GATHER_SAMPLES` samples.
+    """
+    _check_target(target)
+    ends = np.array(spans, dtype=int).reshape(-1, 2)
+    first = ends[:, :1]
+    lasts = ends[:, 1:] - first  # last frame of each span, counted from its first
+    if lasts.size and lasts.min() < 1:
+        raise TooShort(f"need at least 2 frames to rescale, got {lasts.min() + 1}")
+    pixels = math.prod(stack.shape[1:])
+    frames = stack.reshape(len(stack), pixels)
+    out = np.empty((len(ends), target, pixels))
+    samples = np.arange(target)
+    step = max(1, _GATHER_SAMPLES // (target * pixels or 1))
+    for b in range(0, len(ends), step):
+        block = slice(b, b + step)
+        last = lasts[block]
+        times = samples * last / (target - 1)
+        lower = np.floor(times).astype(int)
+        upper = np.minimum(lower + 1, last)
+        frac = (times - lower)[..., np.newaxis]
+        lower += first[block]
+        upper += first[block]
+        dst = out[block]
+        np.multiply(frames[lower], 1.0 - frac, out=dst)
+        dst += frames[upper] * frac
+    return out.reshape((len(ends), target) + stack.shape[1:])
+
+
 def scale_candidate(candidate, target: int = 20) -> ScaledCandidate:
     """Resample a candidate to ``target`` frames by linear interpolation.
 
@@ -403,27 +460,16 @@ def scale_candidate(candidate, target: int = 20) -> ScaledCandidate:
     frame; a sample at time ``t`` between frames ``i`` and ``i+1`` blends
     them as ``S_i * (i + 1 - t) + S_{i+1} * (t - i)``.  A candidate of
     exactly ``target`` frames passes through unchanged, which makes the
-    operation idempotent.
+    operation idempotent.  Whole streams of candidates go through the same
+    rule in one pass (:func:`_resample`).
     """
-    if not _is_integer(target) or target < 2:
-        raise InvalidParams(
-            f"target must be a whole number of at least 2 frames, got {target!r}"
-        )
-    if isinstance(candidate, (Candidate, ScaledCandidate)):
-        frames = candidate.frames
-        start, end = candidate.start_index, candidate.end_index
-    else:
-        frames = np.asarray(candidate)
-        start, end = 0, frames.shape[0] - 1
-    frames = np.asarray(frames, dtype=float)
-    length = frames.shape[0]
-    if length < 2:
-        raise TooShort(f"need at least 2 frames to rescale, got {length}")
-    times = np.arange(target) * (length - 1) / (target - 1)
-    lower = np.floor(times).astype(int)
-    upper = np.minimum(lower + 1, length - 1)
-    frac = (times - lower).reshape((-1,) + (1,) * (frames.ndim - 1))
-    scaled = frames[lower] * (1.0 - frac) + frames[upper] * frac
+    whole = not isinstance(candidate, (Candidate, ScaledCandidate))
+    frames = np.asarray(candidate if whole else candidate.frames, dtype=float)
+    if frames.ndim == 0:
+        raise ShapeMismatch("a candidate must be a stack of frames, got a single value")
+    last = len(frames) - 1
+    (scaled,) = _resample(frames, [(0, last)], target)
+    start, end = (0, last) if whole else (candidate.start_index, candidate.end_index)
     return ScaledCandidate(frames=scaled, start_index=start, end_index=end)
 
 
@@ -434,8 +480,10 @@ def candidate_features(scaled: ScaledCandidate) -> np.ndarray:
 
 def _check_candidate_model(spec: ModelSpec, features: int) -> None:
     """The candidate-model contract, for training, evaluation and inference
-    alike: one input per candidate feature (``features`` of them) and one
-    output per gesture class."""
+    alike: a feed-forward model with one input per candidate feature
+    (``features`` of them) and one output per gesture class."""
+    if spec.has_recurrent:
+        raise RecurrentLayerPresent("a candidate model must be feed-forward")
     if features != spec.features:
         raise ShapeMismatch(
             f"candidates yield {features} features, model expects {spec.features}"
@@ -474,18 +522,29 @@ class FfnnRecognizer:
     :class:`AnnotatedSequence`) returns gesture events ``(frame, class)``.
     Every candidate classified as a swipe emits one event at the
     candidate's last frame index; NO_GESTURE classifications stay silent.
+
+    The target frame count is checked on construction, and the model
+    against the stream (:func:`_check_candidate_model`) before anything is
+    detected.  All of a stream's candidates are resampled in one pass
+    (:func:`_resample`); each is then classified on its own through
+    :func:`classify_candidate`.
     """
 
     def __init__(self, spec: ModelSpec, params: Parameters, target_frames: int = 20) -> None:
+        _check_target(target_frames)
         self.spec = spec
         self.params = params
         self.target_frames = target_frames
 
     def __call__(self, stream) -> list[Event]:
         frames = stream.frames if isinstance(stream, AnnotatedSequence) else stream
+        stack = np.asarray(frames)
+        _check_candidate_model(self.spec, self.target_frames * _frame_pixels(stack))
+        cands = extract_candidates(stack)
+        spans = [(cand.start_index, cand.end_index) for cand in cands]
         events: list[Event] = []
-        for cand in extract_candidates(np.asarray(frames)):
-            scaled = scale_candidate(cand, self.target_frames)
+        for cand, rows in zip(cands, _resample(stack, spans, self.target_frames)):
+            scaled = ScaledCandidate(rows, cand.start_index, cand.end_index)
             cls = classify_candidate(self.spec, self.params, scaled)
             if cls is not GestureClass.NO_GESTURE:
                 events.append((cand.end_index, cls))

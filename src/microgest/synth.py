@@ -129,14 +129,18 @@ def _band_coverage(path: np.ndarray, half_width: float, cells: int) -> np.ndarra
     """Coverage (T, cells) of equal cells on [0, 1] by a band at each path center."""
     edges = np.arange(cells + 1) / cells
     lo = np.maximum(edges[:-1], path[:, None] - half_width)
-    hi = np.minimum(edges[1:], path[:, None] + half_width)
-    return np.clip((hi - lo) * cells, 0.0, 1.0)
+    cov = np.minimum(edges[1:], path[:, None] + half_width)
+    cov -= lo
+    cov *= cells
+    np.maximum(cov, 0.0, out=cov)
+    return np.minimum(cov, 1.0, out=cov)
 
 
 def _sweep(
     path: np.ndarray, half_width: float, motion: tuple[int, int], p: GestureSynthParams
 ) -> np.ndarray:
-    """Coverage maps (T, H, W) of a band moving along ``motion`` on ``path``.
+    """Coverage maps of a band moving along ``motion`` on ``path``, as a
+    ``(T, 1, W)`` or ``(T, H, 1)`` stack that broadcasts to ``(T, H, W)``.
 
     ``path`` holds band centers in path coordinates (0 at the edge the band
     enters from); the cells are flipped when the motion runs against the axis.
@@ -145,8 +149,7 @@ def _sweep(
     cov = _band_coverage(path, half_width, p.width if dx else p.height)
     if dx + dy < 0:
         cov = cov[:, ::-1]
-    per_frame = cov[:, None, :] if dx else cov[:, :, None]
-    return np.broadcast_to(per_frame, (len(path), p.height, p.width))
+    return cov[:, None, :] if dx else cov[:, :, None]
 
 
 def _crossing_path(p: GestureSynthParams) -> np.ndarray:
@@ -157,7 +160,8 @@ def _crossing_path(p: GestureSynthParams) -> np.ndarray:
 
 
 def _disturbance_coverage(p: GestureSynthParams, rng) -> np.ndarray:
-    """Coverage maps of a NO_GESTURE disturbance: hover or aborted swipe."""
+    """Coverage maps of a NO_GESTURE disturbance, hover or aborted swipe, as
+    a stack that broadcasts to ``(T, H, W)``."""
     hold = max(14, int(round(p.speed / 3)))
     if rng.random() < 0.5:
         # hover: the whole field dims and recovers without lateral motion
@@ -165,7 +169,7 @@ def _disturbance_coverage(p: GestureSynthParams, rng) -> np.ndarray:
         depth = float(np.clip(p.occluder_width * 1.3, 0.25, 0.6))
         up = np.linspace(0.0, 1.0, ramp + 1)[1:]
         profile = np.concatenate([up, np.ones(hold), up[::-1]]) * depth
-        return profile[:, None, None] * np.ones((p.height, p.width))
+        return profile[:, None, None]
     # aborted swipe: the band enters partway, hesitates, and retreats
     w = p.occluder_width
     reach = rng.uniform(0.30, 0.45)

@@ -4,10 +4,10 @@ The oracles here deliberately avoid the library's own execution paths:
 forward passes are re-derived with explicit Python loops, gradients with
 central finite differences, k-means with the full distance matrix every
 round, the compressed-model bit codec one bit at a time, candidate
-detection frame by frame, BPTT windows step by step, optimizer updates
-one array at a time and corpus instances through the public render and
-augment calls, so a test comparing the two exercises two independent
-routes to the same number.
+detection frame by frame, temporal scaling one sample at a time, BPTT
+windows step by step, optimizer updates one array at a time and corpus
+instances through the public render and augment calls, so a test
+comparing the two exercises two independent routes to the same number.
 """
 
 from __future__ import annotations
@@ -627,6 +627,24 @@ def oracle_label_candidates(
         label = best.label if best is not None else int(GestureClass.NO_GESTURE)
         labelled.append((cand, label))
     return labelled
+
+
+# --- temporal scaling --------------------------------------------------------
+
+def oracle_scale_frames(frames, target: int) -> np.ndarray:
+    """One candidate's frames resampled to ``target`` frames, one sample at
+    a time in Python scalars: sample ``k`` sits at ``t = k (L - 1) /
+    (target - 1)`` and blends frames ``floor(t)`` and ``min(floor(t) + 1,
+    L - 1)`` by ``1 - (t - floor(t))`` and ``t - floor(t)``."""
+    frames = np.asarray(frames, dtype=float)
+    last = len(frames) - 1
+    out = np.empty((target,) + frames.shape[1:])
+    for k in range(target):
+        t = k * last / (target - 1)
+        i = math.floor(t)
+        f = t - i
+        out[k] = frames[i] * (1.0 - f) + frames[min(i + 1, last)] * f
+    return out
 
 
 # --- corpus assembly, one public call per step -------------------------------

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from microgest import cli
+from microgest import cli, pipeline
 from microgest.cli import main
 from microgest.estimator import activation_time, load_config
 from microgest.model import parse_arch
@@ -169,21 +169,36 @@ def test_train_rejects_a_mismatched_feature_width(
     assert "features" in err
 
 
+def test_train_refuses_a_recurrent_candidate_model(tmp_path, gesture_setup, capsys):
+    # this once leaked a ValueError from the first training batch
+    _, data, _ = gesture_setup
+    rc, _, err = run(capsys, ["train", "--data", data, "--arch", "180-r8-5softmax",
+                              "--out", tmp_path / "m.mgnn", "--epochs", "1"])
+    assert rc == 1
+    assert "feed-forward" in err
+
+
 def test_a_candidate_model_takes_as_many_frames_as_its_features_fill(
     tmp_path, gesture_setup, capsys, monkeypatch
 ):
-    # 90 features are ten frames of the 3x3 sensor
+    # 90 features are ten frames of the 3x3 sensor; train resamples every
+    # candidate in one call, and so does eval's recognizer
     _, data, _ = gesture_setup
-    targets = []
-    scale = cli.scale_candidate
-    monkeypatch.setattr(cli, "scale_candidate",
-                        lambda c, target: targets.append(target) or scale(c, target))
+    calls = []
+    resample = pipeline._resample
+
+    def spy(stack, spans, target):
+        calls.append((len(spans), target))
+        return resample(stack, spans, target)
+
+    monkeypatch.setattr(cli, "_resample", spy)
+    monkeypatch.setattr(pipeline, "_resample", spy)
     model = tmp_path / "m.mgnn"
     payload = run_json(capsys, ["train", "--data", data, "--arch", "90-5softmax",
                                 "--out", model, "--epochs", "1"])
-    assert payload["candidates"] == len(targets) > 0
-    assert set(targets) == {10}
+    assert calls == [(payload["candidates"], 10)] and payload["candidates"] > 0
     assert run_json(capsys, ["eval", "--model", model, "--data", data])["total"] > 0
+    assert calls[1:] == [(payload["candidates"], 10)]
 
 
 def test_train_fails_cleanly_on_an_empty_corpus(tmp_path, capsys):

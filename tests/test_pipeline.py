@@ -6,15 +6,17 @@ from conftest import (
     OracleCandidateDetector,
     oracle_extract_candidates,
     oracle_label_candidates,
+    oracle_scale_frames,
 )
 from hypothesis import given, settings, strategies as st
 
-from microgest.errors import InvalidParams, ShapeMismatch, TooShort
-from microgest.features import Annotation
-from microgest.model import Activation, LayerKind, chain, zero_params
+from microgest.errors import InvalidParams, RecurrentLayerPresent, ShapeMismatch, TooShort
+from microgest.features import NORM_DIVISOR, Annotation
+from microgest.model import Activation, LayerKind, chain, parse_arch, zero_params
 from microgest.pipeline import (
     Candidate,
     CandidateDetector,
+    FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,
     ScaledCandidate,
@@ -31,8 +33,10 @@ from microgest.pipeline import (
     _BLOCK_PIXELS,
     _considered,
     _frame_means,
+    _resample,
 )
 from microgest.synth import build_corpus
+from microgest.training import init_params
 
 
 def _stream(*segments):
@@ -462,6 +466,48 @@ def test_scaled_values_stay_inside_input_envelope(length, seed):
     assert scaled.frames.max() <= frames.max() + 1e-9
 
 
+def test_scale_refuses_a_single_value():
+    # a 0-d input once leaked an IndexError
+    for value in (5.0, np.float64(5.0), Candidate(np.float64(5.0), 0, 0)):
+        with pytest.raises(ShapeMismatch):
+            scale_candidate(value, 3)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_stream_resampling_equals_each_candidate_rescaled_alone(data):
+    # random spans of one stream, some exactly target frames long, in blocks
+    # of one to many spans; every row must equal the lone rescale and the
+    # sample-by-sample oracle bit for bit
+    target = data.draw(st.integers(2, 60), label="target")
+    lengths = data.draw(
+        st.lists(st.one_of(st.just(target), st.integers(2, 120)), max_size=20),
+        label="lengths",
+    )
+    height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (max(lengths, default=0) + 30, height, width)
+    if data.draw(st.booleans(), label="uint16"):
+        frames = rng.integers(0, 1024, shape).astype(np.uint16)
+    else:
+        frames = rng.normal(500.0, 300.0, shape)
+    starts = [int(rng.integers(0, shape[0] - n + 1)) for n in lengths]
+    spans = [(s, s + n - 1) for s, n in zip(starts, lengths)]
+    rows = _resample(frames, spans, target)
+    assert rows.shape == (len(spans), target, height, width)
+    features = rows.reshape(len(spans), target * height * width) / NORM_DIVISOR
+    for (first, last), row, feats in zip(spans, rows, features):
+        cand = Candidate(frames[first : last + 1].copy(), first, last)
+        want = candidate_features(scale_candidate(cand, target))
+        assert feats.tobytes() == want.tobytes()
+        assert row.tobytes() == oracle_scale_frames(cand.frames, target).tobytes()
+
+
+def test_stream_resampling_refuses_a_span_of_one_frame():
+    with pytest.raises(TooShort):
+        _resample(np.zeros((10, 3, 3)), [(0, 4), (6, 6)], 20)
+
+
 # --- classification ----------------------------------------------------------
 
 def _scaled(frames):
@@ -487,6 +533,47 @@ def test_classify_rejects_wrong_feature_count():
     spec = chain(90, [(LayerKind.DENSE, 5, Activation.SOFTMAX)])
     with pytest.raises(ShapeMismatch):
         classify_candidate(spec, zero_params(spec), _scaled(np.zeros((20, 3, 3))))
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([10, 20]), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_recognizer_events_equal_a_per_candidate_loop(seed, target, uint16):
+    # about 15 candidates: several blocks of the stream's resampling
+    frames = build_corpus(3, seed=seed).frames
+    if not uint16:
+        frames = frames + np.random.default_rng(seed).uniform(-0.5, 0.5, frames.shape)
+    spec = parse_arch(f"{target * 9}-8relu-5softmax")
+    params = init_params(spec, seed)
+    want = []
+    for cand in extract_candidates(frames):
+        scaled = ScaledCandidate(
+            oracle_scale_frames(cand.frames, target), cand.start_index, cand.end_index
+        )
+        cls = classify_candidate(spec, params, scaled)
+        if cls is not GestureClass.NO_GESTURE:
+            want.append((cand.end_index, cls))
+    assert FfnnRecognizer(spec, params, target)(frames) == want
+
+
+@pytest.mark.parametrize("target", [1, 2.5, -3, True, None])
+def test_recognizer_refuses_a_bad_target_on_construction(target):
+    # these once passed silently on a stream without candidates
+    spec = parse_arch("180-8relu-5softmax")
+    with pytest.raises(InvalidParams, match="target"):
+        FfnnRecognizer(spec, init_params(spec, 0), target)
+
+
+@pytest.mark.parametrize("arch, error", [
+    ("180-8relu-7softmax", ShapeMismatch),  # outputs are not the gesture classes
+    ("90-8relu-5softmax", ShapeMismatch),  # 20 frames of 3x3 are 180 features
+    ("180-r8-5softmax", RecurrentLayerPresent),
+])
+def test_recognizer_checks_its_model_against_the_stream_on_entry(arch, error):
+    # a steady stream has no candidates, so nothing reaches classify_candidate
+    spec = parse_arch(arch)
+    recognizer = FfnnRecognizer(spec, init_params(spec, 0), 20)
+    with pytest.raises(error):
+        recognizer(_stream((60, 700)))
 
 
 # --- FSM events --------------------------------------------------------------
