@@ -338,12 +338,16 @@ def huffman_encode(data: bytes) -> tuple[bytes, HuffmanTable]:
     """
     lengths = _code_lengths(_histogram(data))
     max_len = max(lengths.values())
+    codes = canonical_codes(lengths)
+    syms = list(codes)
+    # every code word left-aligned in the same whole number of bytes
+    nbytes = (max_len + 7) // 8
+    octets = b"".join((v << (8 * nbytes - n)).to_bytes(nbytes, "big") for v, n in codes.values())
+    bits = np.unpackbits(np.frombuffer(octets, dtype=np.uint8)).reshape(len(syms), -1)
     words = np.zeros((256, max_len), dtype=np.uint8)  # code bits, left-aligned
     used = np.zeros((256, max_len), dtype=bool)  # the bits each code word has
-    for sym, (value, length) in canonical_codes(lengths).items():
-        octets = np.frombuffer(value.to_bytes((length + 7) // 8, "big"), dtype=np.uint8)
-        words[sym, :length] = np.unpackbits(octets)[-length:]
-        used[sym, :length] = True
+    words[syms] = bits[:, :max_len]
+    used[syms] = np.arange(max_len) < np.array([n for _, n in codes.values()])[:, None]
     symbols = np.frombuffer(data, dtype=np.uint8)
     packed, carry = [], np.zeros(0, dtype=np.uint8)
     for start in range(0, symbols.size, _BLOCK_BYTES):

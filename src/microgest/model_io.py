@@ -67,10 +67,12 @@ _PREFIX = struct.Struct("<4sHI")
 
 def _atomic_write(path: str | Path, pieces) -> None:
     """Write the byte pieces of a file one after another, then move the
-    file into place."""
+    file into place.  An ``OSError`` names ``path``, not the temporary
+    file next to it."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             # mkstemp creates the file 0600; give it the mode open() would
             umask = os.umask(0)
@@ -79,8 +81,11 @@ def _atomic_write(path: str | Path, pieces) -> None:
             for piece in pieces:
                 f.write(piece)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +41,8 @@ from .pipeline import (
     _label_count,
     GestureClass,
     PHASES_PER_GESTURE,
+    SWIPE_CLASSES,
     extract_candidates,
-    last_phase_state,
     phase_state,
 )
 
@@ -70,10 +70,11 @@ class GestureSynthParams:
 
     ``speed`` is the number of frames the occluder needs to cross the
     field; ``occluder_width`` is the band width as a fraction of the field
-    span.  ``direction`` NO_GESTURE renders a non-directional disturbance
-    (a hover dip or an aborted half swipe) instead of a crossing.  Every
-    instance has :data:`LEAD_FRAMES` (15) steady frames on each side; a
-    gamma curve is the :class:`Gamma` transform's job.
+    span.  ``direction`` is a :class:`GestureClass` (an integer 0..4 is
+    taken as the class it names); NO_GESTURE renders a non-directional
+    disturbance (a hover dip or an aborted half swipe) instead of a
+    crossing.  Every instance has :data:`LEAD_FRAMES` (15) steady frames on
+    each side; a gamma curve is the :class:`Gamma` transform's job.
     """
 
     direction: GestureClass
@@ -86,6 +87,9 @@ class GestureSynthParams:
     height: int = 3
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.direction) and 0 <= self.direction < len(GestureClass)):
+            raise InvalidParams(f"direction must be a GestureClass, got {self.direction!r}")
+        object.__setattr__(self, "direction", GestureClass(int(self.direction)))
         if not (math.isfinite(self.speed) and self.speed >= 2):
             raise InvalidParams("speed must be a finite number of at least 2 frames")
         if not 0.0 < self.occluder_width <= 1.0:
@@ -115,8 +119,8 @@ _CLASS_OF = {motion: cls for cls, motion in _MOTION.items()}
 def _round_adc(values: np.ndarray) -> np.ndarray:
     """Round and clamp float pixel values to the ADC range, in place."""
     np.rint(values, out=values)
-    np.clip(values, 0, ADC_MAX, out=values)
-    return values
+    np.maximum(values, 0, out=values)
+    return np.minimum(values, ADC_MAX, out=values)
 
 
 def _to_adc(values: np.ndarray) -> np.ndarray:
@@ -125,114 +129,170 @@ def _to_adc(values: np.ndarray) -> np.ndarray:
     return _round_adc(values).astype(np.uint16)
 
 
-def _band_coverage(path: np.ndarray, half_width: float, cells: int) -> np.ndarray:
-    """Coverage (T, cells) of equal cells on [0, 1] by a band at each path center."""
-    edges = np.arange(cells + 1) / cells
-    lo = np.maximum(edges[:-1], path[:, None] - half_width)
-    cov = np.minimum(edges[1:], path[:, None] + half_width)
-    cov -= lo
+# Motion-phase state of each class (row) in each phase 1..4 (column; 0 is
+# no phase): NO_GESTURE has none.
+_PHASE_STATES = np.array([
+    [0] + [phase_state(g, k) if g in SWIPE_CLASSES else 0
+           for k in range(1, PHASES_PER_GESTURE + 1)]
+    for g in GestureClass
+])
+
+
+# The columns of a run of frames, one row of _render_block's table
+_RUN_COLUMNS = ("frames", "k0", "dk", "a", "b", "d", "depth", "c", "phase_class", "hw",
+                "dx", "dy", "contrast", "background", "sigma")
+
+
+def _check_label_kind(labels: str) -> None:
+    if labels not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
+        raise InvalidParams(f"unknown label kind {labels!r}")
+
+
+def _runs(direction, speed, band, background, contrast, noise, rng):
+    """The runs of frames one instance is rendered from (the rows of
+    :func:`_render_block`'s table), and its gesture label.
+
+    The runs are the steady lead frames, the body and the steady lead
+    frames again.  The body's draws, a NO_GESTURE disturbance's, come from
+    ``rng``; they precede the render's noise there.
+    """
+    w = band
+    nog = GestureClass.NO_GESTURE
+    motion, label = (0, 0), nog
+    if contrast > 0.0 and direction is not nog:
+        # a full crossing, from just outside to just outside the field
+        t = max(2, int(round(speed)))
+        body = [(t, 0, 1, -w / 2, 1.0 + w, t - 1, 0.0, 1.0, int(direction))]
+        motion, label = _MOTION[direction], direction
+    elif contrast > 0.0:
+        hold = max(14, int(round(speed / 3)))
+        if rng.random() < 0.5:
+            # hover: the whole field dims and recovers without lateral
+            # motion, along np.linspace(0, 1, ramp + 1)[1:], which is
+            # k * (1 / ramp) up to its last value, exactly 1.0
+            ramp = max(3, int(round(speed / 6)))
+            depth = min(max(w * 1.3, 0.25), 0.6)
+            up = (ramp - 1, 1, 1, 0.0, 1.0 / ramp, 1, depth, 0.0, nog)
+            top = (hold + 2, 0, 0, 1.0, 0.0, 1, depth, 0.0, nog)
+            body = [up, top, (ramp - 1, ramp - 1, -1, *up[3:])]
+        else:
+            # aborted swipe: the band enters partway, hesitates, and retreats
+            reach = rng.uniform(0.30, 0.45)
+            steps = max(4, int(round(speed / 2)))
+            along_x = rng.random() < 0.5
+            sign = 1 if rng.random() < 0.5 else -1
+            enter = (steps, 1, 1, -w / 2, reach + w / 2, steps, 0.0, 1.0, nog)
+            hesitate = (hold, 0, 0, reach, 0.0, 1, 0.0, 1.0, nog)
+            body = [enter, hesitate, (steps, steps, -1, *enter[3:])]
+            motion = (sign, 0) if along_x else (0, sign)
+    else:
+        body = [(max(2, int(round(speed))), 0, 0, 0.0, 0.0, 1, 0.0, 0.0, nog)]
+    steady = (LEAD_FRAMES, 0, 0, 0.0, 0.0, 1, 0.0, 0.0, nog)
+    instance = (w / 2, *motion, contrast, background, noise)
+    # lists, not tuples: CPython keeps freed short tuples for reuse
+    return [[*run, *instance] for run in (steady, *body, steady)], int(label)
+
+
+def _axis_coverage(lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, cells: int):
+    """Coverage ``(cells, T)`` of one sensor axis, per frame: where the
+    frame's motion runs along the axis (``sign`` nonzero), the fraction of
+    each of ``cells`` equal cells on [0, 1] that a band over ``[lo, hi]``
+    overlaps, counted from the far end when ``sign`` is negative; 1.0
+    everywhere where it does not.  Frames run along the last axis, so each
+    call loops over the whole block at once."""
+    edges = (np.arange(cells + 1) / cells)[:, None]
+    cov = np.minimum(edges[1:], hi)
+    cov -= np.maximum(edges[:-1], lo)
     cov *= cells
     np.maximum(cov, 0.0, out=cov)
-    return np.minimum(cov, 1.0, out=cov)
+    np.minimum(cov, 1.0, out=cov)
+    return np.where(sign == 0, 1.0, np.where(sign < 0, cov[::-1], cov))
 
 
-def _sweep(
-    path: np.ndarray, half_width: float, motion: tuple[int, int], p: GestureSynthParams
-) -> np.ndarray:
-    """Coverage maps of a band moving along ``motion`` on ``path``, as a
-    ``(T, 1, W)`` or ``(T, H, 1)`` stack that broadcasts to ``(T, H, W)``.
+def _render_block(
+    rows: np.ndarray, runs: list[list], width: int, height: int, phases: bool
+) -> np.ndarray | None:
+    """Render a block of frames into ``rows`` ``(T, width * height)``, which
+    hold each frame's standard normal noise; returns each frame's
+    motion-phase state if ``phases``, else None.
 
-    ``path`` holds band centers in path coordinates (0 at the edge the band
-    enters from); the cells are flipped when the motion runs against the axis.
+    Each row of ``runs`` describes a run of consecutive frames, column by
+    column as :data:`_RUN_COLUMNS` names them: its frame count; ``k0, dk, a,
+    b, d``, so that its frame ``i`` has ``k = k0 + i * dk`` and ``u = a + b *
+    k / d``; ``depth, c``, so that ``amp = u * depth + c``; the class whose
+    motion phases it walks (NO_GESTURE for none); and its instance's band
+    half-width ``hw``, motion ``(dx, dy)``, contrast, background and noise
+    sigma.  ``u`` is the band center of a swipe in path coordinates and the
+    hover profile of a hover.  A frame's coverage of pixel ``(y, x)`` is
+    ``amp * cy[y] * cx[x]``, each axis's coverage being exactly 1.0 where
+    the band does not cross it (:func:`_axis_coverage`); ``amp`` is 1.0 for
+    swipes and 0.0 for steady frames.  A pixel is then ``background * (1 -
+    contrast * coverage)`` plus ``sigma`` times its noise.  Every value is
+    taken per frame with the IEEE operations of one instance's render, so
+    each pixel gets the same bits.
     """
-    dx, dy = motion
-    cov = _band_coverage(path, half_width, p.width if dx else p.height)
-    if dx + dy < 0:
-        cov = cov[:, ::-1]
-    return cov[:, None, :] if dx else cov[:, :, None]
+    table = np.fromiter(chain.from_iterable(runs), float).reshape(len(runs), -1)
+    lengths = np.array([run[0] for run in runs])  # ints, not a cast of the table's floats
+
+    def per_frame(column):
+        return np.repeat(table[:, _RUN_COLUMNS.index(column)], lengths)
+
+    # one per-frame array at a time, so a block's temporaries stay few
+    u = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    u = u * per_frame("dk")
+    u += per_frame("k0")
+    u *= per_frame("b")
+    u /= per_frame("d")
+    u += per_frame("a")
+    amp = u * per_frame("depth")
+    amp += per_frame("c")
+    hw = per_frame("hw")
+    lo = u - hw
+    hi = np.add(u, hw, out=u)
+    dx = per_frame("dx")
+    states = _phase_states(lo, hi, dx, runs, lengths, width, height) if phases else None
+    cov = (amp * _axis_coverage(lo, hi, per_frame("dy"), height))[:, None, :]
+    cov = cov * _axis_coverage(lo, hi, dx, width)
+    cov *= per_frame("contrast")
+    np.subtract(1.0, cov, out=cov)
+    cov *= per_frame("background")
+    rows *= per_frame("sigma")[:, None]
+    rows += cov.reshape(-1, len(rows)).T
+    return states
 
 
-def _crossing_path(p: GestureSynthParams) -> np.ndarray:
-    """Band centers of a full crossing, from just outside to just outside."""
-    t_cross = max(2, int(round(p.speed)))
-    w = p.occluder_width
-    return -w / 2 + (1.0 + w) * np.arange(t_cross) / (t_cross - 1)
+def _phase_states(lo, hi, dx, runs, lengths, width, height) -> np.ndarray:
+    """Motion-phase state of each frame of a block (see :func:`_render_block`),
+    from the band's trailing and leading edges ``lo`` and ``hi`` against the
+    cells of the axis it crosses; each bound is taken in Python for that
+    axis's cell count ``n``."""
+    along_x = dx != 0
 
+    def bound(of_n):
+        return np.where(along_x, of_n(width), of_n(height))
 
-def _disturbance_coverage(p: GestureSynthParams, rng) -> np.ndarray:
-    """Coverage maps of a NO_GESTURE disturbance, hover or aborted swipe, as
-    a stack that broadcasts to ``(T, H, W)``."""
-    hold = max(14, int(round(p.speed / 3)))
-    if rng.random() < 0.5:
-        # hover: the whole field dims and recovers without lateral motion
-        ramp = max(3, int(round(p.speed / 6)))
-        depth = float(np.clip(p.occluder_width * 1.3, 0.25, 0.6))
-        up = np.linspace(0.0, 1.0, ramp + 1)[1:]
-        profile = np.concatenate([up, np.ones(hold), up[::-1]]) * depth
-        return profile[:, None, None]
-    # aborted swipe: the band enters partway, hesitates, and retreats
-    w = p.occluder_width
-    reach = rng.uniform(0.30, 0.45)
-    steps = max(4, int(round(p.speed / 2)))
-    path_in = -w / 2 + (reach + w / 2) * np.arange(1, steps + 1) / steps
-    path = np.concatenate([path_in, np.full(hold, reach), path_in[::-1]])
-    along_x = rng.random() < 0.5
-    sign = 1 if rng.random() < 0.5 else -1
-    return _sweep(path, w / 2, (sign, 0) if along_x else (0, sign), p)
-
-
-def _phase_states(p: GestureSynthParams, centers: np.ndarray) -> np.ndarray:
-    """Motion-phase state of every crossing frame, in path coordinates."""
-    g = p.direction
-    n = p.width if _MOTION[g][0] else p.height
-    lead = centers + p.occluder_width / 2
-    trail = centers - p.occluder_width / 2
-    return np.select(
-        [(lead <= 0.0) | (trail >= 1.0), lead <= (n // 2) / n, lead <= (n - 1) / n,
-         trail <= 1.0 / n],
-        [0, phase_state(g, 1), phase_state(g, 2), phase_state(g, 3)],
-        last_phase_state(g),
+    phase = np.select(
+        [(hi <= 0.0) | (lo >= 1.0), hi <= bound(lambda n: (n // 2) / n),
+         hi <= bound(lambda n: (n - 1) / n), lo <= bound(lambda n: 1.0 / n)],
+        [0, 1, 2, 3],
+        PHASES_PER_GESTURE,
     )
+    column = _RUN_COLUMNS.index("phase_class")
+    return _PHASE_STATES[np.repeat([int(run[column]) for run in runs], lengths), phase]
 
 
-def _render(
-    p: GestureSynthParams, rng: np.random.Generator, labels: str
-) -> tuple[np.ndarray, int, list[int]]:
-    """Render one instance as ``(values, first, states)``: ``values`` are
-    its float pixels before ADC rounding, and annotation ``i`` marks frame
-    ``first + i`` with label ``states[i]``.  Every random draw comes from
-    ``rng``."""
-    if labels not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
-        raise InvalidParams(f"unknown label mode {labels!r}")
-    crossing = p.contrast > 0.0 and p.direction is not GestureClass.NO_GESTURE
-    if crossing:
-        centers = _crossing_path(p)
-        coverage = _sweep(centers, p.occluder_width / 2, _MOTION[p.direction], p)
-    elif p.contrast > 0.0:
-        coverage = _disturbance_coverage(p, rng)
-    else:
-        coverage = np.zeros((max(2, int(round(p.speed))), p.height, p.width))
-    n = coverage.shape[0]
-    stop = LEAD_FRAMES + n
-
-    # background * (1 - contrast * coverage) between steady lead frames
-    values = np.empty((stop + LEAD_FRAMES, p.height, p.width))
-    values[:LEAD_FRAMES] = p.background_brightness
-    values[stop:] = p.background_brightness
-    body = values[LEAD_FRAMES:stop]
-    np.multiply(coverage, p.contrast, out=body)
-    np.subtract(1.0, body, out=body)
-    body *= p.background_brightness
-    if p.noise_sigma > 0.0:
-        values += rng.normal(0.0, p.noise_sigma, values.shape)
-
-    if labels == LABEL_KIND_GESTURE:
-        effective = p.direction if crossing else GestureClass.NO_GESTURE
-        return values, stop - 1, [int(effective)]
-    states = np.zeros(values.shape[0], dtype=int)
-    if crossing:
-        states[LEAD_FRAMES:stop] = _phase_states(p, centers)
-    return values, 0, states.tolist()
+def _render_one(p: GestureSynthParams, rng: np.random.Generator, labels: str):
+    """One instance as a block of one (:func:`_render_block`): its float
+    pixels ``(T, width * height)`` before ADC rounding and its annotations.
+    Every random draw comes from ``rng``."""
+    runs, label = _runs(p.direction, p.speed, p.occluder_width, p.background_brightness,
+                        p.contrast, p.noise_sigma, rng)
+    shape = (sum(run[0] for run in runs), p.width * p.height)
+    values = rng.standard_normal(shape) if p.noise_sigma > 0.0 else np.zeros(shape)
+    states = _render_block(values, runs, p.width, p.height, labels == LABEL_KIND_PHASE)
+    if states is None:
+        return values, [Annotation(len(values) - LEAD_FRAMES - 1, label)]
+    return values, list(map(Annotation, range(len(values)), states.tolist()))
 
 
 def synthesize_gesture(
@@ -251,12 +311,13 @@ def synthesize_gesture(
     frames and identical parameters and seed reproduce identical bytes.
     """
     _check_seed(seed)
-    values, first, states = _render(p, np.random.default_rng(seed), labels)
+    _check_label_kind(labels)
+    values, annotations = _render_one(p, np.random.default_rng(seed), labels)
     return AnnotatedSequence(
         width=p.width,
         height=p.height,
-        frames=_to_adc(values),
-        annotations=[Annotation(first + i, s) for i, s in enumerate(states)],
+        frames=_to_adc(values).reshape(-1, p.height, p.width),
+        annotations=annotations,
         label_kind=labels,
     )
 
@@ -429,42 +490,70 @@ _BRIDGE_RATE = 0.004
 BACKGROUND_RANGE = (520.0, 940.0)
 
 
-def _bridge_levels(from_level: float, to_level: float) -> np.ndarray:
-    """Background level of each frame of a gentle ramp between two
-    brightness levels."""
+def _bridge_steps(from_level: float, to_level: float) -> int:
+    """Frame count of a gentle ramp between two brightness levels."""
     if from_level <= 0 or to_level <= 0:
-        steps = 1
-    else:
-        steps = max(1, int(math.ceil(abs(math.log(to_level / from_level)) / _BRIDGE_RATE)))
-    return from_level * np.power(to_level / from_level, np.arange(1, steps + 1) / steps)
+        return 1
+    return max(1, int(math.ceil(abs(math.log(to_level / from_level)) / _BRIDGE_RATE)))
+
+
+def _bridge_levels(starts: list[float], ratios: list[float], steps: list[int]) -> np.ndarray:
+    """Background level of each frame of a block's bridges: bridge ``i``
+    puts its frame ``k`` (1-based) at ``starts[i] * ratios[i] ** (k /
+    steps[i])``."""
+    k = np.arange(1, sum(steps) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+    levels = np.power(np.repeat(ratios, steps), k / np.repeat(steps, steps))
+    levels *= np.repeat(starts, steps)
+    return levels
 
 
 class _Instance(NamedTuple):
-    """One rendered corpus instance, as its pixel stages and bridge need it."""
+    """One corpus instance of a block, with its render's draws made."""
 
+    runs: list[list]  # what its frames are rendered from (see _runs)
+    label: int  # its gesture label before its geometry
     frames: int  # frame count
     geometry: int  # index of its geometric transform; 0 is none
     gamma: float  # its Gamma exponent, or 0.0 for none
     shift: float  # its Brightness delta, or 0.0 for none
     rng: np.random.Generator  # its own stream; the bridge draw comes last
-    first: int
-    states: list[int]
 
 
-def _instances(order, bg, sources, width, height, label_kind):
-    """Render the instances of ``order`` one after another, as pairs of
-    float pixels ``(T, H, W)`` before ADC rounding and :class:`_Instance`.
+def _blocks(order, bg, sources, perms, width, height, phases):
+    """Render the instances of ``order`` a block at a time; yields each
+    block's ADC frames ``(T, height, width)``, its frames' motion-phase
+    states as rendered (if ``phases``, else None), the means of each
+    instance's first and last frame, and its :class:`_Instance` list.
 
     Every draw of an instance comes from its own ``default_rng(iseed)``
     in a fixed order, except the render's, which come from a copy of
     that stream's starting state (see :func:`build_corpus`); ``bg``
-    drifts from one instance to the next.
+    drifts from one instance to the next.  The render noise is written
+    straight into one buffer of ``pipeline._BLOCK_PIXELS`` floats (or of
+    one instance, if that is larger), reused from block to block and
+    freed with the generator.  ``perms[g]`` lists the pixel of a frame
+    that each of its pixels is taken from under geometry ``g``.
     """
+    pixels = width * height
+
+    def rendered():
+        rows = buffer[:used].reshape(-1, pixels)
+        runs = [run for inst in block for run in inst.runs]
+        states = _render_block(rows, runs, width, height, phases)
+        frames, heads, tails = _pixel_stages(rows, block)
+        source = np.repeat(perms[[inst.geometry for inst in block]],
+                           [inst.frames for inst in block], axis=0)
+        source += np.arange(0, source.size, pixels)[:, None]
+        return np.take(frames, source).reshape(-1, height, width), states, heads, tails, block
+
     lo, hi = BACKGROUND_RANGE
     # the render stream: re-started at each instance's seed by copying
     # the state of that instance's fresh parameter stream
     render_bits = np.random.PCG64()
     render_rng = np.random.Generator(render_bits)
+    buffer = np.empty(_BLOCK_PIXELS)
+    block: list[_Instance] = []
+    used = 0
     for cls, iseed in order:
         irng = np.random.default_rng(iseed)
         render_bits.state = irng.bit_generator.state
@@ -480,52 +569,23 @@ def _instances(order, bg, sources, width, height, label_kind):
         bg = min(max(bg * math.exp(-0.12 + (0.12 - -0.12) * u_drift), lo), hi)
 
         g = int(irng.integers(0, len(sources)))
-        params = GestureSynthParams(
-            direction=sources[g][cls],
-            speed=speed,
-            occluder_width=band,
-            background_brightness=bg,
-            contrast=contrast,
-            noise_sigma=noise,
-            width=width,
-            height=height,
-        )
-        values, first, states = _render(params, render_rng, label_kind)
+        runs, label = _runs(sources[g][cls], speed, band, bg, contrast, noise, render_rng)
+        frames = sum(run[0] for run in runs)
+        size = frames * pixels
+        if block and used + size > buffer.size:
+            yield rendered()
+            block, used = [], 0
+        if size > buffer.size:
+            buffer = np.empty(size)
+        render_rng.standard_normal(out=buffer[used : used + size])
         gamma = 0.88 + (1.15 - 0.88) * irng.random() if irng.random() < 0.5 else 0.0
         shift = 0.0
         if irng.random() < 0.3:
             shift = (-0.06 + (0.10 - -0.06) * irng.random()) * bg
-        yield values, _Instance(len(values), g, gamma, shift, irng, first, states)
-
-
-def _blocks(instances, perms: np.ndarray):
-    """Run the pixel stages of rendered instances a block at a time; yields
-    each block's ADC frames ``(T, pixels)``, the means of each instance's
-    first and last frame, and its :class:`_Instance` list.
-
-    An instance's float pixels are copied into one buffer of
-    ``pipeline._BLOCK_PIXELS`` floats (or of one instance, if that is
-    larger), each frame's pixels in the order of its geometry's
-    permutation ``perms[geometry]``.  The buffer is reused from block to
-    block and freed with the generator.
-    """
-    pixels = perms.shape[1]
-    buffer = np.empty(_BLOCK_PIXELS)
-    block: list[_Instance] = []
-    used = 0
-    for values, inst in instances:
-        if block and used + values.size > buffer.size:
-            yield *_pixel_stages(buffer[:used].reshape(-1, pixels), block), block
-            block, used = [], 0
-        if values.size > buffer.size:
-            buffer = np.empty(values.size)
-        rows = buffer[used : used + values.size].reshape(-1, pixels)
-        np.take(values.reshape(-1, pixels), perms[inst.geometry], axis=1, out=rows,
-                mode="clip")
-        block.append(inst)
-        used += values.size
+        block.append(_Instance(runs, label, frames, g, gamma, shift, irng))
+        used += size
     if block:
-        yield *_pixel_stages(buffer[:used].reshape(-1, pixels), block), block
+        yield rendered()
 
 
 def _pixel_stages(rows: np.ndarray, block: list[_Instance]):
@@ -541,10 +601,10 @@ def _pixel_stages(rows: np.ndarray, block: list[_Instance]):
     The frames of an instance without Gamma take the exponent 1.0 and
     those without Brightness a zero shift; either leaves a whole pixel
     value within far less than half a count of itself, so the rounding
-    after the stage gives it back unchanged.  The geometry moved pixels
-    within a frame before these stages, which act on each pixel alone, so
-    the order does not matter; a frame's mean is its integer sum (exact in
-    any order) over its pixel count.
+    after the stage gives it back unchanged.  The stages act on each pixel
+    alone, so they may run before the geometry moves pixels within a
+    frame; a frame's mean is its integer sum (exact in any order) over its
+    pixel count.
     """
     lengths = [inst.frames for inst in block]
     _round_adc(rows)
@@ -587,20 +647,25 @@ def build_corpus(
     from a second stream that also starts where ``default_rng(iseed)``
     starts, as if ``synthesize_gesture(params, iseed)`` were called.  So an
     instance is ``synthesize_gesture`` followed by ``augment`` with its
-    geometry, gamma and brightness, and the label kind changes no frame.
+    geometry, gamma and brightness, and the label kind changes no frame;
+    the tests hold every instance to an independent single-instance
+    render and ``augment`` (``tests/conftest.py``).
 
-    Instances are rendered one at a time, and their pixel stages
-    (:func:`_pixel_stages`) run once per block of instances holding at
-    most ``pipeline._BLOCK_PIXELS`` float pixels, so no float copy of the
-    whole corpus is made.  Each instance's bridge needs the mean of its
-    first frame, so the bridge draws follow a block's pixel stages, and
-    the bridges of a block are rounded in one call too.  Every draw stays
-    on its instance's own stream, and every pixel gets the bits of the
-    per-instance calls.
+    Instances are rendered a block at a time: each instance makes only
+    its own draws, its render noise written straight into a block of at
+    most ``pipeline._BLOCK_PIXELS`` floats, and the rest, coverage,
+    contrast and background (:func:`_render_block`), the pixel stages
+    (:func:`_pixel_stages`), the geometry, the phase states and the bridge
+    levels, is computed for the whole block at once, so no float copy of
+    the whole corpus is made.  Each instance's bridge needs the mean of
+    its first frame, so the bridge draws follow a block's pixel stages.
+    Every draw stays on its instance's own stream, and every pixel gets
+    the bits of the per-instance calls.
     """
     _check_integer("per_class", per_class, 0)
     _check_frame_size(width, height)
     _check_seed(seed)
+    _check_label_kind(label_kind)
     rng = np.random.default_rng(seed)
     order = [
         (cls, int(rng.integers(0, 2**31)))
@@ -623,47 +688,57 @@ def build_corpus(
         mapping = gesture_label_map(geom)
         sources.append({dst: src for src, dst in mapping.items()})
         relabel.append([_remap_label(l, label_kind, mapping) for l in range(n_labels)])
-    index = np.arange(width * height).reshape(1, height, width)
+    pixels = width * height
+    index = np.arange(pixels).reshape(1, height, width)
+    # per geometry, the pixel of a frame each of its pixels is taken from
     perms = np.stack([
         index if geom is None else _transform_frames(index, geom) for geom in geoms
     ]).reshape(len(geoms), -1)
+    phases = label_kind == LABEL_KIND_PHASE
 
     chunks: list[np.ndarray] = []
     annotations: list[Annotation] = []
     offset = 0
     prev_tail: float | None = None
-    instances = _instances(order, bg, sources, width, height, label_kind)
-    for frames, heads, tails, block in _blocks(instances, perms):
-        frames = frames.reshape(-1, height, width)
-        noise, levels, steps = [], [], []
+    for frames, states, heads, tails, block in _blocks(
+        order, bg, sources, perms, width, height, phases
+    ):
+        if phases:
+            geometry = np.repeat([inst.geometry for inst in block],
+                                 [inst.frames for inst in block])
+            states = np.array(relabel)[geometry, states].tolist()
+
+        steps, ramps, noise = [], [], []
         for inst, head, tail in zip(block, heads, tails):
             bridge = 0
             if prev_tail is not None and abs(head - prev_tail) > 1e-9:
-                levels.append(_bridge_levels(prev_tail, head))
-                bridge = len(levels[-1])
-                noise.append(inst.rng.normal(0.0, 1.0, (bridge, height, width)))
-                if label_kind == LABEL_KIND_PHASE:
-                    annotations.extend(Annotation(offset + t, 0) for t in range(bridge))
-                offset += bridge
+                bridge = _bridge_steps(prev_tail, head)
+                ramps.append((prev_tail, head / prev_tail, bridge))
+                noise.append(inst.rng.standard_normal((bridge, pixels)))
             steps.append(bridge)
-            table = relabel[inst.geometry]
-            start = offset + inst.first
-            annotations.extend(
-                Annotation(start + i, table[s]) for i, s in enumerate(inst.states)
-            )
-            offset += inst.frames
             prev_tail = tail
-        if noise:
+        if ramps:
             ramp = np.concatenate(noise)
-            ramp += np.concatenate(levels)[:, None, None]
-            ramp = _to_adc(ramp)
+            ramp += _bridge_levels(*map(list, zip(*ramps)))[:, None]
+            ramp = _to_adc(ramp).reshape(-1, height, width)
+
         at = done = 0
         for inst, bridge in zip(block, steps):
             if bridge:
                 chunks.append(ramp[done : done + bridge])
                 done += bridge
+                if phases:
+                    annotations.extend(Annotation(offset + t, 0) for t in range(bridge))
+                offset += bridge
             chunks.append(frames[at : at + inst.frames])
+            if phases:
+                annotations.extend(map(Annotation, range(offset, offset + inst.frames),
+                                       states[at : at + inst.frames]))
+            else:
+                last = offset + inst.frames - LEAD_FRAMES - 1
+                annotations.append(Annotation(last, relabel[inst.geometry][inst.label]))
             at += inst.frames
+            offset += inst.frames
 
     frames = (
         np.concatenate(chunks)

@@ -6,8 +6,10 @@ central finite differences, k-means with the full distance matrix every
 round, the compressed-model bit codec one bit at a time, candidate
 detection frame by frame, temporal scaling one sample at a time, BPTT
 windows step by step, optimizer updates one array at a time and corpus
-instances through the public render and augment calls, so a test
-comparing the two exercises two independent routes to the same number.
+instances through a single-instance render (the renderer as it stood
+before the library rendered whole blocks of instances) and the public
+augment call, so a test comparing the two exercises two independent
+routes to the same number.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ import pytest
 
 from microgest.compression import KMEANS_MAX_ITER, KMEANS_TOL
 from microgest.errors import CorruptStream, InvalidParams, KTooLarge
-from microgest.features import LABEL_KIND_PHASE, AnnotatedSequence, Annotation
+from microgest.features import (
+    LABEL_KIND_GESTURE,
+    LABEL_KIND_PHASE,
+    AnnotatedSequence,
+    Annotation,
+)
 from microgest.inference import layer_forward
 from microgest.model import (
     Activation,
@@ -33,9 +40,11 @@ from microgest.model import (
     RnnState,
     chain,
 )
-from microgest.pipeline import Candidate, GestureClass
+from microgest.pipeline import Candidate, GestureClass, last_phase_state, phase_state
 from microgest import training
 from microgest.synth import (
+    _MOTION,
+    LEAD_FRAMES,
     Brightness,
     Gamma,
     GestureSynthParams,
@@ -44,7 +53,6 @@ from microgest.synth import (
     Rotate,
     augment,
     gesture_label_map,
-    synthesize_gesture,
 )
 from microgest.backprop import _pull_back, _train_kind
 from microgest.training import init_params
@@ -647,10 +655,140 @@ def oracle_scale_frames(frames, target: int) -> np.ndarray:
     return out
 
 
-# --- corpus assembly, one public call per step -------------------------------
+# --- rendering, one instance at a time ---------------------------------------
+# The renderer as it stood before the library rendered a whole block of
+# instances per pass: each instance's coverage maps, pixels and phase
+# states are built on their own, and its noise drawn as one array.
+
+def _band_coverage(path: np.ndarray, half_width: float, cells: int) -> np.ndarray:
+    """Coverage (T, cells) of equal cells on [0, 1] by a band at each path center."""
+    edges = np.arange(cells + 1) / cells
+    lo = np.maximum(edges[:-1], path[:, None] - half_width)
+    cov = np.minimum(edges[1:], path[:, None] + half_width)
+    cov -= lo
+    cov *= cells
+    np.maximum(cov, 0.0, out=cov)
+    return np.minimum(cov, 1.0, out=cov)
+
+
+def _sweep(
+    path: np.ndarray, half_width: float, motion: tuple[int, int], p: GestureSynthParams
+) -> np.ndarray:
+    """Coverage maps of a band moving along ``motion`` on ``path``, as a
+    ``(T, 1, W)`` or ``(T, H, 1)`` stack that broadcasts to ``(T, H, W)``.
+
+    ``path`` holds band centers in path coordinates (0 at the edge the band
+    enters from); the cells are flipped when the motion runs against the axis.
+    """
+    dx, dy = motion
+    cov = _band_coverage(path, half_width, p.width if dx else p.height)
+    if dx + dy < 0:
+        cov = cov[:, ::-1]
+    return cov[:, None, :] if dx else cov[:, :, None]
+
+
+def _crossing_path(p: GestureSynthParams) -> np.ndarray:
+    """Band centers of a full crossing, from just outside to just outside."""
+    t_cross = max(2, int(round(p.speed)))
+    w = p.occluder_width
+    return -w / 2 + (1.0 + w) * np.arange(t_cross) / (t_cross - 1)
+
+
+def _disturbance_coverage(p: GestureSynthParams, rng) -> np.ndarray:
+    """Coverage maps of a NO_GESTURE disturbance, hover or aborted swipe, as
+    a stack that broadcasts to ``(T, H, W)``."""
+    hold = max(14, int(round(p.speed / 3)))
+    if rng.random() < 0.5:
+        # hover: the whole field dims and recovers without lateral motion
+        ramp = max(3, int(round(p.speed / 6)))
+        depth = float(np.clip(p.occluder_width * 1.3, 0.25, 0.6))
+        up = np.linspace(0.0, 1.0, ramp + 1)[1:]
+        profile = np.concatenate([up, np.ones(hold), up[::-1]]) * depth
+        return profile[:, None, None]
+    # aborted swipe: the band enters partway, hesitates, and retreats
+    w = p.occluder_width
+    reach = rng.uniform(0.30, 0.45)
+    steps = max(4, int(round(p.speed / 2)))
+    path_in = -w / 2 + (reach + w / 2) * np.arange(1, steps + 1) / steps
+    path = np.concatenate([path_in, np.full(hold, reach), path_in[::-1]])
+    along_x = rng.random() < 0.5
+    sign = 1 if rng.random() < 0.5 else -1
+    return _sweep(path, w / 2, (sign, 0) if along_x else (0, sign), p)
+
+
+def _phase_states(p: GestureSynthParams, centers: np.ndarray) -> np.ndarray:
+    """Motion-phase state of every crossing frame, in path coordinates."""
+    g = p.direction
+    n = p.width if _MOTION[g][0] else p.height
+    lead = centers + p.occluder_width / 2
+    trail = centers - p.occluder_width / 2
+    return np.select(
+        [(lead <= 0.0) | (trail >= 1.0), lead <= (n // 2) / n, lead <= (n - 1) / n,
+         trail <= 1.0 / n],
+        [0, phase_state(g, 1), phase_state(g, 2), phase_state(g, 3)],
+        last_phase_state(g),
+    )
+
+
+def oracle_render(
+    p: GestureSynthParams, rng: np.random.Generator, labels: str
+) -> tuple[np.ndarray, int, list[int]]:
+    """Render one instance as ``(values, first, states)``: ``values`` are
+    its float pixels before ADC rounding, and annotation ``i`` marks frame
+    ``first + i`` with label ``states[i]``.  Every random draw comes from
+    ``rng``."""
+    if labels not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
+        raise InvalidParams(f"unknown label mode {labels!r}")
+    crossing = p.contrast > 0.0 and p.direction is not GestureClass.NO_GESTURE
+    if crossing:
+        centers = _crossing_path(p)
+        coverage = _sweep(centers, p.occluder_width / 2, _MOTION[p.direction], p)
+    elif p.contrast > 0.0:
+        coverage = _disturbance_coverage(p, rng)
+    else:
+        coverage = np.zeros((max(2, int(round(p.speed))), p.height, p.width))
+    n = coverage.shape[0]
+    stop = LEAD_FRAMES + n
+
+    # background * (1 - contrast * coverage) between steady lead frames
+    values = np.empty((stop + LEAD_FRAMES, p.height, p.width))
+    values[:LEAD_FRAMES] = p.background_brightness
+    values[stop:] = p.background_brightness
+    body = values[LEAD_FRAMES:stop]
+    np.multiply(coverage, p.contrast, out=body)
+    np.subtract(1.0, body, out=body)
+    body *= p.background_brightness
+    if p.noise_sigma > 0.0:
+        values += rng.normal(0.0, p.noise_sigma, values.shape)
+
+    if labels == LABEL_KIND_GESTURE:
+        effective = p.direction if crossing else GestureClass.NO_GESTURE
+        return values, stop - 1, [int(effective)]
+    states = np.zeros(values.shape[0], dtype=int)
+    if crossing:
+        states[LEAD_FRAMES:stop] = _phase_states(p, centers)
+    return values, 0, states.tolist()
+
+
+
+def oracle_synthesize(p, seed, labels=LABEL_KIND_GESTURE):
+    """``synthesize_gesture`` through :func:`oracle_render`."""
+    values, first, states = oracle_render(p, np.random.default_rng(seed), labels)
+    np.rint(values, out=values)
+    np.clip(values, 0, 1023, out=values)
+    return AnnotatedSequence(
+        width=p.width,
+        height=p.height,
+        frames=values.astype(np.uint16),
+        annotations=[Annotation(first + i, s) for i, s in enumerate(states)],
+        label_kind=labels,
+    )
+
+
+# --- corpus assembly, one call per step --------------------------------------
 
 def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture"):
-    """``build_corpus`` made of ``synthesize_gesture``, ``augment`` and
+    """``build_corpus`` made of :func:`oracle_synthesize`, ``augment`` and
     ``gesture_label_map`` calls, each instance drawing from its own fresh
     ``default_rng(iseed)`` streams.  Returns the corpus and the set of
     ``(geometry, gamma applied, brightness applied)`` its instances used."""
@@ -681,7 +819,7 @@ def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture"
             background_brightness=bg, contrast=contrast, noise_sigma=noise,
             width=width, height=height,
         )
-        seq = synthesize_gesture(params, seed=iseed, labels=label_kind)
+        seq = oracle_synthesize(params, iseed, label_kind)
         if geom is not None:
             seq = augment(seq, geom)
         gamma = irng.random() < 0.5

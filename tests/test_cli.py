@@ -71,6 +71,17 @@ def phase_setup(tmp_path_factory):
 
 # --- synth -------------------------------------------------------------------
 
+@pytest.mark.parametrize("where", ["missing_dir/x.mgds", "adir"])
+def test_synth_names_the_output_path_it_could_not_write(tmp_path, capsys, where):
+    # the error line once named the temporary file, x.mgds.<random>.tmp
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / where
+    rc, _, err = run(capsys, ["synth", "--out", out, "--per-class", 1])
+    assert rc == 1
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert repr(str(out)) in err and ".tmp" not in err
+
+
 def test_synth_writes_a_balanced_loadable_corpus(tmp_path, capsys):
     out = tmp_path / "ds.mgds"
     rc, _, _ = run(capsys, ["synth", "--out", out, "--per-class", "2",

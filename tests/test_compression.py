@@ -597,6 +597,25 @@ def test_huffman_decode_of_damaged_streams_matches_the_oracle(data, cut, draw):
     )
 
 
+def test_huffman_encode_of_a_code_deeper_than_64_bits_matches_the_oracle(monkeypatch):
+    # symbol i counted fib(i) times takes a 69-bit code, whose values need
+    # Python ints; counts like these are far beyond any stream, so the
+    # histogram is given and a short stream of its symbols is coded
+    import microgest.compression as compression
+
+    fib = [1, 1]
+    while len(fib) < 70:
+        fib.append(fib[-1] + fib[-2])
+    counts = np.zeros(256, dtype=np.int64)
+    counts[:70] = fib
+    monkeypatch.setattr(compression, "_histogram", lambda data: counts)
+    data = bytes(range(70)) + bytes([69, 0, 68, 1, 69, 3, 0, 0])
+    encoded, table = huffman_encode(data)
+    assert max(table.lengths.values()) == 69
+    assert encoded == oracle_encode_with_code(data, table.lengths)
+    assert huffman_decode(encoded, table) == data
+
+
 def test_decode_handles_a_code_two_hundred_bits_deep():
     # a complete code over every byte value: symbol s takes s + 1 bits, the
     # last two share 255

@@ -208,6 +208,26 @@ def test_failed_write_leaves_no_temp_file(tmp_path, model):
     assert list(tmp_path.iterdir()) == [target]
 
 
+_SAVES = {
+    "model": lambda path, model: save_model(path, *model),
+    "compressed": lambda path, model: save_compressed(path, _demo_compressed(True)[2]),
+    "dataset": lambda path, model: save_dataset(path, build_corpus(1, seed=0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SAVES))
+@pytest.mark.parametrize("where", ["missing_dir/x.bin", "adir"])
+def test_a_failed_write_names_the_given_path(tmp_path, model, kind, where):
+    # the error once named the temporary file, x.bin.<random>.tmp
+    (tmp_path / "adir").mkdir()
+    path = tmp_path / where
+    with pytest.raises(OSError) as info:
+        _SAVES[kind](path, model)
+    assert info.value.filename == str(path)
+    assert str(path) in str(info.value) and ".tmp" not in str(info.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
+
 # --- compressed model files ---------------------------------------------------
 
 def _demo_compressed(huffman):

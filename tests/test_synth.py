@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from microgest.errors import InvalidParams, NonSquareImage, ShapeMismatch
 from microgest.features import ADC_MAX, LABEL_KIND_GESTURE, LABEL_KIND_PHASE, Annotation
@@ -24,7 +25,7 @@ from microgest.synth import (
     synthesize_gesture,
 )
 
-from conftest import oracle_build_corpus
+from conftest import oracle_build_corpus, oracle_render, oracle_synthesize
 
 L2R = GestureClass.LEFT_TO_RIGHT
 R2L = GestureClass.RIGHT_TO_LEFT
@@ -112,6 +113,24 @@ def test_gamma_darkens_midtones():
     assert curved.frames.max() < flat.frames.max()
 
 
+@pytest.mark.parametrize("direction", [5, -1, 2.0, True, "L2R", None])
+def test_a_direction_that_is_not_a_gesture_class_is_refused(direction):
+    # 5 once raised a KeyError when rendered, and 2.0 rendered as class 2
+    with pytest.raises(InvalidParams):
+        GestureSynthParams(direction=direction)
+
+
+@pytest.mark.parametrize("labels", [LABEL_KIND_GESTURE, LABEL_KIND_PHASE])
+def test_an_integer_direction_renders_as_its_gesture_class(labels):
+    # 4 as a plain int once rendered a vertical sweep, not a disturbance
+    for g in GestureClass:
+        for value in (int(g), np.int64(g)):
+            params = _params(direction=value, noise_sigma=1.5)
+            assert params.direction is g
+            _same_sequence(synthesize_gesture(params, 3, labels),
+                           synthesize_gesture(_params(direction=g, noise_sigma=1.5), 3, labels))
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -140,6 +159,81 @@ def test_invalid_render_parameters_rejected(kw):
 def test_unknown_label_mode_rejected():
     with pytest.raises(InvalidParams):
         synthesize_gesture(_params(), seed=0, labels="bogus")
+
+
+def _same_sequence(got, want):
+    assert got.frames.dtype == want.frames.dtype
+    assert got.frames.shape == want.frames.shape
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.annotations == want.annotations
+    assert got.label_kind == want.label_kind
+
+
+def _same_render(params, seed, labels):
+    # the float pixels before ADC rounding, bit for bit, then the public call
+    import microgest.synth as synth
+
+    values, annotations = synth._render_one(params, np.random.default_rng(seed), labels)
+    want, first, states = oracle_render(params, np.random.default_rng(seed), labels)
+    assert values.shape == (len(want), params.width * params.height)
+    assert values.tobytes() == want.tobytes()
+    assert annotations == [Annotation(first + i, s) for i, s in enumerate(states)]
+    _same_sequence(synthesize_gesture(params, seed, labels),
+                   oracle_synthesize(params, seed, labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    direction=st.sampled_from(list(GestureClass)),
+    speed=st.one_of(st.sampled_from([2.0, 3.0, 4.0, 5.0, 9.0]), st.floats(2.0, 2.6),
+                    st.floats(2.0, 90.0)),
+    band=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 1.0)),
+    background=st.one_of(st.just(0.0), st.floats(0.0, ADC_MAX)),
+    contrast=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    noise=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    size=st.sampled_from([(1, 1), (2, 5), (4, 3), (8, 8)]),
+    labels=st.sampled_from([LABEL_KIND_GESTURE, LABEL_KIND_PHASE]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# band edges on the cell edges that bound the phases: half the field with
+# 2 cells, then 3/4 and 1/4 of it with 4 cells
+@example(direction=L2R, speed=4.0, band=0.5, background=800.0, contrast=0.8, noise=0.0,
+         size=(2, 5), labels=LABEL_KIND_PHASE, seed=0)
+@example(direction=L2R, speed=3.0, band=0.5, background=800.0, contrast=0.8, noise=0.0,
+         size=(4, 3), labels=LABEL_KIND_PHASE, seed=0)
+def test_rendering_equals_the_single_instance_oracle(
+    direction, speed, band, background, contrast, noise, size, labels, seed
+):
+    # synthesize_gesture is a block of one instance of the corpus renderer;
+    # the oracle renders each instance on its own, as the library did before
+    width, height = size
+    params = GestureSynthParams(
+        direction=direction, speed=speed, occluder_width=band,
+        background_brightness=background, contrast=contrast, noise_sigma=noise,
+        width=width, height=height,
+    )
+    _same_render(params, seed, labels)
+
+
+@pytest.mark.parametrize("labels", [LABEL_KIND_GESTURE, LABEL_KIND_PHASE])
+@pytest.mark.parametrize("width, height", [(1, 1), (2, 5), (4, 3), (8, 8)])
+def test_both_disturbances_equal_the_oracle(labels, width, height):
+    # a NO_GESTURE render's first draw picks a hover (below 0.5) or an
+    # aborted swipe; these seeds give both, and the swipe runs both ways
+    # along both axes
+    kinds = set()
+    for seed in range(24):
+        draws = np.random.default_rng(seed)
+        if draws.random() < 0.5:
+            kinds.add("hover")
+        else:
+            draws.uniform()  # how far the band reaches
+            kinds.add((draws.random() < 0.5, draws.random() < 0.5))  # axis, sign
+        for speed in (2.0, 23.5, 61.0):
+            params = GestureSynthParams(direction=NOG, speed=speed, occluder_width=0.37,
+                                        noise_sigma=1.5, width=width, height=height)
+            _same_render(params, seed, labels)
+    assert kinds == {"hover", (True, True), (True, False), (False, True), (False, False)}
 
 
 # --- augmentation ------------------------------------------------------------
@@ -443,7 +537,7 @@ def test_negative_per_class_rejected():
         dict(width=3.0), dict(height=np.float64(3)), dict(width=0), dict(height=-2),
         dict(per_class=0, width=0), dict(per_class=0, height=2.0),
         dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(seed="3"),
-        dict(per_class=0, seed=-1),
+        dict(per_class=0, seed=-1), dict(label_kind="bogus"),
     ],
     ids=repr,
 )
@@ -455,13 +549,13 @@ def test_bad_corpus_arguments_are_refused_before_any_instance_is_rendered(
     import microgest.synth as synth
 
     rendered = []
-    render = synth._render
+    render = synth._render_block
 
     def counting_render(*args, **kw):
         rendered.append(args)
         return render(*args, **kw)
 
-    monkeypatch.setattr(synth, "_render", counting_render)
+    monkeypatch.setattr(synth, "_render_block", counting_render)
     with pytest.raises(InvalidParams):
         build_corpus(**{"per_class": 1, "seed": 1, **kwargs})
     assert rendered == []
