@@ -71,7 +71,6 @@ from .pipeline import (
     FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,
-    ScaledCandidate,
     candidate_features,
     classify_candidate,
     evaluate_accuracy,

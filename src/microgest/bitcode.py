@@ -20,19 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CorruptStream, InvalidParams, _check_integer
+from .model import MAX_DENSE_WEIGHTS
 
 
 # --- fixed-width packing -----------------------------------------------------
 
 #: Widest packed value: unpacked values are int64.
 MAX_BIT_WIDTH = 63
-
-#: Most dense weights a loaded compressed model may expand to (the paper's
-#: largest network, 180-20-10-5, has 3,850), and so the most values a
-#: width-0 stream, which holds no bits to bound its count, may unpack to.
-#: A forged header could otherwise ask for terabytes.
-MAX_DENSE_WEIGHTS = 1 << 24
-
 
 def _check_width(width: int) -> None:
     _check_integer("bit width", width, 0, MAX_BIT_WIDTH)
@@ -62,6 +56,7 @@ def pack_bits(values: Sequence[int], width: int) -> bytes:
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits` for a known value count."""
     _check_width(width)
+    # a width-0 stream holds no bits to bound its count
     _check_integer("count", count, 0, None if width else MAX_DENSE_WEIGHTS)
     if width == 0:
         return np.zeros(count, dtype=int)

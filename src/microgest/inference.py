@@ -97,10 +97,10 @@ def approx_pow2(x):
 
     Accepts scalars or arrays.  Inputs with ``|x| > 126`` raise
     :class:`RangeExceeded` because the result would leave the float32
-    exponent range of the target hardware.
+    exponent range of the target hardware, and so does NaN.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 126.0):
+    if not (np.abs(arr) <= 126.0).all():
         raise RangeExceeded("approx_pow2 input must satisfy |x| <= 126")
     n = np.floor(arr)
     v = arr - n

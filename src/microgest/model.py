@@ -155,8 +155,25 @@ class Parameters:
     layers: list[LayerParams]
 
 
+#: Most dense weights a model may have (the paper's largest network,
+#: 180-20-10-5, has 3,850).  A mistyped architecture or a forged header
+#: could otherwise ask numpy for terabytes.
+MAX_DENSE_WEIGHTS = 1 << 24
+
+
+def _check_size(spec: ModelSpec, error: type[Exception] = InvalidParams) -> None:
+    """The size rule of fresh parameters and loaded compressed models, taken
+    before any weight array is allocated: at most :data:`MAX_DENSE_WEIGHTS`
+    dense weights in all, else ``error``."""
+    dense = sum(layer.neurons * layer.fan_in for layer in spec.layers)
+    if dense > MAX_DENSE_WEIGHTS:
+        raise error(f"{dense} dense weights, above the {MAX_DENSE_WEIGHTS} cap")
+
+
 def zero_params(spec: ModelSpec) -> Parameters:
-    """All-zero parameters with the shapes the architecture demands."""
+    """All-zero parameters with the shapes the architecture demands, which
+    must pass the size rule (:func:`_check_size`)."""
+    _check_size(spec)
     return Parameters(
         [
             LayerParams(np.zeros((l.neurons, l.fan_in)), np.zeros(l.neurons))

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitcode import MAX_DENSE_WEIGHTS, HuffmanTable, huffman_table_bytes, unpack_bits
+from .bitcode import HuffmanTable, huffman_table_bytes, unpack_bits
 from .compression import (
     CompressedLayer,
     CompressedModel,
@@ -52,6 +52,7 @@ from .model import (
     LayerParams,
     ModelSpec,
     Parameters,
+    _check_size,
     chain,
     validate,
 )
@@ -292,13 +293,11 @@ def load_compressed(path: str | Path) -> CompressedModel:
 
     Every malformed input raises ``CorruptStream``, ``Truncated`` or
     ``ShapeMismatch``, so a model that loads also decompresses to finite
-    parameters that fit its spec, at most ``MAX_DENSE_WEIGHTS`` of them.
+    parameters that fit its spec and its size rule (``model._check_size``).
     """
     header, payload = _unframe(path, MAGIC_COMPRESSED)
     spec = _spec_from_header(header)
-    dense = sum(layer.neurons * layer.fan_in for layer in spec.layers)
-    if dense > MAX_DENSE_WEIGHTS:
-        raise CorruptStream(f"{dense} dense weights, above the {MAX_DENSE_WEIGHTS} cap")
+    _check_size(spec, CorruptStream)
     table = _code_table(header)
     with _malformed("layer entry"):
         entries = [

@@ -94,10 +94,11 @@ def last_phase_state(gesture: GestureClass) -> int:
 
 @dataclass
 class Candidate:
-    """A stream window that may contain one gesture.
+    """A span of a stream that may contain one gesture.
 
-    ``frames`` has shape ``(L, H, W)``; ``start_index`` and ``end_index``
-    are the stream indices of its first and last frame (inclusive).
+    ``start_index`` and ``end_index`` are the stream indices of its first
+    and last frame (inclusive).  ``frames`` has shape ``(L, H, W)``; from
+    :func:`extract_candidates` it is a view of the stream, not a copy.
     ``truncated`` marks candidates cut short by the frame buffer capacity.
     """
 
@@ -108,15 +109,6 @@ class Candidate:
 
     def __len__(self) -> int:
         return int(self.frames.shape[0])
-
-
-@dataclass
-class ScaledCandidate:
-    """A candidate resampled to a fixed frame count; pixels are real-valued."""
-
-    frames: np.ndarray
-    start_index: int
-    end_index: int
 
 
 def _frame_pixels(stack: np.ndarray) -> int:
@@ -153,8 +145,8 @@ DETECTOR_BASELINE_ALPHA = 0.9
 def _considered(means, prevs):
     """The stability rule: a frame is considered when its mean equals the
     previous frame's mean or differs from it by less than
-    :data:`DETECTOR_STABILITY` of it.  Takes floats, or float64 arrays
-    element by element with the same IEEE operations."""
+    :data:`DETECTOR_STABILITY` of it.  Takes float64 arrays, element by
+    element with the IEEE operations of Python floats."""
     return (means == prevs) | (abs(means - prevs) < DETECTOR_STABILITY * prevs)
 
 
@@ -190,14 +182,13 @@ class CandidateDetector:
     and whole-stream detection share it: :meth:`push` takes one frame's
     mean and keeps just the frames a live index still refers to, while
     :func:`extract_candidates` takes the means of whole blocks of frames
-    and slices each candidate out of the stack.  A block's stability rule
-    is taken in one numpy call, element by element with the IEEE
-    operations a lone frame's takes.  While the detector is idle, a
-    stretch of considered frames that do not deviate runs through a tight
-    loop that only moves the rolling average, and the stretch then turns
-    into context at once; the general step would give each such frame the
-    same average and fold it into context one at a time, and context is
-    capped at ``pad`` either way.
+    and gives each candidate as a view of its slice of the stack.  Either
+    way the stability rule of the new frames is taken in one numpy call.
+    While the detector is idle, a stretch of considered frames that do not
+    deviate runs through a tight loop that only moves the rolling average,
+    and the stretch then turns into context at once; the general step would
+    give each such frame the same average and fold it into context one at a
+    time, and context is capped at ``pad`` either way.
 
     One detector instance serves one stream (single writer).  Feed frames
     with :meth:`push`; each call returns the candidates completed by that
@@ -244,11 +235,7 @@ class CandidateDetector:
         elif frame.shape != self._shape:
             raise ShapeMismatch(f"frame of shape {frame.shape} in a stream of {self._shape}")
         self._frames.append(frame)
-        mean = float(_frame_means(frame[np.newaxis])[0])
-        prev = self._prev_mean
-        return self._collect(
-            self._advance([mean], [prev is not None and _considered(mean, prev)])
-        )
+        return self._collect(self._advance(_frame_means(frame[np.newaxis])))
 
     def finish(self) -> list[Candidate]:
         """Flush a run still open at stream end."""
@@ -273,14 +260,20 @@ class CandidateDetector:
         self._first = self._mark - self._hist
         return found
 
-    def _advance(self, means, considered) -> list[tuple[int, int, bool]]:
-        """Step the state machine over the means of the next frames, given
-        whether each is considered (:func:`_considered` against the mean
-        before it; ignored for the stream's first frame).
+    def _advance(self, means: np.ndarray) -> list[tuple[int, int, bool]]:
+        """Step the state machine over the float64 means of the next frames.
 
-        Returns the index spans ``(first, last, truncated)`` of the
-        candidates completed on the way.
+        Each frame is considered or not by :func:`_considered` against the
+        mean before it, the stored previous mean for the first of them (the
+        stream's first frame needs none).  Returns the index spans
+        ``(first, last, truncated)`` of the candidates completed on the way.
         """
+        prevs = np.concatenate(
+            (means[:1] if self._prev_mean is None else [self._prev_mean], means[:-1])
+        )
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN here as for floats
+            considered = _considered(means, prevs).tolist()
+        means = means.tolist()
         deviation = DETECTOR_DEVIATION
         min_run, pad, capacity = self.min_run, self.pad, self.capacity
         alpha = DETECTOR_BASELINE_ALPHA
@@ -385,22 +378,17 @@ def extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]
     """Run the detector over a ``(T, H, W)`` frame stack.
 
     Frame means are computed a block of frames at a time; each candidate's
-    frames are one slice of the stack.
+    frames are a view of its slice of the stack, not a copy.
     """
     detector = CandidateDetector(**detector_kwargs)
     stack = np.asarray(frames)
     step = max(1, _BLOCK_PIXELS // _frame_pixels(stack))
     spans = []
     for start in range(0, len(stack), step):
-        means = _frame_means(stack[start : start + step])
-        prev = means[0] if detector._prev_mean is None else detector._prev_mean
-        prevs = np.concatenate(([prev], means[:-1]))
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN here as for floats
-            considered = _considered(means, prevs).tolist()
-        spans += detector._advance(means.tolist(), considered)
+        spans += detector._advance(_frame_means(stack[start : start + step]))
     spans += detector._close()
     return [
-        Candidate(stack[first : last + 1].copy(), first, last, truncated)
+        Candidate(stack[first : last + 1], first, last, truncated)
         for first, last, truncated in spans
     ]
 
@@ -453,27 +441,30 @@ def _resample(stack: np.ndarray, spans, target: int) -> np.ndarray:
     return out.reshape((len(ends), target) + stack.shape[1:])
 
 
-def scale_candidate(candidate, target: int = 20) -> ScaledCandidate:
+def scale_candidate(candidate, target: int = 20) -> Candidate:
     """Resample a candidate to ``target`` frames by linear interpolation.
 
     Sample times are spread evenly from the first to the last recorded
     frame; a sample at time ``t`` between frames ``i`` and ``i+1`` blends
     them as ``S_i * (i + 1 - t) + S_{i+1} * (t - i)``.  A candidate of
     exactly ``target`` frames passes through unchanged, which makes the
-    operation idempotent.  Whole streams of candidates go through the same
-    rule in one pass (:func:`_resample`).
+    operation idempotent.  The result keeps the candidate's indices and
+    ``truncated`` flag; a bare ``(L, H, W)`` stack counts as the span
+    ``0 .. L - 1``, not truncated.  Whole streams of candidates go through
+    the same rule in one pass (:func:`_resample`).
     """
-    whole = not isinstance(candidate, (Candidate, ScaledCandidate))
+    whole = not isinstance(candidate, Candidate)
     frames = np.asarray(candidate if whole else candidate.frames, dtype=float)
     if frames.ndim == 0:
         raise ShapeMismatch("a candidate must be a stack of frames, got a single value")
     last = len(frames) - 1
     (scaled,) = _resample(frames, [(0, last)], target)
-    start, end = (0, last) if whole else (candidate.start_index, candidate.end_index)
-    return ScaledCandidate(frames=scaled, start_index=start, end_index=end)
+    start, end, truncated = (0, last, False) if whole else (
+        candidate.start_index, candidate.end_index, candidate.truncated)
+    return Candidate(scaled, start, end, truncated)
 
 
-def candidate_features(scaled: ScaledCandidate) -> np.ndarray:
+def candidate_features(scaled: Candidate) -> np.ndarray:
     """Normalized, time-major flattened feature vector of a scaled candidate."""
     return scaled.frames.astype(float).ravel() / NORM_DIVISOR
 
@@ -496,7 +487,7 @@ def _check_candidate_model(spec: ModelSpec, features: int) -> None:
 
 
 def classify_candidate(
-    spec: ModelSpec, params: Parameters, scaled: ScaledCandidate
+    spec: ModelSpec, params: Parameters, scaled: Candidate
 ) -> GestureClass:
     """Classify one scaled candidate with a feed-forward model.
 
@@ -544,7 +535,7 @@ class FfnnRecognizer:
         spans = [(cand.start_index, cand.end_index) for cand in cands]
         events: list[Event] = []
         for cand, rows in zip(cands, _resample(stack, spans, self.target_frames)):
-            scaled = ScaledCandidate(rows, cand.start_index, cand.end_index)
+            scaled = Candidate(rows, cand.start_index, cand.end_index, cand.truncated)
             cls = classify_candidate(self.spec, self.params, scaled)
             if cls is not GestureClass.NO_GESTURE:
                 events.append((cand.end_index, cls))
@@ -570,16 +561,16 @@ def phase_events(states: Sequence[int]) -> list[Event]:
 def fsm_postprocess(outputs: Iterable[np.ndarray]) -> list[Event]:
     """Turn per-frame phase-state outputs into gesture events.
 
-    ``outputs`` is a sequence of activation vectors over the 17 phase
-    states.  Each frame is reduced to its argmax state, and the walk of
-    states goes through :func:`phase_events`.
+    ``outputs`` is a sequence of ``(17,)`` activation vectors over the
+    phase states.  Each frame is reduced to its argmax state, and the walk
+    of states goes through :func:`phase_events`.
     """
     states = []
     for vec in outputs:
         vec = np.asarray(vec, dtype=float)
-        if vec.shape[0] != N_PHASE_STATES:
+        if vec.shape != (N_PHASE_STATES,):
             raise ShapeMismatch(
-                f"phase output needs {N_PHASE_STATES} entries, got {vec.shape[0]}"
+                f"phase output needs shape ({N_PHASE_STATES},), got {vec.shape}"
             )
         states.append(int(vec.argmax()))
     return phase_events(states)

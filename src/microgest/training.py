@@ -60,6 +60,7 @@ from .model import (
     ModelSpec,
     Parameters,
     RnnState,
+    _check_size,
     validate,
 )
 
@@ -104,9 +105,10 @@ def init_params(spec: ModelSpec, seed: int) -> Parameters:
     Weights are drawn from a zero-mean normal whose variance is ``2/fan_in``
     for relu layers and ``1/fan_in`` otherwise, keeping activation scale
     roughly constant through depth.  Biases start at zero.  Deterministic
-    per seed.
+    per seed.  The spec must pass the size rule (``model._check_size``).
     """
     _check_seed(seed)
+    _check_size(spec)
     rng = np.random.default_rng(seed)
     layers = []
     for layer in spec.layers:

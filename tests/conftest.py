@@ -14,6 +14,8 @@ routes to the same number.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
 import math
 from collections import Counter, deque
@@ -852,6 +854,38 @@ def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture"
     corpus = AnnotatedSequence(width=width, height=height, frames=frames,
                                annotations=annotations, label_kind=label_kind)
     return corpus, combos
+
+
+# --- the loaded BLAS kernel --------------------------------------------------
+
+@functools.cache
+def openblas_kernel() -> str:
+    """Name of the OpenBLAS kernel numpy runs on, as OpenBLAS reports it:
+    the one it picked for this CPU, or the one ``OPENBLAS_CORETYPE`` forced
+    (``SkylakeX``, ``Haswell``, ``Sandybridge``, ...).  ``"not found"`` where
+    no OpenBLAS library that names its kernel is mapped into the process.
+
+    Each kernel sums a product in its own order, so the weight and gradient
+    digests pinned in ``test_training.py`` are recorded per kernel.  Print
+    it with ``PYTHONPATH=src:tests python -c "import conftest;
+    print(conftest.openblas_kernel())"``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:  # Linux; numpy has loaded OpenBLAS
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    kernels = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            if hasattr(handle, symbol):
+                corename = getattr(handle, symbol)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                kernels.append(corename().decode())
+                break
+    return ", ".join(kernels) or "not found"
 
 
 # --- random model construction -----------------------------------------------

@@ -508,6 +508,20 @@ def test_retraining_on_a_phase_corpus_is_one_error_line(
     assert not out.exists()
 
 
+def test_train_refuses_a_net_above_the_size_cap_and_estimate_prices_it(gesture_setup, capsys):
+    # a larger net, 100000-100000relu-5softmax, once ended in numpy's "Unable
+    # to allocate 74.5 GiB"; this one is refused before numpy allocates 134 MB
+    _, data, _ = gesture_setup
+    rc, _, err = run(capsys, ["train", "--data", data, "--arch", "4097-4097softmax",
+                              "--out", data.parent / "huge.mgnn"])
+    assert rc == 1
+    assert err.splitlines() == [err.strip()] and "16785409 dense weights, above the" in err
+    # estimate allocates nothing, so it prices both
+    for arch, weights in (("4097-4097softmax", 16_785_409),
+                          ("100000-100000relu-5softmax", 10_000_500_000)):
+        assert run_json(capsys, ["estimate", "--arch", arch])["weights"] == weights
+
+
 # --- estimate ----------------------------------------------------------------
 
 def test_estimate_arch_reports_exact_resource_numbers(capsys):

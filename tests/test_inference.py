@@ -76,6 +76,19 @@ def test_approx_pow2_range_limit():
         approx_pow2(np.array([0.0, 200.0]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: approx_pow2(math.nan),
+    lambda: approx_pow2(np.array([0.0, math.nan])),
+    lambda: approx_exp(math.nan),
+    lambda: approx_softmax(np.array([math.nan, 1.0])),
+], ids=["pow2-scalar", "pow2-array", "exp", "softmax"])
+def test_nan_is_out_of_the_fast_exponential_range(call):
+    # NaN once passed the range test and reached the integer cast, which
+    # warns "invalid value encountered in cast"
+    with pytest.raises(RangeExceeded):
+        call()
+
+
 def test_approx_pow2_relative_error_under_half_percent():
     x = np.linspace(-5.0, 5.0, 20001)
     rel = np.abs(approx_pow2(x) - np.exp2(x)) / np.exp2(x)

@@ -19,7 +19,6 @@ from microgest.pipeline import (
     FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,
-    ScaledCandidate,
     candidate_features,
     classify_candidate,
     extract_candidates,
@@ -61,6 +60,15 @@ def test_twelve_frame_dip_yields_one_padded_candidate():
     assert (cand.start_index, cand.end_index) == (10, 31)
     assert not cand.truncated
     assert np.array_equal(cand.frames, frames[10:32])
+
+
+def test_candidates_are_views_of_the_stream():
+    frames = _stream((20, 800), (12, 640), (30, 800), (100, 600), (20, 800)).astype(np.uint16)
+    cands = extract_candidates(frames)
+    assert len(cands) >= 2 and any(c.truncated for c in cands)
+    for cand in cands:
+        assert np.shares_memory(cand.frames, frames)
+        assert np.array_equal(cand.frames, frames[cand.start_index : cand.end_index + 1])
 
 
 def test_five_frame_dip_is_too_short():
@@ -279,8 +287,8 @@ def test_detector_equals_the_oracle_across_block_edges(shape, kwargs):
 
 
 def test_the_stability_rule_of_a_block_equals_that_of_each_frame():
-    # extract_candidates takes the rule over a block of means in one call,
-    # push over one frame's mean
+    # the detector takes the rule over an array of means in one call, the
+    # frame-based oracle over one frame's mean as Python floats
     rng = np.random.default_rng(72)
     prevs = np.concatenate([rng.uniform(0.0, 1023.0, 500), [0.0, 0.0, 700.0, 1e-300, 5.0]])
     means = np.concatenate([prevs[:500] * rng.uniform(0.98, 1.02, 500),
@@ -407,6 +415,16 @@ def test_scale_endpoints_are_preserved():
     assert np.allclose(scaled.frames[-1], frames[-1])
 
 
+@pytest.mark.parametrize("truncated", [False, True])
+def test_scale_keeps_the_span_and_truncation_of_a_candidate(truncated):
+    frames = np.random.default_rng(4).uniform(0, 1023, size=(80, 3, 3))
+    scaled = scale_candidate(Candidate(frames, 12, 91, truncated), 20)
+    assert type(scaled) is Candidate and scaled.frames.shape == (20, 3, 3)
+    assert (scaled.start_index, scaled.end_index, scaled.truncated) == (12, 91, truncated)
+    bare = scale_candidate(frames, 20)
+    assert (bare.start_index, bare.end_index, bare.truncated) == (0, 79, False)
+
+
 def test_scale_matches_linear_interpolation_oracle():
     rng = np.random.default_rng(2)
     for length in (2, 3, 19, 20, 21, 39, 80):
@@ -511,8 +529,8 @@ def test_stream_resampling_refuses_a_span_of_one_frame():
 # --- classification ----------------------------------------------------------
 
 def _scaled(frames):
-    return ScaledCandidate(frames=np.asarray(frames, dtype=float), start_index=0,
-                           end_index=len(frames) - 1)
+    return Candidate(frames=np.asarray(frames, dtype=float), start_index=0,
+                     end_index=len(frames) - 1)
 
 
 def test_candidate_features_flatten_and_normalize():
@@ -546,7 +564,7 @@ def test_recognizer_events_equal_a_per_candidate_loop(seed, target, uint16):
     params = init_params(spec, seed)
     want = []
     for cand in extract_candidates(frames):
-        scaled = ScaledCandidate(
+        scaled = Candidate(
             oracle_scale_frames(cand.frames, target), cand.start_index, cand.end_index
         )
         cls = classify_candidate(spec, params, scaled)
@@ -656,9 +674,15 @@ def test_phase_events_need_a_last_phase_state_then_idle():
     assert phase_events([0, 20, 0, 16, -1]) == []
 
 
-def test_fsm_rejects_wrong_vector_length():
-    with pytest.raises(ShapeMismatch):
-        fsm_postprocess([np.zeros(5)])
+@pytest.mark.parametrize("vec", [
+    np.zeros(5),
+    np.zeros((N_PHASE_STATES, 2)),  # once argmaxed over its 34 flat entries
+    np.zeros((1, N_PHASE_STATES)),
+    np.float64(3.0),  # once an IndexError
+], ids=["5", "17x2", "1x17", "scalar"])
+def test_fsm_rejects_wrong_vector_length(vec):
+    with pytest.raises(ShapeMismatch, match="phase output"):
+        fsm_postprocess([np.eye(N_PHASE_STATES)[0], vec])
 
 
 # --- accuracy metric ---------------------------------------------------------

@@ -18,6 +18,7 @@ from microgest.model import (
     Activation,
     LayerKind,
     RnnState,
+    _check_size,
     chain,
     parse_arch,
     zero_params,
@@ -42,6 +43,7 @@ from conftest import (
     OracleSgd,
     max_rel_error,
     numeric_grad,
+    openblas_kernel,
     oracle_window_route,
 )
 
@@ -87,6 +89,16 @@ def test_init_shapes_cover_recurrent_fan_in():
     params = init_params(spec, 0)
     assert params.layers[0].weights.shape == (6, 10)
     assert params.layers[1].weights.shape == (3, 6)
+
+
+@pytest.mark.parametrize("make", [lambda spec: init_params(spec, 0), zero_params],
+                         ids=["init_params", "zero_params"])
+def test_parameters_above_the_size_cap_are_refused_before_allocation(make):
+    # 4097 * 4097 = 16,785,409 weights, just above MAX_DENSE_WEIGHTS = 4096 * 4096;
+    # the refusal must come before numpy allocates the 134 MB
+    with pytest.raises(InvalidParams, match="16785409 dense weights, above the 16777216 cap"):
+        make(parse_arch("4097-4097softmax"))
+    _check_size(parse_arch("4096-4096softmax"))  # at the cap
 
 
 # --- configuration validation -------------------------------------------------
@@ -801,6 +813,12 @@ def test_one_window_backward_pass_stays_within_its_memory_bound():
 
 # --- pinned trained weights ---------------------------------------------------
 
+def _assert_pinned(digest, per_kernel):
+    kernel = openblas_kernel()
+    assert kernel in per_kernel, f"no digest recorded for OpenBLAS kernel {kernel}: got {digest}"
+    assert digest == per_kernel[kernel], f"OpenBLAS kernel {kernel}"
+
+
 def _params_sha(params) -> str:
     h = hashlib.sha256()
     for lp in params.layers:
@@ -845,20 +863,47 @@ def _pinned_bptt_run(kind):
     return train_rnn_bptt(spec, init_params(spec, 23), seqs, cfg, horizon=16)[0]
 
 
-# SHA-256 over every layer's float64 weights then biases, recorded with the
-# per-module forward passes that preceded the shared layer kernel
+# SHA-256 over every layer's float64 weights then biases, one per OpenBLAS
+# kernel (conftest.openblas_kernel), since each kernel sums a product in its
+# own order.  The SkylakeX digests were recorded with the per-module forward
+# passes that preceded the shared layer kernel; the others on one AVX-512
+# host with OPENBLAS_CORETYPE set for the test process alone.
 _PINNED_WEIGHTS = {
-    "train_ffnn": "d1c0aabdf71bb153f62e84420cde2da2a20ee392cab34016b918332c7be313ef",
-    "retrain_pruned": "29027595be7d6abdaf883b2d8354a6f2d72cdee08c8d0d8eb92c0a9fea6034cc",
-    "retrain_quantized": "8b8f0abfc431abd7be22d5b9b09ddb4e4e4e20327ce3daa19d9e7b5dc56f7269",
-    "train_rnn_bptt": "172c06c131a213ee0e7b73274a6e0f27307270044a3bc87426262c5109fcaa21",
+    "retrain_pruned": {
+        "SkylakeX": "29027595be7d6abdaf883b2d8354a6f2d72cdee08c8d0d8eb92c0a9fea6034cc",
+        "Haswell": "360827ab9804004fd03a4441baedcbacd1797f47dbf23a246013d7cf02e7f91c",
+        "Sandybridge": "34a019a533368d9cc0c40ee170190382f22e4e443427e91cefb65dcf0ce7b4d2",
+        "Nehalem": "23865b1e7253792ba5a097a3675ab65ca6c9a0e2117f800e003cd96d59269c09",
+        "Katmai": "81dc93a08a85436c161d448a0162d18204236356b79b766b95bdcf1ca7acf723",
+    },
+    "retrain_quantized": {
+        "SkylakeX": "8b8f0abfc431abd7be22d5b9b09ddb4e4e4e20327ce3daa19d9e7b5dc56f7269",
+        "Haswell": "81c604c0f24797db2e51b0d2e7629534f4ed398ba343056507d411b2bd4eebe7",
+        "Sandybridge": "1dae8eba7c55144711470f11514b5604e288de434b3b095b4080dfdd7569014d",
+        "Nehalem": "521cc47dbb5b5ba302d3ab3e5dfc22e8f944eba14f899aa36e7c5190dc115e7f",
+        "Katmai": "12557c763c3e98f95cb3e777a981c248037919a9a7e41ebe9457a8ad2e9bff54",
+    },
+    "train_ffnn": {
+        "SkylakeX": "d1c0aabdf71bb153f62e84420cde2da2a20ee392cab34016b918332c7be313ef",
+        "Haswell": "8f14e583635ed9aee73c7282b2636faec44cfbcd4bd87758702f84973ccbde22",
+        "Sandybridge": "557e54abd25d665626d5ff6c128853ba0cb414a00d4ca8bca4a20a9954811f82",
+        "Nehalem": "f0ab7ec1345edbe38d856519a077d44fd07e7562737def19375e509019d1364f",
+        "Katmai": "ad0195fdb69e15738335af73dcf61213534bb0c5742f880b37b03eb8ca8674f5",
+    },
+    "train_rnn_bptt": {
+        "SkylakeX": "172c06c131a213ee0e7b73274a6e0f27307270044a3bc87426262c5109fcaa21",
+        "Haswell": "1ac412276f24bd9e5deee2c7569759446449fa6430d84c7186aec4e128f28e27",
+        "Sandybridge": "9fbf425743455a5a9a3b11b46f0156dcb10fb9f89074248e21eae42f6c408f61",
+        "Nehalem": "a1df68d06efe22c026cb6c77443ae11bc09505de606607aa26fcf1330d29e368",
+        "Katmai": "9fbf425743455a5a9a3b11b46f0156dcb10fb9f89074248e21eae42f6c408f61",
+    },
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_PINNED_WEIGHTS))
 def test_trained_weights_are_pinned(kind):
     run = _pinned_bptt_run if kind == "train_rnn_bptt" else _pinned_ffnn_run
-    assert _params_sha(run(kind)) == _PINNED_WEIGHTS[kind]
+    _assert_pinned(_params_sha(run(kind)), _PINNED_WEIGHTS[kind])
 
 
 # --- pinned gradients ---------------------------------------------------------
@@ -886,25 +931,97 @@ def _pinned_gradients(net, kind):
 
 
 # SHA-256 over every layer's float64 weight gradients then bias gradients,
+# one per OpenBLAS kernel as for _PINNED_WEIGHTS; the SkylakeX digests were
 # recorded with separate element-wise and softmax derivative routines
 _PINNED_GRADIENTS = {
-    ("dense", "sigmoid"): "4d0c4d5cecd2ecf607831fbebb76c702a168266b605a35cc83708498615d64c1",
-    ("dense", "tanh"): "03867bef16dcb7a38430eddf0f0afe003e8e3e1a25eabec2c8178a232be72a1d",
-    ("dense", "hardsigmoid"): "80eec092aba3facf3bf43231247d50430bcb06d4b51b97f5da65334cab090bc9",
-    ("dense", "softsign"): "c55c3435a03143cc4574cc88b47d3df1bae7bb6b5ed6e3d5efbd52c757187465",
-    ("dense", "relu"): "7a693b0fc205a5f1b2d7c799e0dc4e84eefbfce840e22feda3079b87f2d6523d",
-    ("dense", "softmax"): "9d98cebe740143fe833ab5e56c40b6276fb4e4c865ba1a470278f7707d43ed12",
-    ("recurrent", "sigmoid"): "86cef87af9b5d2c67189cbeb389bb66c3312ce9f1950e202668d31f6c780f093",
-    ("recurrent", "tanh"): "db52763a6c940c2054a238f0ce00fd569264dec3e28127297472e53bb70e0993",
-    ("recurrent", "hardsigmoid"): "50fccc593056d8a5f9d7147e34f9134be3c4ff4befc622fb8c8cf62f1508626f",
-    ("recurrent", "softsign"): "68cef9ccccbc1096170a5b8973f157b2258cacf4e2bca353148ad3f5df495d11",
-    ("recurrent", "relu"): "5f26e2eb3a1bd2c06adf1e47ee7b19bf4341fc9191aa41025ab0e8cc99878197",
-    ("recurrent", "softmax"): "fe9d129011e31756f1bc435368851427688ac486a088c4b00f1b99e944f3b64b",
+    ("dense", "sigmoid"): {
+        "SkylakeX": "4d0c4d5cecd2ecf607831fbebb76c702a168266b605a35cc83708498615d64c1",
+        "Haswell": "2d42e0a3c2d5da33421c94bd426e2bb7d2e698576e0fc8c4ddaf2173f1383be1",
+        "Sandybridge": "92021678c7037218fb50d983bedf862fa2ef96271cd48e7ee548b93e9d7d4834",
+        "Nehalem": "0f4bb2fd6f97f0c8a6ce1a64f09803f0de67d90829e1984e5bc8a87c7c589e56",
+        "Katmai": "fc5d4b867b1f1f1f96960fc708785befa89b3cc014233f0fc7aea38d960e9ecd",
+    },
+    ("dense", "tanh"): {
+        "SkylakeX": "03867bef16dcb7a38430eddf0f0afe003e8e3e1a25eabec2c8178a232be72a1d",
+        "Haswell": "255c55b0d7d0ebe6db72375cc2509c7dd597c1e54141bcd6e6d843bf641aad86",
+        "Sandybridge": "e11b84f47cb0d841c823ab0f25a0b876118f93d3aee2f9f1b16181cf5092b5a5",
+        "Nehalem": "c09b2e6ae5d170ee1ab8ac302dc97e62b855eeedd14dc101145e270c9bce7fed",
+        "Katmai": "81e793aac9978e41479c68c7f87c8d4a81b329db1c19422ebc64591aada9edcc",
+    },
+    ("dense", "hardsigmoid"): {
+        "SkylakeX": "80eec092aba3facf3bf43231247d50430bcb06d4b51b97f5da65334cab090bc9",
+        "Haswell": "16ba07717d10841059d87d0762a4926b95e5a24e9bd484b16c4f0b2aba0711dd",
+        "Sandybridge": "58eaeb153c5d861598fc7f32e79a32715e260b97be740c835f2c87a9d8eb2284",
+        "Nehalem": "f6696537a226f844a1259d2040c1b90e6c82cde42947ed18f5f6c02f224d0d03",
+        "Katmai": "4cd1808aca4cf16a4fc37e5ac827feefbb295aa55834dbf65c989a0bb28ca258",
+    },
+    ("dense", "softsign"): {
+        "SkylakeX": "c55c3435a03143cc4574cc88b47d3df1bae7bb6b5ed6e3d5efbd52c757187465",
+        "Haswell": "b65e8a2a2f5ffef450d38b1410a2fb0f2c8ada48ac065e5a60d2651c6f6c0e66",
+        "Sandybridge": "e5822dd966d0d0dbf1a6e80606ecea6b74f4f293db319136a1e4a392efe4b800",
+        "Nehalem": "2e2ef707019629b744c0df1914007d74dc4aa2f759e5c181c0cd92858a53d30f",
+        "Katmai": "df7f9a474ae9fee174f7682bcea62bb926a6c688ebd2647434d794749862ac45",
+    },
+    ("dense", "relu"): {
+        "SkylakeX": "7a693b0fc205a5f1b2d7c799e0dc4e84eefbfce840e22feda3079b87f2d6523d",
+        "Haswell": "70d80a37aa11c97578d75836dd21505df662b17ad0040f518818112fa9a77210",
+        "Sandybridge": "c159735d3a687a1e5f0012d74748008fd8640a4231c20295ec30d4d5cad17c69",
+        "Nehalem": "1aa704e85ab81f9f9bc53aa5081eba510602dea7838fd6072a291496da8f3a92",
+        "Katmai": "763ce2ddd2076360497a1223554ef16c2a33206ea9f2c0f5afcd0ca72042bbc9",
+    },
+    ("dense", "softmax"): {
+        "SkylakeX": "9d98cebe740143fe833ab5e56c40b6276fb4e4c865ba1a470278f7707d43ed12",
+        "Haswell": "498fddb707f7e844a3c9814c2a09e8941941861bc8491937ad28c4d73d994d10",
+        "Sandybridge": "7c5333e4d06e40b3446177a76f311bd51fc5705b6780597edec381e36e9dacdc",
+        "Nehalem": "9959c0049f3aa70b6f1392df959e81ea556cd4783904cb59ff5f0db9479239f8",
+        "Katmai": "4bb3e3afd650105085c882da31188fdb282cb5ef5606ec3652fd005fab156156",
+    },
+    ("recurrent", "sigmoid"): {
+        "SkylakeX": "86cef87af9b5d2c67189cbeb389bb66c3312ce9f1950e202668d31f6c780f093",
+        "Haswell": "c7ca1a103e69fcbfb8f0d61e0a2d3f35236381b304b09efc33421b55e02b651c",
+        "Sandybridge": "dcbce917652b80e79fec942d61f299bcd529d53fa47728b82fe8d71b07aca930",
+        "Nehalem": "dcbce917652b80e79fec942d61f299bcd529d53fa47728b82fe8d71b07aca930",
+        "Katmai": "dcbce917652b80e79fec942d61f299bcd529d53fa47728b82fe8d71b07aca930",
+    },
+    ("recurrent", "tanh"): {
+        "SkylakeX": "db52763a6c940c2054a238f0ce00fd569264dec3e28127297472e53bb70e0993",
+        "Haswell": "6a560f3556a3d58c81ca19c15a249320db2b720a90772a1265fc7b22e732af57",
+        "Sandybridge": "14261df6594ab0c006f1bd31ed22474ad9079740be456e7a26fd96054773f73e",
+        "Nehalem": "14261df6594ab0c006f1bd31ed22474ad9079740be456e7a26fd96054773f73e",
+        "Katmai": "14261df6594ab0c006f1bd31ed22474ad9079740be456e7a26fd96054773f73e",
+    },
+    ("recurrent", "hardsigmoid"): {
+        "SkylakeX": "50fccc593056d8a5f9d7147e34f9134be3c4ff4befc622fb8c8cf62f1508626f",
+        "Haswell": "115e2aef55c8518fd38c8b57f6648c591610cd0faab15a16330c4213f710f89f",
+        "Sandybridge": "5c6982bed2fe1b5ade7a495280ef5734c3f24a539ee53d414ef77e1ff05829b7",
+        "Nehalem": "5c6982bed2fe1b5ade7a495280ef5734c3f24a539ee53d414ef77e1ff05829b7",
+        "Katmai": "5c6982bed2fe1b5ade7a495280ef5734c3f24a539ee53d414ef77e1ff05829b7",
+    },
+    ("recurrent", "softsign"): {
+        "SkylakeX": "68cef9ccccbc1096170a5b8973f157b2258cacf4e2bca353148ad3f5df495d11",
+        "Haswell": "c33aa14cba4302dd9bd705e56296c5a4491d753cb45991d6866dce3e01b06e17",
+        "Sandybridge": "a7d020aff5c64c620b9837bb53fd0cdf268220e1896731e10ea15c4f4a4c973b",
+        "Nehalem": "a7d020aff5c64c620b9837bb53fd0cdf268220e1896731e10ea15c4f4a4c973b",
+        "Katmai": "a7d020aff5c64c620b9837bb53fd0cdf268220e1896731e10ea15c4f4a4c973b",
+    },
+    ("recurrent", "relu"): {
+        "SkylakeX": "5f26e2eb3a1bd2c06adf1e47ee7b19bf4341fc9191aa41025ab0e8cc99878197",
+        "Haswell": "27e8ea6606607cdd0a7a01db38d7e1267509fa8f7058b7d325e16104b24e3064",
+        "Sandybridge": "27db778d401ac168a993cd242fd38811e9e3144d71a9b1c2030556e8908e272e",
+        "Nehalem": "27db778d401ac168a993cd242fd38811e9e3144d71a9b1c2030556e8908e272e",
+        "Katmai": "27db778d401ac168a993cd242fd38811e9e3144d71a9b1c2030556e8908e272e",
+    },
+    ("recurrent", "softmax"): {
+        "SkylakeX": "fe9d129011e31756f1bc435368851427688ac486a088c4b00f1b99e944f3b64b",
+        "Haswell": "c02b101e5ff8722204456fccc94dd3da4c5650931cad02ba22a470a784d2c32f",
+        "Sandybridge": "1b9ccfe0d32c878ab42376eba801367dcd1169bedce9883cf00101cbcda2167a",
+        "Nehalem": "1b9ccfe0d32c878ab42376eba801367dcd1169bedce9883cf00101cbcda2167a",
+        "Katmai": "1b9ccfe0d32c878ab42376eba801367dcd1169bedce9883cf00101cbcda2167a",
+    },
 }
 
 
 @pytest.mark.parametrize("net, kind", sorted(_PINNED_GRADIENTS))
 def test_gradients_are_pinned(net, kind):
-    assert _grads_sha(*_pinned_gradients(net, Activation(kind))) == (
-        _PINNED_GRADIENTS[net, kind]
-    )
+    _assert_pinned(_grads_sha(*_pinned_gradients(net, Activation(kind))),
+                   _PINNED_GRADIENTS[net, kind])
