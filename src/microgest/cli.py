@@ -24,7 +24,6 @@ from .estimator import Budget, CostModel, check_fit, load_config
 from .features import (
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
-    NORM_DIVISOR,
     AnnotatedSequence,
     Annotation,
     stream_features,
@@ -42,9 +41,10 @@ from .pipeline import (
     FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,
-    _check_candidate_model,
+    _candidate_frames,
+    _candidate_rows,
     _check_labels,
-    _resample,
+    _frame_pixels,
     extract_candidates,
     fsm_postprocess,
     label_candidates,
@@ -94,42 +94,22 @@ def _emit(args: argparse.Namespace, human: list[str], payload: dict) -> None:
 
 # --- shared dataset plumbing -------------------------------------------------
 
-def _candidate_frames(spec: ModelSpec, ds: AnnotatedSequence) -> int:
-    """Frames a candidate is rescaled to: ``spec``'s features are whole
-    frames of the stream's pixels."""
-    frames, extra = divmod(spec.features, ds.width * ds.height)
-    if extra:
-        raise ShapeMismatch(f"model expects {spec.features} features, not "
-                            f"whole {ds.width}x{ds.height} frames")
-    return frames
-
-
-def _candidate_dataset(
-    ds: AnnotatedSequence, spec: ModelSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_dataset(ds: AnnotatedSequence, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Detected candidates as a feature matrix with auto-assigned labels,
-    checked to come from a gesture-labelled corpus, to be non-empty, to fit
-    ``spec``'s outputs and ``spec`` to be a candidate model
-    (``pipeline._check_candidate_model``)."""
+    checked to come from a gesture-labelled corpus, ``spec`` to be a
+    candidate model (``pipeline._candidate_frames``) before anything is
+    detected, and the candidates to be non-empty."""
     if ds.label_kind != LABEL_KIND_GESTURE:
         raise InvalidParams(
             f"candidates need a {LABEL_KIND_GESTURE}-labelled corpus, "
             f"got {ds.label_kind} labels"
         )
-    cands = extract_candidates(np.asarray(ds.frames))
-    labelled = label_candidates(cands, ds.annotations)
+    target = _candidate_frames(spec, _frame_pixels(ds.frames))
+    labelled = label_candidates(extract_candidates(ds.frames), ds.annotations)
     if not labelled:
         raise InvalidParams("dataset yielded no training candidates")
-    spans = [(c.start_index, c.end_index) for c, _ in labelled]
-    X = _resample(ds.frames, spans, _candidate_frames(spec, ds))
-    X = X.reshape(len(X), -1)
-    X /= NORM_DIVISOR  # candidate_features' normalization, on every row at once
+    X = _candidate_rows(ds.frames, [c for c, _ in labelled], target)
     y = np.array([label for _, label in labelled], dtype=int)
-    if y.max() >= spec.output_size:
-        raise ShapeMismatch(
-            f"label {y.max()} needs more than {spec.output_size} outputs"
-        )
-    _check_candidate_model(spec, X.shape[1])
     return X, y
 
 
@@ -170,7 +150,8 @@ def _stream_events(spec, params, ds: AnnotatedSequence, phases: bool):
     model steps every frame and the FSM reads its states; otherwise the
     candidate recognizer runs."""
     if not phases:
-        return FfnnRecognizer(spec, params, _candidate_frames(spec, ds))(ds)
+        target = _candidate_frames(spec, _frame_pixels(ds.frames))
+        return FfnnRecognizer(spec, params, target)(ds)
     return fsm_postprocess(_rnn_outputs(spec, params, _phase_features(spec, ds)))
 
 

@@ -46,6 +46,7 @@ from .errors import (
     InvalidParams,
     KTooLarge,
     _check_integer,
+    _is_integer,
 )
 from .model import LayerParams, ModelSpec, Parameters, validate
 from .inference import record_macs
@@ -207,7 +208,6 @@ class QuantizedLayer:
 
     centroids: np.ndarray
     indices: np.ndarray
-    bits: int
 
 
 def _quantize(surviving: np.ndarray, k: int | None) -> QuantizedLayer:
@@ -219,7 +219,7 @@ def _quantize(surviving: np.ndarray, k: int | None) -> QuantizedLayer:
         centroids, assignment = np.unique(surviving, return_inverse=True)
     else:
         centroids, assignment, _ = kmeans_1d(surviving, k)
-    return QuantizedLayer(centroids, assignment, bits_per_index(len(centroids)))
+    return QuantizedLayer(centroids, assignment)
 
 
 # --- sparse address-map encoding ---------------------------------------------
@@ -376,12 +376,15 @@ def huffman_decode(encoded: bytes, table: HuffmanTable) -> bytes:
     offset decodes exactly as a bit-by-bit reader decodes it, errors
     included: a stream that runs out is ``bit stream ended inside a code
     word``, and one that matches nothing with more than ``max length``
-    bits left is ``no code word matches the stream``.
+    bits left is ``no code word matches the stream``.  A symbol count that
+    is not a whole number >= 0, or no code words for symbols, is corrupt.
     """
+    if not _is_integer(table.n_symbols) or table.n_symbols < 0:
+        raise CorruptStream(f"symbol count {table.n_symbols!r} is not a whole number >= 0")
     if table.n_symbols == 0:
         return b""
-    if min(table.lengths.values()) < 1:
-        raise CorruptStream("code word shorter than one bit")
+    if min(table.lengths.values(), default=0) < 1:
+        raise CorruptStream("code table without words, or with a word shorter than one bit")
     max_len = max(table.lengths.values())
     if max_len > 255 or not 0 <= min(table.lengths) <= max(table.lengths) <= 255:
         raise CorruptStream("code table out of range")

@@ -213,8 +213,12 @@ def layer_forward(
 
 
 def _vector(values, size: int, owner: str, noun: str = "inputs") -> np.ndarray:
-    """The input check of every stepper: one float vector of ``size`` entries."""
-    values = np.asarray(values, dtype=float)
+    """The input check of every stepper: one float vector of ``size`` entries.
+    Input numpy cannot read as floats is refused like a wrong shape."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"{owner} expects {size} {noun}, got non-numbers: {exc}") from None
     if values.shape != (size,):
         raise ShapeMismatch(f"{owner} expects {size} {noun}, got {values.shape}")
     return values

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from itertools import islice
 from typing import Callable, Iterable, Sequence
@@ -33,7 +33,7 @@ from .errors import (
     _is_integer,
 )
 from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
-from .inference import run_ffnn
+from .inference import _vector, run_ffnn
 from .model import ModelSpec, Parameters
 
 
@@ -457,11 +457,8 @@ def scale_candidate(candidate, target: int = 20) -> Candidate:
     frames = np.asarray(candidate if whole else candidate.frames, dtype=float)
     if frames.ndim == 0:
         raise ShapeMismatch("a candidate must be a stack of frames, got a single value")
-    last = len(frames) - 1
-    (scaled,) = _resample(frames, [(0, last)], target)
-    start, end, truncated = (0, last, False) if whole else (
-        candidate.start_index, candidate.end_index, candidate.truncated)
-    return Candidate(scaled, start, end, truncated)
+    (scaled,) = _resample(frames, [(0, len(frames) - 1)], target)
+    return Candidate(scaled, 0, len(frames) - 1) if whole else replace(candidate, frames=scaled)
 
 
 def candidate_features(scaled: Candidate) -> np.ndarray:
@@ -469,16 +466,19 @@ def candidate_features(scaled: Candidate) -> np.ndarray:
     return scaled.frames.astype(float).ravel() / NORM_DIVISOR
 
 
-def _check_candidate_model(spec: ModelSpec, features: int) -> None:
-    """The candidate-model contract, for training, evaluation and inference
-    alike: a feed-forward model with one input per candidate feature
-    (``features`` of them) and one output per gesture class."""
-    if spec.has_recurrent:
-        raise RecurrentLayerPresent("a candidate model must be feed-forward")
-    if features != spec.features:
-        raise ShapeMismatch(
-            f"candidates yield {features} features, model expects {spec.features}"
-        )
+def _candidate_rows(stack: np.ndarray, candidates, target: int) -> np.ndarray:
+    """The candidates' spans of ``stack`` resampled to ``target`` frames
+    (:func:`_resample`), flattened and normalized in place: one float64 row
+    per candidate, as :func:`candidate_features` gives it for the rescale."""
+    spans = [(cand.start_index, cand.end_index) for cand in candidates]
+    rows = _resample(stack, spans, target)
+    rows = rows.reshape(len(rows), target * math.prod(stack.shape[1:]))
+    rows /= NORM_DIVISOR
+    return rows
+
+
+def _check_outputs(spec: ModelSpec) -> None:
+    """A candidate model has one output per gesture class."""
     if spec.output_size != len(GestureClass):
         raise ShapeMismatch(
             f"candidate classes need a {len(GestureClass)}-output model, "
@@ -486,18 +486,32 @@ def _check_candidate_model(spec: ModelSpec, features: int) -> None:
         )
 
 
-def classify_candidate(
-    spec: ModelSpec, params: Parameters, scaled: Candidate
-) -> GestureClass:
-    """Classify one scaled candidate with a feed-forward model.
+def _candidate_frames(spec: ModelSpec, pixels: int) -> int:
+    """The candidate-model contract for training, evaluation and inference:
+    a feed-forward model whose features are at least 2 whole frames of
+    ``pixels``, one output per gesture class.  Returns the frame count."""
+    if spec.has_recurrent:
+        raise RecurrentLayerPresent("a candidate model must be feed-forward")
+    frames, extra = divmod(spec.features, pixels)
+    if extra:
+        raise ShapeMismatch(
+            f"model expects {spec.features} features, not whole frames of {pixels} pixels"
+        )
+    _check_target(frames)
+    _check_outputs(spec)
+    return frames
 
-    The feature order is time-major: all pixels of the first frame, then the
-    second, and so on.  Ties in the output argmax resolve to the lowest
-    class index.  The model must have one output per gesture class.
+
+def classify_candidate(spec: ModelSpec, params: Parameters, features: np.ndarray) -> GestureClass:
+    """Classify one candidate's feature row with a feed-forward model.
+
+    ``features`` is the row :func:`candidate_features` gives for a scaled
+    candidate: time-major, all pixels of the first frame, then the second,
+    and so on.  Ties in the output argmax resolve to the lowest class
+    index.  The model must have one output per gesture class.
     """
-    feats = candidate_features(scaled)
-    _check_candidate_model(spec, feats.shape[0])
-    out = run_ffnn(spec, params, feats)
+    _check_outputs(spec)
+    out = run_ffnn(spec, params, features)
     return GestureClass(int(np.argmax(out)))
 
 
@@ -515,10 +529,10 @@ class FfnnRecognizer:
     candidate's last frame index; NO_GESTURE classifications stay silent.
 
     The target frame count is checked on construction, and the model
-    against the stream (:func:`_check_candidate_model`) before anything is
-    detected.  All of a stream's candidates are resampled in one pass
-    (:func:`_resample`); each is then classified on its own through
-    :func:`classify_candidate`.
+    against the stream (:func:`_candidate_frames`, whose frame count must
+    be the target) before anything is detected.  A stream's feature rows
+    are built in one pass (:func:`_candidate_rows`); each row is then
+    classified on its own through :func:`classify_candidate`.
     """
 
     def __init__(self, spec: ModelSpec, params: Parameters, target_frames: int = 20) -> None:
@@ -530,13 +544,14 @@ class FfnnRecognizer:
     def __call__(self, stream) -> list[Event]:
         frames = stream.frames if isinstance(stream, AnnotatedSequence) else stream
         stack = np.asarray(frames)
-        _check_candidate_model(self.spec, self.target_frames * _frame_pixels(stack))
+        pixels = _frame_pixels(stack)
+        if _candidate_frames(self.spec, pixels) != self.target_frames:
+            raise ShapeMismatch(f"candidates yield {self.target_frames * pixels} "
+                                f"features, model expects {self.spec.features}")
         cands = extract_candidates(stack)
-        spans = [(cand.start_index, cand.end_index) for cand in cands]
         events: list[Event] = []
-        for cand, rows in zip(cands, _resample(stack, spans, self.target_frames)):
-            scaled = Candidate(rows, cand.start_index, cand.end_index, cand.truncated)
-            cls = classify_candidate(self.spec, self.params, scaled)
+        for cand, row in zip(cands, _candidate_rows(stack, cands, self.target_frames)):
+            cls = classify_candidate(self.spec, self.params, row)
             if cls is not GestureClass.NO_GESTURE:
                 events.append((cand.end_index, cls))
         return events
@@ -565,15 +580,9 @@ def fsm_postprocess(outputs: Iterable[np.ndarray]) -> list[Event]:
     phase states.  Each frame is reduced to its argmax state, and the walk
     of states goes through :func:`phase_events`.
     """
-    states = []
-    for vec in outputs:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (N_PHASE_STATES,):
-            raise ShapeMismatch(
-                f"phase output needs shape ({N_PHASE_STATES},), got {vec.shape}"
-            )
-        states.append(int(vec.argmax()))
-    return phase_events(states)
+    return phase_events([
+        int(_vector(vec, N_PHASE_STATES, "phase output", "states").argmax()) for vec in outputs
+    ])
 
 
 # --- accuracy metric ---------------------------------------------------------

@@ -15,7 +15,7 @@ from microgest import cli, pipeline
 from microgest.cli import main
 from microgest.estimator import activation_time, load_config
 from microgest.model import parse_arch
-from microgest.features import Annotation
+from microgest.features import AnnotatedSequence, Annotation
 from microgest.model_io import (
     compressed_payload_size,
     load_compressed,
@@ -202,7 +202,6 @@ def test_a_candidate_model_takes_as_many_frames_as_its_features_fill(
         calls.append((len(spans), target))
         return resample(stack, spans, target)
 
-    monkeypatch.setattr(cli, "_resample", spy)
     monkeypatch.setattr(pipeline, "_resample", spy)
     model = tmp_path / "m.mgnn"
     payload = run_json(capsys, ["train", "--data", data, "--arch", "90-5softmax",
@@ -490,7 +489,7 @@ def test_retraining_labels_beyond_the_model_outputs_are_one_error_line(
                               "--retrain-data", data, "--retrain-epochs", "1"])
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "more than 2 outputs" in err  # the CLI's own check, as for train
+    assert "5-output" in err  # the candidate-model contract, as for train
     assert not out.exists()
 
 
@@ -678,6 +677,19 @@ def test_a_phase_label_outside_the_state_space_is_one_error_line(
                  ["eval", "--model", model, "--data", bad]):
         err = _one_error_line(capsys, argv)
         assert f"phase label {label}" in err
+
+
+def test_a_stream_of_frames_without_pixels_is_one_error_line(tmp_path, gesture_setup, capsys):
+    # eval and infer once leaked a ZeroDivisionError from the frame count
+    _, _, model = gesture_setup
+    empty = tmp_path / "empty.mgds"
+    save_dataset(empty, AnnotatedSequence(0, 3, np.zeros((50, 3, 0), dtype=np.uint16)))
+    for argv in (["train", "--data", empty, "--arch", "180-8relu-5softmax",
+                  "--out", tmp_path / "m.mgnn", "--epochs", "1"],
+                 ["eval", "--model", model, "--data", empty],
+                 ["infer", "--model", model, "--data", empty, "--mode", "ffnn-candidates"]):
+        assert "have no pixels" in _one_error_line(capsys, argv)
+    assert not (tmp_path / "m.mgnn").exists()
 
 
 @pytest.mark.parametrize("label", [5, 7, -2])

@@ -533,6 +533,17 @@ def test_decode_rejects_unmatchable_stream():
         huffman_decode(b"\xff\xff", HuffmanTable({1: 0, 2: 1}, 4))  # a zero-bit word
 
 
+@pytest.mark.parametrize("table", [
+    HuffmanTable({}, 3),  # once a ValueError from min() of no lengths
+    HuffmanTable({1: 1, 2: 1}, 2.5),  # once a TypeError
+    HuffmanTable({1: 1, 2: 1}, -3),  # once decoded 5 bytes
+    HuffmanTable({1: 1, 2: 1}, True),  # once decoded as a count of 1
+], ids=["no-lengths", "2.5", "-3", "True"])
+def test_decode_refuses_a_table_without_a_whole_symbol_count_or_code_words(table):
+    with pytest.raises(CorruptStream):
+        huffman_decode(b"\x55\x55", table)
+
+
 @pytest.mark.parametrize("encoded, error", [
     (b"\x03", "bit stream ended inside a code word"),  # 00 00 00 11: two bits left
     (b"\x03\x00", "no code word matches the stream"),  # ten bits left

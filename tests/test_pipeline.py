@@ -11,7 +11,7 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 
 from microgest.errors import InvalidParams, RecurrentLayerPresent, ShapeMismatch, TooShort
-from microgest.features import NORM_DIVISOR, Annotation
+from microgest.features import Annotation
 from microgest.model import Activation, LayerKind, chain, parse_arch, zero_params
 from microgest.pipeline import (
     Candidate,
@@ -30,6 +30,7 @@ from microgest.pipeline import (
     phase_state,
     scale_candidate,
     _BLOCK_PIXELS,
+    _candidate_rows,
     _considered,
     _frame_means,
     _resample,
@@ -496,7 +497,8 @@ def test_scale_refuses_a_single_value():
 def test_stream_resampling_equals_each_candidate_rescaled_alone(data):
     # random spans of one stream, some exactly target frames long, in blocks
     # of one to many spans; every row must equal the lone rescale and the
-    # sample-by-sample oracle bit for bit
+    # sample-by-sample oracle bit for bit, and the feature rows of no spans
+    # are an empty matrix of the same width
     target = data.draw(st.integers(2, 60), label="target")
     lengths = data.draw(
         st.lists(st.one_of(st.just(target), st.integers(2, 120)), max_size=20),
@@ -513,7 +515,10 @@ def test_stream_resampling_equals_each_candidate_rescaled_alone(data):
     spans = [(s, s + n - 1) for s, n in zip(starts, lengths)]
     rows = _resample(frames, spans, target)
     assert rows.shape == (len(spans), target, height, width)
-    features = rows.reshape(len(spans), target * height * width) / NORM_DIVISOR
+    cands = [Candidate(frames[s : e + 1], s, e) for s, e in spans]
+    features = _candidate_rows(frames, cands, target)
+    assert features.shape == (len(spans), target * height * width)
+    assert _candidate_rows(frames, [], target).shape == (0, target * height * width)
     for (first, last), row, feats in zip(spans, rows, features):
         cand = Candidate(frames[first : last + 1].copy(), first, last)
         want = candidate_features(scale_candidate(cand, target))
@@ -543,13 +548,22 @@ def test_candidate_features_flatten_and_normalize():
 def test_classify_tie_resolves_to_lowest_class():
     spec = chain(180, [(LayerKind.DENSE, 5, Activation.SOFTMAX)])
     params = zero_params(spec)  # all outputs equal
-    cls = classify_candidate(spec, params, _scaled(np.full((20, 3, 3), 100.0)))
+    features = candidate_features(_scaled(np.full((20, 3, 3), 100.0)))
+    cls = classify_candidate(spec, params, features)
     assert cls is GestureClass.LEFT_TO_RIGHT
 
 
 def test_classify_rejects_wrong_feature_count():
     spec = chain(90, [(LayerKind.DENSE, 5, Activation.SOFTMAX)])
+    features = candidate_features(_scaled(np.zeros((20, 3, 3))))
     with pytest.raises(ShapeMismatch):
+        classify_candidate(spec, zero_params(spec), features)
+
+
+def test_classify_refuses_a_candidate_in_place_of_its_feature_row():
+    # classify_candidate takes candidate_features' row, not the candidate
+    spec = chain(180, [(LayerKind.DENSE, 5, Activation.SOFTMAX)])
+    with pytest.raises(ShapeMismatch, match="model expects 180 features"):
         classify_candidate(spec, zero_params(spec), _scaled(np.zeros((20, 3, 3))))
 
 
@@ -567,7 +581,7 @@ def test_recognizer_events_equal_a_per_candidate_loop(seed, target, uint16):
         scaled = Candidate(
             oracle_scale_frames(cand.frames, target), cand.start_index, cand.end_index
         )
-        cls = classify_candidate(spec, params, scaled)
+        cls = classify_candidate(spec, params, candidate_features(scaled))
         if cls is not GestureClass.NO_GESTURE:
             want.append((cand.end_index, cls))
     assert FfnnRecognizer(spec, params, target)(frames) == want
@@ -679,7 +693,8 @@ def test_phase_events_need_a_last_phase_state_then_idle():
     np.zeros((N_PHASE_STATES, 2)),  # once argmaxed over its 34 flat entries
     np.zeros((1, N_PHASE_STATES)),
     np.float64(3.0),  # once an IndexError
-], ids=["5", "17x2", "1x17", "scalar"])
+    ["x"] * N_PHASE_STATES,  # once numpy's ValueError
+], ids=["5", "17x2", "1x17", "scalar", "text"])
 def test_fsm_rejects_wrong_vector_length(vec):
     with pytest.raises(ShapeMismatch, match="phase output"):
         fsm_postprocess([np.eye(N_PHASE_STATES)[0], vec])
