@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .inference import layer_forward
+from .inference import _step_forward, layer_forward
 from .model import Activation, LayerKind, ModelSpec, RnnState
 
 
@@ -88,7 +88,9 @@ def _forward_window(net: _Net, Ws, bs, X_win, state: RnnState):
     sees.  A dense layer's rows go through the kernel once, stacked as
     ``(T, 1, fan_in)``, which numpy multiplies row by row exactly as it
     does a lone vector, so every row equals the per-step value bit for bit
-    and counts the same MACs; a recurrent layer steps (``_step_forward``).
+    and counts the same MACs; a recurrent layer steps through
+    :func:`microgest.inference._step_forward`, the loop inference steps
+    through too.
     """
     T = X_win.shape[0]
     U, Z, A = [], [], []
@@ -106,29 +108,6 @@ def _forward_window(net: _Net, Ws, bs, X_win, state: RnnState):
         A.append(a)
         below = a
     return U, Z, A
-
-
-def _step_forward(kind: Activation, W, b, u, n_in: int, prev: np.ndarray):
-    """A recurrent layer's steps through a window; returns its ``Z`` and
-    ``A`` rows.
-
-    Row ``t`` of ``u`` holds step ``t``'s input; its feedback columns,
-    from ``n_in`` on, get ``prev`` at the first step and each step's output
-    at the next, written as the step ends.  ``prev`` ends holding the last
-    output, the state the next window starts from.
-    """
-    feedback = u[:, n_in : W.shape[1]]
-    feedback[0] = prev
-    last = u.shape[0] - 1
-    zs, xs = [], []
-    for t, row in enumerate(u[:, : W.shape[1]]):
-        z, x = layer_forward(kind, W, b, row)
-        zs.append(z)
-        xs.append(x)
-        if t < last:
-            feedback[t + 1] = x
-    prev[:] = x
-    return np.array(zs), np.array(xs)
 
 
 # Steps per chunk of the gradient sums: a chunk's outer products are one

@@ -113,12 +113,6 @@ def _candidate_dataset(ds: AnnotatedSequence, spec: ModelSpec) -> tuple[np.ndarr
     return X, y
 
 
-def _rnn_outputs(spec, params, X: np.ndarray) -> list[np.ndarray]:
-    """Per-frame network outputs over a feature stream, from zero state."""
-    state = RnnState(spec)
-    return [step_rnn(spec, params, x, state) for x in X]
-
-
 def _phase_targets(ds: AnnotatedSequence) -> np.ndarray:
     """Per-frame phase-state labels of a stream, -1 where a frame has none."""
     targets = -np.ones(len(ds), dtype=int)
@@ -147,12 +141,12 @@ def _phase_features(spec: ModelSpec, ds: AnnotatedSequence) -> np.ndarray:
 
 def _stream_events(spec, params, ds: AnnotatedSequence, phases: bool):
     """Gesture events of a model over a stream.  With ``phases``, a phase
-    model steps every frame and the FSM reads its states; otherwise the
-    candidate recognizer runs."""
+    model steps through the stream as one block, from zero state, and the
+    FSM reads its states; otherwise the candidate recognizer runs."""
     if not phases:
         target = _candidate_frames(spec, _frame_pixels(ds.frames))
         return FfnnRecognizer(spec, params, target)(ds)
-    return fsm_postprocess(_rnn_outputs(spec, params, _phase_features(spec, ds)))
+    return fsm_postprocess(step_rnn(spec, params, _phase_features(spec, ds), RnnState(spec)))
 
 
 # --- commands ----------------------------------------------------------------
@@ -232,10 +226,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         stats = {"final_loss": history[-1] if history else None}
         if n_val:
-            outs = _rnn_outputs(spec, params, X[cut:])
+            outs = step_rnn(spec, params, X[cut:], RnnState(spec))
             labelled = targets[cut:] >= 0
             if labelled.any():
-                preds = np.array([int(np.argmax(o)) for o in outs])
+                preds = np.argmax(outs, axis=-1)
                 stats["val_accuracy"] = float(
                     np.mean(preds[labelled] == targets[cut:][labelled])
                 )

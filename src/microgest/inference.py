@@ -1,14 +1,26 @@
 """Forward-pass evaluation: activations, fast exponentials, layer stepping.
 
 Everything here mirrors what fits on an 8-bit AVR target: float32-friendly
-arithmetic, no temporaries larger than a layer, and a multiply-accumulate
-(MAC) counter that can be switched on to audit execution cost without
-changing any result.
+arithmetic, no per-frame temporaries larger than a layer, and a
+multiply-accumulate (MAC) counter that can be switched on to audit
+execution cost without changing any result.
 
 :func:`layer_forward` is the one layer kernel of the package and
-``_ACTIVATIONS`` its one activation table: the single-vector steppers here
-and the batched and windowed forward passes of :mod:`microgest.training`
-all compute their layers through it.
+``_ACTIVATIONS`` its one activation table: the steppers here and the
+batched and windowed forward passes of :mod:`microgest.training` all
+compute their layers through it.
+
+The steppers (:func:`forward_dense`, :func:`step_recurrent`,
+:func:`step_rnn` and :func:`run_ffnn`) take one vector or a time-major
+``(T, n)`` block of consecutive frames, checked by one input rule
+(``_frames``).  A block's rows, and the state it leaves in
+:class:`~microgest.model.RnnState`, equal stepping its frames one at a
+time, bit for bit: a dense layer runs once per block, stacked as
+``(T, 1, fan_in)``, which numpy multiplies row by row exactly as it does a
+lone vector, and a recurrent layer steps through ``_step_forward``, the
+package's one recurrent loop, which the BPTT windows of
+:mod:`microgest.backprop` step through too.  The MCU classifies one frame
+at a time; the host scores a stored stream as one block.
 
 The kernel and the activations run once per layer and time step, thousands
 of times per command, so code on a per-step path keeps to one rule: no
@@ -212,69 +224,136 @@ def layer_forward(
     return Z, _ACTIVATIONS[kind](Z)
 
 
-def _vector(values, size: int, owner: str, noun: str = "inputs") -> np.ndarray:
-    """The input check of every stepper: one float vector of ``size`` entries.
-    Input numpy cannot read as floats is refused like a wrong shape."""
+def _frames(values, size: int, owner: str, noun: str = "inputs") -> np.ndarray:
+    """The input rule of every stepper: one float vector of ``size``
+    entries, or a time-major ``(T, size)`` block of consecutive frames.
+    Input numpy cannot read as one float array (text, ragged rows) is
+    refused like a wrong shape."""
     try:
         values = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(f"{owner} expects {size} {noun}, got non-numbers: {exc}") from None
-    if values.shape != (size,):
+        raise ShapeMismatch(
+            f"{owner} expects {size} {noun}, got no float array: {exc}"
+        ) from None
+    if values.ndim not in (1, 2) or values.shape[-1] != size:
         raise ShapeMismatch(f"{owner} expects {size} {noun}, got {values.shape}")
     return values
 
 
-def forward_dense(layer: LayerSpec, lp: LayerParams, inputs: np.ndarray) -> np.ndarray:
-    """One dense layer: ``activation(W @ inputs + b)``.
+def _step_forward(kind: Activation, W, b, u, n_in: int, prev: np.ndarray):
+    """The one recurrent loop of the package: a recurrent layer's steps
+    through a block of ``T`` frames; returns its ``(T, neurons)`` ``Z`` and
+    ``A`` rows.
 
-    Performs exactly ``neurons * fan_in`` multiply-accumulates.
+    Row ``t`` of ``u`` holds step ``t``'s input in its first ``n_in``
+    columns; its feedback columns, from ``n_in`` to ``W.shape[1]``, get
+    ``prev`` at the first step and each step's output at the next, written
+    as the step ends.  Columns past those are not read.  ``prev`` ends
+    holding the last output, the state the next block starts from; a block
+    of no frames leaves it as it is.  :func:`step_recurrent` and the BPTT
+    windows of :mod:`microgest.backprop` both step through here.
     """
-    inputs = _vector(inputs, layer.input_size, "dense layer")
-    return layer_forward(layer.activation, lp.weights, lp.biases, inputs)[1]
+    fan_in = W.shape[1]
+    T = u.shape[0]
+    Z = np.empty((T, W.shape[0]))
+    A = np.empty((T, W.shape[0]))
+    if not T:
+        return Z, A
+    u[0, n_in:fan_in] = prev
+    rows = u[:, :fan_in]
+    feedback = u[1:, n_in:fan_in]
+    for t in range(T - 1):
+        Z[t], A[t] = layer_forward(kind, W, b, rows[t])
+        feedback[t] = A[t]
+    Z[-1], A[-1] = layer_forward(kind, W, b, rows[-1])
+    prev[:] = A[-1]
+    return Z, A
+
+
+def forward_dense(layer: LayerSpec, lp: LayerParams, inputs: np.ndarray) -> np.ndarray:
+    """One dense layer: ``activation(W @ inputs + b)``, on one input vector
+    or on each row of a ``(T, fan_in)`` block.
+
+    Performs exactly ``neurons * fan_in`` multiply-accumulates per row.  A
+    block goes through the kernel once, stacked as ``(T, 1, fan_in)``, which
+    numpy multiplies row by row exactly as it does a lone vector, so every
+    row equals the vector's result bit for bit.
+    """
+    inputs = _frames(inputs, layer.input_size, "dense layer")
+    if inputs.ndim == 1:
+        return layer_forward(layer.activation, lp.weights, lp.biases, inputs)[1]
+    return layer_forward(layer.activation, lp.weights, lp.biases, inputs[:, None, :])[1][:, 0]
 
 
 def step_recurrent(
     layer: LayerSpec, lp: LayerParams, inputs: np.ndarray, prev: np.ndarray
 ) -> np.ndarray:
-    """One recurrent layer step.
+    """One recurrent layer step, or one per row of a ``(T, fan_in)`` block
+    of consecutive frames.
 
     ``prev`` holds the layer's previous-step activations; it is overwritten
-    in place with the new activations, which are also returned.  The weight
-    matrix sees ``[inputs, prev]`` concatenated, feedback columns last.
+    in place with the last step's activations.  The new activations are
+    returned, one row per frame for a block.  The weight matrix sees
+    ``[inputs, prev]`` concatenated, feedback columns last.
     """
     if layer.kind is not LayerKind.RECURRENT:
         raise ShapeMismatch("step_recurrent needs a recurrent layer")
-    inputs = _vector(inputs, layer.input_size, "recurrent layer")
+    inputs = _frames(inputs, layer.input_size, "recurrent layer")
     if prev.shape != (layer.neurons,):
         raise ShapeMismatch(
             f"feedback state must have {layer.neurons} entries, got {prev.shape}"
         )
-    u = np.concatenate([inputs, prev])
-    _, out = layer_forward(layer.activation, lp.weights, lp.biases, u)
-    prev[:] = out
-    return out
+    u = np.empty((len(inputs) if inputs.ndim == 2 else 1, layer.fan_in))
+    u[:, : layer.input_size] = inputs
+    _, out = _step_forward(layer.activation, lp.weights, lp.biases, u, layer.input_size, prev)
+    return out if inputs.ndim == 2 else out[0]
 
 
 def run_ffnn(spec: ModelSpec, params: Parameters, features: np.ndarray) -> np.ndarray:
-    """Evaluate a pure feed-forward model on one feature vector."""
+    """Evaluate a pure feed-forward model on one feature vector, or on each
+    row of a ``(T, features)`` block."""
     if spec.has_recurrent:
         raise RecurrentLayerPresent("run_ffnn cannot evaluate recurrent layers")
-    x = _vector(features, spec.features, "model", "features")
+    x = _frames(features, spec.features, "model", "features")
     for layer, lp in zip(spec.layers, params.layers):
         x = forward_dense(layer, lp, x)
     return x
 
 
+# Frames per block that step_rnn runs its layers over: a longer block is cut
+# into blocks of this many, so a call's temporaries stay a few kilobytes a
+# layer whatever the length of the stream.  Over 150 passes of the phase-rnn
+# benchmark, whole streams left the peak RSS 0.31-0.66 MB above 128-frame
+# blocks on each of 8 seeds; 64, 128 and 256 read the same peak, and 128
+# the shortest flow.
+_BLOCK_FRAMES = 128
+
+
 def step_rnn(
     spec: ModelSpec, params: Parameters, features: np.ndarray, state: RnnState
 ) -> np.ndarray:
-    """Advance a (possibly recurrent) model by one time step.
+    """Advance a (possibly recurrent) model by one time step, or by one per
+    row of a time-major ``(T, features)`` block of consecutive frames.
 
     Dense layers behave exactly as in :func:`run_ffnn`; recurrent layers
-    consume and update their slot in ``state``.  The state belongs to one
-    stream only and must be reset at stream boundaries.
+    consume and update their slot in ``state``.  A block returns one output
+    row per frame and leaves ``state`` as stepping its frames one at a time
+    would, bit for bit; the layers run over it ``_BLOCK_FRAMES`` frames at a
+    time.  The state belongs to one stream only and must be reset at stream
+    boundaries.
     """
-    x = _vector(features, spec.features, "model", "features")
+    x = _frames(features, spec.features, "model", "features")
+    if x.ndim == 1:
+        return _step_layers(spec, params, x, state)
+    out = np.empty((len(x), spec.output_size))
+    for start in range(0, len(x), _BLOCK_FRAMES):
+        block = slice(start, start + _BLOCK_FRAMES)
+        out[block] = _step_layers(spec, params, x[block], state)
+    return out
+
+
+def _step_layers(spec: ModelSpec, params: Parameters, x: np.ndarray, state: RnnState):
+    """Every layer of ``spec`` over one checked vector or block."""
     for i, (layer, lp) in enumerate(zip(spec.layers, params.layers)):
         if layer.kind is LayerKind.RECURRENT:
             x = step_recurrent(layer, lp, x, state.layer(i))

@@ -44,6 +44,7 @@ from .errors import (
     ShapeMismatch,
     Truncated,
     VersionUnsupported,
+    _is_integer,
 )
 from .features import AnnotatedSequence, Annotation
 from .model import (
@@ -148,6 +149,14 @@ def _malformed(what: str):
         raise CorruptStream(f"malformed {what}: {exc}") from None
 
 
+def _count(value) -> int:
+    """A header count as written: a JSON integer.  Anything else, a float
+    that ``int()`` would truncate included, is a corrupt stream."""
+    if not _is_integer(value):
+        raise CorruptStream(f"header count {value!r} is not an integer")
+    return value
+
+
 def _finite_floats(buffer: bytes, count: int = -1, offset: int = 0,
                    what: str = "value") -> np.ndarray:
     """Little-endian float32 values widened to float, refused as a
@@ -176,11 +185,11 @@ def _spec_to_header(spec: ModelSpec) -> dict:
 def _spec_from_header(header: dict) -> ModelSpec:
     with _malformed("model description"):
         return chain(
-            int(header["features"]),
+            _count(header["features"]),
             [
                 (
                     LayerKind(entry["kind"]),
-                    int(entry["neurons"]),
+                    _count(entry["neurons"]),
                     Activation(entry["activation"]),
                 )
                 for entry in header["layers"]
@@ -277,8 +286,8 @@ def _code_table(header: dict) -> HuffmanTable | None:
         return None
     with _malformed("code table"):
         code = header["code"]
-        lengths = {int(sym): int(length) for sym, length in code["lengths"].items()}
-        table = HuffmanTable(lengths, int(code["n_symbols"]))
+        lengths = {int(sym): _count(length) for sym, length in code["lengths"].items()}
+        table = HuffmanTable(lengths, _count(code["n_symbols"]))
     # byte symbols; a code over at most 256 symbols is at most 255 bits deep
     if not lengths or not all(0 <= s <= 255 and 1 <= n <= 255 for s, n in lengths.items()):
         raise CorruptStream("code table out of range")
@@ -301,11 +310,11 @@ def load_compressed(path: str | Path) -> CompressedModel:
     table = _code_table(header)
     with _malformed("layer entry"):
         entries = [
-            (tuple(int(v) for v in e["shape"]), int(e["bits"]), int(e["n_centroids"]),
-             int(e["n_entries"]))
+            (tuple(_count(v) for v in e["shape"]), _count(e["bits"]),
+             _count(e["n_centroids"]), _count(e["n_entries"]))
             for e in header["layers"]
         ]
-        stage_sizes = {k: int(v) for k, v in header.get("stage_sizes", {}).items()}
+        stage_sizes = {k: _count(v) for k, v in header.get("stage_sizes", {}).items()}
     n_biases = [layer.neurons for layer in spec.layers]
     core_len = len(payload) - 4 * sum(n_biases)
     if core_len < 0:
@@ -373,13 +382,13 @@ def save_dataset(path: str | Path, dataset: AnnotatedSequence) -> None:
 def load_dataset(path: str | Path) -> AnnotatedSequence:
     header, payload = _unframe(path, MAGIC_DATASET)
     with _malformed("dataset header"):
-        width = int(header["width"])
-        height = int(header["height"])
-        n = int(header["n_frames"])
+        width = _count(header["width"])
+        height = _count(header["height"])
+        n = _count(header["n_frames"])
         fps = float(header["fps"])
         label_kind = str(header["label_kind"])
         annotations = [
-            Annotation(int(frame), int(label)) for frame, label in header["annotations"]
+            Annotation(_count(frame), _count(label)) for frame, label in header["annotations"]
         ]
     expected = 2 * n * width * height
     if len(payload) != expected:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     _is_integer,
 )
 from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
-from .inference import _vector, run_ffnn
+from .inference import _frames, run_ffnn
 from .model import ModelSpec, Parameters
 
 
@@ -573,16 +573,21 @@ def phase_events(states: Sequence[int]) -> list[Event]:
     ]
 
 
-def fsm_postprocess(outputs: Iterable[np.ndarray]) -> list[Event]:
+def fsm_postprocess(outputs) -> list[Event]:
     """Turn per-frame phase-state outputs into gesture events.
 
-    ``outputs`` is a sequence of ``(17,)`` activation vectors over the
-    phase states.  Each frame is reduced to its argmax state, and the walk
-    of states goes through :func:`phase_events`.
+    ``outputs`` is a ``(T, 17)`` block of activations over the phase
+    states, one row per frame, as :func:`~microgest.inference.step_rnn`
+    returns it for a stream (a sequence of ``(17,)`` vectors reads as one).
+    Each frame is reduced to its argmax state, and the walk of states goes
+    through :func:`phase_events`.
     """
-    return phase_events([
-        int(_vector(vec, N_PHASE_STATES, "phase output", "states").argmax()) for vec in outputs
-    ])
+    block = _frames(outputs, N_PHASE_STATES, "phase output", "states")
+    if block.ndim != 2:
+        raise ShapeMismatch(
+            f"phase output expects a (T, {N_PHASE_STATES}) block, got {block.shape}"
+        )
+    return phase_events(np.argmax(block, axis=-1).tolist())
 
 
 # --- accuracy metric ---------------------------------------------------------

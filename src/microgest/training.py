@@ -11,9 +11,11 @@ The forward passes own no arithmetic: every layer of a batch, of a BPTT
 window or of a BPTT time step goes through
 :func:`microgest.inference.layer_forward`, the same kernel and activation
 table that inference uses, so its multiply-accumulates are counted by
-:func:`microgest.inference.count_macs` too.  The kernel is called
-directly, not through ``forward_dense``, so per-layer timings taken around
-the inference steppers measure inference only.
+:func:`microgest.inference.count_macs` too.  The kernel, and for a
+recurrent layer inference's one stepping loop ``_step_forward``, are
+called directly, not through ``forward_dense`` or ``step_recurrent``, so
+per-layer timings taken around the inference steppers measure inference
+only.
 
 The backward kernels live in :mod:`microgest.backprop`: the one
 activation derivative ``_pull_back``, used by the minibatch backward pass

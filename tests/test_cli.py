@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from microgest import cli, pipeline
+from microgest import cli, inference, pipeline
 from microgest.cli import main
 from microgest.estimator import activation_time, load_config
 from microgest.model import parse_arch
@@ -275,6 +275,44 @@ def test_eval_phase_model_runs_end_to_end(phase_setup, capsys):
     rc, out, _ = run(capsys, ["eval", "--model", model, "--data", data])
     assert rc == 0
     assert "accuracy:" in out
+
+
+def _step_rnn_per_frame(spec, params, X, state):
+    """``step_rnn`` over a stream one frame at a time, as the phase commands
+    once stepped it."""
+    outs = [inference.step_rnn(spec, params, x, state) for x in X]
+    return np.array(outs).reshape(len(X), spec.output_size)
+
+
+def test_phase_commands_step_a_stream_as_one_block_as_frame_by_frame(
+    tmp_path, phase_setup, capsys, monkeypatch
+):
+    # train's validation, eval and infer pass each stream to step_rnn as one
+    # block; stepping it frame by frame must print the same JSON
+    _, data, _ = phase_setup
+
+    def commands(model):
+        return [
+            ["train", "--data", data, "--arch", "12-6relu-r9tanh-17softmax",
+             "--out", model, "--epochs", "1", "--seed", "4"],
+            ["eval", "--model", model, "--data", data],
+            ["infer", "--model", model, "--data", data, "--mode", "rnn-phases"],
+        ]
+
+    def payloads(model):
+        out = [run_json(capsys, argv) for argv in commands(model)]
+        out[0].pop("path")
+        for payload in out:  # the model's path
+            payload["config"].pop("out" if "out" in payload["config"] else "model")
+        return out
+
+    capsys.readouterr()  # what the fixture printed
+    blocks = payloads(tmp_path / "blocks.mgnn")
+    monkeypatch.setattr(cli, "step_rnn", _step_rnn_per_frame)
+    frames = payloads(tmp_path / "frames.mgnn")
+    assert "val_accuracy" in blocks[0]
+    assert blocks == frames
+    assert (tmp_path / "blocks.mgnn").read_bytes() == (tmp_path / "frames.mgnn").read_bytes()
 
 
 def test_phase_models_may_take_pixels_alone(tmp_path, phase_setup, capsys):

@@ -1,11 +1,14 @@
 """Forward passes, activations, fast exponentials, MAC instrumentation."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microgest import inference
+from microgest.estimator import count_weights
 from microgest.errors import (
     RangeExceeded,
     RecurrentLayerPresent,
@@ -328,8 +331,9 @@ def test_step_recurrent_rejects_dense_layer():
 
 
 # each shape is an array of zeros; text is input numpy cannot read as
-# floats, which once leaked numpy's ValueError
-_BAD_INPUTS = [(2,), (4,), (1, 3), (), ["a"] * 3]
+# floats, which once leaked numpy's ValueError.  A (T, 3) block is valid
+# input, so a wrong block has a wrong width or a third axis
+_BAD_INPUTS = [(2,), (4,), (1, 2), (1, 1, 3), (), ["a"] * 3]
 
 
 def _bad_input(shape):
@@ -344,12 +348,13 @@ def test_step_recurrent_rejects_a_wrong_input_shape(shape):
         step_recurrent(layer, lp, _bad_input(shape), np.zeros(2))
 
 
+@pytest.mark.parametrize("frames", [(3,), (4, 3), (0, 3)])
 @pytest.mark.parametrize("shape", [(1,), (3,), (1, 2), ()])
-def test_step_recurrent_rejects_a_wrong_state_shape(shape):
+def test_step_recurrent_rejects_a_wrong_state_shape(shape, frames):
     layer = LayerSpec(R, 3, 2, Activation.TANH)
     lp = LayerParams(np.zeros((2, 5)), np.zeros(2))
     with pytest.raises(ShapeMismatch, match="feedback state must have 2 entries"):
-        step_recurrent(layer, lp, np.zeros(3), np.zeros(shape))
+        step_recurrent(layer, lp, np.zeros(frames), np.zeros(shape))
 
 
 @pytest.mark.parametrize("shape", _BAD_INPUTS)
@@ -420,6 +425,122 @@ def test_feedback_makes_outputs_history_dependent():
     first = step_rnn(spec, params, np.array([1.0]), state).copy()
     second = step_rnn(spec, params, np.array([1.0]), state).copy()
     assert not np.array_equal(first, second)
+
+
+# --- time-major blocks of frames ---------------------------------------------
+
+# the layer kinds of a block test's architecture, input side first: dense
+# layers only, or a recurrent layer first, in the middle or as the output,
+# or two recurrent layers
+_BLOCK_LAYOUTS = ["D", "DD", "DDD", "R", "RD", "RDD", "DRD", "DDR", "DR",
+                  "RR", "RRD", "DRR", "RDR"]
+
+
+@st.composite
+def _block_specs(draw):
+    """An architecture of one of ``_BLOCK_LAYOUTS``; every layer draws its
+    activation from all of them, MAX only where it may go (dense layers)."""
+    layout = draw(st.sampled_from(_BLOCK_LAYOUTS))
+    width = st.integers(1, 6)
+    dense_kinds = st.sampled_from(list(Activation))
+    recurrent_kinds = st.sampled_from([a for a in Activation if a is not Activation.MAX])
+    return chain(draw(width), [
+        (D, draw(width), draw(dense_kinds)) if kind == "D"
+        else (R, draw(width), draw(recurrent_kinds))
+        for kind in layout
+    ])
+
+
+def _stepped_by_hand(spec, params, X, state):
+    """Every frame through every layer by the kernel, one frame at a time, a
+    recurrent layer's input concatenated with its state: the steppers'
+    arithmetic before they took blocks."""
+    outs = []
+    for x in X:
+        for i, (layer, lp) in enumerate(zip(spec.layers, params.layers)):
+            recurrent = layer.kind is R
+            u = np.concatenate([x, state.layer(i)]) if recurrent else x
+            x = layer_forward(layer.activation, lp.weights, lp.biases, u)[1]
+            if recurrent:
+                state.layer(i)[:] = x
+        outs.append(x)
+    return np.array(outs).reshape(len(X), spec.output_size)
+
+
+def _random_params(rng, spec, scale=1.0):
+    return Parameters([
+        LayerParams(rng.normal(size=(l.neurons, l.fan_in)) * scale, rng.normal(size=l.neurons))
+        for l in spec.layers
+    ])
+
+
+def _state_bytes(spec, state):
+    return [state.layer(i).tobytes() for i, l in enumerate(spec.layers) if l.kind is R]
+
+
+@contextmanager
+def _frames_per_block(n):
+    saved, inference._BLOCK_FRAMES = inference._BLOCK_FRAMES, n
+    try:
+        yield
+    finally:
+        inference._BLOCK_FRAMES = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_block_specs(), seed=st.integers(0, 2**31 - 1), length=st.integers(0, 64),
+       frames_per_block=st.integers(1, 70), data=st.data())
+def test_a_stream_in_blocks_equals_stepping_it_one_frame_at_a_time(
+    spec, seed, length, frames_per_block, data
+):
+    # bit for bit: outputs, the state left behind and the MACs counted, for a
+    # stream cut into random consecutive blocks (empty ones included), which
+    # step_rnn cuts again into blocks of _BLOCK_FRAMES
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, spec, rng.choice([0.1, 1.0, 10.0]))
+    X = 3.0 * rng.normal(size=(length, spec.features))
+    X[rng.random(length) < 0.2] = 0.0  # relu and hard-sigmoid kinks, ties
+    cuts = sorted(data.draw(st.lists(st.integers(0, length), max_size=5)))
+
+    hand_state = RnnState(spec)
+    want = _stepped_by_hand(spec, params, X, hand_state)
+    frame_state = RnnState(spec)
+    with count_macs() as per_frame:
+        frames = [step_rnn(spec, params, x, frame_state) for x in X]
+    block_state = RnnState(spec)
+    with count_macs() as per_block, _frames_per_block(frames_per_block):
+        blocks = [step_rnn(spec, params, X[a:b], block_state)
+                  for a, b in zip([0] + cuts, cuts + [length])]
+    got = np.concatenate(blocks)
+
+    assert all(b.shape == (len(b), spec.output_size) for b in blocks)
+    assert got.tobytes() == want.tobytes()
+    assert np.array(frames).reshape(want.shape).tobytes() == want.tobytes()
+    assert _state_bytes(spec, block_state) == _state_bytes(spec, hand_state)
+    assert _state_bytes(spec, frame_state) == _state_bytes(spec, hand_state)
+    assert per_block.count == per_frame.count == length * count_weights(spec)
+    if not spec.has_recurrent:
+        assert run_ffnn(spec, params, X).tobytes() == want.tobytes()
+
+
+def test_an_empty_block_gives_no_rows_and_leaves_the_state_untouched():
+    spec = chain(3, [(D, 4, Activation.RELU), (R, 2, Activation.TANH),
+                     (R, 5, Activation.SOFTMAX)])
+    rng = np.random.default_rng(8)
+    params = _random_params(rng, spec)
+    state = RnnState(spec)
+    step_rnn(spec, params, rng.normal(size=(3, 3)), state)
+    before = _state_bytes(spec, state)
+    with count_macs() as counter:
+        out = step_rnn(spec, params, np.zeros((0, 3)), state)
+        prev = state.layer(1)
+        hidden = step_recurrent(spec.layers[1], params.layers[1], np.zeros((0, 4)), prev)
+        dense = forward_dense(spec.layers[0], params.layers[0], np.zeros((0, 3)))
+    assert (out.shape, hidden.shape, dense.shape) == ((0, 5), (0, 2), (0, 4))
+    assert _state_bytes(spec, state) == before
+    assert counter.count == 0
+    ffnn = chain(3, [(D, 2, Activation.SOFTMAX)])
+    assert run_ffnn(ffnn, zero_params(ffnn), np.zeros((0, 3))).shape == (0, 2)
 
 
 # --- MAC instrumentation -----------------------------------------------------

@@ -33,6 +33,7 @@ from microgest.errors import (
 )
 from microgest.features import AnnotatedSequence, Annotation
 from microgest.model import LayerParams, Parameters, parse_arch, format_arch, validate
+from microgest import model_io
 from microgest.model_io import (
     compressed_payload_size,
     load_compressed,
@@ -444,6 +445,59 @@ def test_infinite_dataset_width_is_corrupt(tmp_path):
     _with_header_field(path, ("width",), float("inf"))
     with pytest.raises(CorruptStream):
         load_dataset(path)
+
+
+# every count a header holds, per file kind; "first" stands for the first
+# key of a mapping
+_HEADER_COUNTS = [
+    ("mgds", ("width",)),
+    ("mgds", ("height",)),
+    ("mgds", ("n_frames",)),
+    ("mgds", ("annotations", 0, 0)),
+    ("mgds", ("annotations", 0, 1)),
+    ("mgnn", ("features",)),
+    ("mgnn", ("layers", 1, "neurons")),
+    ("mgcm", ("features",)),
+    ("mgcm", ("layers", 1, "neurons")),
+    ("mgcm", ("code", "n_symbols")),
+    ("mgcm", ("code", "lengths", "first")),
+    ("mgcm", ("layers", 0, "shape", 1)),
+    ("mgcm", ("layers", 0, "bits")),
+    ("mgcm", ("layers", 0, "n_centroids")),
+    ("mgcm", ("layers", 0, "n_entries")),
+    ("mgcm", ("stage_sizes", "first")),
+]
+
+
+def _saved(kind, path):
+    """A valid file of ``kind`` at ``path``, with its loader."""
+    if kind == "mgds":
+        save_dataset(path, build_corpus(1, seed=1))
+        return load_dataset
+    if kind == "mgnn":
+        spec = parse_arch("4-3relu-2softmax")
+        save_model(path, spec, init_params(spec, 0))
+        return load_model
+    save_compressed(path, _demo_compressed(True)[2])
+    return load_compressed
+
+
+@pytest.mark.parametrize("damage", [lambda v: v + 0.5, float, str, lambda v: v == 1],
+                         ids=["fraction", "whole-float", "text", "bool"])
+@pytest.mark.parametrize("kind, keys", _HEADER_COUNTS)
+def test_a_header_count_that_is_not_a_json_integer_is_corrupt(tmp_path, kind, keys, damage):
+    # int() once read 3.5 as 3 and "3" as 3, so such a header loaded
+    path = tmp_path / f"file.{kind}"
+    load = _saved(kind, path)
+    magic, header, payload = _split(path.read_bytes())
+    node = header
+    for key in keys[:-1]:
+        node = node[key]
+    key = next(iter(sorted(node))) if keys[-1] == "first" else keys[-1]
+    node[key] = damage(node[key])
+    path.write_bytes(b"".join(bytes(piece) for piece in model_io._frame(magic, header, payload)))
+    with pytest.raises(CorruptStream, match="not an integer"):
+        load(path)
 
 
 # float32 bit patterns; widening the signalling NaN to float64 warns

@@ -700,6 +700,11 @@ def test_fsm_rejects_wrong_vector_length(vec):
         fsm_postprocess([np.eye(N_PHASE_STATES)[0], vec])
 
 
+def test_fsm_rejects_a_lone_vector_for_a_block():
+    with pytest.raises(ShapeMismatch, match=r"phase output expects a \(T, 17\) block"):
+        fsm_postprocess(np.eye(N_PHASE_STATES)[0])
+
+
 # --- accuracy metric ---------------------------------------------------------
 
 def test_event_at_tolerance_edge_counts():
