@@ -72,7 +72,6 @@ from .pipeline import (
     GestureClass,
     N_PHASE_STATES,
     candidate_features,
-    classify_candidate,
     evaluate_accuracy,
     extract_candidates,
     fsm_postprocess,

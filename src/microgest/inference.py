@@ -311,13 +311,11 @@ def step_recurrent(
 
 def run_ffnn(spec: ModelSpec, params: Parameters, features: np.ndarray) -> np.ndarray:
     """Evaluate a pure feed-forward model on one feature vector, or on each
-    row of a ``(T, features)`` block."""
+    row of a ``(T, features)`` block, by the pass of :func:`step_rnn`, whose
+    rule on outputs that are not finite it shares."""
     if spec.has_recurrent:
         raise RecurrentLayerPresent("run_ffnn cannot evaluate recurrent layers")
-    x = _frames(features, spec.features, "model", "features")
-    for layer, lp in zip(spec.layers, params.layers):
-        x = forward_dense(layer, lp, x)
-    return x
+    return _run_layers(spec, params, features, None, "run_ffnn")
 
 
 # Frames per block that step_rnn runs its layers over: a longer block is cut
@@ -340,15 +338,28 @@ def step_rnn(
     row per frame and leaves ``state`` as stepping its frames one at a time
     would, bit for bit; the layers run over it ``_BLOCK_FRAMES`` frames at a
     time.  The state belongs to one stream only and must be reset at stream
-    boundaries.
+    boundaries.  An output that is not finite raises :class:`RangeExceeded`:
+    finite weights, which :func:`~microgest.model.validate` accepts, can
+    still overflow a layer.
     """
+    return _run_layers(spec, params, features, state, "step_rnn")
+
+
+def _run_layers(spec: ModelSpec, params: Parameters, features, state, owner: str):
+    """The pass of :func:`step_rnn` and :func:`run_ffnn`.  The layers run
+    with numpy's overflow and invalid-value warnings off, and the output is
+    checked for NaN and infinity once per call."""
     x = _frames(features, spec.features, "model", "features")
-    if x.ndim == 1:
-        return _step_layers(spec, params, x, state)
-    out = np.empty((len(x), spec.output_size))
-    for start in range(0, len(x), _BLOCK_FRAMES):
-        block = slice(start, start + _BLOCK_FRAMES)
-        out[block] = _step_layers(spec, params, x[block], state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.ndim == 1:
+            out = _step_layers(spec, params, x, state)
+        else:
+            out = np.empty((len(x), spec.output_size))
+            for start in range(0, len(x), _BLOCK_FRAMES):
+                block = slice(start, start + _BLOCK_FRAMES)
+                out[block] = _step_layers(spec, params, x[block], state)
+    if not np.isfinite(out).all():
+        raise RangeExceeded(f"{owner} output is not finite: a layer overflowed")
     return out
 
 

@@ -477,15 +477,6 @@ def _candidate_rows(stack: np.ndarray, candidates, target: int) -> np.ndarray:
     return rows
 
 
-def _check_outputs(spec: ModelSpec) -> None:
-    """A candidate model has one output per gesture class."""
-    if spec.output_size != len(GestureClass):
-        raise ShapeMismatch(
-            f"candidate classes need a {len(GestureClass)}-output model, "
-            f"got {spec.output_size}"
-        )
-
-
 def _candidate_frames(spec: ModelSpec, pixels: int) -> int:
     """The candidate-model contract for training, evaluation and inference:
     a feed-forward model whose features are at least 2 whole frames of
@@ -498,21 +489,12 @@ def _candidate_frames(spec: ModelSpec, pixels: int) -> int:
             f"model expects {spec.features} features, not whole frames of {pixels} pixels"
         )
     _check_target(frames)
-    _check_outputs(spec)
+    if spec.output_size != len(GestureClass):
+        raise ShapeMismatch(
+            f"candidate classes need a {len(GestureClass)}-output model, "
+            f"got {spec.output_size}"
+        )
     return frames
-
-
-def classify_candidate(spec: ModelSpec, params: Parameters, features: np.ndarray) -> GestureClass:
-    """Classify one candidate's feature row with a feed-forward model.
-
-    ``features`` is the row :func:`candidate_features` gives for a scaled
-    candidate: time-major, all pixels of the first frame, then the second,
-    and so on.  Ties in the output argmax resolve to the lowest class
-    index.  The model must have one output per gesture class.
-    """
-    _check_outputs(spec)
-    out = run_ffnn(spec, params, features)
-    return GestureClass(int(np.argmax(out)))
 
 
 # --- recognizers and event streams -------------------------------------------
@@ -527,12 +509,15 @@ class FfnnRecognizer:
     :class:`AnnotatedSequence`) returns gesture events ``(frame, class)``.
     Every candidate classified as a swipe emits one event at the
     candidate's last frame index; NO_GESTURE classifications stay silent.
+    Ties in a candidate's output argmax resolve to the lowest class index.
 
     The target frame count is checked on construction, and the model
     against the stream (:func:`_candidate_frames`, whose frame count must
     be the target) before anything is detected.  A stream's feature rows
-    are built in one pass (:func:`_candidate_rows`); each row is then
-    classified on its own through :func:`classify_candidate`.
+    are built in one pass (:func:`_candidate_rows`) and classified in one
+    network pass: :func:`~microgest.inference.run_ffnn` on the
+    ``(N, features)`` block, each row of which equals that row run alone,
+    bit for bit.
     """
 
     def __init__(self, spec: ModelSpec, params: Parameters, target_frames: int = 20) -> None:
@@ -549,12 +534,13 @@ class FfnnRecognizer:
             raise ShapeMismatch(f"candidates yield {self.target_frames * pixels} "
                                 f"features, model expects {self.spec.features}")
         cands = extract_candidates(stack)
-        events: list[Event] = []
-        for cand, row in zip(cands, _candidate_rows(stack, cands, self.target_frames)):
-            cls = classify_candidate(self.spec, self.params, row)
-            if cls is not GestureClass.NO_GESTURE:
-                events.append((cand.end_index, cls))
-        return events
+        rows = _candidate_rows(stack, cands, self.target_frames)
+        classes = np.argmax(run_ffnn(self.spec, self.params, rows), axis=-1).tolist()
+        return [
+            (cand.end_index, GestureClass(cls))
+            for cand, cls in zip(cands, classes)
+            if cls != GestureClass.NO_GESTURE
+        ]
 
 
 def phase_events(states: Sequence[int]) -> list[Event]:

@@ -840,3 +840,21 @@ def test_infer_on_an_empty_stream_finds_nothing(
     payload = run_json(capsys, ["infer", "--model", model, "--data", empty,
                                 "--mode", "ffnn-candidates"])
     assert payload["events"] == []
+
+
+def test_a_model_whose_output_overflows_is_one_error_line(
+    tmp_path, gesture_setup, capsys
+):
+    # float32 weights that load_model accepts overflow float64 in 8 layers;
+    # the NaN outputs once drove the events silently
+    _, data, _ = gesture_setup
+    spec = parse_arch("180-8-8-8-8-8-8-8-5")
+    params = init_params(spec, 0)
+    for lp in params.layers:
+        lp.weights[:] = 3e38
+    model = tmp_path / "huge.mgnn"
+    save_model(model, spec, params)
+    for argv in (["eval", "--model", model, "--data", data],
+                 ["infer", "--model", model, "--data", data,
+                  "--mode", "ffnn-candidates"]):
+        assert "not finite" in _one_error_line(capsys, argv)

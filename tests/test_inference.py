@@ -543,6 +543,24 @@ def test_an_empty_block_gives_no_rows_and_leaves_the_state_untouched():
     assert run_ffnn(ffnn, zero_params(ffnn), np.zeros((0, 3))).shape == (0, 2)
 
 
+@pytest.mark.parametrize("inputs", [np.ones(2), np.ones((4, 2))], ids=["vector", "block"])
+@pytest.mark.parametrize("arch", [[(D, 3, Activation.RELU), (D, 5, Activation.SOFTMAX)],
+                                  [(R, 3, Activation.RELU), (D, 5, Activation.SOFTMAX)]],
+                         ids=["dense", "recurrent"])
+def test_a_model_output_that_overflows_is_range_exceeded(arch, inputs):
+    # finite weights validate() accepts; the product overflows, and it once
+    # leaked a RuntimeWarning, or returned NaN outputs with warnings off
+    spec = chain(2, arch)
+    params = zero_params(spec)
+    for lp in params.layers:
+        lp.weights[:] = 1e308
+    with pytest.raises(RangeExceeded, match="not finite"):
+        step_rnn(spec, params, inputs, RnnState(spec))
+    if not spec.has_recurrent:
+        with pytest.raises(RangeExceeded, match="not finite"):
+            run_ffnn(spec, params, inputs)
+
+
 # --- MAC instrumentation -----------------------------------------------------
 
 def test_three_layer_example_costs_15_macs():

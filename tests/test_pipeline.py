@@ -10,9 +10,11 @@ from conftest import (
 )
 from hypothesis import given, settings, strategies as st
 
+from microgest import pipeline
 from microgest.errors import InvalidParams, RecurrentLayerPresent, ShapeMismatch, TooShort
 from microgest.features import Annotation
-from microgest.model import Activation, LayerKind, chain, parse_arch, zero_params
+from microgest.inference import run_ffnn
+from microgest.model import parse_arch, zero_params
 from microgest.pipeline import (
     Candidate,
     CandidateDetector,
@@ -20,7 +22,6 @@ from microgest.pipeline import (
     GestureClass,
     N_PHASE_STATES,
     candidate_features,
-    classify_candidate,
     extract_candidates,
     fsm_postprocess,
     label_candidates,
@@ -545,46 +546,71 @@ def test_candidate_features_flatten_and_normalize():
     assert np.all(feats == 0.5)
 
 
-def test_classify_tie_resolves_to_lowest_class():
-    spec = chain(180, [(LayerKind.DENSE, 5, Activation.SOFTMAX)])
-    params = zero_params(spec)  # all outputs equal
-    features = candidate_features(_scaled(np.full((20, 3, 3), 100.0)))
-    cls = classify_candidate(spec, params, features)
-    assert cls is GestureClass.LEFT_TO_RIGHT
+def test_recognizer_ties_resolve_to_the_lowest_class():
+    # zero params give every class the same output
+    frames = build_corpus(2, seed=4).frames
+    spec = parse_arch("180-8relu-5softmax")
+    events = FfnnRecognizer(spec, zero_params(spec))(frames)
+    assert [end for end, _ in events] == [c.end_index for c in extract_candidates(frames)]
+    assert len(events) > 1
+    assert {cls for _, cls in events} == {GestureClass.LEFT_TO_RIGHT}
 
 
-def test_classify_rejects_wrong_feature_count():
-    spec = chain(90, [(LayerKind.DENSE, 5, Activation.SOFTMAX)])
-    features = candidate_features(_scaled(np.zeros((20, 3, 3))))
-    with pytest.raises(ShapeMismatch):
-        classify_candidate(spec, zero_params(spec), features)
+@st.composite
+def _candidate_archs(draw, target):
+    """A candidate model over ``target`` frames of 3x3 pixels: one to three
+    layers, hidden widths of 1 to 12, and one of the output kinds a
+    classifier takes its argmax from."""
+    hidden = draw(st.lists(st.tuples(st.integers(1, 12),
+                                     st.sampled_from(["relu", "tanh", "sigmoid"])),
+                           max_size=2))
+    output = draw(st.sampled_from(["softmax", "approxsoftmax", "max"]))
+    layers = [f"{n}{act}" for n, act in hidden] + [f"5{output}"]
+    return parse_arch("-".join([str(target * 9)] + layers))
 
 
-def test_classify_refuses_a_candidate_in_place_of_its_feature_row():
-    # classify_candidate takes candidate_features' row, not the candidate
-    spec = chain(180, [(LayerKind.DENSE, 5, Activation.SOFTMAX)])
-    with pytest.raises(ShapeMismatch, match="model expects 180 features"):
-        classify_candidate(spec, zero_params(spec), _scaled(np.zeros((20, 3, 3))))
-
-
-@given(st.integers(0, 2**31 - 1), st.sampled_from([10, 20]), st.booleans())
-@settings(max_examples=15, deadline=None)
-def test_recognizer_events_equal_a_per_candidate_loop(seed, target, uint16):
-    # about 15 candidates: several blocks of the stream's resampling
-    frames = build_corpus(3, seed=seed).frames
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.sampled_from([2, 10, 20]),
+       st.booleans(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_recognizer_block_events_equal_a_per_candidate_loop(
+    seed, per_class, target, uint16, data
+):
+    # the recognizer's one network pass over a stream's rows against
+    # run_ffnn on each candidate's row alone, resampled by the oracle; from
+    # 2 per class at 10 and 20 frames the rows span several resampling blocks
+    frames = build_corpus(per_class, seed=seed).frames
     if not uint16:
         frames = frames + np.random.default_rng(seed).uniform(-0.5, 0.5, frames.shape)
-    spec = parse_arch(f"{target * 9}-8relu-5softmax")
+    spec = data.draw(_candidate_archs(target))
     params = init_params(spec, seed)
-    want = []
-    for cand in extract_candidates(frames):
+    cands = extract_candidates(frames)
+    outs, want = [], []
+    for cand in cands:
         scaled = Candidate(
             oracle_scale_frames(cand.frames, target), cand.start_index, cand.end_index
         )
-        cls = classify_candidate(spec, params, candidate_features(scaled))
-        if cls is not GestureClass.NO_GESTURE:
-            want.append((cand.end_index, cls))
+        outs.append(run_ffnn(spec, params, candidate_features(scaled)))
+        cls = int(np.argmax(outs[-1]))
+        if cls != GestureClass.NO_GESTURE:
+            want.append((cand.end_index, GestureClass(cls)))
+    block = run_ffnn(spec, params, _candidate_rows(frames, cands, target))
+    assert block.tobytes() == np.array(outs).reshape(block.shape).tobytes()
     assert FfnnRecognizer(spec, params, target)(frames) == want
+
+
+def test_recognizer_makes_one_network_call_per_stream(monkeypatch):
+    calls = []
+
+    def counted(spec, params, features):
+        calls.append(np.shape(features))
+        return run_ffnn(spec, params, features)
+
+    monkeypatch.setattr(pipeline, "run_ffnn", counted)
+    frames = build_corpus(2, seed=4).frames
+    spec = parse_arch("180-8relu-5softmax")
+    FfnnRecognizer(spec, init_params(spec, 0))(frames)
+    n = len(extract_candidates(frames))
+    assert n > 1 and calls == [(n, 180)]
 
 
 @pytest.mark.parametrize("target", [1, 2.5, -3, True, None])
@@ -601,7 +627,7 @@ def test_recognizer_refuses_a_bad_target_on_construction(target):
     ("180-r8-5softmax", RecurrentLayerPresent),
 ])
 def test_recognizer_checks_its_model_against_the_stream_on_entry(arch, error):
-    # a steady stream has no candidates, so nothing reaches classify_candidate
+    # a steady stream has no candidates, so nothing reaches the network
     spec = parse_arch(arch)
     recognizer = FfnnRecognizer(spec, init_params(spec, 0), 20)
     with pytest.raises(error):
