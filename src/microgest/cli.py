@@ -116,8 +116,7 @@ def _candidate_dataset(ds: AnnotatedSequence, spec: ModelSpec) -> tuple[np.ndarr
 def _phase_targets(ds: AnnotatedSequence) -> np.ndarray:
     """Per-frame phase-state labels of a stream, -1 where a frame has none."""
     targets = -np.ones(len(ds), dtype=int)
-    for ann in ds.annotations:
-        targets[ann.frame] = ann.label
+    targets[ds.label_frames] = ds.labels
     return targets
 
 
@@ -152,37 +151,17 @@ def _stream_events(spec, params, ds: AnnotatedSequence, phases: bool):
 # --- commands ----------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    corpus = build_corpus(
-        args.per_class,
-        seed=args.seed,
-        width=args.width,
-        height=args.height,
-        label_kind=args.labels,
-    )
+    corpus = build_corpus(args.per_class, seed=args.seed, width=args.width,
+                          height=args.height, label_kind=args.labels)
     save_dataset(args.out, corpus)
-    counts: dict[str, int] = {}
-    for ann in corpus.annotations:
-        if args.labels == LABEL_KIND_GESTURE:
-            name = GestureClass(ann.label).name.lower()
-        else:
-            name = f"state_{ann.label}"
-        counts[name] = counts.get(name, 0) + 1
-    human = [
-        f"wrote {args.out}: {len(corpus)} frames, "
-        f"{len(corpus.annotations)} annotations"
-    ]
-    for name in sorted(counts):
-        human.append(f"  {name}: {counts[name]}")
-    _emit(
-        args,
-        human,
-        {
-            "path": str(args.out),
-            "frames": len(corpus),
-            "annotations": len(corpus.annotations),
-            "counts": counts,
-        },
-    )
+    names = ([g.name.lower() for g in GestureClass] if args.labels == LABEL_KIND_GESTURE
+             else [f"state_{s}" for s in range(N_PHASE_STATES)])
+    tally = np.bincount(corpus.labels, minlength=len(names)).tolist()
+    counts = {name: n for name, n in zip(names, tally) if n}
+    human = [f"wrote {args.out}: {len(corpus)} frames, {len(corpus.labels)} annotations"]
+    human.extend(f"  {name}: {counts[name]}" for name in sorted(counts))
+    _emit(args, human, {"path": str(args.out), "frames": len(corpus),
+                        "annotations": len(corpus.labels), "counts": counts})
     return 0
 
 

@@ -204,6 +204,11 @@ LABEL_KIND_GESTURE = "gesture"
 LABEL_KIND_PHASE = "phase"
 
 
+def _check_label_kind(kind: str) -> None:
+    if kind not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
+        raise InvalidParams(f"unknown label kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class Annotation:
     """A label attached to one frame of a stream."""
@@ -212,21 +217,52 @@ class Annotation:
     label: int
 
 
+def _label_array(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D int64 array under the integer rule
+    (``errors._is_integer``): a bool, a float or a value outside int64 is
+    refused, never cast.  A list's bools turn into integers in its array,
+    so its element types are looked at too."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list
+        array = None
+    if array is None or array.ndim != 1:
+        raise ShapeMismatch(f"{name} must be a one-dimensional sequence")
+    if array.size and (
+        array.dtype.kind not in "iu"
+        or (array.dtype == np.uint64 and array.max() > np.iinfo(np.int64).max)
+        or (not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)))
+    ):
+        raise InvalidParams(f"{name} hold a value that is not an integer within 64 bits")
+    return array.astype(np.int64, copy=False)
+
+
+def _first_outside(values: np.ndarray, stop: int) -> int | None:
+    """The first of the int64 ``values`` outside ``0 .. stop - 1``, or None.
+    A negative value viewed as unsigned lies above every ``stop``, so one
+    comparison checks both ends."""
+    outside = values[values.view(np.uint64) >= stop]
+    return int(outside[0]) if outside.size else None
+
+
 @dataclass
 class AnnotatedSequence:
     """A frame stream plus sparse or per-frame labels.
 
     ``frames`` has shape ``(T, height, width)`` with ADC-range values.
-    ``label_kind`` says how annotation labels are meant: ``"gesture"``
-    labels name a gesture class at its final frame, ``"phase"`` labels give
-    the motion-phase state of that frame.  ``fps``, the frame rate, must be
-    finite and above zero.
+    The labels are two 1-D int64 arrays of equal length: ``labels[i]`` is
+    attached to frame ``label_frames[i]``; anything but integers within
+    64 bits is refused at construction.  ``label_kind`` says how labels
+    are meant: ``"gesture"`` labels name a gesture class at its final
+    frame, ``"phase"`` labels give the motion-phase state of that frame.
+    ``fps``, the frame rate, must be finite and above zero.
     """
 
     width: int
     height: int
     frames: np.ndarray
-    annotations: list[Annotation] = field(default_factory=list)
+    label_frames: np.ndarray = ()
+    labels: np.ndarray = ()
     label_kind: str = LABEL_KIND_GESTURE
     fps: float = 40.0
 
@@ -237,20 +273,26 @@ class AnnotatedSequence:
                 f"frames shape {self.frames.shape}, expected "
                 f"(T, {self.height}, {self.width})"
             )
-        if self.label_kind not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
-            raise InvalidParams(f"unknown label kind {self.label_kind!r}")
+        self.label_frames = _label_array("label_frames", self.label_frames)
+        self.labels = _label_array("labels", self.labels)
+        if self.label_frames.shape != self.labels.shape:
+            raise ShapeMismatch(f"{self.label_frames.size} label frames, {self.labels.size} labels")
+        _check_label_kind(self.label_kind)
         if not 0.0 < self.fps < math.inf:  # NaN fails both comparisons
             raise InvalidParams(f"fps must be finite and > 0, got {self.fps}")
 
     def __len__(self) -> int:
         return int(self.frames.shape[0])
 
+    @property
+    def annotations(self) -> list[Annotation]:
+        """The labels as a new list of :class:`Annotation` objects, in order."""
+        return list(map(Annotation, self.label_frames.tolist(), self.labels.tolist()))
+
     def check(self) -> None:
-        """Validate pixel values and annotation frame indices."""
+        """Validate pixel values and label frame indices."""
         _check_pixels(self.frames)
         length = len(self)
-        for ann in self.annotations:
-            if not (0 <= ann.frame < length):
-                raise InvalidParams(
-                    f"annotation frame {ann.frame} outside stream of {length}"
-                )
+        frame = _first_outside(self.label_frames, length)
+        if frame is not None:
+            raise InvalidParams(f"annotation frame {frame} outside stream of {length}")

@@ -15,6 +15,7 @@ into an array of its own; a loaded dataset's frames are that array.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -40,13 +41,14 @@ from .errors import (
     ChecksumMismatch,
     CorruptStream,
     IllegalActivationPlacement,
+    MicrogestError,
     NonFiniteParameter,
     ShapeMismatch,
     Truncated,
     VersionUnsupported,
     _is_integer,
 )
-from .features import AnnotatedSequence, Annotation
+from .features import AnnotatedSequence, _label_array
 from .model import (
     Activation,
     LayerKind,
@@ -278,6 +280,10 @@ def save_compressed(path: str | Path, cm: CompressedModel) -> None:
     _atomic_write(path, _frame(MAGIC_COMPRESSED, header, core + bias_block(cm)))
 
 
+# each byte symbol by its code-table key, spelled as save_compressed writes it
+_SYMBOL_OF_KEY = {str(sym): sym for sym in range(256)}
+
+
 def _code_table(header: dict) -> HuffmanTable | None:
     """The header's Huffman code table, or None when the core is stored plain."""
     if not isinstance(header.get("huffman"), bool):
@@ -286,10 +292,11 @@ def _code_table(header: dict) -> HuffmanTable | None:
         return None
     with _malformed("code table"):
         code = header["code"]
-        lengths = {int(sym): _count(length) for sym, length in code["lengths"].items()}
+        # another key (" 2", "+2", "02", "300") is a KeyError: one spelling per symbol
+        lengths = {_SYMBOL_OF_KEY[sym]: _count(length) for sym, length in code["lengths"].items()}
         table = HuffmanTable(lengths, _count(code["n_symbols"]))
-    # byte symbols; a code over at most 256 symbols is at most 255 bits deep
-    if not lengths or not all(0 <= s <= 255 and 1 <= n <= 255 for s, n in lengths.items()):
+    # a code over at most 256 symbols is at most 255 bits deep
+    if not lengths or not all(1 <= n <= 255 for n in lengths.values()):
         raise CorruptStream("code table out of range")
     # Kraft: sum(2^-length) <= 1, or canonical code words overflow their lengths
     if sum(1 << (255 - n) for n in lengths.values()) > 1 << 255:
@@ -372,11 +379,25 @@ def save_dataset(path: str | Path, dataset: AnnotatedSequence) -> None:
         "fps": dataset.fps,
         "n_frames": len(dataset),
         "label_kind": dataset.label_kind,
-        "annotations": [[int(a.frame), int(a.label)] for a in dataset.annotations],
+        "annotations": np.stack([dataset.label_frames, dataset.labels], axis=1).tolist(),
     }
     # the frames' own bytes: no copy of a stack that is already little-endian
     payload = np.ascontiguousarray(dataset.frames, dtype="<u2").reshape(-1).view(np.uint8)
     _atomic_write(path, _frame(MAGIC_DATASET, header, payload))
+
+
+def _label_pairs(pairs) -> np.ndarray:
+    """The header's ``[frame, label]`` pairs as an ``(n, 2)`` int64 array, checked
+    as whole lists under the rule a sequence's labels are built under: a bool,
+    a float or a string is not an integer (as for ``_count``), nor is a value
+    outside 64 bits."""
+    if type(pairs) is not list or set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        raise CorruptStream("annotations are not a list of [frame, label] pairs")
+    values = list(itertools.chain.from_iterable(pairs))
+    try:
+        return _label_array("annotations", values).reshape(-1, 2)
+    except MicrogestError as exc:
+        raise CorruptStream(str(exc)) from None
 
 
 def load_dataset(path: str | Path) -> AnnotatedSequence:
@@ -385,23 +406,16 @@ def load_dataset(path: str | Path) -> AnnotatedSequence:
         width = _count(header["width"])
         height = _count(header["height"])
         n = _count(header["n_frames"])
-        fps = float(header["fps"])
-        label_kind = str(header["label_kind"])
-        annotations = [
-            Annotation(_count(frame), _count(label)) for frame, label in header["annotations"]
-        ]
+        fps, label_kind = header["fps"], header["label_kind"]
+        if type(fps) not in (int, float) or type(label_kind) is not str:
+            raise CorruptStream(f"fps {fps!r} or label kind {label_kind!r} of the wrong type")
+        label_frames, labels = _label_pairs(header["annotations"]).T
     expected = 2 * n * width * height
     if len(payload) != expected:
         raise Truncated(f"payload holds {len(payload)} bytes, header implies {expected}")
     # the frames are the payload array itself on a little-endian host
     frames = payload.view("<u2").reshape(n, height, width).astype(np.uint16, copy=False)
-    dataset = AnnotatedSequence(
-        width=width,
-        height=height,
-        frames=frames,
-        annotations=annotations,
-        label_kind=label_kind,
-        fps=fps,
-    )
+    dataset = AnnotatedSequence(width, height, frames, label_frames, labels, label_kind,
+                                float(fps))
     dataset.check()
     return dataset

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from itertools import islice
@@ -32,7 +32,7 @@ from .errors import (
     _check_integer,
     _is_integer,
 )
-from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
+from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation, _first_outside
 from .inference import _frames, run_ffnn
 from .model import ModelSpec, Parameters
 
@@ -71,9 +71,9 @@ def _check_labels(seq: AnnotatedSequence) -> None:
     """Refuse a sequence with a label outside its kind's space
     (:func:`_label_count`)."""
     n = _label_count(seq.label_kind)
-    bad = [ann.label for ann in seq.annotations if not 0 <= ann.label < n]
-    if bad:
-        raise InvalidParams(f"{seq.label_kind} label {bad[0]} outside 0..{n - 1}")
+    bad = _first_outside(seq.labels, n)
+    if bad is not None:
+        raise InvalidParams(f"{seq.label_kind} label {bad} outside 0..{n - 1}")
 
 
 def phase_state(gesture: GestureClass, phase: int) -> int:
@@ -588,11 +588,7 @@ class AccuracyReport:
     outcomes: list[tuple[Annotation, str]] = field(default_factory=list)
 
     def confusion(self) -> dict[tuple[int, str], int]:
-        table: dict[tuple[int, str], int] = {}
-        for ann, outcome in self.outcomes:
-            key = (ann.label, outcome)
-            table[key] = table.get(key, 0) + 1
-        return table
+        return dict(Counter((ann.label, outcome) for ann, outcome in self.outcomes))
 
 
 def match_events(

@@ -19,7 +19,7 @@ gesture labels by moving the class's motion; photometric transforms
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 from typing import NamedTuple
 
@@ -30,16 +30,16 @@ from .errors import _check_integer, _check_seed, _is_integer
 from .features import (
     ADC_MAX,
     AnnotatedSequence,
-    Annotation,
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
+    _check_label_kind,
 )
 from .pipeline import (
     _BLOCK_PIXELS,
     _check_labels,
     _frame_means,
-    _label_count,
     GestureClass,
+    N_PHASE_STATES,
     PHASES_PER_GESTURE,
     SWIPE_CLASSES,
     extract_candidates,
@@ -141,11 +141,6 @@ _PHASE_STATES = np.array([
 # The columns of a run of frames, one row of _render_block's table
 _RUN_COLUMNS = ("frames", "k0", "dk", "a", "b", "d", "depth", "c", "phase_class", "hw",
                 "dx", "dy", "contrast", "background", "sigma")
-
-
-def _check_label_kind(labels: str) -> None:
-    if labels not in (LABEL_KIND_GESTURE, LABEL_KIND_PHASE):
-        raise InvalidParams(f"unknown label kind {labels!r}")
 
 
 def _runs(direction, speed, band, background, contrast, noise, rng):
@@ -283,16 +278,16 @@ def _phase_states(lo, hi, dx, runs, lengths, width, height) -> np.ndarray:
 
 def _render_one(p: GestureSynthParams, rng: np.random.Generator, labels: str):
     """One instance as a block of one (:func:`_render_block`): its float
-    pixels ``(T, width * height)`` before ADC rounding and its annotations.
-    Every random draw comes from ``rng``."""
+    pixels ``(T, width * height)`` before ADC rounding, its label frames
+    and its labels.  Every random draw comes from ``rng``."""
     runs, label = _runs(p.direction, p.speed, p.occluder_width, p.background_brightness,
                         p.contrast, p.noise_sigma, rng)
     shape = (sum(run[0] for run in runs), p.width * p.height)
     values = rng.standard_normal(shape) if p.noise_sigma > 0.0 else np.zeros(shape)
     states = _render_block(values, runs, p.width, p.height, labels == LABEL_KIND_PHASE)
     if states is None:
-        return values, [Annotation(len(values) - LEAD_FRAMES - 1, label)]
-    return values, list(map(Annotation, range(len(values)), states.tolist()))
+        return values, np.array([len(values) - LEAD_FRAMES - 1]), np.array([label])
+    return values, np.arange(len(values)), states
 
 
 def synthesize_gesture(
@@ -312,14 +307,9 @@ def synthesize_gesture(
     """
     _check_seed(seed)
     _check_label_kind(labels)
-    values, annotations = _render_one(p, np.random.default_rng(seed), labels)
-    return AnnotatedSequence(
-        width=p.width,
-        height=p.height,
-        frames=_to_adc(values).reshape(-1, p.height, p.width),
-        annotations=annotations,
-        label_kind=labels,
-    )
+    values, *label_arrays = _render_one(p, np.random.default_rng(seed), labels)
+    frames = _to_adc(values).reshape(-1, p.height, p.width)
+    return AnnotatedSequence(p.width, p.height, frames, *label_arrays, label_kind=labels)
 
 
 # --- augmentation ------------------------------------------------------------
@@ -403,13 +393,16 @@ def gesture_label_map(transform: Transform | None) -> dict[GestureClass, Gesture
     return {cls: _CLASS_OF[_moved(m, transform)] for cls, m in _MOTION.items()}
 
 
-def _remap_label(label: int, kind: str, mapping) -> int:
+def _label_table(kind: str, mapping) -> np.ndarray:
+    """What a class map makes of every label of ``kind``'s space, indexed
+    by label: a phase state keeps its phase under its class's image, and
+    the idle state stays idle."""
+    moved = [mapping[g] for g in GestureClass]
     if kind == LABEL_KIND_GESTURE:
-        return int(mapping[GestureClass(label)])
-    if label == 0:
-        return 0
-    gesture, phase = divmod(label - 1, PHASES_PER_GESTURE)
-    return phase_state(mapping[GestureClass(gesture)], phase + 1)
+        return np.array(moved, dtype=np.int64)
+    table = np.zeros(N_PHASE_STATES, dtype=np.int64)
+    table[_PHASE_STATES] = _PHASE_STATES[moved]
+    return table
 
 
 def _transform_frames(frames: np.ndarray, transform: Transform) -> np.ndarray:
@@ -441,20 +434,9 @@ def augment(seq: AnnotatedSequence, transform: Transform) -> AnnotatedSequence:
     """Apply one transform to a sequence, remapping labels as needed; the
     labels must lie in their kind's space (``pipeline._check_labels``)."""
     _check_labels(seq)
-    frames = _transform_frames(seq.frames, transform)
-    mapping = gesture_label_map(transform)
-    annotations = [
-        Annotation(a.frame, _remap_label(a.label, seq.label_kind, mapping))
-        for a in seq.annotations
-    ]
-    return AnnotatedSequence(
-        width=seq.width,
-        height=seq.height,
-        frames=frames,
-        annotations=annotations,
-        label_kind=seq.label_kind,
-        fps=seq.fps,
-    )
+    table = _label_table(seq.label_kind, gesture_label_map(transform))
+    return replace(seq, frames=_transform_frames(seq.frames, transform),
+                   label_frames=seq.label_frames.copy(), labels=table[seq.labels])
 
 
 def auto_annotate(
@@ -472,13 +454,9 @@ def auto_annotate(
     if frames.ndim != 3:
         raise ShapeMismatch(f"frames shape {frames.shape}, expected (T, H, W)")
     height, width = frames.shape[1:]
-    annotations = []
-    for i, cand in enumerate(extract_candidates(frames)):
-        label = protocol[i % 2]
-        annotations.append(Annotation(cand.end_index, int(label)))
-    return AnnotatedSequence(
-        width=width, height=height, frames=frames, annotations=annotations
-    )
+    ends = [cand.end_index for cand in extract_candidates(frames)]
+    labels = np.array(protocol, dtype=np.int64)[np.arange(len(ends)) % 2]
+    return AnnotatedSequence(width, height, frames, ends, labels)
 
 
 # --- corpus assembly ---------------------------------------------------------
@@ -682,12 +660,12 @@ def build_corpus(
         geoms += [Rotate(1), Rotate(2), Rotate(3)]
     # per geometry: the class to render for each wanted class, the label
     # every rendered label becomes, and where each pixel of a frame comes from
-    n_labels = _label_count(label_kind)
     sources, relabel = [], []
     for geom in geoms:
         mapping = gesture_label_map(geom)
         sources.append({dst: src for src, dst in mapping.items()})
-        relabel.append([_remap_label(l, label_kind, mapping) for l in range(n_labels)])
+        relabel.append(_label_table(label_kind, mapping))
+    relabel = np.stack(relabel)
     pixels = width * height
     index = np.arange(pixels).reshape(1, height, width)
     # per geometry, the pixel of a frame each of its pixels is taken from
@@ -697,17 +675,15 @@ def build_corpus(
     phases = label_kind == LABEL_KIND_PHASE
 
     chunks: list[np.ndarray] = []
-    annotations: list[Annotation] = []
+    # each block's label frames (gesture labels only) and labels
+    label_frames, labels = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     offset = 0
     prev_tail: float | None = None
     for frames, states, heads, tails, block in _blocks(
         order, bg, sources, perms, width, height, phases
     ):
-        if phases:
-            geometry = np.repeat([inst.geometry for inst in block],
-                                 [inst.frames for inst in block])
-            states = np.array(relabel)[geometry, states].tolist()
-
+        geometry = [inst.geometry for inst in block]
+        lengths = [inst.frames for inst in block]
         steps, ramps, noise = [], [], []
         for inst, head, tail in zip(block, heads, tails):
             bridge = 0
@@ -727,28 +703,20 @@ def build_corpus(
             if bridge:
                 chunks.append(ramp[done : done + bridge])
                 done += bridge
-                if phases:
-                    annotations.extend(Annotation(offset + t, 0) for t in range(bridge))
-                offset += bridge
             chunks.append(frames[at : at + inst.frames])
-            if phases:
-                annotations.extend(map(Annotation, range(offset, offset + inst.frames),
-                                       states[at : at + inst.frames]))
-            else:
-                last = offset + inst.frames - LEAD_FRAMES - 1
-                annotations.append(Annotation(last, relabel[inst.geometry][inst.label]))
             at += inst.frames
-            offset += inst.frames
+        bridged = np.cumsum(steps)  # bridge frames up to each instance
+        if phases:  # every frame is labelled, a bridge frame idle (state 0)
+            block_labels = np.zeros(at + bridged[-1], dtype=np.int64)
+            block_labels[np.arange(at) + np.repeat(bridged, lengths)] = relabel[
+                np.repeat(geometry, lengths), states]
+            labels.append(block_labels)
+        else:  # an instance's label sits on the last frame of its crossing
+            label_frames.append(offset + bridged + np.cumsum(lengths) - LEAD_FRAMES - 1)
+            labels.append(relabel[geometry, [inst.label for inst in block]])
+        offset += at + int(bridged[-1])
 
-    frames = (
-        np.concatenate(chunks)
-        if chunks
-        else np.zeros((0, height, width), dtype=np.uint16)
-    )
-    return AnnotatedSequence(
-        width=width,
-        height=height,
-        frames=frames,
-        annotations=annotations,
-        label_kind=label_kind,
-    )
+    frames = np.concatenate(chunks) if chunks else np.zeros((0, height, width), np.uint16)
+    label_frames = np.arange(len(frames)) if phases else np.concatenate(label_frames)
+    return AnnotatedSequence(width, height, frames, label_frames, np.concatenate(labels),
+                             label_kind=label_kind)

@@ -782,7 +782,8 @@ def oracle_synthesize(p, seed, labels=LABEL_KIND_GESTURE):
         width=p.width,
         height=p.height,
         frames=values.astype(np.uint16),
-        annotations=[Annotation(first + i, s) for i, s in enumerate(states)],
+        label_frames=[first + i for i in range(len(states))],
+        labels=states,
         label_kind=labels,
     )
 
@@ -852,7 +853,8 @@ def oracle_build_corpus(per_class, seed, width=3, height=3, label_kind="gesture"
         prev_tail = float(seq.frames[-1].mean())
     frames = np.concatenate(chunks) if chunks else np.zeros((0, height, width), np.uint16)
     corpus = AnnotatedSequence(width=width, height=height, frames=frames,
-                               annotations=annotations, label_kind=label_kind)
+                               label_frames=[a.frame for a in annotations],
+                               labels=[a.label for a in annotations], label_kind=label_kind)
     return corpus, combos
 
 

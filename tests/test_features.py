@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microgest.errors import InvalidParams, PixelOutOfRange, ShapeMismatch
+from microgest.errors import InvalidParams, MicrogestError, PixelOutOfRange, ShapeMismatch
 from microgest.features import (
     _STATS_BLOCK,
     ADC_MAX,
@@ -229,10 +229,42 @@ def test_annotated_sequence_check_catches_bad_annotation_frame():
         width=1,
         height=1,
         frames=np.zeros((2, 1, 1)),
-        annotations=[Annotation(5, 0)],
+        label_frames=[5],
+        labels=[0],
     )
     with pytest.raises(InvalidParams):
         seq.check()
+
+
+def test_annotated_sequence_labels_are_two_int64_arrays():
+    seq = AnnotatedSequence(width=1, height=1, frames=np.zeros((4, 1, 1)),
+                            label_frames=np.array([3, 1], dtype=np.uint8),
+                            labels=[np.int32(2), 0])
+    for array, want in ((seq.label_frames, [3, 1]), (seq.labels, [2, 0])):
+        assert array.dtype == np.int64 and array.tolist() == want
+    assert seq.annotations == [Annotation(3, 2), Annotation(1, 0)]
+    with pytest.raises(AttributeError):
+        seq.annotations = []
+    with pytest.raises(TypeError):
+        AnnotatedSequence(width=1, height=1, frames=np.zeros((4, 1, 1)), annotations=[])
+    empty = AnnotatedSequence(width=1, height=1, frames=np.zeros((4, 1, 1)))
+    assert empty.labels.dtype == np.int64 and empty.annotations == []
+
+
+@pytest.mark.parametrize("frames, labels", [
+    ([True], [0]), ([1], [0 == 0]), ([1, True], [0, 0]), (np.array([True]), [0]),
+    ([3.9], [0]), ([1], [3.9]), (np.array([1.0]), [0]), (["1"], [0]), ([None], [0]),
+    ([2**63], [0]), ([1], [2**70]), ([-(2**63) - 1], [0]),
+    (np.array([2**63], dtype=np.uint64), [0]),
+    ([0, 1], [0]), ([[0]], [[0]]), ([[0], [0, 1]], [0, 0]), (1, 0),
+], ids=["bool-frame", "bool-label", "bool-among-ints", "bool-array", "float", "float-label",
+        "float-array", "text", "null", "2**63", "2**70", "below-int64", "uint64-2**63",
+        "unequal", "2-d", "ragged", "scalar"])
+def test_annotated_sequence_refuses_labels_that_are_not_int64_values(frames, labels):
+    # a cast would truncate 3.9 to 3 and take a bool for 0 or 1
+    with pytest.raises(MicrogestError):
+        AnnotatedSequence(width=1, height=1, frames=np.zeros((4, 1, 1)),
+                          label_frames=frames, labels=labels)
 
 
 @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf, -np.inf])

@@ -31,7 +31,7 @@ from microgest.errors import (
     Truncated,
     VersionUnsupported,
 )
-from microgest.features import AnnotatedSequence, Annotation
+from microgest.features import AnnotatedSequence
 from microgest.model import LayerParams, Parameters, parse_arch, format_arch, validate
 from microgest import model_io
 from microgest.model_io import (
@@ -439,6 +439,62 @@ def test_header_that_is_not_an_object_is_corrupt(tmp_path, model):
         load_model_meta(path)
 
 
+@pytest.mark.parametrize("spelling", [" {}", "+{}", "0{}", "0_{}"])
+def test_a_code_table_symbol_spelled_otherwise_is_corrupt(tmp_path, spelling):
+    # int() once read all four as the symbol, so two spellings of one
+    # symbol collapsed into one code-table entry
+    _, _, cm = _demo_compressed(True)
+    path = tmp_path / "net.mgcm"
+    save_compressed(path, cm)
+    magic, header, payload = _split(path.read_bytes())
+    lengths = header["code"]["lengths"]
+    sym = max(lengths, key=int)
+    lengths[spelling.format(sym)] = lengths.pop(sym)
+    path.write_bytes(_reframe(magic, header, payload))
+    with pytest.raises(CorruptStream, match="malformed code table"):
+        load_compressed(path)
+    lengths[sym] = lengths[spelling.format(sym)]  # both spellings, one length
+    path.write_bytes(_reframe(magic, header, payload))
+    with pytest.raises(CorruptStream, match="malformed code table"):
+        load_compressed(path)
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("fps",), "40"), (("fps",), True), (("fps",), None), (("fps",), [40.0]),
+    (("label_kind",), 5), (("label_kind",), None), (("label_kind",), ["gesture"]),
+], ids=["fps-text", "fps-bool", "fps-null", "fps-list", "kind-int", "kind-null", "kind-list"])
+def test_a_dataset_fps_or_label_kind_of_the_wrong_json_type_is_corrupt(tmp_path, keys, value):
+    # float() once read "40" as 40.0 and true as 1.0, and str() turned 5
+    # into the label kind "5"
+    path = tmp_path / "corpus.mgds"
+    save_dataset(path, build_corpus(1, seed=1))
+    _with_header_field(path, keys, value)
+    with pytest.raises(CorruptStream, match="of the wrong type"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("keys, value, match", [
+    (("annotations", 0), [47], "pairs"),
+    (("annotations", 0), [47, 0, 1], "pairs"),
+    (("annotations",), 7, "pairs"),
+    (("annotations",), {}, "pairs"),  # once loaded as no annotations
+    (("annotations",), {"ab": 0}, "pairs"),
+    # once loaded, then refused by the frame or label check (InvalidParams)
+    (("annotations", 0, 0), 2**70, "not an integer within 64 bits"),
+    (("annotations", 0, 1), 2**70, "not an integer within 64 bits"),
+    (("annotations", 0, 1), -(2**63) - 1, "not an integer within 64 bits"),
+], ids=["1-entry", "3-entry", "number", "empty-object", "object", "huge-frame", "huge-label",
+        "below-int64"])
+def test_dataset_annotations_that_are_not_pairs_of_64_bit_integers_are_corrupt(
+    tmp_path, keys, value, match
+):
+    path = tmp_path / "corpus.mgds"
+    save_dataset(path, build_corpus(1, seed=1))
+    _with_header_field(path, keys, value)
+    with pytest.raises(CorruptStream, match=match):
+        load_dataset(path)
+
+
 def test_infinite_dataset_width_is_corrupt(tmp_path):
     path = tmp_path / "corpus.mgds"
     save_dataset(path, build_corpus(1, seed=1))
@@ -704,7 +760,6 @@ def test_empty_dataset_round_trips(tmp_path):
 def test_out_of_range_pixels_are_rejected(tmp_path):
     ds = AnnotatedSequence(
         width=2, height=2, frames=np.full((3, 2, 2), 1024, dtype=np.int32),
-        annotations=[],
     )
     with pytest.raises(PixelOutOfRange):
         save_dataset(tmp_path / "bad.mgds", ds)
@@ -720,11 +775,11 @@ def test_out_of_range_pixels_are_rejected(tmp_path):
 def test_dangling_annotation_is_rejected(tmp_path):
     ds = AnnotatedSequence(
         width=2, height=2, frames=np.zeros((3, 2, 2), dtype=np.uint16),
-        annotations=[Annotation(3, 0)],
+        label_frames=[3], labels=[0],
     )
     with pytest.raises(InvalidParams):
         save_dataset(tmp_path / "bad.mgds", ds)
-    ds.annotations[0] = Annotation(-1, 0)
+    ds.label_frames[0] = -1
     with pytest.raises(InvalidParams):
         save_dataset(tmp_path / "bad.mgds", ds)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from microgest.errors import InvalidParams, NonSquareImage, ShapeMismatch
-from microgest.features import ADC_MAX, LABEL_KIND_GESTURE, LABEL_KIND_PHASE, Annotation
+from microgest.features import ADC_MAX, LABEL_KIND_GESTURE, LABEL_KIND_PHASE
 from microgest.model_io import save_dataset
 from microgest.pipeline import _BLOCK_PIXELS, GestureClass, PHASES_PER_GESTURE
 from microgest.synth import (
@@ -173,11 +173,12 @@ def _same_render(params, seed, labels):
     # the float pixels before ADC rounding, bit for bit, then the public call
     import microgest.synth as synth
 
-    values, annotations = synth._render_one(params, np.random.default_rng(seed), labels)
-    want, first, states = oracle_render(params, np.random.default_rng(seed), labels)
+    values, frames, states = synth._render_one(params, np.random.default_rng(seed), labels)
+    want, first, want_states = oracle_render(params, np.random.default_rng(seed), labels)
     assert values.shape == (len(want), params.width * params.height)
     assert values.tobytes() == want.tobytes()
-    assert annotations == [Annotation(first + i, s) for i, s in enumerate(states)]
+    assert frames.tolist() == [first + i for i in range(len(want_states))]
+    assert states.tolist() == want_states
     _same_sequence(synthesize_gesture(params, seed, labels),
                    oracle_synthesize(params, seed, labels))
 
@@ -396,7 +397,7 @@ def test_phase_labels_remap_with_the_gesture():
 def test_augment_refuses_a_label_outside_its_kind(kind, label):
     # gesture 5 and phase 21 once leaked a ValueError, phase 17 passed through
     seq = synthesize_gesture(_params(), seed=0, labels=kind)
-    seq.annotations[-1] = Annotation(seq.annotations[-1].frame, label)
+    seq.labels[-1] = label
     with pytest.raises(InvalidParams, match=f"{kind} label {label} outside"):
         augment(seq, MirrorX())
 
