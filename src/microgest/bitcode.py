@@ -9,11 +9,19 @@ stream.  The coding stages themselves,
 
 The bit layer works on whole arrays: packing expands values into a bit
 matrix and hands it to ``np.packbits``; unpacking is the reverse.
+
+Code lengths come from the two-queue construction (van Leeuwen, 1976):
+leaves sorted by (count, symbol), merged subtrees in the order they were
+made, and the two lightest fronts merged each step, a leaf before a merged
+subtree of equal weight.  That is the tie order of a heap that ranks
+leaves in symbol order before every merged subtree.  The lengths of the
+last few histograms are kept, so sizing a stream and then coding it build
+the code once.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,30 +89,60 @@ class HuffmanTable:
     n_symbols: int
 
 
+#: Code length tables kept by :func:`_code_lengths`: saving a model codes the
+#: same core stream that :func:`~microgest.compression.compress_model` sized.
+_CODE_CACHE_SIZE = 4
+
+
 def _code_lengths(counts: np.ndarray) -> dict[int, int]:
     """Huffman code length of every byte value with a nonzero count.
 
-    Merges the two lightest subtrees first; ties go to the subtree made
-    earliest, leaves in symbol order before every merged subtree.
+    A new dict on every call; the build behind it runs once per histogram
+    while that histogram is among the last :data:`_CODE_CACHE_SIZE` asked for.
     """
+    symbols, lengths = _built_lengths(np.asarray(counts, dtype=np.int64).tobytes())
+    return dict(zip(symbols, lengths))
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _built_lengths(histogram: bytes) -> tuple[bytes, bytes]:
+    """The symbols of a byte histogram (its int64 bytes) and their code
+    lengths, by the two-queue construction (van Leeuwen, 1976).
+
+    Leaves queue by (count, symbol); merged subtrees queue in the order they
+    are made, which is also their weight order.  Each merge takes the two
+    lightest fronts, the leaf first on a tie: the order a heap keyed by
+    (weight, leaves in symbol order, then merges in the order made) pops.
+    A code over at most 256 symbols is at most 255 bits deep, so both fit
+    in bytes.
+    """
+    counts = np.frombuffer(histogram, dtype=np.int64)
     symbols = np.flatnonzero(counts).tolist()
-    if len(symbols) == 1:
+    n = len(symbols)
+    if n == 1:
         # degenerate alphabet: spend one bit per symbol anyway
-        return {symbols[0]: 1}
-    heap = [(int(counts[sym]), node, node) for node, sym in enumerate(symbols)]
-    heapq.heapify(heap)
-    parent = [0] * (2 * len(symbols) - 1)
-    node = len(symbols)
-    while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        parent[a] = parent[b] = node
-        heapq.heappush(heap, (fa + fb, node, node))
-        node += 1
+        return bytes(symbols), b"\x01"
+    weights = counts[symbols].tolist()
+    leaves = sorted(range(n), key=weights.__getitem__)  # stable: symbol order on a tie
+    merged: list[int] = []  # weights of the merged subtrees, node n + i at i
+    parent = [0] * (2 * n - 1)
+    leaf = made = 0  # queue fronts
+    for node in range(n, 2 * n - 1):
+        pair = 0
+        for _ in range(2):
+            if leaf < n and (made == len(merged) or weights[leaves[leaf]] <= merged[made]):
+                child, weight = leaves[leaf], weights[leaves[leaf]]
+                leaf += 1
+            else:
+                child, weight = n + made, merged[made]
+                made += 1
+            parent[child] = node
+            pair += weight
+        merged.append(pair)
     depth = [0] * len(parent)
     for child in range(len(parent) - 2, -1, -1):  # parents are made after children
         depth[child] = depth[parent[child]] + 1
-    return dict(zip(symbols, depth))
+    return bytes(symbols), bytes(depth[:n])
 
 
 def _histogram(data: bytes) -> np.ndarray:

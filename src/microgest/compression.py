@@ -10,14 +10,17 @@ uncompressed.
 K-means sorts each layer's values once and, while the centroids stay in
 order, assigns them by cutting the sorted values at the centroid
 midpoints, with a check that keeps the result equal to the nearest-centroid
-``argmin``.  Huffman coding works on blocks of the stream: encoding hands
-the code-word bits of a block of symbols to ``np.packbits``; decoding
-finds the code word at every bit offset of a block with a lookup table
-and walks the chain of word lengths, for any code with lengths up to 255
-bits.  Bit packing and the construction of canonical codes live in
-:mod:`microgest.bitcode`.  :func:`compress_model` reports the Huffman
-stage's size from the byte histogram and the code lengths, without
-encoding; only saving encodes.
+``argmin``.  Its sums (a round's squared error, a cluster's mean) are
+``np.add.reduce`` calls: the pairwise sums ``np.sum`` and ``ndarray.mean``
+make, without their Python wrappers.  Huffman coding works on blocks of
+the stream: encoding hands the code-word bits of a block of symbols to
+``np.packbits``; decoding finds the code word at every bit offset of a
+block with a lookup table and walks the chain of word lengths, for any
+code with lengths up to 255 bits.  Bit packing and the construction of
+canonical codes live in :mod:`microgest.bitcode`.  :func:`compress_model`
+reports the Huffman stage's size from the byte histogram and the code
+lengths, without encoding; only saving encodes, and the code lengths are
+built once per histogram, so saving reuses the code that sizing built.
 
 Masks returned by :func:`prune` mark *removed* weights with True.
 """
@@ -156,7 +159,8 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[
             for j in stale:
                 assignment[order[new_cut[j] : new_cut[j + 1]]] = j
         cut = new_cut
-        sse_history.append(float(np.sum((values - centroids[assignment]) ** 2)))
+        d = values - centroids[assignment]
+        sse_history.append(float(np.add.reduce(d * d)))
         if moved <= KMEANS_TOL or len(sse_history) > KMEANS_MAX_ITER:
             return centroids, assignment, sse_history
         moved = 0.0
@@ -164,7 +168,7 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[
         for j in stale:  # every other cluster keeps the mean of the members it has
             members = values[assignment == j]
             if members.size:
-                new_centroids[j] = members.mean()
+                new_centroids[j] = np.add.reduce(members) / members.size
                 moved = max(moved, abs(new_centroids[j] - centroids[j]))
         centroids = new_centroids
 
@@ -238,6 +242,13 @@ class SparseLayer:
     deltas: np.ndarray
 
 
+def _gaps(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's distance from the previous position (-1 before the
+    first) and the fillers that bridge it: ``(gap - 1) // DELTA_LIMIT``."""
+    gaps = np.diff(positions, prepend=-1)
+    return gaps, (gaps - 1) // DELTA_LIMIT
+
+
 def _encode_stream(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Delta stream of ascending row-major positions, starting from -1.
 
@@ -245,8 +256,7 @@ def _encode_stream(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``DELTA_LIMIT`` placed before the entry.  Returns ``(deltas, filler)``:
     the uint16 deltas and a mask that is True at filler entries.
     """
-    gaps = np.diff(positions, prepend=-1)
-    fills = (gaps - 1) // DELTA_LIMIT
+    gaps, fills = _gaps(positions)
     slots = fills + 1  # each entry's fillers, then the entry itself
     deltas = np.repeat(gaps - DELTA_LIMIT * fills, slots)
     filler = np.ones(deltas.size, dtype=bool)
@@ -585,11 +595,12 @@ def compress_model(
     if retrain_after_prune is not None:
         pruned = apply_pruning(retrain_after_prune(pruned, removed), removed)
 
-    # the sparse stage stores a float32 value and a delta byte per entry
-    sparse_bytes = sum(
-        5 * _encode_stream(np.flatnonzero(lp.weights))[0].size + 4 * lp.biases.size
-        for lp in pruned.layers
-    )
+    # the sparse stage stores a float32 value and a delta byte per entry,
+    # counted without building the stream
+    sparse_bytes = 0
+    for lp in pruned.layers:
+        gaps, fills = _gaps(np.flatnonzero(lp.weights))
+        sparse_bytes += 5 * (gaps.size + int(fills.sum())) + 4 * lp.biases.size
     quantized = [
         _quantize(lp.weights[~mask], k)
         for lp, mask, k in zip(

@@ -275,8 +275,7 @@ class AnnotatedSequence:
             )
         self.label_frames = _label_array("label_frames", self.label_frames)
         self.labels = _label_array("labels", self.labels)
-        if self.label_frames.shape != self.labels.shape:
-            raise ShapeMismatch(f"{self.label_frames.size} label frames, {self.labels.size} labels")
+        self._check_label_arrays()
         _check_label_kind(self.label_kind)
         if not 0.0 < self.fps < math.inf:  # NaN fails both comparisons
             raise InvalidParams(f"fps must be finite and > 0, got {self.fps}")
@@ -284,14 +283,37 @@ class AnnotatedSequence:
     def __len__(self) -> int:
         return int(self.frames.shape[0])
 
+    def __eq__(self, other: object) -> bool:
+        """Equal sizes, frame rate, label kind, frames and labels."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.width, self.height, self.fps, self.label_kind)
+            == (other.width, other.height, other.fps, other.label_kind)
+            and np.array_equal(self.frames, other.frames)
+            and np.array_equal(self.label_frames, other.label_frames)
+            and np.array_equal(self.labels, other.labels)
+        )
+
     @property
     def annotations(self) -> list[Annotation]:
         """The labels as a new list of :class:`Annotation` objects, in order."""
         return list(map(Annotation, self.label_frames.tolist(), self.labels.tolist()))
 
+    def _check_label_arrays(self) -> None:
+        """Refuse label arrays that are not equal-length 1-D int64 ndarrays;
+        construction makes them so, but they can be re-bound since."""
+        for name in ("label_frames", "labels"):
+            array = getattr(self, name)
+            if not isinstance(array, np.ndarray) or array.dtype != np.int64 or array.ndim != 1:
+                raise InvalidParams(f"{name} must be a one-dimensional int64 array")
+        if self.label_frames.shape != self.labels.shape:
+            raise ShapeMismatch(f"{self.label_frames.size} label frames, {self.labels.size} labels")
+
     def check(self) -> None:
-        """Validate pixel values and label frame indices."""
+        """Validate pixel values, the label arrays and label frame indices."""
         _check_pixels(self.frames)
+        self._check_label_arrays()
         length = len(self)
         frame = _first_outside(self.label_frames, length)
         if frame is not None:

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from microgest.bitcode import (
     MAX_BIT_WIDTH,
     HuffmanTable,
+    _code_lengths,
+    _huffman_coded_size,
     canonical_codes,
     huffman_table_bytes,
     pack_bits,
@@ -46,6 +48,7 @@ from microgest.model import LayerParams, Parameters, parse_arch
 from microgest.training import init_params
 
 from conftest import (
+    oracle_code_lengths,
     oracle_encode_with_code,
     oracle_huffman_decode,
     oracle_huffman_encode,
@@ -490,6 +493,36 @@ def test_code_lengths_satisfy_kraft_equality():
     assert sum(2.0 ** -length for length in table.lengths.values()) == pytest.approx(1.0)
 
 
+@given(
+    size=st.sampled_from([1, 2, 256]),
+    levels=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=120)
+def test_code_lengths_match_the_heap_oracle_on_tied_counts(size, levels, data):
+    # counts from at most three values tie often, among leaves and merged subtrees
+    symbols = data.draw(st.lists(st.integers(0, 255), min_size=size, max_size=size, unique=True))
+    picks = data.draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size))
+    counts = np.zeros(256, dtype=np.int64)
+    counts[symbols] = picks
+    stream = b"".join(bytes([sym]) * n for sym, n in zip(symbols, picks))
+    assert _code_lengths(counts) == oracle_code_lengths(stream)
+
+
+def test_a_code_table_handed_out_is_the_callers_own():
+    data = b"mississippi river " * 5
+    size = _huffman_coded_size(data)
+    encoded, table = huffman_encode(data)
+    expected = dict(table.lengths)
+    table.lengths[ord("s")] = 9
+    table.lengths.pop(ord("m"))
+    assert huffman_encode(data) == (encoded, HuffmanTable(expected, len(data)))
+    assert _huffman_coded_size(data) == size
+    lengths = _code_lengths(np.bincount(np.frombuffer(data, np.uint8), minlength=256))
+    lengths.clear()
+    assert huffman_encode(data)[1].lengths == expected
+
+
 def test_canonical_codes_are_prefix_free():
     rng = np.random.default_rng(10)
     data = bytes(rng.choice([1, 1, 1, 2, 2, 3, 4, 5], size=500).astype(np.uint8))
@@ -901,3 +934,5 @@ def test_gap_bridging_adds_a_zero_centroid_when_needed():
     rebuilt = decompress_model(cm)
     assert np.array_equal(rebuilt.layers[0].weights, params.layers[0].weights)
     assert cm.surviving_weights() == 2 + 4  # fillers not counted
+    # the sparse stage counts the fillers: 4 + 4 entries of 5 bytes, 4 biases
+    assert cm.stage_sizes["pruned_sparse"] == 5 * (4 + 4) + 4 * 4

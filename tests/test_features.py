@@ -18,6 +18,8 @@ from microgest.features import (
     stream_features,
     update_rolling,
 )
+from microgest.model_io import save_dataset
+from microgest.synth import build_corpus
 
 
 def _img(values):
@@ -265,6 +267,32 @@ def test_annotated_sequence_refuses_labels_that_are_not_int64_values(frames, lab
     with pytest.raises(MicrogestError):
         AnnotatedSequence(width=1, height=1, frames=np.zeros((4, 1, 1)),
                           label_frames=frames, labels=labels)
+
+
+@pytest.mark.parametrize("name, rebind", [
+    ("label_frames", lambda _: [5]),
+    ("labels", lambda _: [1.5]),
+    ("labels", lambda array: array.astype(float)),
+    ("label_frames", lambda array: array[:, None]),
+], ids=["list", "float-list", "float-array", "2-d"])
+def test_saving_refuses_label_arrays_re_bound_after_construction(tmp_path, name, rebind):
+    ds = build_corpus(1, seed=1)
+    setattr(ds, name, rebind(getattr(ds, name)))
+    with pytest.raises(MicrogestError):
+        save_dataset(tmp_path / "ds.mgds", ds)
+    assert not (tmp_path / "ds.mgds").exists()
+
+
+def test_annotated_sequences_compare_by_content():
+    a, b = build_corpus(1, seed=1), build_corpus(1, seed=1)
+    assert a == b and not a != b
+    b.labels[-1] += 1
+    assert a != b
+    b.labels[-1] -= 1
+    b.frames = b.frames.copy()
+    b.frames[0, 0, 0] += 1
+    assert a != b
+    assert a != "corpus"
 
 
 @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf, -np.inf])

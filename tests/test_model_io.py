@@ -19,6 +19,7 @@ from microgest.compression import (
     compress_model,
     decompress_model,
     layer_core_block,
+    prune,
 )
 from microgest.errors import (
     ChecksumMismatch,
@@ -275,24 +276,39 @@ def test_huffman_toggle_changes_bytes_not_reconstruction(tmp_path):
     )
 
 
-# SHA-256 of the saved file, recorded with the bit-serial codec
+# SHA-256 of the saved file, keyed by (density, clusters, huffman): the 0.5
+# density rows were recorded with the bit-serial codec, the others cover the
+# compression sweep's grid (each layer's k capped at its surviving weights)
 _PINNED_MGCM = {
-    (None, True): "1320aafe006b94e793b9d32d95be7ac1ad02098861f7626649e727d7668fbbdc",
-    (None, False): "1e5d2531f6deec3a2f8355d158022435d3dc4ceb0ef31eb68d4882d4fa69f7fe",
-    (16, True): "bf1c3ea515b5fa73296211872f788cf0b565f8b2abcfc39b2619cc7037504e4f",
-    (16, False): "32982ee7dced2b3b23de8de75bb11e4eb1ff61e5feaef36eaec98decfd31bba2",
-    (4, True): "338d6aaa66b170b78bf5c9fae29fd183026c905c1bd1cb431e1bca407d6f7578",
-    (4, False): "6ad27a13ea702c198f0871c5e9c4bc673e8bcb956eb94ee3f3819c7a75aecf18",
+    (None, None, True): "cab9000b51cd8e81257154615612d4a8d09b9d254ea73188895d19fc5290ed10",
+    (None, 16, True): "abf44d17376dca273ce52dbf423508002fd2517fb0b035be1ef82d3d86101ccb",
+    (None, 4, True): "5c07293a4fe3accad7f351cb30c5bf4f1dbdf7d28d9ce61400a7493caf2f3adc",
+    (0.1, None, True): "582d539e733372f7c68bd0f934f41687949c7f0bb101b77eaf6801873f5bbd22",
+    (0.1, 16, True): "43a4394ddf65cd64f6e9dc355b35657bebc27dcb3de272436cbaa7c6a31fad9e",
+    (0.1, 4, True): "4c61c76924a03603661b9efd04fed9687dd54c1efe50903c4907ca6d0fe2cbcf",
+    (0.5, None, True): "1320aafe006b94e793b9d32d95be7ac1ad02098861f7626649e727d7668fbbdc",
+    (0.5, None, False): "1e5d2531f6deec3a2f8355d158022435d3dc4ceb0ef31eb68d4882d4fa69f7fe",
+    (0.5, 16, True): "bf1c3ea515b5fa73296211872f788cf0b565f8b2abcfc39b2619cc7037504e4f",
+    (0.5, 16, False): "32982ee7dced2b3b23de8de75bb11e4eb1ff61e5feaef36eaec98decfd31bba2",
+    (0.5, 4, True): "338d6aaa66b170b78bf5c9fae29fd183026c905c1bd1cb431e1bca407d6f7578",
+    (0.5, 4, False): "6ad27a13ea702c198f0871c5e9c4bc673e8bcb956eb94ee3f3819c7a75aecf18",
 }
 
 
-@pytest.mark.parametrize("clusters, huffman", sorted(_PINNED_MGCM, key=str))
-def test_saved_compressed_bytes_are_pinned(tmp_path, clusters, huffman):
+@pytest.mark.parametrize("density, clusters, huffman", sorted(_PINNED_MGCM, key=str))
+def test_saved_compressed_bytes_are_pinned(tmp_path, density, clusters, huffman):
     spec = parse_arch("180-20relu-10relu-5softmax")
-    opts = CompressionOptions(target_density=0.5, clusters=clusters, huffman=huffman)
+    params = init_params(spec, 0)
+    ks = None
+    if clusters is not None:
+        kept = [lp.weights.size for lp in params.layers]
+        if density is not None:
+            kept = [int((~m).sum()) for m in prune(params, target_density=density)]
+        ks = [min(clusters, n) for n in kept]
+    opts = CompressionOptions(target_density=density, clusters=ks, huffman=huffman)
     path = tmp_path / "net.mgcm"
-    save_compressed(path, compress_model(spec, init_params(spec, 0), opts))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_MGCM[clusters, huffman]
+    save_compressed(path, compress_model(spec, params, opts))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_MGCM[density, clusters, huffman]
 
 
 def test_compressed_file_checksum_guard(tmp_path):
