@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptStream, InvalidParams, _check_integer
+from .errors import CorruptStream, InvalidParams, _check_integer, _is_integer
 from .model import MAX_DENSE_WEIGHTS
 
 
@@ -46,13 +46,20 @@ def _word_bytes(width: int) -> int:
 
 
 def pack_bits(values: Sequence[int], width: int) -> bytes:
-    """Pack unsigned integers into a big-endian-within-byte bit stream."""
+    """Pack unsigned integers into a big-endian-within-byte bit stream.
+    Anything but integers (``errors._is_integer``) is refused, never cast."""
     _check_width(width)
     if width == 0:
         return b""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iu":
-        array = np.array(values, dtype=object)  # integers past 64 bits stay exact
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged rows
+        raise InvalidParams("pack_bits packs integers only") from None
+    if array.dtype.kind not in "iu" or not isinstance(values, np.ndarray):
+        # integers past 64 bits stay exact, and a list's bools stay bools
+        array = np.array(values, dtype=object)
+        if not all(map(_is_integer, array.flat)):
+            raise InvalidParams("pack_bits packs integers only")
     bad = (array < 0) | (array >= 1 << width)
     if bad.any():
         raise InvalidParams(f"value {array[bad][0]} does not fit in {width} bits")

@@ -104,7 +104,7 @@ def _candidate_dataset(ds: AnnotatedSequence, spec: ModelSpec) -> tuple[np.ndarr
             f"candidates need a {LABEL_KIND_GESTURE}-labelled corpus, "
             f"got {ds.label_kind} labels"
         )
-    target = _candidate_frames(spec, _frame_pixels(ds.frames))
+    target = _candidate_frames(spec, _frame_pixels(ds.frames)[1])
     labelled = label_candidates(extract_candidates(ds.frames), ds.annotations)
     if not labelled:
         raise InvalidParams("dataset yielded no training candidates")
@@ -143,7 +143,7 @@ def _stream_events(spec, params, ds: AnnotatedSequence, phases: bool):
     model steps through the stream as one block, from zero state, and the
     FSM reads its states; otherwise the candidate recognizer runs."""
     if not phases:
-        target = _candidate_frames(spec, _frame_pixels(ds.frames))
+        target = _candidate_frames(spec, _frame_pixels(ds.frames)[1])
         return FfnnRecognizer(spec, params, target)(ds)
     return fsm_postprocess(step_rnn(spec, params, _phase_features(spec, ds), RnnState(spec)))
 

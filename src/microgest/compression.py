@@ -49,6 +49,7 @@ from .errors import (
     InvalidParams,
     KTooLarge,
     _check_integer,
+    _float_array,
     _is_integer,
 )
 from .model import LayerParams, ModelSpec, Parameters, validate
@@ -130,7 +131,7 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[
     takes the ``argmin`` of the full distance matrix, so the result is
     bit-identical to computing that matrix every round.
     """
-    values = np.asarray(values, dtype=float).ravel()
+    values = _float_array(values, "k-means expects numbers").ravel()
     _check_integer("k", k, 1)
     if k > values.size:
         raise KTooLarge(f"k={k} exceeds the {values.size} available values")
@@ -299,7 +300,7 @@ def _decode_stream(
 
 def encode_sparse(matrix: np.ndarray) -> SparseLayer:
     """Encode the non-zero entries of a matrix in row-major order."""
-    flat = np.asarray(matrix, dtype=float).ravel()
+    flat = _float_array(matrix, "encode_sparse expects a matrix of numbers").ravel()
     positions = np.flatnonzero(flat)
     deltas, filler = _encode_stream(positions)
     values = np.zeros(deltas.size)
@@ -324,7 +325,7 @@ def sparse_matvec(sl: SparseLayer, shape: tuple[int, int], x: np.ndarray) -> np.
     walk does.  Matches the dense product of the decoded matrix.
     """
     rows, cols = shape
-    x = np.asarray(x, dtype=float)
+    x = _float_array(x, f"vector must have {cols} entries")
     if x.shape != (cols,):
         raise InvalidParams(f"vector must have {cols} entries, got {x.shape}")
     positions, values = _decode_stream(sl.deltas, sl.values, shape)

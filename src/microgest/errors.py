@@ -1,11 +1,13 @@
-"""Exception hierarchy shared by all microgest modules, and the integer
-and seed rules they all check arguments with.
+"""Exception hierarchy shared by all microgest modules, and the integer,
+seed and float-array rules they all check arguments with.
 
 Every error raised on purpose by this package derives from
 :class:`MicrogestError`, so callers (and the CLI) can catch one type.
 """
 
 import numbers
+
+import numpy as np
 
 
 class MicrogestError(Exception):
@@ -121,3 +123,12 @@ def _check_seed(seed) -> None:
     """The seed rule: a non-negative integer, as ``numpy.random.default_rng``
     takes it."""
     _check_integer("seed", seed, 0)
+
+
+def _float_array(values, message: str) -> np.ndarray:
+    """The float-array rule: ``values`` as a float64 array, or ShapeMismatch
+    with the caller's ``message`` for text, ragged rows and other non-numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"{message}, got no float array: {exc}") from None

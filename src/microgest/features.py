@@ -35,13 +35,27 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels)
+        self.pixels = _frame_stack(self.pixels)
         if self.pixels.shape != (self.height, self.width):
             raise ShapeMismatch(
                 f"pixels shape {self.pixels.shape}, expected "
                 f"({self.height}, {self.width})"
             )
         _check_pixels(self.pixels)
+
+
+def _frame_stack(frames, shape: tuple | None = None) -> np.ndarray:
+    """The stack rule: ``frames`` as an array of real numbers, one frame per
+    row, each of ``shape`` if given; refused like a wrong shape otherwise."""
+    try:
+        stack = np.asarray(frames)
+    except ValueError:  # ragged rows
+        stack = None
+    if stack is None or stack.dtype.kind not in "biuf" or stack.ndim < 1:
+        raise ShapeMismatch("frames must be a stack of numbers with one frame per row")
+    if shape is not None and stack.shape[1:] != shape:
+        raise ShapeMismatch(f"frames of shape {stack.shape[1:]}, expected {shape}")
+    return stack
 
 
 def _check_pixels(values: np.ndarray) -> None:
@@ -65,9 +79,9 @@ def _normalized_rows(frames: np.ndarray, spare: int) -> np.ndarray:
     """A new ``(T, H*W + spare)`` array whose first ``H*W`` columns hold
     the normalized frames; the division writes straight into it, so no
     full-size float copy of the stack is made on the way."""
-    frames = np.asarray(frames)
+    frames = _frame_stack(frames)
     T = frames.shape[0]
-    pixels = int(np.prod(frames.shape[1:]))
+    pixels = math.prod(frames.shape[1:])
     out = np.empty((T, pixels + spare))
     np.divide(frames.reshape(T, pixels), NORM_DIVISOR, out=out[:, :pixels])
     return out
@@ -218,16 +232,16 @@ class Annotation:
 
 
 def _label_array(name: str, values) -> np.ndarray:
-    """``values`` as a 1-D int64 array under the integer rule
-    (``errors._is_integer``): a bool, a float or a value outside int64 is
-    refused, never cast.  A list's bools turn into integers in its array,
-    so its element types are looked at too."""
+    """``values`` as an int64 array of at least one dimension under the
+    integer rule (``errors._is_integer``): a bool, a float or a value
+    outside int64 is refused, never cast.  A list's bools turn into
+    integers in its array, so its element types are looked at too."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged list
         array = None
-    if array is None or array.ndim != 1:
-        raise ShapeMismatch(f"{name} must be a one-dimensional sequence")
+    if array is None or array.ndim < 1:
+        raise ShapeMismatch(f"{name} must be a sequence")
     if array.size and (
         array.dtype.kind not in "iu"
         or (array.dtype == np.uint64 and array.max() > np.iinfo(np.int64).max)
@@ -267,15 +281,12 @@ class AnnotatedSequence:
     fps: float = 40.0
 
     def __post_init__(self) -> None:
-        self.frames = np.asarray(self.frames)
-        if self.frames.ndim != 3 or self.frames.shape[1:] != (self.height, self.width):
-            raise ShapeMismatch(
-                f"frames shape {self.frames.shape}, expected "
-                f"(T, {self.height}, {self.width})"
-            )
+        self.frames = _frame_stack(self.frames, (self.height, self.width))
         self.label_frames = _label_array("label_frames", self.label_frames)
         self.labels = _label_array("labels", self.labels)
-        self._check_label_arrays()
+        if self.label_frames.ndim != 1 or self.label_frames.shape != self.labels.shape:
+            raise ShapeMismatch(f"label frames {self.label_frames.shape}, labels "
+                                f"{self.labels.shape}: need two 1-D arrays of one length")
         _check_label_kind(self.label_kind)
         if not 0.0 < self.fps < math.inf:  # NaN fails both comparisons
             raise InvalidParams(f"fps must be finite and > 0, got {self.fps}")
@@ -300,20 +311,11 @@ class AnnotatedSequence:
         """The labels as a new list of :class:`Annotation` objects, in order."""
         return list(map(Annotation, self.label_frames.tolist(), self.labels.tolist()))
 
-    def _check_label_arrays(self) -> None:
-        """Refuse label arrays that are not equal-length 1-D int64 ndarrays;
-        construction makes them so, but they can be re-bound since."""
-        for name in ("label_frames", "labels"):
-            array = getattr(self, name)
-            if not isinstance(array, np.ndarray) or array.dtype != np.int64 or array.ndim != 1:
-                raise InvalidParams(f"{name} must be a one-dimensional int64 array")
-        if self.label_frames.shape != self.labels.shape:
-            raise ShapeMismatch(f"{self.label_frames.size} label frames, {self.labels.size} labels")
-
     def check(self) -> None:
-        """Validate pixel values, the label arrays and label frame indices."""
+        """Validate every field under the construction rules, since any can
+        be re-bound, then pixel values and label frame indices."""
+        self.__post_init__()
         _check_pixels(self.frames)
-        self._check_label_arrays()
         length = len(self)
         frame = _first_outside(self.label_frames, length)
         if frame is not None:

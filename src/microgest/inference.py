@@ -38,7 +38,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import RangeExceeded, RecurrentLayerPresent, ShapeMismatch
+from .errors import RangeExceeded, RecurrentLayerPresent, ShapeMismatch, _float_array
 from .model import (
     Activation,
     LayerKind,
@@ -47,6 +47,7 @@ from .model import (
     ModelSpec,
     Parameters,
     RnnState,
+    validate,
 )
 
 _LN2 = math.log(2.0)
@@ -224,19 +225,15 @@ def layer_forward(
     return Z, _ACTIVATIONS[kind](Z)
 
 
-def _frames(values, size: int, owner: str, noun: str = "inputs") -> np.ndarray:
+def _frames(values, size: int, owner: str, noun: str = "inputs", block: bool = False):
     """The input rule of every stepper: one float vector of ``size``
-    entries, or a time-major ``(T, size)`` block of consecutive frames.
-    Input numpy cannot read as one float array (text, ragged rows) is
-    refused like a wrong shape."""
-    try:
-        values = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(
-            f"{owner} expects {size} {noun}, got no float array: {exc}"
-        ) from None
-    if values.ndim not in (1, 2) or values.shape[-1] != size:
-        raise ShapeMismatch(f"{owner} expects {size} {noun}, got {values.shape}")
+    entries, or a time-major ``(T, size)`` block of consecutive frames,
+    which alone passes with ``block``.  Input that is no float array
+    (``errors._float_array``) is refused like a wrong shape."""
+    want = f"a (T, {size}) block of {noun}" if block else f"{size} {noun}"
+    values = _float_array(values, f"{owner} expects {want}")
+    if values.ndim not in ((2,) if block else (1, 2)) or values.shape[-1] != size:
+        raise ShapeMismatch(f"{owner} expects {want}, got {values.shape}")
     return values
 
 
@@ -299,10 +296,8 @@ def step_recurrent(
     if layer.kind is not LayerKind.RECURRENT:
         raise ShapeMismatch("step_recurrent needs a recurrent layer")
     inputs = _frames(inputs, layer.input_size, "recurrent layer")
-    if prev.shape != (layer.neurons,):
-        raise ShapeMismatch(
-            f"feedback state must have {layer.neurons} entries, got {prev.shape}"
-        )
+    if not isinstance(prev, np.ndarray) or prev.dtype.kind != "f" or prev.shape != (layer.neurons,):
+        raise ShapeMismatch(f"feedback state must have {layer.neurons} entries in a float array")
     u = np.empty((len(inputs) if inputs.ndim == 2 else 1, layer.fan_in))
     u[:, : layer.input_size] = inputs
     _, out = _step_forward(layer.activation, lp.weights, lp.biases, u, layer.input_size, prev)
@@ -338,17 +333,21 @@ def step_rnn(
     row per frame and leaves ``state`` as stepping its frames one at a time
     would, bit for bit; the layers run over it ``_BLOCK_FRAMES`` frames at a
     time.  The state belongs to one stream only and must be reset at stream
-    boundaries.  An output that is not finite raises :class:`RangeExceeded`:
-    finite weights, which :func:`~microgest.model.validate` accepts, can
-    still overflow a layer.
+    boundaries, and one made for another model is refused.  An output that
+    is not finite raises :class:`RangeExceeded`: finite weights, which
+    :func:`~microgest.model.validate` accepts, can still overflow a layer.
     """
     return _run_layers(spec, params, features, state, "step_rnn")
 
 
 def _run_layers(spec: ModelSpec, params: Parameters, features, state, owner: str):
-    """The pass of :func:`step_rnn` and :func:`run_ffnn`.  The layers run
-    with numpy's overflow and invalid-value warnings off, and the output is
-    checked for NaN and infinity once per call."""
+    """The pass of :func:`step_rnn` and :func:`run_ffnn`.  Once per call,
+    the parameters and the state are checked against the spec and the
+    output for NaN and infinity; the layers run with numpy's overflow and
+    invalid-value warnings off."""
+    validate(spec, params)
+    if state is not None:
+        state._check(spec)
     x = _frames(features, spec.features, "model", "features")
     with np.errstate(over="ignore", invalid="ignore"):
         if x.ndim == 1:

@@ -220,6 +220,12 @@ class RnnState:
     def layer(self, index: int) -> np.ndarray:
         return self._prev[index]
 
+    def _check(self, spec: ModelSpec) -> None:
+        """Refuse the state of another model: ``spec``'s recurrent layers at their sizes."""
+        held, want = ({i: p.shape for i, p in s._prev.items()} for s in (self, RnnState(spec)))
+        if held != want:
+            raise ShapeMismatch(f"state of recurrent layers {held}, the model has {want}")
+
 
 # --- architecture strings ----------------------------------------------------
 

@@ -32,7 +32,8 @@ from .errors import (
     _check_integer,
     _is_integer,
 )
-from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation, _first_outside
+from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
+from .features import _first_outside, _frame_stack
 from .inference import _frames, run_ffnn
 from .model import ModelSpec, Parameters
 
@@ -111,14 +112,13 @@ class Candidate:
         return int(self.frames.shape[0])
 
 
-def _frame_pixels(stack: np.ndarray) -> int:
-    """Pixels per frame of a ``(T, ...)`` stack, which must have some."""
-    if stack.ndim < 1:
-        raise ShapeMismatch("frames must be a stack with one frame per row")
+def _frame_pixels(frames) -> tuple[np.ndarray, int]:
+    """A ``(T, ...)`` stack under ``features._frame_stack``, and its pixels per frame (>= 1)."""
+    stack = _frame_stack(frames)
     pixels = math.prod(stack.shape[1:])
     if pixels == 0:
         raise ShapeMismatch(f"frames of shape {stack.shape[1:]} have no pixels")
-    return pixels
+    return stack, pixels
 
 
 def _frame_means(frames) -> np.ndarray:
@@ -130,8 +130,7 @@ def _frame_means(frames) -> np.ndarray:
     gives the same bits as ``np.asarray(frame, dtype=float).mean()`` taken
     frame by frame.
     """
-    stack = np.asarray(frames)
-    pixels = _frame_pixels(stack)
+    stack, pixels = _frame_pixels(frames)
     rows = np.asarray(stack, dtype=float).reshape(len(stack), pixels)
     return np.add.reduce(rows, axis=1) / pixels
 
@@ -229,13 +228,10 @@ class CandidateDetector:
 
     def push(self, frame: np.ndarray) -> list[Candidate]:
         """Feed one frame; returns candidates completed by this frame."""
-        frame = np.asarray(frame)
-        if self._shape is None:
-            self._shape = frame.shape
-        elif frame.shape != self._shape:
-            raise ShapeMismatch(f"frame of shape {frame.shape} in a stream of {self._shape}")
-        self._frames.append(frame)
-        return self._collect(self._advance(_frame_means(frame[np.newaxis])))
+        stack = _frame_stack([frame], self._shape)
+        self._shape = stack.shape[1:]
+        self._frames.append(stack[0])
+        return self._collect(self._advance(_frame_means(stack)))
 
     def finish(self) -> list[Candidate]:
         """Flush a run still open at stream end."""
@@ -381,8 +377,8 @@ def extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]
     frames are a view of its slice of the stack, not a copy.
     """
     detector = CandidateDetector(**detector_kwargs)
-    stack = np.asarray(frames)
-    step = max(1, _BLOCK_PIXELS // _frame_pixels(stack))
+    stack, pixels = _frame_pixels(frames)
+    step = max(1, _BLOCK_PIXELS // pixels)
     spans = []
     for start in range(0, len(stack), step):
         spans += detector._advance(_frame_means(stack[start : start + step]))
@@ -454,16 +450,14 @@ def scale_candidate(candidate, target: int = 20) -> Candidate:
     the same rule in one pass (:func:`_resample`).
     """
     whole = not isinstance(candidate, Candidate)
-    frames = np.asarray(candidate if whole else candidate.frames, dtype=float)
-    if frames.ndim == 0:
-        raise ShapeMismatch("a candidate must be a stack of frames, got a single value")
+    frames = _frame_stack(candidate if whole else candidate.frames).astype(float, copy=False)
     (scaled,) = _resample(frames, [(0, len(frames) - 1)], target)
     return Candidate(scaled, 0, len(frames) - 1) if whole else replace(candidate, frames=scaled)
 
 
 def candidate_features(scaled: Candidate) -> np.ndarray:
     """Normalized, time-major flattened feature vector of a scaled candidate."""
-    return scaled.frames.astype(float).ravel() / NORM_DIVISOR
+    return _frame_stack(scaled.frames).astype(float).ravel() / NORM_DIVISOR
 
 
 def _candidate_rows(stack: np.ndarray, candidates, target: int) -> np.ndarray:
@@ -528,8 +522,7 @@ class FfnnRecognizer:
 
     def __call__(self, stream) -> list[Event]:
         frames = stream.frames if isinstance(stream, AnnotatedSequence) else stream
-        stack = np.asarray(frames)
-        pixels = _frame_pixels(stack)
+        stack, pixels = _frame_pixels(frames)
         if _candidate_frames(self.spec, pixels) != self.target_frames:
             raise ShapeMismatch(f"candidates yield {self.target_frames * pixels} "
                                 f"features, model expects {self.spec.features}")
@@ -568,11 +561,7 @@ def fsm_postprocess(outputs) -> list[Event]:
     Each frame is reduced to its argmax state, and the walk of states goes
     through :func:`phase_events`.
     """
-    block = _frames(outputs, N_PHASE_STATES, "phase output", "states")
-    if block.ndim != 2:
-        raise ShapeMismatch(
-            f"phase output expects a (T, {N_PHASE_STATES}) block, got {block.shape}"
-        )
+    block = _frames(outputs, N_PHASE_STATES, "phase output", "states", block=True)
     return phase_events(np.argmax(block, axis=-1).tolist())
 
 

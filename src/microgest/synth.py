@@ -33,6 +33,7 @@ from .features import (
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
     _check_label_kind,
+    _frame_stack,
 )
 from .pipeline import (
     _BLOCK_PIXELS,
@@ -450,7 +451,7 @@ def auto_annotate(
     frame, which removes per-frame hand labelling for recorded data.  The
     sensor's width and height are the stack's.
     """
-    frames = np.asarray(frames)
+    frames = _frame_stack(frames)
     if frames.ndim != 3:
         raise ShapeMismatch(f"frames shape {frames.shape}, expected (T, H, W)")
     height, width = frames.shape[1:]

@@ -34,8 +34,10 @@ optimizer, the per-epoch mean loss and the divergence check; a run only
 supplies a generator of its steps.
 
 Every public function that reads parameters and data starts with one
-entry check (``_ffnn_inputs`` or ``_sequence_inputs``) that validates the
-parameters against the spec before anything is computed.
+entry check (``_ffnn_inputs`` or ``_sequence_inputs``): the parameters are
+validated against the spec, the features go through the steppers' block
+rule (``inference._frames``) and the labels through the integer rule
+(``features._label_array``), which refuses a bool or a float, never casts.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ from .backprop import (
     _train_kind,
 )
 from .errors import DivergenceDetected, InvalidParams, ShapeMismatch
-from .errors import _check_integer, _check_seed
-from .inference import layer_forward
+from .errors import _check_integer, _check_seed, _float_array
+from .features import _label_array
+from .inference import _frames, layer_forward
 from .model import (
     Activation,
     LayerParams,
@@ -220,12 +223,8 @@ def _ffnn_inputs(spec: ModelSpec, params: Parameters, X, y):
     fit the model; returns ``X`` as floats and ``y`` as integers.
     """
     validate(spec, params)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[1] != spec.features:
-        raise ShapeMismatch(
-            f"features must be (N, {spec.features}), got {X.shape}"
-        )
+    X = _frames(X, spec.features, "model", "features", block=True)
+    y = _label_array("labels", y)
     if y.shape != (X.shape[0],):
         raise ShapeMismatch("labels must be one integer per example")
     if X.shape[0] == 0:
@@ -384,7 +383,7 @@ def retrain_pruned(
     ``removed`` holds one boolean mask per layer, True at pruned positions;
     those weights are pinned at exactly 0.0 for the whole run.
     """
-    removed = [np.asarray(m, dtype=bool) for m in removed]
+    removed = [_float_array(m, "a removal mask must hold numbers").astype(bool) for m in removed]
     if [m.shape for m in removed] != [(l.neurons, l.fan_in) for l in spec.layers]:
         raise ShapeMismatch("need one removal mask per layer, shaped like its weights")
     out, history, _ = _fit_ffnn(spec, params, X, y, cfg, removed=removed)
@@ -410,9 +409,10 @@ def retrain_quantized(
     """
     if not len(assignments) == len(centroids) == len(spec.layers):
         raise ShapeMismatch("need one assignment array and centroid table per layer")
+    assignments = [_label_array("assignments", a) for a in assignments]
+    centroids = [_float_array(c, "a centroid table must be one-dimensional") for c in centroids]
     for a, c, layer in zip(assignments, centroids, spec.layers):
-        a = np.asarray(a)
-        if np.ndim(c) != 1:
+        if c.ndim != 1:
             raise ShapeMismatch("a centroid table must be one-dimensional")
         if a.shape != (layer.neurons, layer.fan_in):
             raise ShapeMismatch("assignment shape must match the weight matrix")
@@ -420,14 +420,7 @@ def retrain_quantized(
             raise InvalidParams(
                 f"assignment index outside -1..{len(c) - 1} (-1 marks a pruned weight)"
             )
-    out, history, new_centroids = _fit_ffnn(
-        spec,
-        params,
-        X,
-        y,
-        cfg,
-        quant=([np.asarray(a) for a in assignments], list(centroids)),
-    )
+    out, history, new_centroids = _fit_ffnn(spec, params, X, y, cfg, quant=(assignments, centroids))
     return new_centroids, out, history
 
 
@@ -441,16 +434,15 @@ def _sequence_inputs(spec: ModelSpec, params: Parameters, sequences):
     features and integer targets.
     """
     validate(spec, params)
-    sequences = [
-        (np.asarray(X, dtype=float), np.asarray(t, dtype=int)) for X, t in sequences
-    ]
+    try:
+        pairs = [(X, t) for X, t in sequences]
+    except (TypeError, ValueError):  # an item that is not a pair
+        raise ShapeMismatch("sequences must be (features, targets) pairs") from None
+    sequences = [(_frames(X, spec.features, "model", "features", block=True),
+                  _label_array("targets", t)) for X, t in pairs]
     if not sequences:
         raise InvalidParams("no training sequences")
     for X, t in sequences:
-        if X.ndim != 2 or X.shape[1] != spec.features:
-            raise ShapeMismatch(
-                f"sequence features must be (T, {spec.features}), got {X.shape}"
-            )
         if t.shape != (X.shape[0],):
             raise ShapeMismatch("need one target (or -1) per frame")
         if t.size and np.max(t) >= spec.output_size:
