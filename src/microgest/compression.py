@@ -52,7 +52,7 @@ from .errors import (
     _float_array,
     _is_integer,
 )
-from .model import LayerParams, ModelSpec, Parameters, validate
+from .model import LayerParams, ModelSpec, Parameters, _removal_masks, validate
 from .inference import record_macs
 
 #: Largest position delta the sparse address map can store in one entry.
@@ -97,11 +97,13 @@ def prune(
 
 
 def apply_pruning(params: Parameters, removed: Sequence[np.ndarray]) -> Parameters:
-    """Zero out removed weights; returns a new Parameters object."""
+    """Zero out removed weights, True in ``removed``'s one mask per layer;
+    returns a new Parameters object."""
+    removed = _removal_masks(removed, [lp.weights.shape for lp in params.layers])
     layers = []
     for lp, mask in zip(params.layers, removed):
         w = lp.weights.copy()
-        w[np.asarray(mask, dtype=bool)] = 0.0
+        w[mask] = 0.0
         layers.append(LayerParams(w, lp.biases.copy()))
     return Parameters(layers)
 

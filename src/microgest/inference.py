@@ -47,6 +47,7 @@ from .model import (
     ModelSpec,
     Parameters,
     RnnState,
+    _check_layer_shapes,
     validate,
 )
 
@@ -112,22 +113,23 @@ def approx_pow2(x):
     :class:`RangeExceeded` because the result would leave the float32
     exponent range of the target hardware, and so does NaN.
     """
-    arr = np.asarray(x, dtype=float)
+    out = _pow2(_float_array(x, "approx_pow2 expects numbers"))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _pow2(arr):  # approx_pow2 of float64 values
     if not (np.abs(arr) <= 126.0).all():
         raise RangeExceeded("approx_pow2 input must satisfy |x| <= 126")
     n = np.floor(arr)
     v = arr - n
     frac = 1.0 + v * (2.0 / 3.0) + v * v * (1.0 / 3.0)
-    out = np.ldexp(frac, n.astype(int))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return np.ldexp(frac, n.astype(int))
 
 
 def approx_exp(x):
     """Fast ``exp(x)`` via ``approx_pow2(x / ln 2)``; same range contract."""
-    arr = np.asarray(x, dtype=float)
-    return approx_pow2(arr / _LN2) if np.ndim(x) else approx_pow2(float(x) / _LN2)
+    arr = _float_array(x, "approx_exp expects numbers")
+    return approx_pow2(arr / _LN2) if arr.ndim else approx_pow2(float(arr) / _LN2)
 
 
 # --- activations -------------------------------------------------------------
@@ -158,13 +160,24 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, _ZERO)
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
+def _row_values(v, name: str) -> np.ndarray:
+    """The input rule of the public layer-wise activations: rows of numbers."""
+    v = _float_array(v, f"{name} expects numbers")
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ShapeMismatch(f"{name} expects at least one number per row, got shape {v.shape}")
+    return v
+
+
+def softmax(v) -> np.ndarray:
     """Exact softmax, shifted by the maximum for numeric range control.
 
     The maximum and the sum of a lone vector stay 0-d arrays, which numpy
     broadcasts faster than a kept axis of length one; a batch keeps it.
     """
-    v = np.asarray(v, dtype=float)
+    return _softmax(_row_values(v, "softmax"))
+
+
+def _softmax(v: np.ndarray) -> np.ndarray:
     keep = v.ndim > 1
     e = v - np.asarray(np.maximum.reduce(v, axis=-1, keepdims=keep))
     np.exp(e, out=e)
@@ -172,7 +185,7 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e
 
 
-def approx_softmax(v: np.ndarray) -> np.ndarray:
+def approx_softmax(v) -> np.ndarray:
     """Softmax evaluated with the fast exponential.
 
     The layer maximum is subtracted first so every argument is <= 0, which
@@ -180,17 +193,23 @@ def approx_softmax(v: np.ndarray) -> np.ndarray:
     pre-activation scale.  Entries stay within about one percent of the
     exact softmax and still sum to one.
     """
-    v = np.asarray(v, dtype=float)
+    return _approx_softmax(_row_values(v, "approx_softmax"))
+
+
+def _approx_softmax(v: np.ndarray) -> np.ndarray:
     shifted = np.maximum(
         v - np.maximum.reduce(v, axis=-1, keepdims=True), _SOFTMAX_SHIFT_FLOOR
     )
-    e = approx_exp(shifted)
+    e = _pow2(shifted / _LN2)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def max_onehot(v: np.ndarray) -> np.ndarray:
+def max_onehot(v) -> np.ndarray:
     """One-hot vector marking the argmax; ties go to the lowest index."""
-    v = np.asarray(v, dtype=float)
+    return _max_onehot(_row_values(v, "max_onehot"))
+
+
+def _max_onehot(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape)
     np.put_along_axis(out, np.argmax(v, axis=-1)[..., None], 1.0, axis=-1)
     return out
@@ -202,9 +221,9 @@ _ACTIVATIONS = {
     Activation.HARD_SIGMOID: _hard_sigmoid,
     Activation.SOFTSIGN: _softsign,
     Activation.RELU: _relu,
-    Activation.SOFTMAX: softmax,
-    Activation.APPROX_SOFTMAX: approx_softmax,
-    Activation.MAX: max_onehot,
+    Activation.SOFTMAX: _softmax,
+    Activation.APPROX_SOFTMAX: _approx_softmax,
+    Activation.MAX: _max_onehot,
 }
 
 
@@ -276,6 +295,7 @@ def forward_dense(layer: LayerSpec, lp: LayerParams, inputs: np.ndarray) -> np.n
     numpy multiplies row by row exactly as it does a lone vector, so every
     row equals the vector's result bit for bit.
     """
+    _check_layer_shapes(layer, lp, "dense layer")
     inputs = _frames(inputs, layer.input_size, "dense layer")
     if inputs.ndim == 1:
         return layer_forward(layer.activation, lp.weights, lp.biases, inputs)[1]
@@ -295,6 +315,7 @@ def step_recurrent(
     """
     if layer.kind is not LayerKind.RECURRENT:
         raise ShapeMismatch("step_recurrent needs a recurrent layer")
+    _check_layer_shapes(layer, lp, "recurrent layer")
     inputs = _frames(inputs, layer.input_size, "recurrent layer")
     if not isinstance(prev, np.ndarray) or prev.dtype.kind != "f" or prev.shape != (layer.neurons,):
         raise ShapeMismatch(f"feedback state must have {layer.neurons} entries in a float array")

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import IllegalActivationPlacement, InvalidParams, NonFiniteParameter
-from .errors import ShapeMismatch, _is_integer
+from .errors import ShapeMismatch, _float_array, _is_integer
 
 
 class Activation(Enum):
@@ -182,6 +182,25 @@ def zero_params(spec: ModelSpec) -> Parameters:
     )
 
 
+def _check_layer_shapes(layer: LayerSpec, lp: LayerParams, owner: str) -> None:
+    """Refuse weights that are not ``(neurons, fan_in)``, biases not ``(neurons,)``."""
+    want = (layer.neurons, layer.fan_in)
+    if lp.weights.shape != want:
+        raise ShapeMismatch(f"{owner}: weight shape {lp.weights.shape}, expected {want}")
+    if lp.biases.shape != (layer.neurons,):
+        raise ShapeMismatch(f"{owner}: bias shape {lp.biases.shape}, expected ({layer.neurons},)")
+
+
+def _removal_masks(removed, shapes) -> list[np.ndarray]:
+    """The pruning-mask rule: one mask per layer, of its weights' shape in
+    ``shapes``; a bool array passes as it is, other numbers are cast to bool."""
+    masks = [m if isinstance(m, np.ndarray) and m.dtype == bool
+             else _float_array(m, "a removal mask must hold numbers").astype(bool) for m in removed]
+    if [m.shape for m in masks] != list(shapes):
+        raise ShapeMismatch("need one removal mask per layer, shaped like its weights")
+    return masks
+
+
 def validate(spec: ModelSpec, params: Parameters) -> None:
     """Check that parameters fit the architecture and are finite."""
     check_spec(spec)
@@ -190,15 +209,7 @@ def validate(spec: ModelSpec, params: Parameters) -> None:
             f"expected {len(spec.layers)} parameter layers, got {len(params.layers)}"
         )
     for i, (layer, lp) in enumerate(zip(spec.layers, params.layers)):
-        want = (layer.neurons, layer.fan_in)
-        if lp.weights.shape != want:
-            raise ShapeMismatch(
-                f"layer {i}: weight shape {lp.weights.shape}, expected {want}"
-            )
-        if lp.biases.shape != (layer.neurons,):
-            raise ShapeMismatch(
-                f"layer {i}: bias shape {lp.biases.shape}, expected ({layer.neurons},)"
-            )
+        _check_layer_shapes(layer, lp, f"layer {i}")
         if not (np.all(np.isfinite(lp.weights)) and np.all(np.isfinite(lp.biases))):
             raise NonFiniteParameter(f"layer {i}: non-finite weight or bias")
 

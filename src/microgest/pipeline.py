@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,6 +139,7 @@ def _frame_means(frames) -> np.ndarray:
 DETECTOR_DEVIATION = 0.10
 DETECTOR_STABILITY = 0.01
 DETECTOR_BASELINE_ALPHA = 0.9
+_PARKED, _QUIET, _DEVIATING = range(3)  # a frame's kind; the first two are _considered's bytes
 
 
 def _considered(means, prevs):
@@ -183,11 +184,16 @@ class CandidateDetector:
     :func:`extract_candidates` takes the means of whole blocks of frames
     and gives each candidate as a view of its slice of the stack.  Either
     way the stability rule of the new frames is taken in one numpy call.
-    While the detector is idle, a stretch of considered frames that do not
-    deviate runs through a tight loop that only moves the rolling average,
-    and the stretch then turns into context at once; the general step would
-    give each such frame the same average and fold it into context one at a
-    time, and context is capped at ``pad`` either way.
+
+    The rolling average moves on every considered frame that does not
+    deviate, in every state, so it depends on the frame means alone, and a
+    block is walked in two passes.  The first moves the average and marks
+    each frame parked, quiet or deviating in a ``bytearray``.  The second
+    jumps the state machine between the frames where it acts with
+    ``bytearray.find``, ``rfind`` and ``count``: idle, to the next deviating
+    frame (parked frames that decay are counted, not stepped); in a run, to
+    the next quiet frame or the deviating one that fills the buffer; in
+    trailing context, to the frame that emits.
 
     One detector instance serves one stream (single writer).  Feed frames
     with :meth:`push`; each call returns the candidates completed by that
@@ -200,9 +206,8 @@ class CandidateDetector:
         for name, value, least in (("min_run", min_run, 0), ("pad", pad, 0),
                                    ("capacity", capacity, 1)):
             _check_integer(name, value, least)
-        self.min_run = min_run
-        self.pad = pad
-        self.capacity = capacity
+        # Python ints: the walk's arithmetic must not wrap like a numpy uint8
+        self.min_run, self.pad, self.capacity = int(min_run), int(pad), int(capacity)
         self._index = -1
         self._rollavg: float | None = None
         self._prev_mean: float | None = None
@@ -268,13 +273,9 @@ class CandidateDetector:
             (means[:1] if self._prev_mean is None else [self._prev_mean], means[:-1])
         )
         with np.errstate(invalid="ignore"):  # inf - inf is NaN here as for floats
-            considered = _considered(means, prevs).tolist()
+            kinds = bytearray(_considered(means, prevs).tobytes())  # _QUIET or _PARKED
         means = means.tolist()
-        deviation = DETECTOR_DEVIATION
         min_run, pad, capacity = self.min_run, self.pad, self.capacity
-        alpha = DETECTOR_BASELINE_ALPHA
-        beta = 1.0 - alpha
-        IDLE, RUN, POST = self._IDLE, self._RUN, self._POST
         rollavg = self._rollavg
         phase, mark, hist = self._phase, self._mark, self._hist
         run, count = self._run, self._run_count
@@ -283,54 +284,67 @@ class CandidateDetector:
             rollavg = means[0]
             hist, mark = min(hist + 1, pad), base + 1
             i = 1
+        # pass 1: the rolling average over the considered frames
+        deviation, alpha = DETECTOR_DEVIATION, DETECTOR_BASELINE_ALPHA
+        beta = 1.0 - alpha
+        for k in compress(range(i, n), kinds[i:]):
+            mean = means[k]
+            diff = abs(mean - rollavg)
+            if diff > 0.0 and diff >= deviation * rollavg:
+                kinds[k] = _DEVIATING
+            else:
+                rollavg = alpha * rollavg + beta * mean
+        # pass 2: the state machine, from one frame where it acts to the next
+        IDLE, RUN, POST = self._IDLE, self._RUN, self._POST
         spans = []
         while i < n:
             if phase == IDLE:
-                # the idle fast path: considered frames that do not deviate
-                # only move the average, then turn into context at once
-                stretch = i
-                while i < n and considered[i]:
-                    mean = means[i]
-                    diff = abs(mean - rollavg)
-                    if diff > 0.0 and diff >= deviation * rollavg:
-                        break
-                    rollavg = alpha * rollavg + beta * mean
-                    i += 1
-                if i > stretch:
-                    hist, mark = min(hist + base + i - mark, pad), base + i
-                    if i == n:
-                        break
-            index, mean = base + i, means[i]
-            diff = abs(mean - rollavg)
-            deviating = diff > 0.0 and diff >= deviation * rollavg
-            if considered[i] and not deviating:
-                rollavg = alpha * rollavg + beta * mean
-            emit = truncated = False
-            if phase == POST:
-                post = index + 1 - mark - run
-                emit = post >= pad or hist + run + post >= capacity
-            elif not considered[i]:
-                # parked at the window's end until a considered frame
-                if phase == IDLE and index + 1 - mark > capacity:
-                    # pathological flicker; oldest parked frames decay to context
-                    hist, mark = min(hist + 1, pad), mark + 1
-            elif deviating:
-                # parked frames between deviating ones join the run
-                run = index + 1 - mark
-                count = count + 1 if phase == RUN else 1
-                phase = RUN
-                emit = truncated = hist + run >= capacity
-            elif phase == RUN and count >= min_run:
-                phase = POST
-                emit = index + 1 - mark - run >= pad
+                # quiet frames and parked ones beyond capacity become context
+                j = kinds.find(_DEVIATING, i)
+                stop = n if j < 0 else j
+                q = kinds.rfind(_QUIET, i, stop)
+                if q >= 0:
+                    hist, mark = min(hist + base + q + 1 - mark, pad), base + q + 1
+                decay = max(0, base + stop - mark - capacity)
+                hist, mark = min(hist + decay, pad), mark + decay
+                if j < 0:
+                    break
+                # parked frames before a deviating one join its run
+                i = j + 1
+                phase, run, count = RUN, base + i - mark, 1
+                truncated = hist + run >= capacity
+            elif phase == RUN:
+                # deviating frames extend the run until a quiet one or a full buffer
+                j = kinds.find(_QUIET, i)
+                stop = n if j < 0 else j
+                full = kinds.find(_DEVIATING, max(i, mark + capacity - hist - 1 - base), stop)
+                last = kinds.rfind(_DEVIATING, i, stop) if full < 0 else full
+                if last >= 0:
+                    count += kinds.count(_DEVIATING, i, last + 1)
+                    run = base + last + 1 - mark
+                truncated = full >= 0
+                if truncated:
+                    i = full + 1
+                elif j < 0:
+                    break
+                else:
+                    i = j + 1
+                    if count < min_run:  # a run too short: everything so far is context
+                        hist, mark = min(hist + base + i - mark, pad), base + i
+                        phase, run, count = IDLE, 0, 0
+                        continue
+                    phase = POST
+                    if base + i - mark - run < pad:
+                        continue
             else:
-                # a run too short: everything so far is context
-                hist, mark = min(hist + index + 1 - mark, pad), index + 1
-                phase, run, count = IDLE, 0, 0
-            if emit:
-                spans.append(_window_span(mark, hist, run, index + 1, pad, capacity, truncated))
-                phase, mark, hist, run, count = IDLE, index + 1, 0, 0, 0
-            i += 1
+                # trailing frames of any kind until pad of them or a full buffer
+                j = max(i, mark + run + min(pad, capacity - hist - run) - 1 - base)
+                if j >= n:
+                    break
+                i, truncated = j + 1, False
+            if phase == POST or truncated:
+                spans.append(_window_span(mark, hist, run, base + i, pad, capacity, truncated))
+                phase, mark, hist, run, count = IDLE, base + i, 0, 0, 0
         if n:
             self._index, self._prev_mean = base + n - 1, means[-1]
         self._rollavg = rollavg

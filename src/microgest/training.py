@@ -27,8 +27,12 @@ has one loop over BPTT windows, the lazy generator ``_windows``, shared by
 
 A run's trainable arrays (weights and biases, or centroid tables and
 biases when quantized) are views into one flat float64 buffer, and the
-optimizers keep flat moments: each step concatenates the gradients once
-and updates the whole buffer with one set of ufunc calls.  Every run has
+optimizers keep flat moments: each step updates the whole buffer with one
+set of ufunc calls.  A minibatch run allocates a flat gradient buffer of
+the same layout once; each step writes every layer's gradient straight
+into its view (``np.matmul`` and ``np.add.reduce`` with ``out=``), and
+each epoch gathers its shuffled rows once, so a batch is a slice.  Adam
+steps through two scratch arrays allocated once per run.  Every run has
 one epoch loop, :func:`_optimize`, which owns the seeded shuffle, the
 optimizer, the per-epoch mean loss and the divergence check; a run only
 supplies a generator of its steps.
@@ -66,6 +70,7 @@ from .model import (
     Parameters,
     RnnState,
     _check_size,
+    _removal_masks,
     validate,
 )
 
@@ -159,20 +164,21 @@ class _Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.scratch = np.empty((2, size))
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        m, v = self.m, self.v
+        (m, v), (step, den) = (self.m, self.v), self.scratch
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        # flat -= lr * (m / c1) / (sqrt(v / c2) + eps), with two temporaries
-        step = m / c1
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=step), grad, out=step)
+        # flat -= lr * (m / c1) / (sqrt(v / c2) + eps), in the two scratch arrays
+        np.divide(m, c1, out=step)
         step *= self.lr
-        den = v / c2
+        np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
         den += ADAM_EPS
         step /= den
@@ -239,11 +245,15 @@ def _layer_arrays(params: Parameters):
     return [lp.weights for lp in params.layers], [lp.biases for lp in params.layers]
 
 
-def _forward_batch(spec: ModelSpec, Ws, bs, X):
+def _train_kinds(spec: ModelSpec) -> list[Activation]:
+    return [_train_kind(layer.activation) for layer in spec.layers]
+
+
+def _forward_batch(kinds, Ws, bs, X):
     acts = [X]
     zs = []
-    for layer, W, b in zip(spec.layers, Ws, bs):
-        z, a = layer_forward(_train_kind(layer.activation), W, b, acts[-1])
+    for kind, W, b in zip(kinds, Ws, bs):
+        z, a = layer_forward(kind, W, b, acts[-1])
         zs.append(z)
         acts.append(a)
     return zs, acts
@@ -252,27 +262,27 @@ def _forward_batch(spec: ModelSpec, Ws, bs, X):
 def _batch_outputs(spec: ModelSpec, params: Parameters, X, y):
     """Checked labels and the training-time outputs for ``X``."""
     X, y = _ffnn_inputs(spec, params, X, y)
-    return _forward_batch(spec, *_layer_arrays(params), X)[1][-1], y
+    return _forward_batch(_train_kinds(spec), *_layer_arrays(params), X)[1][-1], y
 
 
 def _batch_loss(P: np.ndarray, y: np.ndarray) -> float:
-    picked = np.clip(P[np.arange(P.shape[0]), y], _LOG_CLIP, None)
-    return float(-np.mean(np.log(picked)))
+    """Mean cross-entropy: the ufuncs that ``np.clip`` and ``np.mean`` run."""
+    n = P.shape[0]
+    picked = np.maximum(P[np.arange(n), y], _LOG_CLIP)
+    return float(-(np.add.reduce(np.log(picked)) / n))
 
 
-def _backward_batch(spec: ModelSpec, Ws, zs, acts, y):
+def _backward_batch(kinds, Ws, zs, acts, y, gW, gb):
+    """Write the batch's gradients into the per-layer arrays ``gW``, ``gb``."""
     B = y.shape[0]
     delta = acts[-1].copy()
     delta[np.arange(B), y] -= 1.0
     delta /= B
-    gW = [None] * len(Ws)
-    gb = [None] * len(Ws)
     for i in range(len(Ws) - 1, -1, -1):
-        gW[i] = delta.T @ acts[i]
-        gb[i] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=gW[i])
+        np.add.reduce(delta, axis=0, out=gb[i])
         if i > 0:
-            kind = _train_kind(spec.layers[i - 1].activation)
-            delta = _pull_back(kind, zs[i - 1], acts[i], delta @ Ws[i])
+            delta = _pull_back(kinds[i - 1], zs[i - 1], acts[i], delta @ Ws[i])
     return gW, gb
 
 
@@ -281,8 +291,10 @@ def gradients(spec: ModelSpec, params: Parameters, X, y):
     X, y = _ffnn_inputs(spec, params, X, y)
     _check_output_trainable(spec)
     Ws, bs = _layer_arrays(params)
-    zs, acts = _forward_batch(spec, Ws, bs, X)
-    return _backward_batch(spec, Ws, zs, acts, y)
+    kinds = _train_kinds(spec)
+    zs, acts = _forward_batch(kinds, Ws, bs, X)
+    gW, gb = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
+    return _backward_batch(kinds, Ws, zs, acts, y, gW, gb)
 
 
 def evaluate_loss(spec: ModelSpec, params: Parameters, X, y) -> float:
@@ -296,20 +308,18 @@ def classification_accuracy(spec: ModelSpec, params: Parameters, X, y) -> float:
     return float(np.mean(np.argmax(P, axis=1) == y))
 
 
-def _lookup(assignments, centroids) -> list[np.ndarray]:
-    """Weights read through cluster assignments; -1 marks a pruned 0.0."""
-    return [
-        np.where(a >= 0, c[np.maximum(a, 0)], 0.0)
-        for a, c in zip(assignments, centroids)
-    ]
+def _lookup(kept, indices, centroids) -> list[np.ndarray]:
+    """Weights read through assignments; ``kept`` masks those not -1 (a pruned 0.0)."""
+    return [np.where(k, c[i], 0.0) for k, i, c in zip(kept, indices, centroids)]
 
 
 def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
     """Shared minibatch steps for plain, masked, and quantized training.
 
     The trainable arrays are views into one flat buffer, weights then
-    biases, or centroid tables then biases when quantized; each step
-    concatenates the gradients once and updates the whole buffer.
+    biases, or centroid tables then biases when quantized.  Each step
+    writes its gradients into a second flat buffer of the same layout,
+    allocated once per run, and updates the whole parameter buffer.
     ``removed`` is a per-layer boolean mask of pruned weights (True means
     removed); their gradients are zeroed so they stay exactly 0.0.
     ``quant`` is ``(assignments, centroids)``: weights become centroid
@@ -317,6 +327,7 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
     """
     X, y = _ffnn_inputs(spec, params, X, y)
     _check_output_trainable(spec)
+    kinds = _train_kinds(spec)
     L = len(params.layers)
     biases = [lp.biases for lp in params.layers]
 
@@ -331,29 +342,30 @@ def _fit_ffnn(spec, params, X, y, cfg, removed=None, quant=None):
         assignments, centroids = quant
         flat, views = _flat_copy(list(centroids) + biases)
         centroids = views[:L]
-    bs = views[L:]
+        kept = [a >= 0 for a in assignments]
+        indices = [np.maximum(a, 0) for a in assignments]
+        members = [a[k] for a, k in zip(assignments, kept)]
+    grad, grads = _flat_copy(views)  # the gradient buffer, laid out like flat
+    bs, gb = views[L:], grads[L:]
+    gW = grads[:L] if quant is None else [np.empty(a.shape) for a in assignments]
 
     def epoch(perm):
         for start in range(0, perm.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            W_now = Ws if quant is None else _lookup(assignments, centroids)
-            zs, acts = _forward_batch(spec, W_now, bs, X[idx])
-            gW, gb = _backward_batch(spec, W_now, zs, acts, y[idx])
-            if quant is None:
-                grad = np.concatenate(gW + gb, axis=None)
-                if removed is not None:
-                    grad[pruned] = 0.0
-            else:
-                gC = [
-                    np.bincount(a[a >= 0], weights=g[a >= 0], minlength=c.size)
-                    for a, g, c in zip(assignments, gW, centroids)
-                ]
-                grad = np.concatenate(gC + gb, axis=None)
-            yield _batch_loss(acts[-1], y[idx]) * idx.shape[0], idx.shape[0], grad
+            Xb, yb = X[idx], y[idx]
+            W_now = Ws if quant is None else _lookup(kept, indices, centroids)
+            zs, acts = _forward_batch(kinds, W_now, bs, Xb)
+            _backward_batch(kinds, W_now, zs, acts, yb, gW, gb)
+            if quant is not None:
+                for a, k, g, c in zip(members, kept, gW, grads):
+                    c[...] = np.bincount(a, weights=g[k], minlength=c.size)
+            elif removed is not None:
+                grad[pruned] = 0.0
+            yield _batch_loss(acts[-1], yb) * yb.shape[0], yb.shape[0], grad
 
     history = _optimize(cfg, flat, X.shape[0], epoch)
     if quant is not None:
-        Ws = _lookup(assignments, centroids)
+        Ws = _lookup(kept, indices, centroids)
     out = Parameters([LayerParams(W, b) for W, b in zip(Ws, bs)])
     return out, history, None if quant is None else centroids
 
@@ -383,9 +395,7 @@ def retrain_pruned(
     ``removed`` holds one boolean mask per layer, True at pruned positions;
     those weights are pinned at exactly 0.0 for the whole run.
     """
-    removed = [_float_array(m, "a removal mask must hold numbers").astype(bool) for m in removed]
-    if [m.shape for m in removed] != [(l.neurons, l.fan_in) for l in spec.layers]:
-        raise ShapeMismatch("need one removal mask per layer, shaped like its weights")
+    removed = _removal_masks(removed, [(l.neurons, l.fan_in) for l in spec.layers])
     out, history, _ = _fit_ffnn(spec, params, X, y, cfg, removed=removed)
     return out, history
 

@@ -17,6 +17,7 @@ import pytest
 from microgest.bitcode import pack_bits
 from microgest.compression import (
     CompressionOptions,
+    apply_pruning,
     compress_model,
     encode_sparse,
     kmeans_1d,
@@ -24,8 +25,26 @@ from microgest.compression import (
 )
 from microgest.errors import InvalidParams, MicrogestError, ShapeMismatch
 from microgest.features import AnnotatedSequence, Image, stream_features
-from microgest.inference import forward_dense, run_ffnn, step_recurrent, step_rnn
-from microgest.model import Activation, LayerKind, RnnState, chain, parse_arch, zero_params
+from microgest.inference import (
+    approx_exp,
+    approx_pow2,
+    approx_softmax,
+    forward_dense,
+    max_onehot,
+    run_ffnn,
+    softmax,
+    step_recurrent,
+    step_rnn,
+)
+from microgest.model import (
+    Activation,
+    LayerKind,
+    LayerParams,
+    RnnState,
+    chain,
+    parse_arch,
+    zero_params,
+)
 from microgest.model_io import load_dataset, save_dataset
 from microgest.pipeline import (
     Candidate,
@@ -307,3 +326,59 @@ def test_saving_takes_frames_re_bound_to_a_list_of_the_right_shape(tmp_path):
     ds.frames = frames.tolist()
     save_dataset(tmp_path / "ds.mgds", ds)
     assert np.array_equal(load_dataset(tmp_path / "ds.mgds").frames, frames)
+
+
+@pytest.mark.parametrize("value", [["a"], 0.5, [], np.zeros((2, 0))],
+                         ids=["text", "0-d", "empty", "empty rows"])
+@pytest.mark.parametrize("activation", [softmax, approx_softmax, max_onehot])
+def test_the_layer_wise_activations_take_rows_of_numbers_only(activation, value):
+    # ["a"] once raised numpy's ValueError, 0-d a TypeError or AxisError,
+    # an empty row numpy's ValueError of a reduction without identity
+    with pytest.raises(ShapeMismatch):
+        activation(value)
+
+
+@pytest.mark.parametrize("function", [approx_pow2, approx_exp])
+def test_the_fast_exponentials_take_numbers_only(function):
+    with pytest.raises(ShapeMismatch):
+        function(["a"])
+    assert function([]).shape == (0,)
+
+
+def test_a_layer_steps_only_with_its_own_parameters():
+    # forward_dense once gave 5 outputs for a 3-neuron layer, and
+    # step_recurrent raised numpy's ValueError
+    dense, other = parse_arch("4-3-2softmax"), parse_arch("4-5-2softmax")
+    with pytest.raises(ShapeMismatch):
+        forward_dense(dense.layers[0], zero_params(other).layers[0], np.zeros(4))
+    recurrent, other = parse_arch("4-r3softmax"), parse_arch("4-r5softmax")
+    with pytest.raises(ShapeMismatch):
+        step_recurrent(recurrent.layers[0], zero_params(other).layers[0], np.zeros(4),
+                       np.zeros(3))
+    lp = zero_params(dense).layers[0]
+    with pytest.raises(ShapeMismatch):
+        forward_dense(dense.layers[0], LayerParams(lp.weights, np.zeros(5)), np.zeros(4))
+
+
+@pytest.mark.parametrize("masks", [
+    [np.zeros((5, 4), dtype=bool), np.zeros((2, 5), dtype=bool)],
+    [[[1.0, 0.0], [1.0]], np.zeros((2, 3))],
+    [np.zeros((3, 4), dtype=bool)],
+    [np.full((3, 4), "a"), np.zeros((2, 3))],
+], ids=["another model's", "ragged", "one for two layers", "text"])
+def test_apply_pruning_takes_one_mask_per_layer_shaped_like_its_weights(masks):
+    # once numpy's IndexError or ValueError, a silent one-layer model, or
+    # text cast to True
+    with pytest.raises(ShapeMismatch):
+        apply_pruning(zero_params(parse_arch("4-3-2softmax")), masks)
+
+
+def test_pruning_masks_of_bools_are_taken_as_they_are_and_numbers_are_cast():
+    # the sweep prunes with the bool masks of prune(), which must not be copied
+    from microgest.model import _removal_masks
+
+    params = init_params(FFNN, 0)
+    assert _removal_masks(MASKS, [(3, 4), (2, 3)])[0] is MASKS[0]
+    pruned = apply_pruning(params, [np.eye(3, 4), [[0, 0, 2]] * 2])
+    assert np.array_equal(pruned.layers[0].weights == 0.0, np.eye(3, 4, dtype=bool))
+    assert not pruned.layers[1].weights[:, 2].any() and pruned.layers[1].weights[:, :2].all()

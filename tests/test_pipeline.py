@@ -8,7 +8,7 @@ from conftest import (
     oracle_label_candidates,
     oracle_scale_frames,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microgest import pipeline
 from microgest.errors import InvalidParams, RecurrentLayerPresent, ShapeMismatch, TooShort
@@ -286,6 +286,46 @@ def test_detector_equals_the_oracle_across_block_edges(shape, kwargs):
     before = [last for _, last in spans if last < 3 * edge]
     after = [first for first, _ in spans if first >= 3 * edge - 100]
     assert max(before) < 3 * edge - 100 and min(after) > 3 * edge + 50  # the idle stretch
+
+
+@given(
+    segments=st.lists(_SEGMENT, max_size=10),
+    block_pixels=st.integers(9, 300),
+    seed=st.integers(0, 2**32 - 1),
+    kwargs=st.fixed_dictionaries(
+        {
+            "min_run": st.integers(0, 11),
+            "pad": st.integers(0, 11),
+            "capacity": st.integers(1, 99),
+        },
+    ),
+    numpy_ints=st.booleans(),
+)
+@example(
+    segments=[("steady", 3, 1.0, 0), ("flicker", 40, 1.0, 0), ("dip", 30, 0.8, 2)],
+    block_pixels=9, seed=0, kwargs=dict(min_run=2, pad=9, capacity=4), numpy_ints=True,
+)
+@settings(max_examples=200, deadline=None)
+def test_detector_walk_equals_the_oracle_for_blocks_of_any_size(
+    segments, block_pixels, seed, kwargs, numpy_ints
+):
+    # blocks of 1 to 33 frames of 3x3 pixels end in every state of the walk:
+    # idle with parked frames, in a run and in trailing context; the walk's
+    # arithmetic on numpy integer parameters must not wrap
+    frames = _dip_stream(segments, (3, 3), "uint16", seed)
+    mine = kwargs
+    if numpy_ints:
+        mine = dict(min_run=np.int64(kwargs["min_run"]), pad=np.int32(kwargs["pad"]),
+                    capacity=np.uint8(kwargs["capacity"]))
+    want = oracle_extract_candidates(frames, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_BLOCK_PIXELS", block_pixels)
+        _same_candidates(extract_candidates(frames, **mine), want)
+    det, oracle = CandidateDetector(**mine), OracleCandidateDetector(**kwargs)
+    for frame in frames:
+        _same_candidates(det.push(frame), oracle.push(frame))
+        assert det.baseline == oracle.baseline
+    _same_candidates(det.finish(), oracle.finish())
 
 
 def test_the_stability_rule_of_a_block_equals_that_of_each_frame():
