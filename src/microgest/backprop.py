@@ -1,10 +1,10 @@
 """Backward-pass kernels of the training loops in :mod:`microgest.training`.
 
-The backward passes have one activation derivative, ``_pull_back``.  It
-works on the last axis, so a minibatch, a window of time steps and one
-time step use the same lines: the softmax family goes through its Jacobian
-product, element-wise kinds multiply by their derivative, with subgradient
-zero at the kinks of relu and hard sigmoid.
+The backward passes have one activation derivative, ``_pull_back``, which
+works on the last axis, so a minibatch, a window of time steps and one time
+step use the same lines, and writes into ``out`` if given one: the softmax
+family goes through its Jacobian product, element-wise kinds multiply by
+their derivative, with subgradient zero at the kinks of relu and hard sigmoid.
 
 Inside a truncated-BPTT window (Williams and Peng, 1990) only
 ``_forward_window`` and ``_backward_window`` do arithmetic.  They walk the
@@ -42,7 +42,7 @@ def _train_kind(kind: Activation) -> Activation:
 
 
 def _pull_back(
-    kind: Activation, Z: np.ndarray, A: np.ndarray, dA: np.ndarray
+    kind: Activation, Z: np.ndarray, A: np.ndarray, dA: np.ndarray, out=None
 ) -> np.ndarray:
     """Pull a gradient through training kind ``kind`` (see ``_train_kind``):
     ``dA`` on ``A`` to ``dZ``.
@@ -50,20 +50,22 @@ def _pull_back(
     Works on the last axis, so a batch of rows and one time step go through
     the same lines.  Softmax applies the Jacobian product
     ``A * (dA - sum(dA * A))``; element-wise kinds multiply by their
-    derivative, with subgradient zero at kinks.
+    derivative, with subgradient zero at kinks.  Given ``out``, an array of
+    ``dA``'s shape that is none of the inputs, it writes there in place.
     """
     if kind is Activation.SOFTMAX:  # a lone vector's sum stays 0-d, as in softmax
-        return A * (dA - np.asarray(np.add.reduce(dA * A, axis=-1, keepdims=A.ndim > 1)))
+        total = np.add.reduce(np.multiply(dA, A, out=out), axis=-1, keepdims=A.ndim > 1)
+        return np.multiply(A, np.subtract(dA, np.asarray(total), out=out), out=out)
     if kind is Activation.SIGMOID:
-        return dA * (A * (1.0 - A))
+        return np.multiply(dA, np.multiply(A, np.subtract(1.0, A, out=out), out=out), out=out)
     if kind is Activation.TANH:
-        return dA * (1.0 - A * A)
+        return np.multiply(dA, np.subtract(1.0, np.multiply(A, A, out=out), out=out), out=out)
     if kind is Activation.HARD_SIGMOID:
-        return dA * (0.2 * ((Z > -2.5) & (Z < 2.5)))
+        return np.multiply(dA, np.multiply(0.2, (Z > -2.5) & (Z < 2.5), out=out), out=out)
     if kind is Activation.SOFTSIGN:
-        d = 1.0 + np.abs(Z)
-        return dA * (1.0 / (d * d))
-    return dA * (Z > 0.0).astype(float)  # relu, the last element-wise kind
+        d = np.add(1.0, np.abs(Z, out=out), out=out)
+        return np.multiply(dA, np.divide(1.0, np.multiply(d, d, out=out), out=out), out=out)
+    return np.multiply(dA, (Z > 0.0).astype(float), out=out)  # relu, the last element-wise kind
 
 
 # --- truncated-BPTT windows ---------------------------------------------------
@@ -146,19 +148,19 @@ def _step_back(kind: Activation, WT, Z, A, DA, n_in: int, ce: dict):
     Row ``t`` of ``DA`` is the gradient on step ``t``'s output from the
     layer above; the gradient the output sent to the next step's input is
     added to it.  ``ce`` maps a labeled step of the output layer to its
-    cross-entropy row, added after the pull-back.
+    cross-entropy row, added after the pull-back.  Each step writes its
+    ``dZ`` and ``W.T @ dz`` rows into arrays allocated once per call.
     """
-    feedback = np.zeros(WT.shape[0] - n_in)
-    dzs, das = [], []  # last step first
-    for t in range(Z.shape[0] - 1, -1, -1):
-        dz = _pull_back(kind, Z[t], A[t], DA[t] + feedback)
+    dZ = np.empty(Z.shape)
+    dU = np.empty((len(Z), WT.shape[0]))
+    sent = [np.zeros(WT.shape[0] - n_in), *dU[:0:-1, n_in:]]  # from step t + 1
+    steps = zip(range(len(Z) - 1, -1, -1), Z[::-1], A[::-1], DA[::-1], sent, dZ[::-1], dU[::-1])
+    for t, z, a, da, feedback, dz, du in steps:
+        _pull_back(kind, z, a, da + feedback, dz)
         if t in ce:
-            dz = dz + ce[t]
-        dzs.append(dz)
-        du = WT @ dz
-        das.append(du[:n_in])
-        feedback = du[n_in:]
-    return np.array(dzs[::-1]), np.array(das[::-1])
+            dz += ce[t]
+        np.matmul(WT, dz, out=du)
+    return dZ, dU[:, :n_in]
 
 
 def _backward_window(net: _Net, Ws, U, Z, A, targets, scale):
@@ -170,13 +172,8 @@ def _backward_window(net: _Net, Ws, U, Z, A, targets, scale):
     through ``t`` (``_step_back``); a dense layer is pulled back once per
     window, and hands ``dA = W.T @ dZ`` down as a stack of ``(n, 1)``
     columns, which numpy multiplies column by column exactly as it does a
-    lone vector.  Every layer's weight and bias gradients are one sum of
-    the per-step outer products of its ``dZ`` rows with its input rows and
-    their column of ones (``_stepwise_sum``), added in chunks from the
-    last step to the first, starting at zero, as a per-step walk adds
-    them; a plain reduction over the steps could add pairwise, and one
-    stack of every step's outer products would cost ``T`` times the
-    gradient's memory.
+    lone vector.  Every layer's weight and bias gradients are one
+    ``_stepwise_sum`` of its ``dZ`` rows and input rows.
     """
     top = len(Ws) - 1
     rows = np.nonzero(targets >= 0)[0]

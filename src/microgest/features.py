@@ -8,7 +8,8 @@ arithmetic alone, at the price of never producing exactly 1.0.
 Features come two ways with one rolling-statistics rule: a streaming caller
 feeds one :class:`Image` at a time to :func:`update_rolling` and
 :func:`build_features`, and :func:`stream_features` computes the same rows
-for a whole frame stack.  Both step the recursion through the same helper
+for a whole frame stack.  Both step the recursion through the same helper,
+which keeps the max track negated so that both envelopes take one minimum,
 and take the three appended means through another, so the two routes agree
 bit for bit.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, PixelOutOfRange, ShapeMismatch
+from .errors import InvalidParams, PixelOutOfRange, ShapeMismatch, _float_array
 
 ADC_MAX = 1023
 NORM_DIVISOR = 1024.0
@@ -56,6 +57,15 @@ def _frame_stack(frames, shape: tuple | None = None) -> np.ndarray:
     if shape is not None and stack.shape[1:] != shape:
         raise ShapeMismatch(f"frames of shape {stack.shape[1:]}, expected {shape}")
     return stack
+
+
+def _frame_pixels(frames) -> tuple[np.ndarray, int]:
+    """A ``(T, ...)`` stack under ``_frame_stack``, and its pixels per frame (>= 1)."""
+    stack = _frame_stack(frames)
+    pixels = math.prod(stack.shape[1:])
+    if pixels == 0:
+        raise ShapeMismatch(f"frames of shape {stack.shape[1:]} have no pixels")
+    return stack, pixels
 
 
 def _check_pixels(values: np.ndarray) -> None:
@@ -121,27 +131,52 @@ class RollingStats:
         return self.avg is not None
 
 
-def _roll(prev: np.ndarray, s: np.ndarray, ds: np.ndarray, out: np.ndarray) -> None:
-    """One step of the rolling recursion: the ``(3, n)`` avg/min/max tracks
-    ``prev`` fed the normalized sample ``s`` (``ds`` is ``(1 - alpha) * s``)
-    into ``out``, the min/max pair as one row pair."""
-    a = ROLLING_ALPHA
-    scaled = a * prev
-    envelopes = scaled[1:] + (1.0 - a) * prev[0]
-    np.minimum(s, envelopes[0], out=out[1])
-    np.maximum(s, envelopes[1], out=out[2])
-    np.add(scaled[0], ds, out=out[0])
+# The rolling step keeps ``(avg, min, -max)`` tracks: rounding to nearest is
+# symmetric under negation, so ``min(-s, -e) == -max(s, e)`` and ``a * -x +
+# -c * y == -(a * x + c * y)`` bit for bit.  This column weighs avg into both.
+_ENVELOPE_DRIFT = np.array([[1.0 - ROLLING_ALPHA], [-(1.0 - ROLLING_ALPHA)]])
+
+
+def _roll_block(prev: np.ndarray, block: np.ndarray, tracks: np.ndarray) -> None:
+    """The rolling recursion over the ``(m, n)`` samples ``block`` from the
+    tracks ``prev`` into ``tracks[k]``, four in-place ufunc calls a step;
+    the addend's row 0 and the ``(s, -s)`` bounds are taken once a block."""
+    m, n = block.shape
+    addend = np.empty((m, 3, n))
+    np.multiply(block, 1.0 - ROLLING_ALPHA, out=addend[:, 0])
+    bounds = np.empty((m, 2, n))
+    bounds[:, 0] = block
+    np.multiply(block, -1.0, out=bounds[:, 1])
+    for track, add, shares, envelope, bound in zip(
+            tracks, addend, addend[:, 1:], tracks[:, 1:], bounds):
+        np.multiply(prev, ROLLING_ALPHA, out=track)
+        np.multiply(_ENVELOPE_DRIFT, prev[0], out=shares)
+        np.add(track, add, out=track)
+        np.minimum(envelope, bound, out=envelope)
+        prev = track
+
+
+def _tracks(stats: RollingStats, n: int) -> np.ndarray:
+    """The ``(3, n)`` avg/min/max tracks of initialized ``stats``."""
+    want = f"rolling stats need three tracks of {n} pixels"
+    tracks = _float_array([stats.avg, stats.min, stats.max], want)
+    if tracks.shape != (3, n):
+        raise ShapeMismatch(want)
+    return tracks
 
 
 def update_rolling(stats: RollingStats, image: Image) -> RollingStats:
-    """Feed one image into the rolling statistics (in place, also returned)."""
+    """Feed one image into the rolling statistics (in place, also returned).
+    Stats that hold another pixel count raise :class:`ShapeMismatch`."""
     s = normalize(image)
     if not stats.initialized:
         stats.avg, stats.min, stats.max = s, s.copy(), s.copy()
         return stats
-    out = np.empty((3, s.size))
-    _roll(np.stack([stats.avg, stats.min, stats.max]), s, (1.0 - ROLLING_ALPHA) * s, out)
-    stats.avg, stats.min, stats.max = out
+    prev = _tracks(stats, s.size)
+    prev[2] *= -1.0
+    out = np.empty((1, 3, s.size))
+    _roll_block(prev, s[None], out)
+    stats.avg, stats.min, stats.max = out[0, 0], out[0, 1], np.subtract(0.0, out[0, 2])
     return stats
 
 
@@ -151,16 +186,15 @@ def build_features(image: Image, stats: RollingStats | None = None) -> np.ndarra
     Without ``stats`` this is just the normalized pixels.  With ``stats``
     (already updated through the current image) three image-level aggregates
     are appended: the mean of the per-pixel rolling averages, of the rolling
-    minima, and of the rolling maxima.  For a 3x3 sensor that yields the
-    12-feature layout used by the recurrent models.
+    minima, and of the rolling maxima (stats of another pixel count raise
+    :class:`ShapeMismatch`).  A 3x3 sensor yields the recurrent models' 12.
     """
     base = normalize(image)
     if stats is None:
         return base
     if not stats.initialized:
         raise InvalidParams("rolling stats must be updated before building features")
-    tracks = np.stack([stats.avg, stats.min, stats.max])
-    return np.concatenate([base, _aggregates(tracks)])
+    return np.concatenate([base, _aggregates(_tracks(stats, base.size))])
 
 
 def _aggregates(tracks: np.ndarray) -> np.ndarray:
@@ -178,14 +212,14 @@ def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
     Returns ``(T, H*W)`` normalized pixels, plus (``with_stats``) the three
     aggregates of rolling statistics fed the stream from its first frame,
     equal bit for bit to updating a fresh :class:`RollingStats`
-    and building features frame by frame.  The stack is normalized with one
-    division, written straight into the output; the recursion steps
-    through the frames with the same step as :func:`update_rolling`,
-    writing each frame's tracks straight into a block buffer, with
-    ``(1 - alpha) * s`` taken once per block; the means are taken one block
-    of frames at a time, which bounds the tracks held at once.  Pixel
-    ranges are not checked here (:meth:`AnnotatedSequence.check` does
-    that).
+    and building features frame by frame; those need frames of at least
+    one pixel (:func:`_frame_pixels`).  The stack is normalized with one
+    division, written straight into the output.  The recursion steps
+    through the frames by the step of :func:`update_rolling`
+    (``_roll_block``), writing ``(avg, min, -max)`` tracks straight into a
+    block buffer; the means are taken one block of frames at a time, which
+    bounds the tracks held at once, the max's negated back.  Pixel ranges
+    are not checked here (:meth:`AnnotatedSequence.check` does that).
 
     The recursion runs once per frame, so it keeps to the rule of the
     per-step code in :mod:`microgest.inference`: no method wrapper, no
@@ -194,21 +228,24 @@ def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
     """
     if not with_stats:
         return _normalized_rows(frames, 0)
-    out = _normalized_rows(frames, 3)
+    out = _normalized_rows(_frame_pixels(frames)[0], 3)
     T, n = out.shape[0], out.shape[1] - 3
     if T == 0:
         return out
     pixels = out[:, :n]
     tracks = np.empty((min(T, _STATS_BLOCK), 3, n))
     tracks[0] = pixels[0]  # the first frame starts all three tracks
+    tracks[0, 2] *= -1.0
     prev = tracks[0]
     for start in range(0, T, _STATS_BLOCK):
         block = pixels[start : start + _STATS_BLOCK]
-        drift = (1.0 - ROLLING_ALPHA) * block
-        for k in range(1 if start == 0 else 0, len(block)):
-            _roll(prev, block[k], drift[k], tracks[k])
-            prev = tracks[k]
-        out[start : start + len(block), n:] = _aggregates(tracks[: len(block)])
+        first = 1 if start == 0 else 0
+        _roll_block(prev, block[first:], tracks[first : len(block)])
+        prev = tracks[len(block) - 1]
+        rows = out[start : start + len(block)]
+        rows[:, n:] = _aggregates(tracks[: len(block)])
+        # 0 - x, not -1 * x: numpy sums -0 terms to +0, which must stay +0
+        np.subtract(0.0, rows[:, -1], out=rows[:, -1])
     return out
 
 

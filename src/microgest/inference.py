@@ -6,9 +6,9 @@ multiply-accumulate (MAC) counter that can be switched on to audit
 execution cost without changing any result.
 
 :func:`layer_forward` is the one layer kernel of the package and
-``_ACTIVATIONS`` its one activation table: the steppers here and the
-batched and windowed forward passes of :mod:`microgest.training` all
-compute their layers through it.
+``_ACTIVATIONS`` its one activation table, whose kernels take ``out``:
+dense layers here and in :mod:`microgest.training` go through the kernel,
+and a recurrent layer's steps write its arithmetic into preallocated rows.
 
 The steppers (:func:`forward_dense`, :func:`step_recurrent`,
 :func:`step_rnn` and :func:`run_ffnn`) take one vector or a time-major
@@ -137,27 +137,29 @@ def approx_exp(x):
 # Every entry of the activation table works on the last axis, so one function
 # serves a single pre-activation vector, a ``(rows, neurons)`` batch and a
 # window of time steps alike.  A row of a batch gets bit for bit the value the
-# same vector gets on its own.
+# same vector gets on its own.  Given ``out``, an array of the input's shape
+# that is not the input, an entry writes there in place, the same values.
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     # clip keeps exp() out of overflow; the result is exact 0/1 there anyway
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    e = np.exp(np.negative(np.clip(x, -500.0, 500.0, out=out), out=out), out=out)
+    return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
-def _hard_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.clip(0.2 * x + 0.5, 0.0, 1.0)
+def _hard_sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    return np.clip(np.add(np.multiply(0.2, x, out=out), 0.5, out=out), 0.0, 1.0, out=out)
 
 
-def _softsign(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.abs(x))
+def _softsign(x: np.ndarray, out=None) -> np.ndarray:
+    return np.divide(x, np.add(1.0, np.abs(x, out=out), out=out), out=out)
 
 
 # a 0-d array: numpy takes it faster than the Python float 0.0
 _ZERO = np.zeros(())
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, _ZERO)
+def _relu(x: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(x, _ZERO, out=out)
 
 
 def _row_values(v, name: str) -> np.ndarray:
@@ -177,9 +179,9 @@ def softmax(v) -> np.ndarray:
     return _softmax(_row_values(v, "softmax"))
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
+def _softmax(v: np.ndarray, out=None) -> np.ndarray:
     keep = v.ndim > 1
-    e = v - np.asarray(np.maximum.reduce(v, axis=-1, keepdims=keep))
+    e = np.subtract(v, np.asarray(np.maximum.reduce(v, axis=-1, keepdims=keep)), out=out)
     np.exp(e, out=e)
     e /= np.asarray(np.add.reduce(e, axis=-1, keepdims=keep))
     return e
@@ -196,12 +198,12 @@ def approx_softmax(v) -> np.ndarray:
     return _approx_softmax(_row_values(v, "approx_softmax"))
 
 
-def _approx_softmax(v: np.ndarray) -> np.ndarray:
+def _approx_softmax(v: np.ndarray, out=None) -> np.ndarray:
     shifted = np.maximum(
         v - np.maximum.reduce(v, axis=-1, keepdims=True), _SOFTMAX_SHIFT_FLOOR
     )
     e = _pow2(shifted / _LN2)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
 
 def max_onehot(v) -> np.ndarray:
@@ -209,8 +211,9 @@ def max_onehot(v) -> np.ndarray:
     return _max_onehot(_row_values(v, "max_onehot"))
 
 
-def _max_onehot(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape)
+def _max_onehot(v: np.ndarray, out=None) -> np.ndarray:
+    out = np.empty(v.shape) if out is None else out
+    out[...] = 0.0
     np.put_along_axis(out, np.argmax(v, axis=-1)[..., None], 1.0, axis=-1)
     return out
 
@@ -236,7 +239,7 @@ def layer_forward(
 
     ``U`` is one input vector or a ``(rows, fan_in)`` batch; returns
     ``(Z, A)`` of the matching shape.  Records ``rows * neurons * fan_in``
-    multiply-accumulates.  Inference and training both step through here.
+    multiply-accumulates.  Dense layers of inference and training run here.
     """
     Z = U @ W.T + b
     if _active_counter is not None:  # record_macs, without a call per step
@@ -267,7 +270,9 @@ def _step_forward(kind: Activation, W, b, u, n_in: int, prev: np.ndarray):
     as the step ends.  Columns past those are not read.  ``prev`` ends
     holding the last output, the state the next block starts from; a block
     of no frames leaves it as it is.  :func:`step_recurrent` and the BPTT
-    windows of :mod:`microgest.backprop` both step through here.
+    windows of :mod:`microgest.backprop` both step through here.  A step is
+    :func:`layer_forward` in place: product and bias into its ``Z`` row,
+    activation into the next row's feedback columns (copied to ``A`` once).
     """
     fan_in = W.shape[1]
     T = u.shape[0]
@@ -275,13 +280,16 @@ def _step_forward(kind: Activation, W, b, u, n_in: int, prev: np.ndarray):
     A = np.empty((T, W.shape[0]))
     if not T:
         return Z, A
+    record_macs(Z.size * fan_in)
     u[0, n_in:fan_in] = prev
-    rows = u[:, :fan_in]
+    WT = W.T
+    activation = _ACTIVATIONS[kind]
     feedback = u[1:, n_in:fan_in]
-    for t in range(T - 1):
-        Z[t], A[t] = layer_forward(kind, W, b, rows[t])
-        feedback[t] = A[t]
-    Z[-1], A[-1] = layer_forward(kind, W, b, rows[-1])
+    for row, z, a in zip(u[:, :fan_in], Z, [*feedback, A[-1]]):
+        np.matmul(row, WT, out=z)
+        z += b
+        activation(z, a)
+    A[:-1] = feedback
     prev[:] = A[-1]
     return Z, A
 

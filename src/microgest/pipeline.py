@@ -33,7 +33,7 @@ from .errors import (
     _is_integer,
 )
 from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
-from .features import _first_outside, _frame_stack
+from .features import _first_outside, _frame_pixels, _frame_stack, _label_array
 from .inference import _frames, run_ffnn
 from .model import ModelSpec, Parameters
 
@@ -110,15 +110,6 @@ class Candidate:
 
     def __len__(self) -> int:
         return int(self.frames.shape[0])
-
-
-def _frame_pixels(frames) -> tuple[np.ndarray, int]:
-    """A ``(T, ...)`` stack under ``features._frame_stack``, and its pixels per frame (>= 1)."""
-    stack = _frame_stack(frames)
-    pixels = math.prod(stack.shape[1:])
-    if pixels == 0:
-        raise ShapeMismatch(f"frames of shape {stack.shape[1:]} have no pixels")
-    return stack, pixels
 
 
 def _frame_means(frames) -> np.ndarray:
@@ -556,8 +547,13 @@ def phase_events(states: Sequence[int]) -> list[Event]:
     A gesture ``g`` is emitted at frame ``t + 1`` exactly when frame ``t``
     rested in the last phase state of ``g`` and frame ``t + 1`` is the idle
     state: leaving a walk early emits nothing.  Any other value (say -1 for
-    an unlabelled frame) is neither a last phase state nor idle.
+    an unlabelled frame) is neither a last phase state nor idle; the 1-D walk
+    goes through ``features._label_array``.
     """
+    walk = _label_array("phase states", states)
+    if walk.ndim != 1:
+        raise ShapeMismatch(f"phase states must be one 1-D walk, got shape {walk.shape}")
+    states = walk.tolist()
     ends = {last_phase_state(g): g for g in SWIPE_CLASSES}
     return [
         (t + 1, ends[state])
@@ -576,7 +572,7 @@ def fsm_postprocess(outputs) -> list[Event]:
     through :func:`phase_events`.
     """
     block = _frames(outputs, N_PHASE_STATES, "phase output", "states", block=True)
-    return phase_events(np.argmax(block, axis=-1).tolist())
+    return phase_events(np.argmax(block, axis=-1))
 
 
 # --- accuracy metric ---------------------------------------------------------
@@ -606,28 +602,40 @@ def match_events(
     when that window contains one single event and its class matches; a
     second event inside the window spoils it even if one class is right.
     NO_GESTURE annotations are bookkeeping for training data and do not
-    enter the score.  ``tolerance`` is an integer of at least 0.
+    enter the score.  ``tolerance`` is an integer of at least 0.  Events are
+    ``(frame, GestureClass value)`` integer pairs (``_event_pairs``); a
+    window is counted by binary search over them, sorted by frame.
     """
     _check_integer("tolerance", tolerance, 0)
+    table = sorted(_event_pairs(events))
+    at = [frame for frame, _ in table]
     scored = [a for a in annotations if a.label != int(GestureClass.NO_GESTURE)]
     outcomes: list[tuple[Annotation, str]] = []
-    correct = 0
     for ann in scored:
-        window = [
-            ev for ev in events if abs(ev[0] - ann.frame) <= tolerance
-        ]
-        if len(window) == 1 and int(window[0][1]) == ann.label:
-            correct += 1
-            outcomes.append((ann, "correct"))
-        elif not window:
-            outcomes.append((ann, "missed"))
-        elif len(window) > 1:
-            outcomes.append((ann, "multiple"))
+        first = bisect_left(at, ann.frame - tolerance)
+        count = bisect_right(at, ann.frame + tolerance) - first
+        if count != 1:
+            outcomes.append((ann, "multiple" if count else "missed"))
         else:
-            outcomes.append((ann, GestureClass(int(window[0][1])).name.lower()))
+            name = GestureClass(table[first][1]).name.lower()
+            outcomes.append((ann, "correct" if table[first][1] == ann.label else name))
+    correct = sum(outcome == "correct" for _, outcome in outcomes)
     total = len(scored)
     accuracy = correct / total if total else 0.0
     return AccuracyReport(accuracy, total, correct, outcomes)
+
+
+def _event_pairs(events) -> list[tuple[int, int]]:
+    """The event rule of :func:`match_events`, as plain ``int`` pairs."""
+    try:
+        pairs = [tuple(ev) for ev in events]
+    except TypeError:  # no sequence, or an event that is none
+        pairs = [()]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ShapeMismatch("events must be a sequence of (frame, class) pairs")
+    if not all(_is_integer(f) and _is_integer(c) and 0 <= c < len(GestureClass) for f, c in pairs):
+        raise InvalidParams("events must pair an integer frame with a gesture class")
+    return [(int(frame), int(label)) for frame, label in pairs]
 
 
 def evaluate_accuracy(

@@ -7,10 +7,10 @@ whose output layer is declared MAX or APPROX_SOFTMAX train against exact
 softmax: those two kinds are execution-time substitutes and share its
 gradient.
 
-The forward passes own no arithmetic: every layer of a batch, of a BPTT
-window or of a BPTT time step goes through
-:func:`microgest.inference.layer_forward`, the same kernel and activation
-table that inference uses, so its multiply-accumulates are counted by
+The forward passes own no arithmetic: every layer of a batch or of a BPTT
+window goes through :func:`microgest.inference.layer_forward`, the same
+kernel and activation table that inference uses, or its in-place steps,
+so its multiply-accumulates are counted by
 :func:`microgest.inference.count_macs` too.  The kernel, and for a
 recurrent layer inference's one stepping loop ``_step_forward``, are
 called directly, not through ``forward_dense`` or ``step_recurrent``, so

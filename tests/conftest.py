@@ -613,6 +613,28 @@ def oracle_extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Can
     return found
 
 
+def oracle_match_events(events, annotations, tolerance=10):
+    """The accuracy metric as it stood before events were binary-searched:
+    every event scanned for every scored annotation.  Returns the report's
+    ``(accuracy, total, correct, outcomes)``."""
+    scored = [a for a in annotations if a.label != int(GestureClass.NO_GESTURE)]
+    outcomes = []
+    correct = 0
+    for ann in scored:
+        window = [ev for ev in events if abs(ev[0] - ann.frame) <= tolerance]
+        if len(window) == 1 and int(window[0][1]) == ann.label:
+            correct += 1
+            outcomes.append((ann, "correct"))
+        elif not window:
+            outcomes.append((ann, "missed"))
+        elif len(window) > 1:
+            outcomes.append((ann, "multiple"))
+        else:
+            outcomes.append((ann, GestureClass(int(window[0][1])).name.lower()))
+    total = len(scored)
+    return (correct / total if total else 0.0), total, correct, outcomes
+
+
 def oracle_label_candidates(
     candidates: Sequence[Candidate],
     annotations: Sequence[Annotation],

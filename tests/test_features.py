@@ -200,6 +200,69 @@ def test_stream_features_equal_per_frame_features_bit_for_bit():
             assert plain.tobytes() == want[:, : side * side].tobytes()
 
 
+def test_rolling_step_at_the_pixel_extremes_equals_per_frame_features():
+    # 0 and 1023 are the signed-zero and the extreme cases of the negated
+    # max track: a stream resting at 0 keeps every track at zero, whose
+    # mean must come back +0, not -0
+    rng = np.random.default_rng(5)
+    for frames in (
+        np.zeros((300, 3, 3), int),
+        np.full((300, 3, 3), ADC_MAX),
+        rng.choice([0, ADC_MAX], size=(600, 3, 3)),
+        np.concatenate([np.full((20, 2, 2), ADC_MAX), np.zeros((280, 2, 2), int)]),
+    ):
+        want = _per_frame_features(frames)
+        got = stream_features(frames, with_stats=True)
+        assert got.tobytes() == want.tobytes()
+    assert not np.signbit(stream_features(np.zeros((3, 3, 3)), True)).any()
+
+
+def test_stream_features_stay_within_their_memory_bound():
+    # the recursion holds one block of frames' tracks and addends (three
+    # rows each) and (s, -s) bounds (two rows), not a copy per frame; it
+    # peaked 187 KB over the output on this 1,681-frame corpus (3x3)
+    import tracemalloc
+
+    frames = build_corpus(4, seed=3, label_kind="phase").frames
+    stream_features(frames, with_stats=True)  # warm caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = stream_features(frames, with_stats=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + _STATS_BLOCK * 8 * 9 * 8 + 65_536
+
+
+def _stats3():
+    return update_rolling(RollingStats(), _img(np.zeros((3, 3), int)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: update_rolling(_stats3(), _img(np.zeros((4, 4), int))),  # once a broadcast ValueError
+    lambda: update_rolling(RollingStats(avg=np.zeros(2)), _img(np.zeros((3, 3), int))),
+    lambda: update_rolling(RollingStats(avg=np.zeros(9), min=np.zeros(9), max="x" * 9),
+                           _img(np.zeros((3, 3), int))),
+    lambda: build_features(_img(np.zeros((4, 4), int)), _stats3()),  # once 19 features
+    lambda: build_features(_img(np.zeros((3, 3), int)), RollingStats(avg=np.zeros(9))),
+    lambda: stream_features(np.zeros((3, 0, 3)), True),  # once "Mean of empty slice"
+    lambda: stream_features(np.zeros((0, 3, 0)), True),
+], ids=["update-4x4", "update-missing-tracks", "update-text-track", "build-4x4",
+        "build-missing-tracks", "stream-no-pixels", "stream-empty-no-pixels"])
+def test_rolling_statistics_of_another_size_are_refused(call):
+    with pytest.raises(ShapeMismatch):
+        call()
+
+
+def test_rolling_stats_keep_a_positive_max_track():
+    stats = _stats3()
+    for level in (0, 1023, 0):
+        update_rolling(stats, _img(np.full((3, 3), level)))
+    assert (stats.max >= stats.avg).all() and (stats.avg >= stats.min).all()
+    assert not np.signbit(stats.max).any()
+
+
 # --- annotated streams -------------------------------------------------------
 
 def test_annotated_sequence_validates_frame_shape():

@@ -242,6 +242,38 @@ def test_layerwise_activation_of_a_batch_equals_row_by_row(fn, rows, n, seed, sp
         assert batch.tobytes() == singles.tobytes()
 
 
+def _pre_activations(rng, shape):
+    """Pre-activations that hit the kinks, ties, clamps and overflow edges."""
+    Z = rng.normal(0.0, 4.0, size=shape)
+    Z.flat[::5] = 0.0
+    Z.flat[1::7] = -2.5
+    Z.flat[2::11] = 700.0
+    Z.flat[3::13] = -700.0
+    return Z
+
+
+@pytest.mark.parametrize("kind", list(Activation))
+def test_every_activation_kernel_writes_into_out_as_it_returns(kind):
+    # the recurrent loop fills its rows through out=; each kernel must give
+    # there, bit for bit, what it returns, on a vector and on a batch
+    rng = np.random.default_rng(17)
+    fn = _ACTIVATIONS[kind]
+    for shape in ((1,), (9,), (17,), (5, 17), (4, 1, 9)):
+        Z = _pre_activations(rng, shape)
+        keep = Z.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = fn(Z)
+            out = np.full(shape, np.nan)
+            got = fn(Z, out)
+        assert got is out
+        assert out.tobytes() == want.tobytes()
+        assert Z.tobytes() == keep.tobytes()  # the input is left as it was
+        row = np.full(shape[-1] + 3, np.nan)  # a row view, as the loop passes it
+        with np.errstate(over="ignore", invalid="ignore"):
+            fn(Z.reshape(-1, shape[-1])[0], row[2:-1])
+        assert row[2:-1].tobytes() == fn(Z.reshape(-1, shape[-1])[0]).tobytes()
+
+
 # --- dense and recurrent stepping --------------------------------------------
 
 @pytest.mark.parametrize("kind", list(Activation))

@@ -6,6 +6,7 @@ from conftest import (
     OracleCandidateDetector,
     oracle_extract_candidates,
     oracle_label_candidates,
+    oracle_match_events,
     oracle_scale_frames,
 )
 from hypothesis import example, given, settings, strategies as st
@@ -754,6 +755,19 @@ def test_phase_events_need_a_last_phase_state_then_idle():
     assert phase_events([0, 20, 0, 16, -1]) == []
 
 
+@pytest.mark.parametrize("states, error", [
+    (np.zeros((2, 2), int), ShapeMismatch),  # once "unhashable type"
+    (None, ShapeMismatch),  # once a TypeError
+    (3, ShapeMismatch),
+    ([0, 4.0, 0], InvalidParams),
+    ([0, True, 0], InvalidParams),
+    (["a", "b"], InvalidParams),
+], ids=["2-d", "none", "scalar", "float", "bool", "text"])
+def test_phase_events_refuse_what_is_no_walk_of_integers(states, error):
+    with pytest.raises(error):
+        phase_events(states)
+
+
 @pytest.mark.parametrize("vec", [
     np.zeros(5),
     np.zeros((N_PHASE_STATES, 2)),  # once argmaxed over its 34 flat entries
@@ -834,6 +848,50 @@ def test_confusion_counts_by_label_and_outcome():
     assert table[(0, "correct")] == 1
     assert table[(0, "missed")] == 1
     assert table[(1, "left_to_right")] == 1
+
+
+_frames_near = st.integers(0, 120)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    events=st.lists(st.tuples(_frames_near, st.sampled_from(list(GestureClass))), max_size=25),
+    annotations=st.lists(st.builds(Annotation, _frames_near, st.integers(0, 4)), max_size=25),
+    tolerance=st.integers(0, 30),
+)
+@example(events=[(50, GestureClass.LEFT_TO_RIGHT), (10, GestureClass.RIGHT_TO_LEFT),
+                 (50, GestureClass.LEFT_TO_RIGHT)],
+         annotations=[Annotation(50, 0), Annotation(10, 1), Annotation(0, 1)], tolerance=0)
+def test_match_events_equals_the_scanning_oracle(events, annotations, tolerance):
+    # unsorted events and shared frames: the binary search must count each
+    # window as a scan of every event does, outcomes in annotation order
+    report = match_events(events, annotations, tolerance)
+    assert (report.accuracy, report.total, report.correct, report.outcomes) == (
+        oracle_match_events(events, annotations, tolerance)
+    )
+
+
+@pytest.mark.parametrize("events, error", [
+    ([(1, 99)], InvalidParams),  # once numpy's ValueError from GestureClass(99)
+    ([(1, -1)], InvalidParams),
+    ([("a", 2)], InvalidParams),  # once a TypeError
+    ([(1.0, 2)], InvalidParams),
+    ([(True, 2)], InvalidParams),
+    ([(1,)], ShapeMismatch),  # once an IndexError
+    ([(1, 2, 3)], ShapeMismatch),
+    ([1, 2], ShapeMismatch),
+    (None, ShapeMismatch),  # once a TypeError
+], ids=["class-99", "class-minus-1", "text-frame", "float-frame", "bool-frame",
+        "one-entry", "three-entries", "bare-ints", "none"])
+def test_match_events_refuses_events_that_are_no_frame_class_pairs(events, error):
+    with pytest.raises(error):
+        match_events(events, [Annotation(1, 2)])
+
+
+def test_match_events_takes_numpy_integers_and_plain_class_ints():
+    ann = [Annotation(100, 2)]
+    for events in ([(np.int64(100), 2)], [(100, np.uint8(2))], np.array([[100, 2]])):
+        assert match_events(events, ann).accuracy == 1.0
 
 
 # --- training labels from annotations ----------------------------------------

@@ -13,7 +13,7 @@ from microgest.errors import (
     ShapeMismatch,
 )
 from microgest.estimator import count_weights
-from microgest.inference import count_macs, step_rnn
+from microgest.inference import _ACTIVATIONS, count_macs, step_rnn
 from microgest.model import (
     Activation,
     LayerKind,
@@ -266,6 +266,25 @@ def test_loss_and_accuracy_reject_a_non_finite_weight(fn):
     params.layers[1].weights[0, 2] = np.nan
     with pytest.raises(NonFiniteParameter):
         fn(spec, params, np.ones((3, 4)), np.array([0, 1, 0]))
+
+
+@pytest.mark.parametrize("kind", [k for k in Activation if backprop._train_kind(k) is k])
+def test_pull_back_writes_into_out_as_it_returns(kind):
+    # the recurrent backward loop writes each step's dZ through out=
+    rng = np.random.default_rng(23)
+    for shape in ((1,), (17,), (6, 9), (3, 1, 5)):
+        Z = rng.normal(0.0, 3.0, size=shape)
+        Z.flat[::4] = 0.0
+        Z.flat[1::6] = 2.5
+        A = _ACTIVATIONS[kind](Z)
+        dA = rng.normal(size=shape)
+        dA.flat[::5] = -0.0
+        inputs = [x.copy() for x in (Z, A, dA)]
+        want = backprop._pull_back(kind, Z, A, dA)
+        out = np.full(shape, np.nan)
+        assert backprop._pull_back(kind, Z, A, dA, out) is out
+        assert out.tobytes() == want.tobytes()
+        assert [x.tobytes() for x in (Z, A, dA)] == [x.tobytes() for x in inputs]
 
 
 # --- feed-forward training ----------------------------------------------------
