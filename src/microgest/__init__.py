@@ -58,16 +58,10 @@ from .features import (
     ADC_MAX,
     AnnotatedSequence,
     Annotation,
-    Image,
-    RollingStats,
-    build_features,
-    normalize,
     stream_features,
-    update_rolling,
 )
 from .pipeline import (
     Candidate,
-    CandidateDetector,
     FfnnRecognizer,
     GestureClass,
     N_PHASE_STATES,

@@ -1,48 +1,23 @@
-"""Images, normalization, rolling statistics, and classifier feature vectors.
+"""Normalization, rolling statistics, classifier feature vectors and
+annotated frame streams.
 
 The sensor is a small photodiode array (3x3 in the reference hardware) read
 by a 10-bit ADC, so raw pixels are integers in 0..1023.  Normalization
 divides by 1024: a power of two that the target reaches by exponent
 arithmetic alone, at the price of never producing exactly 1.0.
-
-Features come two ways with one rolling-statistics rule: a streaming caller
-feeds one :class:`Image` at a time to :func:`update_rolling` and
-:func:`build_features`, and :func:`stream_features` computes the same rows
-for a whole frame stack.  Both step the recursion through the same helper,
-which keeps the max track negated so that both envelopes take one minimum,
-and take the three appended means through another, so the two routes agree
-bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, PixelOutOfRange, ShapeMismatch, _float_array
+from .errors import InvalidParams, PixelOutOfRange, ShapeMismatch
 
 ADC_MAX = 1023
 NORM_DIVISOR = 1024.0
-
-
-@dataclass
-class Image:
-    """One frame: ``pixels`` has shape ``(height, width)``, values 0..1023."""
-
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.pixels = _frame_stack(self.pixels)
-        if self.pixels.shape != (self.height, self.width):
-            raise ShapeMismatch(
-                f"pixels shape {self.pixels.shape}, expected "
-                f"({self.height}, {self.width})"
-            )
-        _check_pixels(self.pixels)
 
 
 def _frame_stack(frames, shape: tuple | None = None) -> np.ndarray:
@@ -80,11 +55,6 @@ def _check_pixels(values: np.ndarray) -> None:
         raise PixelOutOfRange(f"pixel values must be whole numbers in 0..{ADC_MAX}")
 
 
-def normalize(image: Image) -> np.ndarray:
-    """Flatten row-major and scale to ``[0, 1)`` by dividing by 1024."""
-    return image.pixels.astype(float).ravel() / NORM_DIVISOR
-
-
 def _normalized_rows(frames: np.ndarray, spare: int) -> np.ndarray:
     """A new ``(T, H*W + spare)`` array whose first ``H*W`` columns hold
     the normalized frames; the division writes straight into it, so no
@@ -100,35 +70,6 @@ def _normalized_rows(frames: np.ndarray, spare: int) -> np.ndarray:
 # Decay of the rolling statistics: close to one, so the average follows
 # slow illumination drift only.
 ROLLING_ALPHA = 0.99
-
-
-@dataclass
-class RollingStats:
-    """Per-pixel exponential average plus decaying min/max envelopes.
-
-    All three tracks live in the normalized domain.  With the fixed decay
-    ``alpha`` = :data:`ROLLING_ALPHA` (0.99) the average follows slow
-    illumination drift, while the min/max envelopes latch short excursions
-    and then relax back toward the average.  The update for sample ``s``
-    is::
-
-        avg'  = alpha * avg + (1 - alpha) * s
-        min'  = min(s, alpha * min + (1 - alpha) * avg)
-        max'  = max(s, alpha * max + (1 - alpha) * avg)
-
-    where ``avg`` on the right-hand side is the value from before the
-    update.  The first sample initializes all three tracks.  A stats object
-    is stream-local with a single writer; replaying the same stream into a
-    fresh object reproduces identical values.
-    """
-
-    avg: np.ndarray | None = field(default=None)
-    min: np.ndarray | None = field(default=None)
-    max: np.ndarray | None = field(default=None)
-
-    @property
-    def initialized(self) -> bool:
-        return self.avg is not None
 
 
 # The rolling step keeps ``(avg, min, -max)`` tracks: rounding to nearest is
@@ -156,70 +97,38 @@ def _roll_block(prev: np.ndarray, block: np.ndarray, tracks: np.ndarray) -> None
         prev = track
 
 
-def _tracks(stats: RollingStats, n: int) -> np.ndarray:
-    """The ``(3, n)`` avg/min/max tracks of initialized ``stats``."""
-    want = f"rolling stats need three tracks of {n} pixels"
-    tracks = _float_array([stats.avg, stats.min, stats.max], want)
-    if tracks.shape != (3, n):
-        raise ShapeMismatch(want)
-    return tracks
-
-
-def update_rolling(stats: RollingStats, image: Image) -> RollingStats:
-    """Feed one image into the rolling statistics (in place, also returned).
-    Stats that hold another pixel count raise :class:`ShapeMismatch`."""
-    s = normalize(image)
-    if not stats.initialized:
-        stats.avg, stats.min, stats.max = s, s.copy(), s.copy()
-        return stats
-    prev = _tracks(stats, s.size)
-    prev[2] *= -1.0
-    out = np.empty((1, 3, s.size))
-    _roll_block(prev, s[None], out)
-    stats.avg, stats.min, stats.max = out[0, 0], out[0, 1], np.subtract(0.0, out[0, 2])
-    return stats
-
-
-def build_features(image: Image, stats: RollingStats | None = None) -> np.ndarray:
-    """Feature vector for one frame.
-
-    Without ``stats`` this is just the normalized pixels.  With ``stats``
-    (already updated through the current image) three image-level aggregates
-    are appended: the mean of the per-pixel rolling averages, of the rolling
-    minima, and of the rolling maxima (stats of another pixel count raise
-    :class:`ShapeMismatch`).  A 3x3 sensor yields the recurrent models' 12.
-    """
-    base = normalize(image)
-    if stats is None:
-        return base
-    if not stats.initialized:
-        raise InvalidParams("rolling stats must be updated before building features")
-    return np.concatenate([base, _aggregates(_tracks(stats, base.size))])
-
-
-def _aggregates(tracks: np.ndarray) -> np.ndarray:
-    """The three appended features of ``(..., 3, n)`` avg/min/max tracks."""
-    return tracks.mean(axis=-1)
-
-
 # frames whose rolling tracks are held at once while their means are taken
 _STATS_BLOCK = 256
 
 
 def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
-    """:func:`build_features` for every frame of a ``(T, H, W)`` stack.
+    """Classifier feature rows of a ``(T, H, W)`` frame stack, one per frame.
 
-    Returns ``(T, H*W)`` normalized pixels, plus (``with_stats``) the three
-    aggregates of rolling statistics fed the stream from its first frame,
-    equal bit for bit to updating a fresh :class:`RollingStats`
-    and building features frame by frame; those need frames of at least
-    one pixel (:func:`_frame_pixels`).  The stack is normalized with one
-    division, written straight into the output.  The recursion steps
-    through the frames by the step of :func:`update_rolling`
-    (``_roll_block``), writing ``(avg, min, -max)`` tracks straight into a
-    block buffer; the means are taken one block of frames at a time, which
-    bounds the tracks held at once, the max's negated back.  Pixel ranges
-    are not checked here (:meth:`AnnotatedSequence.check` does that).
+    Returns ``(T, H*W)`` normalized pixels, row-major, plus (``with_stats``)
+    three aggregates of per-pixel rolling statistics fed the stream from its
+    first frame: the means over the pixels of the exponential average, of
+    the decaying minimum and of the decaying maximum.  A 3x3 sensor yields
+    the recurrent models' 12 features.  All three tracks live in the
+    normalized domain.  With the fixed decay ``alpha`` =
+    :data:`ROLLING_ALPHA` (0.99) the average follows slow illumination
+    drift, while the envelopes latch short excursions and then relax back
+    toward the average.  The first frame's sample ``s`` initializes all
+    three tracks; each later sample updates them as::
+
+        avg'  = alpha * avg + (1 - alpha) * s
+        min'  = min(s, alpha * min + (1 - alpha) * avg)
+        max'  = max(s, alpha * max + (1 - alpha) * avg)
+
+    where ``avg`` on the right-hand side is the value from before the
+    update.  This is the per-frame rule a device port steps.  The
+    statistics need frames of at least one pixel (:func:`_frame_pixels`).
+
+    The stack is normalized with one division, written straight into the
+    output.  The recursion (``_roll_block``) writes ``(avg, min, -max)``
+    tracks straight into a block buffer; the means are taken one block of
+    frames at a time, which bounds the tracks held at once, the max's
+    negated back.  Pixel ranges are not checked here
+    (:meth:`AnnotatedSequence.check` does that).
 
     The recursion runs once per frame, so it keeps to the rule of the
     per-step code in :mod:`microgest.inference`: no method wrapper, no
@@ -243,7 +152,7 @@ def stream_features(frames: np.ndarray, with_stats: bool) -> np.ndarray:
         _roll_block(prev, block[first:], tracks[first : len(block)])
         prev = tracks[len(block) - 1]
         rows = out[start : start + len(block)]
-        rows[:, n:] = _aggregates(tracks[: len(block)])
+        rows[:, n:] = tracks[: len(block)].mean(axis=-1)
         # 0 - x, not -1 * x: numpy sums -0 terms to +0, which must stay +0
         np.subtract(0.0, rows[:, -1], out=rows[:, -1])
     return out

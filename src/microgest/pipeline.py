@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from itertools import compress, islice
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
 from .features import NORM_DIVISOR, LABEL_KIND_PHASE, AnnotatedSequence, Annotation
 from .features import _first_outside, _frame_pixels, _frame_stack, _label_array
 from .inference import _frames, run_ffnn
-from .model import ModelSpec, Parameters
+from .model import MAX_DENSE_WEIGHTS, ModelSpec, Parameters
 
 
 class GestureClass(IntEnum):
@@ -142,7 +142,8 @@ def _considered(means, prevs):
 
 
 class CandidateDetector:
-    """Streaming brightness-dip detector.
+    """Brightness-dip detector: the state machine :func:`extract_candidates`
+    walks over a stream's frame means.
 
     The detector tracks a rolling average of image mean brightness and looks
     for runs of frames deviating from it by a tenth or more
@@ -169,12 +170,11 @@ class CandidateDetector:
     immediately, mirroring the fixed frame buffer of the target hardware.
 
     The rules are one state machine over frame means that tracks frame
-    indices only; every candidate is a contiguous index span.  Streaming
-    and whole-stream detection share it: :meth:`push` takes one frame's
-    mean and keeps just the frames a live index still refers to, while
-    :func:`extract_candidates` takes the means of whole blocks of frames
-    and gives each candidate as a view of its slice of the stack.  Either
-    way the stability rule of the new frames is taken in one numpy call.
+    indices only; every candidate is a contiguous index span.
+    :meth:`_advance` takes the means of the next block of frames, whose
+    stability rule is taken in one numpy call, and :meth:`_close` flushes
+    a run still open at stream end.  A device port steps the same rules on
+    a block of one frame.
 
     The rolling average moves on every considered frame that does not
     deviate, in every state, so it depends on the frame means alone, and a
@@ -186,9 +186,7 @@ class CandidateDetector:
     the next quiet frame or the deviating one that fills the buffer; in
     trailing context, to the frame that emits.
 
-    One detector instance serves one stream (single writer).  Feed frames
-    with :meth:`push`; each call returns the candidates completed by that
-    frame.  Call :meth:`finish` at stream end to flush a trailing run.
+    One detector instance serves one stream (single writer).
     """
 
     _IDLE, _RUN, _POST = range(3)
@@ -211,46 +209,6 @@ class CandidateDetector:
         self._hist = 0
         self._run = 0
         self._run_count = 0
-        # push() only: the stream's frame shape, and the frames from index
-        # ``_first`` on while the window still refers to them
-        self._shape: tuple | None = None
-        self._frames: deque = deque()
-        self._first = 0
-
-    @property
-    def baseline(self) -> float | None:
-        """Current rolling average of image mean brightness."""
-        return self._rollavg
-
-    def push(self, frame: np.ndarray) -> list[Candidate]:
-        """Feed one frame; returns candidates completed by this frame."""
-        stack = _frame_stack([frame], self._shape)
-        self._shape = stack.shape[1:]
-        self._frames.append(stack[0])
-        return self._collect(self._advance(_frame_means(stack)))
-
-    def finish(self) -> list[Candidate]:
-        """Flush a run still open at stream end."""
-        return self._collect(self._close())
-
-    def _collect(self, spans) -> list[Candidate]:
-        """Candidates of the spans from the kept frames, which are then
-        trimmed to those the window still refers to."""
-        found = [
-            Candidate(
-                frames=np.stack(
-                    list(islice(self._frames, first - self._first, last + 1 - self._first))
-                ),
-                start_index=first,
-                end_index=last,
-                truncated=truncated,
-            )
-            for first, last, truncated in spans
-        ]
-        for _ in range(self._mark - self._hist - self._first):
-            self._frames.popleft()
-        self._first = self._mark - self._hist
-        return found
 
     def _advance(self, means: np.ndarray) -> list[tuple[int, int, bool]]:
         """Step the state machine over the float64 means of the next frames.
@@ -344,18 +302,13 @@ class CandidateDetector:
         return spans
 
     def _close(self) -> list[tuple[int, int, bool]]:
-        """Span of a run still open at stream end; resets the window."""
-        spans = []
+        """Span of a run still open at stream end."""
         if self._phase == self._POST or (
             self._phase == self._RUN and self._run_count >= self.min_run
         ):
-            spans.append(
-                _window_span(self._mark, self._hist, self._run, self._index + 1,
-                             self.pad, self.capacity, False)
-            )
-        self._phase, self._mark, self._hist = self._IDLE, self._index + 1, 0
-        self._run = self._run_count = 0
-        return spans
+            return [_window_span(self._mark, self._hist, self._run, self._index + 1,
+                                 self.pad, self.capacity, False)]
+        return []
 
 
 def _window_span(mark, hist, run, end, pad, capacity, truncated):
@@ -414,15 +367,21 @@ def _resample(stack: np.ndarray, spans, target: int) -> np.ndarray:
     frames and blend fractions are ``(B, target)`` arrays, and the frames
     are gathered from the stack and blended straight into the result with
     the IEEE operations of a lone rescale, so each row is bit-identical to
-    one.  Temporaries stay within :data:`_GATHER_SAMPLES` samples.
+    one.  Temporaries stay within :data:`_GATHER_SAMPLES` samples.  A
+    target whose rows would hold more than ``model.MAX_DENSE_WEIGHTS``
+    samples is refused before anything is allocated.
     """
     _check_target(target)
+    pixels = math.prod(stack.shape[1:])
+    # no model takes a longer row; Python ints, as numpy integers could wrap
+    if int(target) * pixels > MAX_DENSE_WEIGHTS:
+        raise InvalidParams(f"{target} frames of {pixels} pixels are above the "
+                            f"{MAX_DENSE_WEIGHTS}-feature cap of a candidate row")
     ends = np.array(spans, dtype=int).reshape(-1, 2)
     first = ends[:, :1]
     lasts = ends[:, 1:] - first  # last frame of each span, counted from its first
     if lasts.size and lasts.min() < 1:
         raise TooShort(f"need at least 2 frames to rescale, got {lasts.min() + 1}")
-    pixels = math.prod(stack.shape[1:])
     frames = stack.reshape(len(stack), pixels)
     out = np.empty((len(ends), target, pixels))
     samples = np.arange(target)

@@ -51,6 +51,11 @@ from .pipeline import (
 # Steady frames before and after each rendered crossing or disturbance
 LEAD_FRAMES = 15
 
+# Most instances of a synthesized corpus, all classes together: far above
+# the paper's corpora (the acceptance gate builds 2,700), checked before
+# the first draw so a mistyped count cannot run unbounded.
+MAX_CORPUS_INSTANCES = 1 << 16
+
 # Most pixels of a synthesized frame: far above the paper's 3x3 sensor,
 # and small enough that a frame stack is allocated without surprise.
 MAX_FRAME_PIXELS = 1 << 16
@@ -617,7 +622,8 @@ def build_corpus(
     rotations remap the label back).  Background changes between instances
     ride on slow bridge ramps so a streaming detector can follow the
     baseline.  Deterministic for a given seed, a non-negative integer;
-    ``per_class``, ``width`` and ``height`` are integers too.  Speeds are
+    ``per_class``, ``width`` and ``height`` are integers too, with at most
+    :data:`MAX_CORPUS_INSTANCES` instances in all.  Speeds are
     frame counts tuned for the stream's default 40 fps.
 
     Each instance has its own seed ``iseed``, drawn from ``seed``.  Its
@@ -641,7 +647,7 @@ def build_corpus(
     Every draw stays on its instance's own stream, and every pixel gets
     the bits of the per-instance calls.
     """
-    _check_integer("per_class", per_class, 0)
+    _check_integer("per_class", per_class, 0, MAX_CORPUS_INSTANCES // len(GestureClass))
     _check_frame_size(width, height)
     _check_seed(seed)
     _check_label_kind(label_kind)

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own execution paths:
 forward passes are re-derived with explicit Python loops, gradients with
 central finite differences, k-means with the full distance matrix every
 round, the compressed-model bit codec one bit at a time, candidate
-detection frame by frame, temporal scaling one sample at a time, BPTT
+detection and rolling-statistics features frame by frame, temporal
+scaling one sample at a time, BPTT
 windows step by step, optimizer updates one array at a time and corpus
 instances through a single-instance render (the renderer as it stood
 before the library rendered whole blocks of instances) and the public
@@ -30,6 +31,7 @@ from microgest.errors import CorruptStream, InvalidParams, KTooLarge
 from microgest.features import (
     LABEL_KIND_GESTURE,
     LABEL_KIND_PHASE,
+    ROLLING_ALPHA,
     AnnotatedSequence,
     Annotation,
 )
@@ -677,6 +679,30 @@ def oracle_scale_frames(frames, target: int) -> np.ndarray:
         f = t - i
         out[k] = frames[i] * (1.0 - f) + frames[min(i + 1, last)] * f
     return out
+
+
+# --- rolling-statistics features --------------------------------------------
+
+def oracle_stream_features(frames) -> np.ndarray:
+    """Feature rows the way a streaming caller builds them, one frame at a
+    time in plain numpy: the frame's pixels over 1024, row-major, then the
+    means of its avg, min and max tracks, stepped by the recursion of the
+    ``stream_features`` docstring on an un-negated max track."""
+    a = ROLLING_ALPHA
+    rows = []
+    for t, frame in enumerate(np.asarray(frames)):
+        s = frame.astype(float).ravel() / 1024.0
+        if t == 0:
+            avg, lo, hi = s, s, s
+        else:
+            avg, lo, hi = (
+                a * avg + (1 - a) * s,
+                np.minimum(s, a * lo + (1 - a) * avg),
+                np.maximum(s, a * hi + (1 - a) * avg),
+            )
+        rows.append(np.concatenate([s, [np.mean(avg), np.mean(lo), np.mean(hi)]]))
+    width = math.prod(np.shape(frames)[1:]) + 3
+    return np.stack(rows) if rows else np.zeros((0, width))
 
 
 # --- rendering, one instance at a time ---------------------------------------

@@ -24,7 +24,7 @@ from microgest.compression import (
     sparse_matvec,
 )
 from microgest.errors import InvalidParams, MicrogestError, ShapeMismatch
-from microgest.features import AnnotatedSequence, Image, stream_features
+from microgest.features import AnnotatedSequence, stream_features
 from microgest.inference import (
     approx_exp,
     approx_pow2,
@@ -48,7 +48,6 @@ from microgest.model import (
 from microgest.model_io import load_dataset, save_dataset
 from microgest.pipeline import (
     Candidate,
-    CandidateDetector,
     FfnnRecognizer,
     GestureClass,
     candidate_features,
@@ -148,11 +147,9 @@ SITES = {
     "encode_sparse.matrix": encode_sparse,
     "sparse_matvec.x": lambda v: sparse_matvec(encode_sparse(np.eye(3)), (3, 3), v),
     "pack_bits.values": lambda v: pack_bits(v, 3),
-    "Image.pixels": lambda v: Image(3, 3, v),
     "stream_features.frames": lambda v: stream_features(v, True),
     "AnnotatedSequence.frames": lambda v: AnnotatedSequence(3, 3, v).check(),
     "AnnotatedSequence.labels": lambda v: AnnotatedSequence(3, 3, FRAMES, [1], v).check(),
-    "CandidateDetector.push": lambda v: CandidateDetector().push(v),
     "extract_candidates.frames": extract_candidates,
     "auto_annotate.frames": lambda v: auto_annotate(
         v, (GestureClass.LEFT_TO_RIGHT, GestureClass.RIGHT_TO_LEFT)

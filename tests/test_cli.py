@@ -13,7 +13,7 @@ import pytest
 
 from microgest import cli, inference, model_io, pipeline
 from microgest.cli import main
-from microgest.estimator import activation_time, load_config
+from microgest.estimator import check_fit, load_config
 from microgest.model import parse_arch
 from microgest.features import AnnotatedSequence
 from microgest.model_io import (
@@ -117,6 +117,14 @@ def test_synth_phase_labels_annotate_every_frame(tmp_path, capsys):
     ds = load_dataset(out)
     assert ds.label_kind == "phase"
     assert len(ds.annotations) == len(ds)
+
+
+def test_synth_refuses_a_corpus_above_its_instance_cap(tmp_path, capsys):
+    # once drew instances without bound
+    out = tmp_path / "big.mgds"
+    err = _one_error_line(capsys, ["synth", "--out", out, "--per-class", "1000000000"])
+    assert "per_class must be <=" in err
+    assert not out.exists()
 
 
 def test_synth_per_class_zero_gives_an_empty_corpus(tmp_path, capsys):
@@ -611,9 +619,9 @@ def test_estimate_json_activation_time_is_the_exact_sum(tmp_path, capsys):
     payload = run_json(capsys, ["estimate", "--arch", "180-8-5",
                                 "--config", cfg])
     cost, _ = load_config(cfg)
-    assert payload["activation_time_us"] == activation_time(
-        parse_arch("180-8-5"), cost
-    ) == 10.9
+    assert payload["activation_time_us"] == check_fit(
+        parse_arch("180-8-5"), cost=cost
+    ).activation_time_us == 10.9
     assert payload["exec_time_us"] == 1480 * 0.1 + 8 * 0.3 + 5 * 1.7
 
 

@@ -2,126 +2,87 @@
 
 import numpy as np
 import pytest
+from conftest import oracle_stream_features
 from hypothesis import given, settings, strategies as st
 
 from microgest.errors import InvalidParams, MicrogestError, PixelOutOfRange, ShapeMismatch
 from microgest.features import (
     _STATS_BLOCK,
     ADC_MAX,
-    ROLLING_ALPHA,
     AnnotatedSequence,
     Annotation,
-    Image,
-    RollingStats,
-    build_features,
-    normalize,
     stream_features,
-    update_rolling,
 )
 from microgest.model_io import save_dataset
 from microgest.synth import build_corpus
 
 
-def _img(values):
-    arr = np.asarray(values)
-    return Image(arr.shape[1], arr.shape[0], arr)
+def _plain(frame):
+    """The normalized pixels of one frame, through the whole-stack route."""
+    return stream_features(np.asarray([frame]), with_stats=False)[0]
 
 
-def test_image_validates_shape():
-    with pytest.raises(ShapeMismatch):
-        Image(3, 3, np.zeros((2, 3)))
-
-
-def test_image_validates_pixel_range():
-    for bad in (1024, -1, np.nan, np.inf, 2.5):
-        with pytest.raises(PixelOutOfRange):
-            _img([[0, bad]])
-    assert _img([[0.0, 1023.0]]).pixels.max() == ADC_MAX  # whole floats pass
+def _tracks(samples):
+    """The ``(T, 3)`` avg/min/max tracks of a 1-pixel stream: with one pixel
+    the appended means are the tracks themselves."""
+    frames = np.asarray(samples).reshape(-1, 1, 1)
+    return stream_features(frames, with_stats=True)[:, 1:]
 
 
 def test_normalize_divides_by_1024():
-    out = normalize(_img([[0, 512], [1023, 256]]))
+    out = _plain([[0, 512], [1023, 256]])
     assert np.array_equal(out, [0.0, 0.5, 1023.0 / 1024.0, 0.25])
 
 
 def test_normalize_never_reaches_one():
-    out = normalize(_img([[ADC_MAX]]))
+    out = _plain([[ADC_MAX]])
     assert out[0] < 1.0
 
 
 def test_normalize_is_row_major():
-    out = normalize(_img([[1, 2], [3, 4]]))
+    out = _plain([[1, 2], [3, 4]])
     assert np.array_equal(out * 1024.0, [1.0, 2.0, 3.0, 4.0])
 
 
-def test_stream_features_without_stats_matches_per_image_normalize():
+def test_stream_features_without_stats_are_the_normalized_pixels_of_each_frame():
     frames = np.arange(24).reshape(2, 3, 4) * 40
     batch = stream_features(frames, with_stats=False)
-    for t in range(2):
-        assert np.array_equal(batch[t], normalize(_img(frames[t])))
+    assert batch.shape == (2, 12)
+    assert batch.tobytes() == oracle_stream_features(frames)[:, :12].tobytes()
 
 
 def test_rolling_first_sample_initializes_all_tracks():
-    stats = RollingStats()
-    assert not stats.initialized
-    update_rolling(stats, _img([[512, 256], [128, 0]]))
-    want = np.array([0.5, 0.25, 0.125, 0.0])
-    assert np.array_equal(stats.avg, want)
-    assert np.array_equal(stats.min, want)
-    assert np.array_equal(stats.max, want)
+    for level, want in ((512, 0.5), (256, 0.25), (128, 0.125), (0, 0.0)):
+        assert _tracks([level]).tolist() == [[want] * 3]
 
 
 def test_rolling_update_formulas_hand_computed():
-    # the fixed alpha of 0.99, one pixel
-    stats = RollingStats()
-    update_rolling(stats, _img([[512]]))  # avg = min = max = 0.5
-    update_rolling(stats, _img([[1024 // 4]]))  # sample 0.25
+    # the fixed alpha of 0.99, one pixel: avg = min = max = 0.5, then the
+    # samples 0.25 and 0.5
+    tracks = _tracks([512, 1024 // 4, 512])
     # avg' = .99*.5 + .01*.25 = .4975
     # min' = min(.25, .99*.5 + .01*.5) = .25   (uses avg from before the update)
     # max' = max(.25, .99*.5 + .01*.5) = .5
-    assert stats.avg[0] == pytest.approx(0.4975)
-    assert stats.min[0] == pytest.approx(0.25)
-    assert stats.max[0] == pytest.approx(0.5)
-
-    update_rolling(stats, _img([[512]]))  # sample 0.5
+    assert tracks[1] == pytest.approx([0.4975, 0.25, 0.5])
     # uses avg_prev = .4975:
     # min' = min(.5, .99*.25 + .01*.4975) = .252475
     # max' = max(.5, .99*.5  + .01*.4975) = .5
     # avg' = .99*.4975 + .01*.5 = .497525
-    assert stats.min[0] == pytest.approx(0.252475)
-    assert stats.max[0] == pytest.approx(0.5)
-    assert stats.avg[0] == pytest.approx(0.497525)
+    assert tracks[2] == pytest.approx([0.497525, 0.252475, 0.5])
 
 
 def test_rolling_constant_stream_is_a_fixed_point():
-    stats = RollingStats()
-    for _ in range(50):
-        update_rolling(stats, _img([[700, 700], [700, 700]]))
-    level = 700.0 / 1024.0
-    assert np.allclose(stats.avg, level)
-    assert np.allclose(stats.min, level)
-    assert np.allclose(stats.max, level)
+    out = stream_features(np.full((50, 2, 2), 700), with_stats=True)
+    assert np.allclose(out[:, 4:], 700.0 / 1024.0)
 
 
-def test_build_features_without_stats_is_normalized_pixels():
-    img = _img(np.arange(9).reshape(3, 3) * 100)
-    assert np.array_equal(build_features(img), normalize(img))
-    assert build_features(img).shape == (9,)
-
-
-def test_build_features_with_stats_appends_three_aggregates():
-    img = _img(np.full((3, 3), 512))
-    stats = update_rolling(RollingStats(), img)
-    feats = build_features(img, stats)
-    assert feats.shape == (12,)
-    assert np.array_equal(feats[:9], normalize(img))
+def test_stream_features_with_stats_append_three_aggregates():
+    frames = np.full((1, 3, 3), 512)
+    feats = stream_features(frames, with_stats=True)
+    assert feats.shape == (1, 12)
+    assert np.array_equal(feats[:, :9], stream_features(frames, with_stats=False))
     # constant stream: all three aggregates equal the pixel level
-    assert np.allclose(feats[9:], 0.5)
-
-
-def test_build_features_requires_initialized_stats():
-    with pytest.raises(InvalidParams):
-        build_features(_img([[0]]), RollingStats())
+    assert np.allclose(feats[:, 9:], 0.5)
 
 
 @given(
@@ -133,54 +94,22 @@ def test_build_features_requires_initialized_stats():
 )
 @settings(max_examples=100)
 def test_rolling_bounds_and_determinism(stream):
-    # envelopes stay ordered and inside [0, 1); replay reproduces bit-for-bit
-    stats = RollingStats()
-    for row in stream:
-        update_rolling(stats, _img(np.array(row).reshape(2, 2)))
-    assert np.all(stats.min <= stats.avg + 1e-12)
-    assert np.all(stats.avg <= stats.max + 1e-12)
-    assert np.all(stats.min >= 0.0)
-    assert np.all(stats.max < 1.0)
-
-    replay = RollingStats()
-    for row in stream:
-        update_rolling(replay, _img(np.array(row).reshape(2, 2)))
-    assert np.array_equal(replay.avg, stats.avg)
-    assert np.array_equal(replay.min, stats.min)
-    assert np.array_equal(replay.max, stats.max)
+    # envelopes stay ordered and inside [0, 1) at every frame of every
+    # pixel's own stream; replay reproduces bit-for-bit
+    for pixel in np.array(stream).T:
+        tracks = _tracks(pixel)
+        avg, lo, hi = tracks.T
+        assert np.all(lo <= avg + 1e-12)
+        assert np.all(avg <= hi + 1e-12)
+        assert np.all(lo >= 0.0)
+        assert np.all(hi < 1.0)
+        assert _tracks(pixel).tobytes() == tracks.tobytes()
+    frames = np.array(stream).reshape(-1, 2, 2)
+    first = stream_features(frames, with_stats=True)
+    assert stream_features(frames, with_stats=True).tobytes() == first.tobytes()
 
 
-def _per_frame_features(frames):
-    """Features the way a streaming caller built them, one image at a time:
-    a fresh default :class:`RollingStats` and one 1-D mean per track.  The
-    tracks must equal the recursion of the :class:`RollingStats` docstring,
-    stepped here on its own, bit for bit."""
-    stats = RollingStats()
-    rows = []
-    a = ROLLING_ALPHA
-    for t, frame in enumerate(frames):
-        image = _img(frame)
-        update_rolling(stats, image)
-        s = normalize(image)
-        if t == 0:
-            avg, lo, hi = s, s, s
-        else:
-            avg, lo, hi = (
-                a * avg + (1 - a) * s,
-                np.minimum(s, a * lo + (1 - a) * avg),
-                np.maximum(s, a * hi + (1 - a) * avg),
-            )
-        for want, got in ((avg, stats.avg), (lo, stats.min), (hi, stats.max)):
-            assert want.tobytes() == got.tobytes()
-        means = [np.mean(stats.avg), np.mean(stats.min), np.mean(stats.max)]
-        row = np.concatenate([normalize(image), means])
-        assert build_features(image, stats).tobytes() == row.tobytes()
-        rows.append(row)
-    width = frames.shape[1] * frames.shape[2] + 3
-    return np.stack(rows) if rows else np.zeros((0, width))
-
-
-def test_stream_features_equal_per_frame_features_bit_for_bit():
+def test_stream_features_equal_the_per_frame_oracle_bit_for_bit():
     # The appended means are taken over the rows of a (3, n) track stack,
     # and the whole-stream path over a block of such stacks at once; a numpy
     # whose row reduction sums differently from a lone vector's must fail
@@ -192,7 +121,7 @@ def test_stream_features_equal_per_frame_features_bit_for_bit():
         for length in (0, 1, 2, 255, 256, 257, 300, 512, 513, 700):
             frames = rng.integers(0, ADC_MAX + 1, size=(length, side, side))
             frames = frames.astype(np.uint16)
-            want = _per_frame_features(frames)
+            want = oracle_stream_features(frames)
             got = stream_features(frames, with_stats=True)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -200,7 +129,7 @@ def test_stream_features_equal_per_frame_features_bit_for_bit():
             assert plain.tobytes() == want[:, : side * side].tobytes()
 
 
-def test_rolling_step_at_the_pixel_extremes_equals_per_frame_features():
+def test_rolling_step_at_the_pixel_extremes_equals_the_per_frame_oracle():
     # 0 and 1023 are the signed-zero and the extreme cases of the negated
     # max track: a stream resting at 0 keeps every track at zero, whose
     # mean must come back +0, not -0
@@ -211,7 +140,7 @@ def test_rolling_step_at_the_pixel_extremes_equals_per_frame_features():
         rng.choice([0, ADC_MAX], size=(600, 3, 3)),
         np.concatenate([np.full((20, 2, 2), ADC_MAX), np.zeros((280, 2, 2), int)]),
     ):
-        want = _per_frame_features(frames)
+        want = oracle_stream_features(frames)
         got = stream_features(frames, with_stats=True)
         assert got.tobytes() == want.tobytes()
     assert not np.signbit(stream_features(np.zeros((3, 3, 3)), True)).any()
@@ -235,32 +164,19 @@ def test_stream_features_stay_within_their_memory_bound():
     assert peak <= out.nbytes + _STATS_BLOCK * 8 * 9 * 8 + 65_536
 
 
-def _stats3():
-    return update_rolling(RollingStats(), _img(np.zeros((3, 3), int)))
-
-
 @pytest.mark.parametrize("call", [
-    lambda: update_rolling(_stats3(), _img(np.zeros((4, 4), int))),  # once a broadcast ValueError
-    lambda: update_rolling(RollingStats(avg=np.zeros(2)), _img(np.zeros((3, 3), int))),
-    lambda: update_rolling(RollingStats(avg=np.zeros(9), min=np.zeros(9), max="x" * 9),
-                           _img(np.zeros((3, 3), int))),
-    lambda: build_features(_img(np.zeros((4, 4), int)), _stats3()),  # once 19 features
-    lambda: build_features(_img(np.zeros((3, 3), int)), RollingStats(avg=np.zeros(9))),
     lambda: stream_features(np.zeros((3, 0, 3)), True),  # once "Mean of empty slice"
     lambda: stream_features(np.zeros((0, 3, 0)), True),
-], ids=["update-4x4", "update-missing-tracks", "update-text-track", "build-4x4",
-        "build-missing-tracks", "stream-no-pixels", "stream-empty-no-pixels"])
-def test_rolling_statistics_of_another_size_are_refused(call):
+], ids=["stream-no-pixels", "stream-empty-no-pixels"])
+def test_stream_features_of_frames_without_pixels_are_refused(call):
     with pytest.raises(ShapeMismatch):
         call()
 
 
 def test_rolling_stats_keep_a_positive_max_track():
-    stats = _stats3()
-    for level in (0, 1023, 0):
-        update_rolling(stats, _img(np.full((3, 3), level)))
-    assert (stats.max >= stats.avg).all() and (stats.avg >= stats.min).all()
-    assert not np.signbit(stats.max).any()
+    avg, lo, hi = _tracks([0, 0, 1023, 0]).T
+    assert (hi >= avg).all() and (avg >= lo).all()
+    assert not np.signbit(hi).any()
 
 
 # --- annotated streams -------------------------------------------------------
@@ -283,10 +199,11 @@ def test_annotated_sequence_check_catches_bad_pixels():
     )
     with pytest.raises(PixelOutOfRange):
         seq.check()
-    for bad in (np.nan, np.inf, 2.5, 1023.5):
+    for bad in (1024, -1, np.nan, np.inf, 2.5, 1023.5):
         seq = AnnotatedSequence(width=1, height=1, frames=np.array([[[0.0]], [[bad]]]))
         with pytest.raises(PixelOutOfRange):
             seq.check()
+    AnnotatedSequence(width=2, height=1, frames=np.array([[[0.0, 1023.0]]])).check()  # whole floats pass
 
 
 def test_annotated_sequence_check_catches_bad_annotation_frame():

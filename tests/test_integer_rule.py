@@ -23,8 +23,10 @@ from microgest.pipeline import (
     evaluate_accuracy,
     label_candidates,
     match_events,
+    scale_candidate,
 )
 from microgest.synth import (
+    MAX_CORPUS_INSTANCES,
     MAX_FRAME_PIXELS,
     GestureSynthParams,
     Noise,
@@ -98,6 +100,8 @@ SITES = {
         InvalidParams,
     ),
     "build_corpus.width": (lambda v: build_corpus(0, 0, width=v), InvalidParams),
+    "build_corpus.per_class": (lambda v: build_corpus(v, 0), InvalidParams),
+    "scale_candidate.target": (lambda v: scale_candidate(CANDIDATE, v), InvalidParams),
     "Noise.seed": (lambda v: augment(SEQ, Noise(1.0, seed=v)), InvalidParams),
     "Rotate.quarters": (lambda v: augment(SEQ, Rotate(v)), InvalidParams),
     "Budget.flash_bytes": (_budget("flash_bytes"), InvalidParams),
@@ -174,3 +178,13 @@ def test_sizes_above_their_cap_are_refused_before_anything_is_allocated():
         with pytest.raises(InvalidParams, match=r"width \* height"):
             build_corpus(1, 0, width=width, height=height)
     GestureSynthParams(GestureClass.LEFT_TO_RIGHT, width=MAX_FRAME_PIXELS // 2, height=2)
+    # a corpus is capped in instances, before its first draw
+    for per_class in (MAX_CORPUS_INSTANCES // len(GestureClass) + 1, 10**9):
+        with pytest.raises(InvalidParams, match="per_class"):
+            build_corpus(per_class, seed=1)
+    # no model takes a candidate row of more than MAX_DENSE_WEIGHTS features
+    pixels = CANDIDATE.frames[0].size
+    for target in (MAX_DENSE_WEIGHTS // pixels + 1, 10**12,
+                   np.int64(2**62)):  # times 9 wraps in int64
+        with pytest.raises(InvalidParams, match="cap"):
+            scale_candidate(CANDIDATE, target)

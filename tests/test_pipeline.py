@@ -117,38 +117,25 @@ def test_min_run_parameter_controls_length_cutoff():
     assert len(shorter) == 1
 
 
-def test_streaming_push_equals_batch_extraction():
+def test_noisy_dips_equal_the_oracle():
     rng = np.random.default_rng(8)
     frames = _stream((20, 800), (12, 640), (25, 800), (14, 620), (20, 800))
     frames = frames + rng.normal(0.0, 1.0, frames.shape)  # stable-range noise
-    det = CandidateDetector()
-    streamed = []
-    for frame in frames:
-        streamed.extend(det.push(frame))
-    streamed.extend(det.finish())
-    batch = extract_candidates(frames)
-    assert len(streamed) == len(batch)
-    for a, b in zip(streamed, batch):
-        assert (a.start_index, a.end_index) == (b.start_index, b.end_index)
-        assert np.array_equal(a.frames, b.frames)
+    assert _assert_detector_equals_oracle(frames, {})
 
 
 def test_baseline_follows_steady_level():
     det = CandidateDetector()
-    for frame in _stream((200, 640)):
-        det.push(frame)
-    assert det.baseline == pytest.approx(640.0)
+    det._advance(_frame_means(_stream((200, 640))))
+    assert det._rollavg == pytest.approx(640.0)
 
 
-def test_run_open_at_stream_end_is_flushed_by_finish():
+def test_run_open_at_stream_end_is_flushed():
     frames = _stream((15, 800), (12, 640))
     det = CandidateDetector()
-    collected = []
-    for frame in frames:
-        collected.extend(det.push(frame))
-    assert collected == []
-    collected.extend(det.finish())
-    assert len(collected) == 1
+    assert det._advance(_frame_means(frames)) == []
+    assert len(det._close()) == 1
+    assert len(extract_candidates(frames)) == 1
 
 
 def _same_candidates(got, want):
@@ -213,15 +200,29 @@ def test_detector_equals_the_frame_based_oracle(segments, shape, dtype, seed, kw
     _assert_detector_equals_oracle(_dip_stream(segments, shape, dtype, seed), kwargs)
 
 
-def _assert_detector_equals_oracle(frames, kwargs):
+def _assert_detector_equals_oracle(frames, kwargs, mine=None):
+    """The detector, built with ``mine`` (default ``kwargs``), against the
+    frame-based oracle: whole-stream extraction at the default block size
+    and at one frame per block, and the state machine stepped one frame's
+    mean at a time, each step completing the candidates that the oracle's
+    push completes at that frame and leaving its baseline."""
+    mine = kwargs if mine is None else mine
     want = oracle_extract_candidates(frames, **kwargs)
-    _same_candidates(extract_candidates(frames, **kwargs), want)
-    # each push completes the same candidates as the oracle's, at that push
-    det, oracle = CandidateDetector(**kwargs), OracleCandidateDetector(**kwargs)
-    for frame in frames:
-        _same_candidates(det.push(frame), oracle.push(frame))
-        assert det.baseline == oracle.baseline
-    _same_candidates(det.finish(), oracle.finish())
+    _same_candidates(extract_candidates(frames, **mine), want)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_BLOCK_PIXELS", 1)
+        _same_candidates(extract_candidates(frames, **mine), want)
+    stack = np.asarray(frames)
+    det, oracle = CandidateDetector(**mine), OracleCandidateDetector(**kwargs)
+
+    def found(spans):
+        return [Candidate(stack[first : last + 1], first, last, truncated)
+                for first, last, truncated in spans]
+
+    for t, frame in enumerate(stack):
+        _same_candidates(found(det._advance(_frame_means(stack[t : t + 1]))), oracle.push(frame))
+        assert det._rollavg == oracle.baseline
+    _same_candidates(found(det._close()), oracle.finish())
     return want
 
 
@@ -318,15 +319,10 @@ def test_detector_walk_equals_the_oracle_for_blocks_of_any_size(
     if numpy_ints:
         mine = dict(min_run=np.int64(kwargs["min_run"]), pad=np.int32(kwargs["pad"]),
                     capacity=np.uint8(kwargs["capacity"]))
-    want = oracle_extract_candidates(frames, **kwargs)
+    want = _assert_detector_equals_oracle(frames, kwargs, mine)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "_BLOCK_PIXELS", block_pixels)
         _same_candidates(extract_candidates(frames, **mine), want)
-    det, oracle = CandidateDetector(**mine), OracleCandidateDetector(**kwargs)
-    for frame in frames:
-        _same_candidates(det.push(frame), oracle.push(frame))
-        assert det.baseline == oracle.baseline
-    _same_candidates(det.finish(), oracle.finish())
 
 
 def test_the_stability_rule_of_a_block_equals_that_of_each_frame():
@@ -415,15 +411,6 @@ def test_numpy_integer_detector_parameters_are_accepted():
 def test_frames_without_pixels_are_a_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         extract_candidates(np.zeros((5, 0, 3)))
-    with pytest.raises(ShapeMismatch):
-        CandidateDetector().push(np.zeros((3, 0)))
-
-
-def test_a_frame_of_another_shape_is_a_shape_mismatch():
-    det = CandidateDetector()
-    det.push(np.zeros((3, 3)))
-    with pytest.raises(ShapeMismatch):
-        det.push(np.zeros((3, 4)))
 
 
 def test_empty_stream_yields_no_candidates():
