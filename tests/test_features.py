@@ -173,6 +173,15 @@ def test_stream_features_of_frames_without_pixels_are_refused(call):
         call()
 
 
+def test_stream_features_of_a_frame_of_another_shape_are_refused():
+    # the stream's statistics are per pixel, so every frame must hold the same pixels
+    frames = [np.zeros((3, 3), int)] * 5 + [np.zeros((4, 4), int)]
+    for stream in (frames, frames[::-1]):
+        for with_stats in (True, False):
+            with pytest.raises(ShapeMismatch):
+                stream_features(stream, with_stats)
+
+
 def test_rolling_stats_keep_a_positive_max_track():
     avg, lo, hi = _tracks([0, 0, 1023, 0]).T
     assert (hi >= avg).all() and (avg >= lo).all()
@@ -199,10 +208,18 @@ def test_annotated_sequence_check_catches_bad_pixels():
     )
     with pytest.raises(PixelOutOfRange):
         seq.check()
-    for bad in (1024, -1, np.nan, np.inf, 2.5, 1023.5):
+    for bad in (np.nan, np.inf, 2.5, 1023.5):
         seq = AnnotatedSequence(width=1, height=1, frames=np.array([[[0.0]], [[bad]]]))
         with pytest.raises(PixelOutOfRange):
             seq.check()
+
+
+def test_annotated_sequence_check_holds_pixels_to_the_adc_range():
+    for bad in (ADC_MAX + 1, -1):
+        seq = AnnotatedSequence(width=2, height=1, frames=np.array([[[0, bad]]]))
+        with pytest.raises(PixelOutOfRange):
+            seq.check()
+    AnnotatedSequence(width=2, height=1, frames=np.array([[[0, ADC_MAX]]])).check()
     AnnotatedSequence(width=2, height=1, frames=np.array([[[0.0, 1023.0]]])).check()  # whole floats pass
 
 

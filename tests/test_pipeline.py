@@ -413,6 +413,28 @@ def test_frames_without_pixels_are_a_shape_mismatch():
         extract_candidates(np.zeros((5, 0, 3)))
 
 
+_CANDIDATE_MODEL = parse_arch("27-5softmax")
+
+# a route that takes a stream of frames -> a call on a list of such frames
+_FRAME_ROUTES = {
+    "extract_candidates": extract_candidates,
+    "FfnnRecognizer": lambda frames: FfnnRecognizer(
+        _CANDIDATE_MODEL, zero_params(_CANDIDATE_MODEL), 3
+    )(frames),
+    "scale_candidate": lambda frames: scale_candidate(Candidate(frames, 0, 20), 3),
+    "candidate_features": lambda frames: candidate_features(Candidate(frames, 0, 20)),
+}
+
+
+@pytest.mark.parametrize("route", _FRAME_ROUTES)
+def test_a_frame_of_another_shape_is_a_shape_mismatch(route):
+    # a stream's frames share one shape, wherever the odd one stands
+    frames = [np.full((3, 3), 500)] * 20 + [np.full((3, 4), 500)]
+    for stream in (frames, frames[::-1]):
+        with pytest.raises(ShapeMismatch):
+            _FRAME_ROUTES[route](stream)
+
+
 def test_empty_stream_yields_no_candidates():
     assert extract_candidates(np.zeros((0, 3, 3))) == []
 
