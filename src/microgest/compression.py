@@ -52,7 +52,7 @@ from .errors import (
     _float_array,
     _is_integer,
 )
-from .model import LayerParams, ModelSpec, Parameters, _removal_masks, validate
+from .model import LayerParams, ModelSpec, Parameters, _float32, _removal_masks, validate
 from .inference import record_macs
 
 #: Largest position delta the sparse address map can store in one entry.
@@ -517,7 +517,7 @@ def _assemble_layer(
 ) -> CompressedLayer:
     removed = np.asarray(removed, dtype=bool)
     deltas, filler = _encode_stream(np.flatnonzero(~removed.ravel()))
-    centroids = np.float32(q.centroids).astype(float)
+    centroids = _float32(q.centroids).astype(float)
     indices = np.zeros(deltas.size, dtype=int)
     indices[~filler] = q.indices
     if filler.any():
@@ -531,7 +531,7 @@ def _assemble_layer(
         centroids=centroids,
         indices=indices,
         deltas=deltas,
-        biases=np.float32(biases).astype(float),
+        biases=_float32(biases).astype(float),
         bits=bits_per_index(len(centroids)),
     )
 
@@ -586,7 +586,7 @@ def compress_model(
     ``retrain_after_prune(pruned_params, removed_masks)`` must return new
     Parameters; ``retrain_after_quantize(assignments, centroids, params)``
     must return ``(new_centroids, new_params)`` where assignments use -1
-    for removed positions.
+    for removed positions.  A value beyond float32 is NonFiniteParameter.
     """
     validate(spec, params)
     n_params = sum(lp.weights.size + lp.biases.size for lp in params.layers)
@@ -597,6 +597,8 @@ def compress_model(
     pruned = apply_pruning(params, removed)
     if retrain_after_prune is not None:
         pruned = apply_pruning(retrain_after_prune(pruned, removed), removed)
+    for lp in pruned.layers:  # before k-means squares them; biases and centroids below
+        _float32(lp.weights)
 
     # the sparse stage stores a float32 value and a delta byte per entry,
     # counted without building the stream

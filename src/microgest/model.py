@@ -214,6 +214,15 @@ def validate(spec: ModelSpec, params: Parameters) -> None:
             raise NonFiniteParameter(f"layer {i}: non-finite weight or bias")
 
 
+def _float32(values) -> np.ndarray:
+    """``values`` as little-endian float32; one beyond its range is NonFiniteParameter."""
+    with np.errstate(over="ignore"):
+        rounded = np.asarray(values, dtype="<f4")
+    if not np.isfinite(rounded).all():
+        raise NonFiniteParameter("a weight or bias overflows a 32-bit float")
+    return rounded
+
+
 class RnnState:
     """Previous-step activations of every recurrent layer.
 

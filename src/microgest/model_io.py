@@ -42,7 +42,6 @@ from .errors import (
     CorruptStream,
     IllegalActivationPlacement,
     MicrogestError,
-    NonFiniteParameter,
     ShapeMismatch,
     Truncated,
     VersionUnsupported,
@@ -56,6 +55,7 @@ from .model import (
     ModelSpec,
     Parameters,
     _check_size,
+    _float32,
     chain,
     validate,
 )
@@ -215,15 +215,9 @@ def save_model(
     header["format"] = "model"
     if meta:
         header["meta"] = meta
-    with np.errstate(over="ignore"):
-        blocks = [
-            np.asarray(values, dtype="<f4")
-            for lp in params.layers
-            for values in (lp.weights, lp.biases)
-        ]
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise NonFiniteParameter("a weight or bias overflows a 32-bit float")
-    payload = b"".join(b.tobytes() for b in blocks)
+    payload = b"".join(
+        _float32(values).tobytes() for lp in params.layers for values in (lp.weights, lp.biases)
+    )
     _atomic_write(path, _frame(MAGIC_MODEL, header, payload))
 
 

@@ -130,6 +130,9 @@ def _frame_means(frames) -> np.ndarray:
 DETECTOR_DEVIATION = 0.10
 DETECTOR_STABILITY = 0.01
 DETECTOR_BASELINE_ALPHA = 0.9
+DETECTOR_MIN_RUN = 9
+DETECTOR_PAD = 5
+DETECTOR_CAPACITY = 80
 _PARKED, _QUIET, _DEVIATING = range(3)  # a frame's kind; the first two are _considered's bytes
 
 
@@ -147,9 +150,9 @@ class CandidateDetector:
 
     The detector tracks a rolling average of image mean brightness and looks
     for runs of frames deviating from it by a tenth or more
-    (:data:`DETECTOR_DEVIATION`).  A run of at least ``min_run`` counted
-    frames becomes a candidate, padded with ``pad`` frames of context on
-    each side.
+    (:data:`DETECTOR_DEVIATION`).  A run of at least 9 counted frames
+    (:data:`DETECTOR_MIN_RUN`) becomes a candidate, padded with 5 frames of
+    context on each side (:data:`DETECTOR_PAD`).
 
     Two stability rules shape what is counted:
 
@@ -166,8 +169,8 @@ class CandidateDetector:
 
     Parked frames sandwiched between deviating frames join the run; parked
     frames at a run's end become its trailing context.  A run that would
-    exceed ``capacity`` buffered frames is truncated and emitted
-    immediately, mirroring the fixed frame buffer of the target hardware.
+    exceed 80 buffered frames (:data:`DETECTOR_CAPACITY`) is truncated and
+    emitted at once, as the target hardware's fixed frame buffer does.
 
     The rules are one state machine over frame means that tracks frame
     indices only; every candidate is a contiguous index span.
@@ -191,24 +194,15 @@ class CandidateDetector:
 
     _IDLE, _RUN, _POST = range(3)
 
-    def __init__(self, min_run: int = 9, pad: int = 5, capacity: int = 80) -> None:
-        for name, value, least in (("min_run", min_run, 0), ("pad", pad, 0),
-                                   ("capacity", capacity, 1)):
-            _check_integer(name, value, least)
-        # Python ints: the walk's arithmetic must not wrap like a numpy uint8
-        self.min_run, self.pad, self.capacity = int(min_run), int(pad), int(capacity)
-        self._index = -1
+    def __init__(self) -> None:
+        self._index, self._phase = -1, self._IDLE
         self._rollavg: float | None = None
         self._prev_mean: float | None = None
-        self._phase = self._IDLE
         # Window layout: ``_hist`` context frames end just before index
         # ``_mark``; from ``_mark`` on lie the parked frames (idle), or the
         # ``_run`` frames of the run followed by parked (run) or trailing
         # (post) frames up to the current index.
-        self._mark = 0
-        self._hist = 0
-        self._run = 0
-        self._run_count = 0
+        self._mark = self._hist = self._run = self._run_count = 0
 
     def _advance(self, means: np.ndarray) -> list[tuple[int, int, bool]]:
         """Step the state machine over the float64 means of the next frames.
@@ -224,7 +218,7 @@ class CandidateDetector:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN here as for floats
             kinds = bytearray(_considered(means, prevs).tobytes())  # _QUIET or _PARKED
         means = means.tolist()
-        min_run, pad, capacity = self.min_run, self.pad, self.capacity
+        min_run, pad, capacity = DETECTOR_MIN_RUN, DETECTOR_PAD, DETECTOR_CAPACITY
         rollavg = self._rollavg
         phase, mark, hist = self._phase, self._mark, self._hist
         run, count = self._run, self._run_count
@@ -292,7 +286,7 @@ class CandidateDetector:
                     break
                 i, truncated = j + 1, False
             if phase == POST or truncated:
-                spans.append(_window_span(mark, hist, run, base + i, pad, capacity, truncated))
+                spans.append(_window_span(mark, hist, run, base + i, truncated))
                 phase, mark, hist, run, count = IDLE, base + i, 0, 0, 0
         if n:
             self._index, self._prev_mean = base + n - 1, means[-1]
@@ -303,20 +297,17 @@ class CandidateDetector:
 
     def _close(self) -> list[tuple[int, int, bool]]:
         """Span of a run still open at stream end."""
-        if self._phase == self._POST or (
-            self._phase == self._RUN and self._run_count >= self.min_run
-        ):
-            return [_window_span(self._mark, self._hist, self._run, self._index + 1,
-                                 self.pad, self.capacity, False)]
+        if self._phase != self._IDLE and self._run_count >= DETECTOR_MIN_RUN:
+            return [_window_span(self._mark, self._hist, self._run, self._index + 1, False)]
         return []
 
 
-def _window_span(mark, hist, run, end, pad, capacity, truncated):
+def _window_span(mark, hist, run, end, truncated):
     """Candidate span of a window closed before index ``end``: the context,
-    the run and at most ``pad`` trailing frames, capped at ``capacity``."""
-    trailing = min(end - mark - run, pad)
+    the run and at most DETECTOR_PAD trailing frames, within DETECTOR_CAPACITY."""
+    trailing = min(end - mark - run, DETECTOR_PAD)
     first = mark - hist
-    return first, first + min(hist + run + trailing, capacity) - 1, truncated
+    return first, first + min(hist + run + trailing, DETECTOR_CAPACITY) - 1, truncated
 
 
 # Whole-stream detection widens and steps this many pixels at a time, which
@@ -328,23 +319,21 @@ _BLOCK_PIXELS = 1 << 14
 _GATHER_SAMPLES = 1 << 10
 
 
-def extract_candidates(frames: np.ndarray, **detector_kwargs) -> list[Candidate]:
+def extract_candidates(frames: np.ndarray) -> list[Candidate]:
     """Run the detector over a ``(T, H, W)`` frame stack.
 
     Frame means are computed a block of frames at a time; each candidate's
     frames are a view of its slice of the stack, not a copy.
     """
-    detector = CandidateDetector(**detector_kwargs)
+    detector = CandidateDetector()
     stack, pixels = _frame_pixels(frames)
     step = max(1, _BLOCK_PIXELS // pixels)
     spans = []
     for start in range(0, len(stack), step):
         spans += detector._advance(_frame_means(stack[start : start + step]))
     spans += detector._close()
-    return [
-        Candidate(stack[first : last + 1], first, last, truncated)
-        for first, last, truncated in spans
-    ]
+    return [Candidate(stack[first : last + 1], first, last, truncated)
+            for first, last, truncated in spans]
 
 
 # --- temporal scaling --------------------------------------------------------

@@ -53,8 +53,10 @@ LEAD_FRAMES = 15
 
 # Most instances of a synthesized corpus, all classes together: far above
 # the paper's corpora (the acceptance gate builds 2,700), checked before
-# the first draw so a mistyped count cannot run unbounded.
+# the first draw so a mistyped count cannot run unbounded.  Larger frames
+# allow fewer: instances x frame pixels stay within those of 3x3 frames.
 MAX_CORPUS_INSTANCES = 1 << 16
+MAX_CORPUS_PIXELS = 9 * MAX_CORPUS_INSTANCES
 
 # Most pixels of a synthesized frame: far above the paper's 3x3 sensor,
 # and small enough that a frame stack is allocated without surprise.
@@ -622,8 +624,8 @@ def build_corpus(
     rotations remap the label back).  Background changes between instances
     ride on slow bridge ramps so a streaming detector can follow the
     baseline.  Deterministic for a given seed, a non-negative integer;
-    ``per_class``, ``width`` and ``height`` are integers too, with at most
-    :data:`MAX_CORPUS_INSTANCES` instances in all.  Speeds are
+    ``per_class``, ``width`` and ``height`` are integers too, within
+    :data:`MAX_CORPUS_INSTANCES` and :data:`MAX_CORPUS_PIXELS`.  Speeds are
     frame counts tuned for the stream's default 40 fps.
 
     Each instance has its own seed ``iseed``, drawn from ``seed``.  Its
@@ -647,8 +649,9 @@ def build_corpus(
     Every draw stays on its instance's own stream, and every pixel gets
     the bits of the per-instance calls.
     """
-    _check_integer("per_class", per_class, 0, MAX_CORPUS_INSTANCES // len(GestureClass))
     _check_frame_size(width, height)
+    most = min(MAX_CORPUS_INSTANCES, MAX_CORPUS_PIXELS // (int(width) * int(height)))
+    _check_integer("per_class", per_class, 0, most // len(GestureClass))
     _check_seed(seed)
     _check_label_kind(label_kind)
     rng = np.random.default_rng(seed)

@@ -202,21 +202,22 @@ def _optimize(cfg: TrainingConfig, flat: np.ndarray, n: int, epoch) -> list[floa
     gradient)`` per step.  The optimizer updates ``flat`` in place before
     the generator computes the next step.  An epoch's loss is its loss sum
     over its count (0.0 when nothing was counted); a loss that is not
-    finite raises DivergenceDetected.
+    finite raises DivergenceDetected, with no overflow warning before it.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = _make_optimizer(flat.size, cfg)
     history = []
-    for _ in range(cfg.epochs):
-        total, count = 0.0, 0
-        for loss, k, grad in epoch(rng.permutation(n)):
-            total += loss
-            count += k
-            opt.step(flat, grad)
-        mean_loss = total / count if count else 0.0
-        if not np.isfinite(mean_loss):
-            raise DivergenceDetected(f"loss became {mean_loss} during training")
-        history.append(mean_loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            total, count = 0.0, 0
+            for loss, k, grad in epoch(rng.permutation(n)):
+                total += loss
+                count += k
+                opt.step(flat, grad)
+            mean_loss = total / count if count else 0.0
+            if not np.isfinite(mean_loss):
+                raise DivergenceDetected(f"loss became {mean_loss} during training")
+            history.append(mean_loss)
     return history
 
 

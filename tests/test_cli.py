@@ -236,6 +236,25 @@ def test_train_builds_recurrent_phase_models(phase_setup):
     assert spec.output_size == 17
 
 
+@pytest.mark.parametrize("flow", ["train-gesture", "train-phase", "compress-retrain"])
+def test_a_diverging_run_is_one_error_line(tmp_path, request, capsys, flow):
+    # numpy's overflow warnings once came first, and under an error filter
+    # one of them was raised in place of DivergenceDetected
+    _, data, model = request.getfixturevalue(
+        "phase_setup" if flow == "train-phase" else "gesture_setup")
+    capsys.readouterr()  # what the fixture printed
+    out = tmp_path / "out.mgcm"
+    argv = {
+        "train-gesture": ["train", "--data", data, "--arch", "180-8relu-5softmax"],
+        "train-phase": ["train", "--data", data, "--arch", "12-r10tanh-17softmax"],
+        "compress-retrain": ["compress", "--model", model, "--density", "0.32",
+                             "--retrain-data", data],
+    }[flow]
+    err = _one_error_line(capsys, argv + ["--out", out, "--lr", "1e308"])
+    assert "loss became nan during training" in err
+    assert not out.exists()
+
+
 # --- eval --------------------------------------------------------------------
 
 def test_eval_prints_an_accuracy_summary(gesture_setup, capsys):

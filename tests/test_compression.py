@@ -42,6 +42,7 @@ from microgest.errors import (
     InvalidParams,
     KTooLarge,
     MicrogestError,
+    NonFiniteParameter,
 )
 from microgest.inference import count_macs
 from microgest.model import LayerParams, Parameters, parse_arch
@@ -298,6 +299,36 @@ def test_a_layer_pruned_to_nothing_is_k_too_large_in_both_modes(clusters):
     opts = CompressionOptions(target_density=0.2, clusters=clusters)
     with pytest.raises(KTooLarge, match="no surviving weights"):
         compress_model(spec, init_params(spec, 0), opts)
+
+
+@pytest.mark.parametrize("where", ["weights", "biases"])
+@pytest.mark.parametrize(
+    "opts", [CompressionOptions(), CompressionOptions(target_density=0.5, clusters=4)],
+    ids=["lossless", "pruned-k-means"],
+)
+def test_parameters_beyond_float32_are_refused_before_compressing(where, opts):
+    # once stored inf centroids, which load_compressed then refused
+    spec = parse_arch("9-4relu-5softmax")
+    params = init_params(spec, 0)
+    getattr(params.layers[0], where)[0] = 1e300
+    with pytest.raises(NonFiniteParameter):
+        compress_model(spec, params, opts)
+
+
+def test_retrained_values_beyond_float32_are_refused():
+    spec = parse_arch("9-4relu-5softmax")
+    opts = CompressionOptions(target_density=0.5, clusters=4)
+
+    def blow_up_weights(params, removed):
+        return Parameters([LayerParams(lp.weights * 1e300, lp.biases) for lp in params.layers])
+
+    def blow_up_centroids(assignments, centroids, params):
+        return [c * 1e300 for c in centroids], params
+
+    with pytest.raises(NonFiniteParameter):
+        compress_model(spec, init_params(spec, 0), opts, retrain_after_prune=blow_up_weights)
+    with pytest.raises(NonFiniteParameter):
+        compress_model(spec, init_params(spec, 0), opts, retrain_after_quantize=blow_up_centroids)
 
 
 # --- sparse address map ------------------------------------------------------

@@ -1,5 +1,7 @@
 """Candidate detection, temporal scaling, FSM events, accuracy metric."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from conftest import (
@@ -110,11 +112,28 @@ def test_multiple_dips_give_ordered_disjoint_candidates():
         assert cand.end_index - cand.start_index + 1 == len(cand)
 
 
-def test_min_run_parameter_controls_length_cutoff():
-    frames = _stream((15, 800), (6, 640), (20, 800))
-    assert extract_candidates(frames) == []
-    shorter = extract_candidates(frames, min_run=5)
-    assert len(shorter) == 1
+def test_shipped_min_run_drops_eight_counted_frames_and_keeps_nine():
+    assert pipeline.DETECTOR_MIN_RUN == 9
+    # a dip's first frame differs from the one before by a fifth: it is
+    # parked, joins the run and is not counted
+    assert extract_candidates(_stream((15, 800), (9, 640), (20, 800))) == []
+    (cand,) = extract_candidates(_stream((15, 800), (10, 640), (20, 800)))
+    assert (cand.start_index, cand.end_index, cand.truncated) == (10, 29, False)
+
+
+def test_shipped_capacity_truncates_a_long_dip_at_eighty_frames():
+    assert pipeline.DETECTOR_CAPACITY == 80
+    cands = extract_candidates(_stream((20, 800), (100, 640), (10, 800)))
+    # 5 frames of context, then the first 75 frames of the dip
+    assert (cands[0].start_index, cands[0].end_index, cands[0].truncated) == (15, 94, True)
+    assert all(len(cand) <= 80 for cand in cands)
+
+
+def test_shipped_pad_gives_five_frames_of_trailing_context():
+    assert pipeline.DETECTOR_PAD == 5
+    # a dip of frames 15-26, then steady frames to the end
+    (cand,) = extract_candidates(_stream((15, 800), (12, 640), (40, 800)))
+    assert cand.end_index == 26 + 5 and cand.start_index == 15 - 5
 
 
 def test_noisy_dips_equal_the_oracle():
@@ -200,29 +219,40 @@ def test_detector_equals_the_frame_based_oracle(segments, shape, dtype, seed, kw
     _assert_detector_equals_oracle(_dip_stream(segments, shape, dtype, seed), kwargs)
 
 
-def _assert_detector_equals_oracle(frames, kwargs, mine=None):
-    """The detector, built with ``mine`` (default ``kwargs``), against the
-    frame-based oracle: whole-stream extraction at the default block size
-    and at one frame per block, and the state machine stepped one frame's
-    mean at a time, each step completing the candidates that the oracle's
-    push completes at that frame and leaving its baseline."""
-    mine = kwargs if mine is None else mine
-    want = oracle_extract_candidates(frames, **kwargs)
-    _same_candidates(extract_candidates(frames, **mine), want)
+@contextmanager
+def _detector_counts(kwargs):
+    """The detector's frame counts patched to the oracle's ``kwargs``
+    (``min_run``, ``pad``, ``capacity``); those not given keep their value."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "_BLOCK_PIXELS", 1)
-        _same_candidates(extract_candidates(frames, **mine), want)
-    stack = np.asarray(frames)
-    det, oracle = CandidateDetector(**mine), OracleCandidateDetector(**kwargs)
+        for name, value in kwargs.items():
+            patch.setattr(pipeline, f"DETECTOR_{name.upper()}", value)
+        yield patch
+
+
+def _assert_detector_equals_oracle(frames, kwargs):
+    """The detector, its frame counts patched to ``kwargs``, against the
+    frame-based oracle built with them: whole-stream extraction at the
+    default block size and at one frame per block, and the state machine
+    stepped one frame's mean at a time, each step completing the candidates
+    that the oracle's push completes at that frame and leaving its
+    baseline."""
+    want = oracle_extract_candidates(frames, **kwargs)
+    stack, oracle = np.asarray(frames), OracleCandidateDetector(**kwargs)
 
     def found(spans):
         return [Candidate(stack[first : last + 1], first, last, truncated)
                 for first, last, truncated in spans]
 
-    for t, frame in enumerate(stack):
-        _same_candidates(found(det._advance(_frame_means(stack[t : t + 1]))), oracle.push(frame))
-        assert det._rollavg == oracle.baseline
-    _same_candidates(found(det._close()), oracle.finish())
+    with _detector_counts(kwargs) as patch:
+        _same_candidates(extract_candidates(frames), want)
+        patch.setattr(pipeline, "_BLOCK_PIXELS", 1)
+        _same_candidates(extract_candidates(frames), want)
+        det = CandidateDetector()
+        for t, frame in enumerate(stack):
+            _same_candidates(found(det._advance(_frame_means(stack[t : t + 1]))),
+                             oracle.push(frame))
+            assert det._rollavg == oracle.baseline
+        _same_candidates(found(det._close()), oracle.finish())
     return want
 
 
@@ -301,28 +331,22 @@ def test_detector_equals_the_oracle_across_block_edges(shape, kwargs):
             "capacity": st.integers(1, 99),
         },
     ),
-    numpy_ints=st.booleans(),
 )
 @example(
     segments=[("steady", 3, 1.0, 0), ("flicker", 40, 1.0, 0), ("dip", 30, 0.8, 2)],
-    block_pixels=9, seed=0, kwargs=dict(min_run=2, pad=9, capacity=4), numpy_ints=True,
+    block_pixels=9, seed=0, kwargs=dict(min_run=2, pad=9, capacity=4),
 )
 @settings(max_examples=200, deadline=None)
 def test_detector_walk_equals_the_oracle_for_blocks_of_any_size(
-    segments, block_pixels, seed, kwargs, numpy_ints
+    segments, block_pixels, seed, kwargs
 ):
     # blocks of 1 to 33 frames of 3x3 pixels end in every state of the walk:
-    # idle with parked frames, in a run and in trailing context; the walk's
-    # arithmetic on numpy integer parameters must not wrap
+    # idle with parked frames, in a run and in trailing context
     frames = _dip_stream(segments, (3, 3), "uint16", seed)
-    mine = kwargs
-    if numpy_ints:
-        mine = dict(min_run=np.int64(kwargs["min_run"]), pad=np.int32(kwargs["pad"]),
-                    capacity=np.uint8(kwargs["capacity"]))
-    want = _assert_detector_equals_oracle(frames, kwargs, mine)
-    with pytest.MonkeyPatch.context() as patch:
+    want = _assert_detector_equals_oracle(frames, kwargs)
+    with _detector_counts(kwargs) as patch:
         patch.setattr(pipeline, "_BLOCK_PIXELS", block_pixels)
-        _same_candidates(extract_candidates(frames, **mine), want)
+        _same_candidates(extract_candidates(frames), want)
 
 
 def test_the_stability_rule_of_a_block_equals_that_of_each_frame():
@@ -368,44 +392,13 @@ def test_whole_stack_means_equal_per_frame_means_bit_for_bit():
         assert _frame_means(stack).tobytes() == _per_frame_means(stack).tobytes()
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(capacity=0),
-        dict(capacity=-3),
-        dict(pad=-1),
-        dict(min_run=-1),
-        dict(capacity=None),
-        dict(pad=None),
-        dict(min_run=float("nan")),
-        dict(capacity=float("inf")),
-        dict(pad=np.int64(-2)),
-        dict(capacity=np.uint8(0)),
-        dict(min_run=np.float32(9.0)),
-        dict(pad="5"),
-        dict(pad=2.5),
-        dict(pad=2.0),
-        dict(pad=True),
-        dict(capacity=30.5),
-        dict(capacity=np.float64(30.0)),
-        dict(min_run=True),
-        dict(min_run=2.0),
-        dict(min_run="9"),
-    ],
-)
-def test_invalid_detector_parameters_rejected(kwargs):
-    with pytest.raises(InvalidParams):
-        CandidateDetector(**kwargs)
-    with pytest.raises(InvalidParams):
-        extract_candidates(_stream((20, 800)), **kwargs)
-
-
-def test_numpy_integer_detector_parameters_are_accepted():
-    frames = _stream((15, 800), (12, 640), (13, 800))
-    kwargs = dict(min_run=np.int64(9), pad=np.int32(5), capacity=np.uint8(80))
-    assert [(c.start_index, c.end_index) for c in extract_candidates(frames, **kwargs)] == [
-        (c.start_index, c.end_index) for c in extract_candidates(frames)
-    ]
+@pytest.mark.parametrize("name", ["min_run", "pad", "capacity"])
+@pytest.mark.parametrize("route", [CandidateDetector, extract_candidates])
+def test_the_detector_frame_counts_are_no_arguments(route, name):
+    # the counts are the module's DETECTOR_* constants, not settings
+    args = () if route is CandidateDetector else (_stream((20, 800)),)
+    with pytest.raises(TypeError):
+        route(*args, **{name: 9})
 
 
 def test_frames_without_pixels_are_a_shape_mismatch():

@@ -562,6 +562,30 @@ def test_bad_corpus_arguments_are_refused_before_any_instance_is_rendered(
     assert rendered == []
 
 
+@pytest.mark.parametrize(
+    "width, height, most",
+    [(256, 256, 1), (16, 16, 460), (4, 3, 9830), (3, 3, 13107), (1, 1, 13107)],
+)
+def test_a_corpus_is_capped_in_instances_times_frame_pixels(monkeypatch, width, height, most):
+    # per_class 13107 of 256x256 frames passed the instance cap, rendered
+    # for about a minute, then ran out of memory; 3x3 frames or smaller
+    # keep the instance cap
+    import microgest.synth as synth
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(synth, "_blocks", reached)
+    for per_class in (most + 1, 13107 + 1, 10**9):
+        with pytest.raises(InvalidParams, match="per_class"):
+            build_corpus(per_class, seed=1, width=width, height=height)
+    with pytest.raises(Reached):
+        build_corpus(most, seed=1, width=width, height=height)
+
+
 def test_numpy_integer_corpus_arguments_give_the_same_corpus():
     want = build_corpus(2, seed=3, width=4, height=3)
     got = build_corpus(np.int64(2), seed=np.uint32(3), width=np.int32(4), height=np.int8(3))

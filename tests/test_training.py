@@ -358,9 +358,8 @@ def test_exploding_run_raises_divergence():
         lp.weights[:] = 1e200
     X = np.array([[1.0, 2.0], [2.0, 1.0]])
     y = np.array([0, 1])
-    with np.errstate(all="ignore"):
-        with pytest.raises(DivergenceDetected):
-            train_ffnn(spec, params, X, y, _cfg(learning_rate=0.1, batch_size=2))
+    with pytest.raises(DivergenceDetected):
+        train_ffnn(spec, params, X, y, _cfg(learning_rate=0.1, batch_size=2))
 
 
 def test_exploding_bptt_run_raises_divergence():
@@ -370,9 +369,8 @@ def test_exploding_bptt_run_raises_divergence():
         lp.weights[:] = 1e200
     X = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]])
     targets = np.array([0, -1, 1])
-    with np.errstate(all="ignore"):
-        with pytest.raises(DivergenceDetected):
-            train_rnn_bptt(spec, params, [(X, targets)], _cfg(learning_rate=0.1), horizon=2)
+    with pytest.raises(DivergenceDetected):
+        train_rnn_bptt(spec, params, [(X, targets)], _cfg(learning_rate=0.1), horizon=2)
 
 
 # --- pruned retraining --------------------------------------------------------
